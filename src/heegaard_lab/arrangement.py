@@ -8,6 +8,13 @@ exactly, including Euler characteristics and whether they contain the
 triangulation vertex, so bigons that sweep across the vertex are found and
 removed like any other.
 
+Each crossing carries the local sign of A against its B component, so the
+sum of signs over a component is their algebraic intersection number.  That
+number bounds the geometric one from below, and a slide across a bigon
+would push the crossing count below it.  Minimization therefore stops,
+without analysing any region, as soon as every B component meets A exactly
+|sum of signs| times; only the remaining cases pay for region analysis.
+
 The same machinery answers, exactly:
   * geometric intersection numbers (crossings after minimization),
   * signed crossing words of A against the components of B,
@@ -214,9 +221,6 @@ class Arrangement:
 
         mine.sort(key=order_key)
         return mine
-
-    def total_crossings(self) -> int:
-        return len(self.crossings())
 
     # -- local planar subdivisions --------------------------------------------
 
@@ -577,39 +581,55 @@ def _slide(arr: Arrangement, analysis: Analysis, region: Region) -> None:
     curve.link_tris = [tri for _, tri in pairs]
 
 
+def _algebraically_minimal(xs: Sequence[Crossing]) -> bool:
+    """Does every B component meet A exactly |sum of its crossing signs|
+    times?  Then no bigon exists (see the module docstring)."""
+    count: dict[int, int] = {}
+    total: dict[int, int] = {}
+    for x in xs:
+        cid = x.b_key[0]
+        count[cid] = count.get(cid, 0) + 1
+        total[cid] = total.get(cid, 0) + x.sign
+    return all(n == abs(total[cid]) for cid, n in count.items())
+
+
 def minimize(arr: Arrangement, drop_free: bool = True,
-             max_steps: int = 100000) -> None:
-    """Remove bigons until the arrangement is in minimal position.
+             max_steps: int = 100000) -> list[Crossing]:
+    """Remove bigons until the arrangement is in minimal position, and
+    return its crossings.
 
     Components of the B side that lose all their crossings are dropped (they
     carry no letters and no crossings) unless drop_free is False; keeping
-    them could hide a bigon behind an annular region."""
+    them could hide a bigon behind an annular region.  Minimization stops
+    without analysing regions once the crossing signs certify that every B
+    component already meets A minimally."""
+    xs = arr.crossings()
     for _ in range(max_steps):
-        xs = arr.crossings()
         if not xs:
-            return
+            return xs
         if drop_free:
-            busy = {key[0] for x in xs for key in (x.a_key, x.b_key)}
-            free = [c.cid for c in arr.curves
-                    if c.cid != 0 and c.tokens and c.cid not in busy]
-            if free:
-                for cid in free:
-                    for tok in arr.curves[cid].tokens:
+            # Dropped components carry no crossings, so xs stays valid.
+            busy = {x.b_key[0] for x in xs}
+            for c in arr.curves[1:]:
+                if c.tokens and c.cid not in busy:
+                    for tok in c.tokens:
                         arr.edge_pts[tok.edge].remove(tok)
-                    arr.curves[cid].tokens = []
-                    arr.curves[cid].link_tris = []
-                continue
+                    c.tokens = []
+                    c.link_tris = []
+        if _algebraically_minimal(xs):
+            return xs
         analysis = arr.analyze(xs)
         bigons = [r for r in analysis.regions
                   if r.chi == 1 and r.corner_visits == 2]
         if not bigons:
-            return
+            return xs
         bigons.sort(key=lambda r: sorted(map(repr, r.crossing_keys)))
         _slide(arr, analysis, bigons[0])
-        after = arr.total_crossings()
-        if after != len(xs) - 2:
+        after = arr.crossings()
+        if len(after) != len(xs) - 2:
             raise AssertionError(
-                f"slide changed crossings {len(xs)} -> {after}")
+                f"slide changed crossings {len(xs)} -> {len(after)}")
+        xs = after
     raise AssertionError("minimization did not terminate")
 
 
@@ -619,17 +639,14 @@ def minimize(arr: Arrangement, drop_free: bool = True,
 
 
 def intersection_number(tri: Triangulation, a_vec, b_vec) -> int:
-    arr = Arrangement(tri, [a_vec, b_vec])
-    minimize(arr)
-    return arr.total_crossings()
+    return len(minimize(Arrangement(tri, [a_vec, b_vec])))
 
 
 def isotopic(tri: Triangulation, a_vec, b_vec) -> bool:
     """Exact isotopy test for connected essential curves: minimize, then look
     for an annulus region whose two boundary circles are the two curves."""
     arr = Arrangement(tri, [a_vec, b_vec])
-    minimize(arr, drop_free=False)
-    if arr.total_crossings() > 0:
+    if minimize(arr, drop_free=False):
         return False
     analysis = arr.analyze()
     want = {0: len(arr.curves[0]), 1: len(arr.curves[1])}
@@ -667,8 +684,7 @@ def crossing_word(tri: Triangulation, curve_vec, system_vecs):
                 "system components do not match the given curve vectors; "
                 "the system is not realizable disjointly as given")
         index_of[c.cid] = matches[0]
-    minimize(arr)
-    xs = arr.crossings()
+    xs = minimize(arr)
     letters = []
     counts = [0] * len(system_vecs)
     for i in range(len(arr.curves[0])):
@@ -685,7 +701,7 @@ def complement_regions(tri: Triangulation, union_vec):
     Returns ([(chi, n_boundary_circles, contains_vertex)], component vectors).
     """
     arr = Arrangement(tri, [union_vec])
-    if arr.total_crossings() != 0:
+    if arr.crossings():
         raise AssertionError("a single multicurve cannot self-cross")
     analysis = arr.analyze()
     comps = [arr.component_vector(c.cid) for c in arr.curves]

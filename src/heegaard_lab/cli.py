@@ -182,10 +182,9 @@ def cmd_sog(args) -> int:
         oracle = serialize.oracle_from_jsonable(_load_json(args.oracle))
 
         def endpoint(text: str):
-            try:
-                return serialize.ghs_from_jsonable(_load_json(text))
-            except INPUT_ERRORS:
+            if text in oracle.nodes():
                 return text
+            return serialize.ghs_from_jsonable(_load_json(text))
 
         try:
             result = flatten(endpoint(args.start), endpoint(args.end),

@@ -18,7 +18,7 @@ from .surface import (
     BudgetExhausted,
     CurveClass,
     enumerate_essential_curves,
-    geometric_intersection,
+    intersection_at_most,
     same_class,
 )
 
@@ -154,8 +154,8 @@ def build_gamma(diagram: HeegaardDiagram, cap: int,
                       ("blue" in capable[u] and "red" in capable[v])
             if not pair_ok:
                 continue
-            n = geometric_intersection(graph.classes[u], graph.classes[v])
-            if n <= 1:
+            n = intersection_at_most(graph.classes[u], graph.classes[v], 1)
+            if n is not None:
                 graph.add_edge(u, v, n)
     return graph
 
@@ -193,11 +193,11 @@ def build_lambda(diagram: HeegaardDiagram, cap: int,
         return graph
     pairs = [(u, v) for i, u in enumerate(keys) for v in keys[i + 1:]]
     numbers = pmap(
-        lambda uv: geometric_intersection(graph.classes[uv[0]],
-                                          graph.classes[uv[1]]),
+        lambda uv: intersection_at_most(graph.classes[uv[0]],
+                                        graph.classes[uv[1]], 1),
         pairs)
     for (u, v), n in zip(pairs, numbers):
-        if n <= 1:
+        if n is not None:
             graph.add_edge(u, v, n)
     return graph
 

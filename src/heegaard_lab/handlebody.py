@@ -18,6 +18,7 @@ from .surface import (
     CurveClass,
     ModelSurface,
     SurfaceMismatch,
+    algebraic_intersection,
     canonical_triangulation,
     enumerate_essential_curves,
     geometric_intersection,
@@ -180,8 +181,15 @@ def boundary_word(c: CurveClass, cut: CutSystem) -> SignedWord:
 
 def bounds_disk(c: CurveClass, side: str, diagram: HeegaardDiagram) -> bool:
     """Does the curve bound a disk in the named handlebody?  True iff its
-    boundary word freely and cyclically reduces to the empty word."""
-    return boundary_word(c, diagram.side(side)).is_trivial()
+    boundary word freely and cyclically reduces to the empty word.
+
+    The exponent sum of generator j in that word is the algebraic
+    intersection with meridian j, and reduction preserves exponent sums, so
+    a nonzero one rules the disk out before any arrangement is built."""
+    cut = diagram.side(side)
+    if any(algebraic_intersection(c, z) for z in cut.curves):
+        return False
+    return boundary_word(c, cut).is_trivial()
 
 
 def enumerate_disk_boundaries(

@@ -435,6 +435,32 @@ def homology_class(genus: int, coords: Sequence[int]) -> tuple[int, ...]:
     return tuple(cls)
 
 
+_BUCKET_CACHE: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+
+
+def _homology_bucket(curve: CurveClass) -> tuple[int, ...]:
+    """Homology class of the curve, up to the sign its orientation picks."""
+    key = (curve.genus, curve.coords)
+    if key not in _BUCKET_CACHE:
+        cls = list(homology_class(curve.genus, curve.coords))
+        neg = [-x for x in cls]
+        _BUCKET_CACHE[key] = tuple(min(cls, neg))
+    return _BUCKET_CACHE[key]
+
+
+def algebraic_intersection(a: CurveClass, b: CurveClass) -> int:
+    """|a . b| for the intersection pairing on H_1.
+
+    A lower bound for i(a, b) with the same parity, and invariant under
+    isotopy of either curve.
+    """
+    if a.genus != b.genus:
+        raise SurfaceMismatch(f"genus {a.genus} vs {b.genus}")
+    x, y = _homology_bucket(a), _homology_bucket(b)
+    return abs(sum(x[2 * i] * y[2 * i + 1] - x[2 * i + 1] * y[2 * i]
+                   for i in range(a.genus)))
+
+
 _SLOPE_CACHE: dict[tuple[int, ...], Slope] = {}
 
 
@@ -538,14 +564,32 @@ def geometric_intersection(a: CurveClass, b: CurveClass) -> int:
         canonical_triangulation(a.genus), a.coords, b.coords)
 
 
+def intersection_at_most(a: CurveClass, b: CurveClass, k: int) -> Optional[int]:
+    """i(a, b) when it is at most k, else None.
+
+    Since |algebraic intersection| <= i(a, b), a pair whose homology classes
+    pair to more than k is answered without building an arrangement.
+    """
+    if a.genus > 1 and algebraic_intersection(a, b) > k:
+        return None
+    n = geometric_intersection(a, b)
+    return n if n <= k else None
+
+
 def same_class(a: CurveClass, b: CurveClass) -> bool:
-    """Exact surface-isotopy test for two essential curve classes."""
+    """Exact surface-isotopy test for two essential curve classes.
+
+    Isotopic curves are homologous up to orientation, so at genus >= 2 the
+    arrangement runs only for pairs in one homology bucket.
+    """
     if a.genus != b.genus:
         raise SurfaceMismatch(f"genus {a.genus} vs {b.genus}")
     if a.coords == b.coords:
         return True
     if a.genus == 1:
         return coords_to_slope(a.coords) == coords_to_slope(b.coords)
+    if _homology_bucket(a) != _homology_bucket(b):
+        return False
     from . import arrangement
     return arrangement.isotopic(
         canonical_triangulation(a.genus), a.coords, b.coords)
@@ -647,9 +691,3 @@ def enumerate_essential_curves(
             found.append(cand)
     found.sort(key=CurveClass.sort_key)
     return found
-
-
-def _homology_bucket(curve: CurveClass) -> tuple[int, ...]:
-    cls = list(homology_class(curve.genus, curve.coords))
-    neg = [-x for x in cls]
-    return tuple(min(cls, neg))

@@ -1,5 +1,9 @@
+import itertools
 import math
 import random
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from heegaard_lab import arrangement
 from heegaard_lab.surface import Slope, canonical_triangulation
@@ -200,3 +204,72 @@ def test_mined_same_class_pair_regression():
     probe = tri.edge_loop_pushoff(tri.edge_index("b1"), 1)
     assert arrangement.intersection_number(tri, probe, u) \
         == arrangement.intersection_number(tri, probe, v)
+
+
+def genus2_vectors(cap):
+    """Every connected essential genus-2 vector of weight <= cap, so that a
+    class drawn on both sides of the vertex appears once per drawing."""
+    from heegaard_lab.surface import admissible_vectors
+    tri = canonical_triangulation(2)
+    link = tri.vertex_link_vector()
+    return [v for v in admissible_vectors(tri, cap)
+            if v != link and len(tri.trace(v)) == 1]
+
+
+def test_minimize_certificate_leaves_no_bigon():
+    # Every way minimize can return, including the early exit when the
+    # crossing signs certify minimal position, must leave no bigon region.
+    # A fresh analysis then makes the crossing count exact, and the
+    # threshold query must agree with it.
+    from heegaard_lab.surface import CurveClass, intersection_at_most
+    tri = canonical_triangulation(2)
+    vecs = genus2_vectors(8)
+    for x, y in itertools.permutations(vecs, 2):
+        arr = arrangement.Arrangement(tri, [x, y])
+        xs = arrangement.minimize(arr)
+        bigons = [r for r in arr.analyze().regions
+                  if r.chi == 1 and r.corner_visits == 2]
+        assert not bigons, (x, y)
+        i = len(xs)
+        assert i == len(arr.crossings())
+        assert i >= algebraic_pairing(2, x, y)
+        a, b = CurveClass(2, x), CurveClass(2, y)
+        for k in (0, 1, 2):
+            assert intersection_at_most(a, b, k) == (i if i <= k else None), \
+                (x, y, k)
+
+
+def test_same_class_matches_isotopic_inside_and_across_buckets():
+    from heegaard_lab.surface import CurveClass, _homology_bucket, same_class
+    tri = canonical_triangulation(2)
+    curves = [CurveClass(2, v) for v in genus2_vectors(8)]
+    pairs = list(itertools.combinations(curves, 2))
+    # Same-bucket pairs up to weight 12, isotopic or not.
+    by_bucket = {}
+    for v in genus2_vectors(12):
+        c = CurveClass(2, v)
+        by_bucket.setdefault(_homology_bucket(c), []).append(c)
+    for group in by_bucket.values():
+        pairs += itertools.combinations(group, 2)
+    inside = set()
+    for a, b in pairs:
+        want = arrangement.isotopic(tri, a.coords, b.coords)
+        assert same_class(a, b) == want, (a, b)
+        if _homology_bucket(a) == _homology_bucket(b):
+            inside.add(want)
+    assert inside == {True, False}
+
+
+_PROPERTY_VECTORS = genus2_vectors(10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_PROPERTY_VECTORS), st.sampled_from(_PROPERTY_VECTORS))
+def test_intersection_symmetric_and_bounded_by_homology(x, y):
+    assume(x != y)
+    tri = canonical_triangulation(2)
+    i = arrangement.intersection_number(tri, x, y)
+    alg = algebraic_pairing(2, x, y)
+    assert i == arrangement.intersection_number(tri, y, x)
+    assert alg <= i
+    assert (i - alg) % 2 == 0

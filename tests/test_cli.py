@@ -71,6 +71,29 @@ def test_sog_flatten_and_verify(capsys, tmp_path):
     assert data["valid"] and data["maximal_positions"] == [1]
 
 
+def test_sog_flatten_missing_ghs_file_reported(capsys, tmp_path):
+    o = tmp_path / "oracle.json"
+    o.write_text(ORACLE1)
+    missing = tmp_path / "nope" / "missing_ghs.json"
+    code, out, err = run(capsys, "sog", "flatten", "--start", str(missing),
+                         "--end", "Q", "--oracle", str(o))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert "No such file" in err and str(missing) in err
+    assert "unknown splitting label" not in err
+
+
+def test_sog_flatten_malformed_inline_ghs_reported(capsys, tmp_path):
+    o = tmp_path / "oracle.json"
+    o.write_text(ORACLE1)
+    code, out, err = run(capsys, "sog", "flatten", "--start", "P",
+                         "--end", '{"levels": [[], [3]', "--oracle", str(o))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert "delimiter" in err
+    assert "unknown splitting label" not in err
+
+
 def test_malformed_json_exit_1(capsys, tmp_path):
     f = tmp_path / "bad.json"
     f.write_text("this is not json")

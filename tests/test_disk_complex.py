@@ -301,3 +301,37 @@ def test_critical_witness_classification():
     assert "critical within cap 8" in v.summary()
     # positive claims persist at a larger cap
     assert classify(d, 10).critical_witness is not None
+
+
+# sha256 of emit_graph(build(diagram, cap)), recorded before the homology
+# certificates (minimal-position exit, isotopy and disk-test rejection, edge
+# pruning) were added; every certificate must leave these bytes unchanged.
+GOLDEN_GRAPH_SHA256 = {
+    ("twisted", 8, "gamma"):
+        "dcdd25c2992bbeeb75c07f715b6f87a04e254c72dc3f58370d273ee9418a5bf6",
+    ("twisted", 8, "lambda"):
+        "0a4e50af9459bee79978c6319514f854fed649c1c1111e7d78dd3d835d590cf3",
+    ("twisted", 10, "gamma"):
+        "f8cd5d0ca209c277801f32be0c88b8e06f4d7006209f6c214047e64a1d9ce240",
+    ("twisted", 10, "lambda"):
+        "6d9e912833a920a5fa5011d6366018b04815d04545c1ab677795ecb760bd1f27",
+    ("standard", 8, "gamma"):
+        "0c24b4b18b36eb0b886dc0b8f265b92262a4c2c606ecf99fbf638ac02bef05a7",
+    ("standard", 8, "lambda"):
+        "640dfe4a23b6e008048da7095cf02e64d82975c1ff6ea420ee9f119a9a2f0354",
+    ("standard", 10, "gamma"):
+        "14083daf78f8346685cfe1a40182f7880201714456af84506b123d37d006efa4",
+    ("standard", 10, "lambda"):
+        "8c5f2db6481d362c21930d7fa2274c391dfef4beff32fde2133fa546bc49e346",
+}
+
+
+def test_genus2_graph_bytes_golden():
+    import hashlib
+    diagrams = {"twisted": critical_witness_diagram(),
+                "standard": standard_diagram(2)}
+    builders = {"gamma": build_gamma, "lambda": build_lambda}
+    for (name, cap, kind), want in GOLDEN_GRAPH_SHA256.items():
+        graph = builders[kind](diagrams[name], cap)
+        got = hashlib.sha256(emit_graph(graph)).hexdigest()
+        assert got == want, (name, cap, kind)

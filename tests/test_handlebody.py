@@ -16,6 +16,7 @@ from heegaard_lab.handlebody import (
 from heegaard_lab.surface import (
     CurveClass,
     ModelSurface,
+    algebraic_intersection,
     geometric_intersection,
 )
 
@@ -161,3 +162,21 @@ def test_cut_curves_bound_their_own_side():
         for side in ("red", "blue"):
             for z in d.side(side).curves:
                 assert bounds_disk(z, side, d)
+
+
+def test_bounds_disk_certificate_matches_word_reduction():
+    # The exponent-sum shortcut may only ever reject curves whose boundary
+    # word would not have reduced to the empty word anyway.
+    from test_disk_complex import critical_witness_diagram
+    from heegaard_lab.surface import enumerate_essential_curves
+    curves = enumerate_essential_curves(2, 8)
+    rejected = 0
+    for d in (critical_witness_diagram(), standard_diagram(2)):
+        for side in ("red", "blue"):
+            cut = d.side(side)
+            for c in curves + list(cut.curves):
+                want = boundary_word(c, cut).is_trivial()
+                assert bounds_disk(c, side, d) == want, (c, side)
+                rejected += any(algebraic_intersection(c, z)
+                                for z in cut.curves)
+    assert rejected > 0
