@@ -1,9 +1,9 @@
 """Batch front door: parse input files, dispatch to the engines, and emit
 deterministic reports.
 
-Exit codes: 0 for certified results, 1 for input errors, 2 when a verdict is
-scoped by an exhausted cap or budget.  JSON is the stable contract; text is
-for humans; DOT is for graph rendering.
+Exit codes: 0 for certified results, 1 for input errors (usage errors
+included), 2 when a verdict is scoped by an exhausted cap or budget.  JSON
+is the stable contract; text is for humans; DOT is for graph rendering.
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from . import proptools, serialize, sog
 from .disk_complex import (
@@ -41,34 +39,35 @@ EXIT_INPUT = 1
 EXIT_SCOPED = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One invocation: the command, its inputs, and its knobs.  Unknown
-    flags are rejected by the parser; cap and budget must be positive."""
-
-    command: str
-    format: str
-    cap: Optional[int] = None
-    budget: Optional[int] = None
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        if self.cap is not None and self.cap < 1:
-            raise ValueError(f"cap must be >= 1, got {self.cap}")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
+class UsageError(Exception):
+    """The command line does not parse: an unknown command or flag, or a
+    value of the wrong type or range."""
 
 
-def _config_of(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        format=args.format,
-        cap=getattr(args, "cap", None),
-        budget=getattr(args, "budget", None),
-        seed=getattr(args, "seed", None),
-    )
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one input-error line, not usage text and
+    exit code 2 (which means a scoped verdict here)."""
 
-INPUT_ERRORS = (FormatError, InvalidCoordinates, InessentialCurve,
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`.  argparse names
+    the function in its message when int() fails ("invalid integer value")."""
+
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+    return integer
+
+
+_positive = _int_at_least(1)
+_nonnegative = _int_at_least(0)
+
+INPUT_ERRORS = (UsageError, FormatError, InvalidCoordinates, InessentialCurve,
                 SurfaceMismatch, InvalidCutSystem, InvalidGHS, InvalidMove,
                 sog.InvalidSOG, json.JSONDecodeError, FileNotFoundError,
                 KeyError, ValueError)
@@ -113,6 +112,8 @@ def cmd_intersect(args) -> int:
 
 
 def cmd_diagram(args) -> int:
+    if args.action == "quotient" and args.bijection is None:
+        raise UsageError("diagram quotient needs --bijection")
     diagram = serialize.diagram_from_jsonable(_load_json(args.diagram))
     if args.action == "classify":
         verdict = classify(diagram, args.cap, args.budget)
@@ -139,25 +140,16 @@ def cmd_diagram(args) -> int:
         }
         _emit(args, payload)
         return EXIT_OK if verdict.certified else EXIT_SCOPED
-    if args.action in ("gamma", "lambda"):
-        build = build_gamma if args.action == "gamma" else build_lambda
-        graph = build(diagram, args.cap, args.budget)
-        fmt = "dot" if args.format == "dot" else "json"
-        sys.stdout.write(emit_graph(graph, fmt).decode())
-        return EXIT_OK if graph.certified else EXIT_SCOPED
+    build = build_lambda if args.action == "lambda" else build_gamma
+    graph = build(diagram, args.cap, args.budget)
     if args.action == "quotient":
-        graph = build_gamma(diagram, args.cap, args.budget)
-        pairs = _load_json(args.bijection)
-        sigma = {}
-        for pair in pairs:
-            u = serialize.curve_from_jsonable(pair[0])
-            v = serialize.curve_from_jsonable(pair[1])
-            sigma[u.coords] = v.coords
-        quotient = quotient_by_symmetry(graph, [sigma])
-        fmt = "dot" if args.format == "dot" else "json"
-        sys.stdout.write(emit_graph(quotient, fmt).decode())
-        return EXIT_OK if graph.certified else EXIT_SCOPED
-    raise ValueError(f"unknown diagram action {args.action!r}")
+        sigma = {serialize.curve_from_jsonable(pair[0]).coords:
+                 serialize.curve_from_jsonable(pair[1]).coords
+                 for pair in _load_json(args.bijection)}
+        graph = quotient_by_symmetry(graph, [sigma])
+    fmt = "dot" if args.format == "dot" else "json"
+    sys.stdout.write(emit_graph(graph, fmt).decode())
+    return EXIT_OK if graph.certified else EXIT_SCOPED
 
 
 def cmd_ghs(args) -> int:
@@ -168,13 +160,11 @@ def cmd_ghs(args) -> int:
         _emit(args, {"result": serialize.ghs_to_jsonable(result),
                      "key": ghs_key(result)})
         return EXIT_OK
-    if args.action == "compare":
-        a = serialize.ghs_from_jsonable(_load_json(args.a))
-        b = serialize.ghs_from_jsonable(_load_json(args.b))
-        _emit(args, {"order": compare_ghs(a, b),
-                     "key_a": ghs_key(a), "key_b": ghs_key(b)})
-        return EXIT_OK
-    raise ValueError(f"unknown ghs action {args.action!r}")
+    a = serialize.ghs_from_jsonable(_load_json(args.a))
+    b = serialize.ghs_from_jsonable(_load_json(args.b))
+    _emit(args, {"order": compare_ghs(a, b),
+                 "key_a": ghs_key(a), "key_b": ghs_key(b)})
+    return EXIT_OK
 
 
 def cmd_sog(args) -> int:
@@ -198,17 +188,15 @@ def cmd_sog(args) -> int:
             "single_maximal": verify_single_maximal(result),
         })
         return EXIT_OK
-    if args.action == "verify":
-        s = serialize.sog_from_jsonable(_load_json(args.infile))
-        _emit(args, {
-            "valid": True,
-            "maximal_positions": sog.maximal_positions(s),
-            "minimal_positions": sog.minimal_positions(s),
-            "max_key": [list(k) for k in max_key(s)],
-            "single_maximal": verify_single_maximal(s),
-        })
-        return EXIT_OK
-    raise ValueError(f"unknown sog action {args.action!r}")
+    s = serialize.sog_from_jsonable(_load_json(args.infile))
+    _emit(args, {
+        "valid": True,
+        "maximal_positions": sog.maximal_positions(s),
+        "minimal_positions": sog.minimal_positions(s),
+        "max_key": [list(k) for k in max_key(s)],
+        "single_maximal": verify_single_maximal(s),
+    })
+    return EXIT_OK
 
 
 def cmd_distance(args) -> int:
@@ -239,7 +227,7 @@ def cmd_proptest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heegaard-lab",
         description="Disk complexes, Heegaard diagrams, and GHS calculus.")
     parser.add_argument("--format", choices=("json", "text", "dot"),
@@ -250,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = p.add_subparsers(dest="action", required=True)
     pc = ps.add_parser("curves", help="enumerate essential curves")
     pc.add_argument("--genus", type=int, required=True)
-    pc.add_argument("--cap", type=int, required=True)
-    pc.add_argument("--budget", type=int, default=None)
+    pc.add_argument("--cap", type=_positive, required=True)
+    pc.add_argument("--budget", type=_positive, default=None)
     pc.set_defaults(func=cmd_surface_curves)
 
     p = sub.add_parser("intersect", help="geometric intersection number")
@@ -263,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action",
                    choices=("classify", "gamma", "lambda", "quotient"))
     p.add_argument("--diagram", required=True)
-    p.add_argument("--cap", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--cap", type=_positive, required=True)
+    p.add_argument("--budget", type=_positive, default=None)
     p.add_argument("--bijection", default=None,
                    help="JSON list of [curve, curve] pairs (quotient only)")
     p.set_defaults(func=cmd_diagram)
@@ -287,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="inventory label or GHS JSON")
     sf.add_argument("--end", required=True)
     sf.add_argument("--oracle", required=True)
-    sf.add_argument("--budget", type=int, default=100000)
+    sf.add_argument("--budget", type=_positive, default=100000)
     sf.set_defaults(func=cmd_sog)
     sv = ss.add_parser("verify")
     sv.add_argument("--in", dest="infile", required=True)
@@ -298,23 +286,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge1", required=True,
                    help="JSON pair of curves (file or inline)")
     p.add_argument("--edge2", required=True)
-    p.add_argument("--cap", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--cap", type=_positive, required=True)
+    p.add_argument("--budget", type=_positive, default=None)
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("proptest", help="randomized property suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterations", type=int, default=200)
+    p.add_argument("--iterations", type=_nonnegative, default=200)
     p.set_defaults(func=cmd_proptest)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _config_of(args)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)

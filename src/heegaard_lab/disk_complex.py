@@ -8,12 +8,12 @@ the graphs are finite approximations of complexes that generally are not.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .handlebody import HeegaardDiagram, bounds_disk
-from .parallel import pmap
 from .surface import (
     BudgetExhausted,
     CurveClass,
@@ -31,7 +31,8 @@ def _edge_key(u: VertexKey, v: VertexKey) -> EdgeKey:
 
 
 class _GraphCore:
-    """Shared vertex/edge bookkeeping for the capped complexes."""
+    """Shared vertex/edge bookkeeping for the capped complexes.  `_adj`
+    indexes `edges` by endpoint; a self-loop lists its vertex once."""
 
     def __init__(self, genus: int, cap: int, certified: bool):
         self.genus = genus
@@ -40,6 +41,7 @@ class _GraphCore:
         self.classes: dict[VertexKey, CurveClass] = {}
         self.colors: dict[VertexKey, frozenset] = {}
         self.edges: dict[EdgeKey, int] = {}
+        self._adj: dict[VertexKey, list[VertexKey]] = {}
 
     def vertex_keys(self) -> list[VertexKey]:
         return sorted(self.classes)
@@ -54,23 +56,19 @@ class _GraphCore:
 
     def add_edge(self, u: VertexKey, v: VertexKey, i: int) -> None:
         key = _edge_key(u, v)
-        if key in self.edges and self.edges[key] != i:
+        if key in self.edges:
             self.edges[key] = min(self.edges[key], i)
-        else:
-            self.edges[key] = i
+            return
+        self.edges[key] = i
+        self._adj.setdefault(u, []).append(v)
+        if u != v:
+            self._adj.setdefault(v, []).append(u)
 
     def degree(self, u: VertexKey) -> int:
-        return sum(1 for e in self.edges if u in e)
+        return len(self._adj.get(u, ()))
 
     def neighbors(self, u: VertexKey) -> list[VertexKey]:
-        out = set()
-        for (a, b) in self.edges:
-            if a == u:
-                out.add(b)
-            if b == u:
-                out.add(a)
-        out.discard(u)
-        return sorted(out)
+        return sorted(w for w in self._adj.get(u, ()) if w != u)
 
 
 class DiskComplexGraph(_GraphCore):
@@ -94,9 +92,11 @@ class LambdaGraph(_GraphCore):
         return u == v or _edge_key(u, v) in self.edges
 
 
-def components(graph: _GraphCore) -> list[list[VertexKey]]:
-    """Connected components (vertex partition), deterministically ordered."""
-    parent = {v: v for v in graph.classes}
+def _partition(keys: Iterable[VertexKey],
+               pairs: Iterable[EdgeKey]) -> list[list[VertexKey]]:
+    """Union-find: the classes of `keys` under the equivalence relation
+    generated by `pairs`, each in the order its keys were given."""
+    parent = {k: k for k in keys}
 
     def find(x):
         while parent[x] != x:
@@ -104,19 +104,47 @@ def components(graph: _GraphCore) -> list[list[VertexKey]]:
             x = parent[x]
         return x
 
-    for (u, v) in graph.edges:
+    for (u, v) in pairs:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
     groups: dict[VertexKey, list[VertexKey]] = {}
-    for v in graph.classes:
-        groups.setdefault(find(v), []).append(v)
-    return sorted([sorted(g) for g in groups.values()])
+    for k in parent:
+        groups.setdefault(find(k), []).append(k)
+    return list(groups.values())
+
+
+def components(graph: _GraphCore) -> list[list[VertexKey]]:
+    """Connected components (vertex partition), deterministically ordered."""
+    return sorted(sorted(g) for g in _partition(graph.classes, graph.edges))
+
+
+def _component_index(graph: _GraphCore) -> dict[VertexKey, int]:
+    """Each vertex's position in `components(graph)`."""
+    return {v: idx for idx, comp in enumerate(components(graph))
+            for v in comp}
 
 
 def isolated_vertices(graph: _GraphCore) -> list[VertexKey]:
     """Vertices that are not the endpoint of any edge (a self-loop counts)."""
     return [v for v in graph.vertex_keys() if graph.degree(v) == 0]
+
+
+def _capped_curves(diagram: HeegaardDiagram, cap: int,
+                   budget: Optional[int]) -> tuple[list[CurveClass], bool]:
+    """The essential classes within the cap, plus the diagram's meridians
+    (they bound whatever they weigh, so Γ always embeds), and whether the
+    list is complete: on budget exhaustion it is partial, not certified."""
+    try:
+        curves = enumerate_essential_curves(diagram.genus, cap, budget)
+        certified = True
+    except BudgetExhausted as exc:
+        curves = exc.partial
+        certified = False
+    for z in diagram.red.curves + diagram.blue.curves:
+        if not any(same_class(z, c) for c in curves):
+            curves.append(z)
+    return curves, certified
 
 
 def build_gamma(diagram: HeegaardDiagram, cap: int,
@@ -126,37 +154,22 @@ def build_gamma(diagram: HeegaardDiagram, cap: int,
 
     On budget exhaustion the partial graph is returned flagged non-certified.
     """
-    try:
-        curves = enumerate_essential_curves(diagram.genus, cap, budget)
-        certified = True
-    except BudgetExhausted as exc:
-        curves = exc.partial
-        certified = False
-    # Meridians of either side bound by construction, whatever they weigh.
-    for z in diagram.red.curves + diagram.blue.curves:
-        if not any(same_class(z, c) for c in curves):
-            curves = list(curves) + [z]
+    return _gamma_of(diagram, cap, *_capped_curves(diagram, cap, budget))
+
+
+def _gamma_of(diagram: HeegaardDiagram, cap: int, curves: list[CurveClass],
+              certified: bool) -> DiskComplexGraph:
     graph = DiskComplexGraph(diagram, cap, certified)
-    capable: dict[VertexKey, set] = {}
-    side_sets = pmap(
-        lambda c: {side for side in ("red", "blue")
-                   if bounds_disk(c, side, diagram)},
-        curves)
-    for c, sides in zip(curves, side_sets):
+    for c in curves:
+        sides = {side for side in ("red", "blue")
+                 if bounds_disk(c, side, diagram)}
         if sides:
             graph.add_vertex(c, sides)
-            capable[c.coords] = sides
-    for u in graph.vertex_keys():
-        for v in graph.vertex_keys():
-            if u > v:
-                continue
-            pair_ok = ("red" in capable[u] and "blue" in capable[v]) or \
-                      ("blue" in capable[u] and "red" in capable[v])
-            if not pair_ok:
-                continue
-            n = intersection_at_most(graph.classes[u], graph.classes[v], 1)
-            if n is not None:
-                graph.add_edge(u, v, n)
+    # Every color set is a nonempty subset of {red, blue}, so a pair is a
+    # red/blue pair exactly when its colors together cover both sides.
+    pairs = itertools.combinations_with_replacement(graph.vertex_keys(), 2)
+    _add_meeting_pairs(graph, ((u, v) for u, v in pairs
+                               if len(graph.colors[u] | graph.colors[v]) == 2))
     return graph
 
 
@@ -164,16 +177,11 @@ def build_lambda(diagram: HeegaardDiagram, cap: int,
                  budget: Optional[int] = None) -> LambdaGraph:
     """All essential classes within the cap; edges where curves meet in at
     most one point."""
-    try:
-        curves = enumerate_essential_curves(diagram.genus, cap, budget)
-        certified = True
-    except BudgetExhausted as exc:
-        curves = exc.partial
-        certified = False
-    # Keep the diagram's meridian classes so the disk complex always embeds.
-    for z in diagram.red.curves + diagram.blue.curves:
-        if not any(same_class(z, c) for c in curves):
-            curves = list(curves) + [z]
+    return _lambda_of(diagram, cap, *_capped_curves(diagram, cap, budget))
+
+
+def _lambda_of(diagram: HeegaardDiagram, cap: int, curves: list[CurveClass],
+               certified: bool) -> LambdaGraph:
     graph = LambdaGraph(diagram.genus, cap, certified)
     for c in curves:
         graph.add_vertex(c)
@@ -191,15 +199,16 @@ def build_lambda(diagram: HeegaardDiagram, cap: int,
                 if -1 <= det <= 1:
                     graph.add_edge(keys[i], keys[j], abs(det))
         return graph
-    pairs = [(u, v) for i, u in enumerate(keys) for v in keys[i + 1:]]
-    numbers = pmap(
-        lambda uv: intersection_at_most(graph.classes[uv[0]],
-                                        graph.classes[uv[1]], 1),
-        pairs)
-    for (u, v), n in zip(pairs, numbers):
+    _add_meeting_pairs(graph, itertools.combinations(keys, 2))
+    return graph
+
+
+def _add_meeting_pairs(graph: _GraphCore, pairs: Iterable[EdgeKey]) -> None:
+    """Join each pair of classes that meet in at most one point."""
+    for u, v in pairs:
+        n = intersection_at_most(graph.classes[u], graph.classes[v], 1)
         if n is not None:
             graph.add_edge(u, v, n)
-    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -245,19 +254,14 @@ def classify(diagram: HeegaardDiagram, cap: int,
     blues = sorted(v for v in graph.classes if "blue" in graph.colors[v])
     both = sorted(v for v in graph.classes if len(graph.colors[v]) == 2)
     edges = graph.edge_keys()
+    comp_of = _component_index(graph)
+    least_edge: dict[int, EdgeKey] = {}
+    for e in edges:
+        least_edge.setdefault(comp_of[e[0]], e)
     critical = None
-    if edges:
-        comp_of = {}
-        for idx, comp in enumerate(components(graph)):
-            for v in comp:
-                comp_of[v] = idx
-        comp_ids = sorted({comp_of[e[0]] for e in edges})
-        if len(comp_ids) >= 2:
-            per_comp = {}
-            for e in edges:
-                per_comp.setdefault(comp_of[e[0]], []).append(e)
-            c1, c2 = comp_ids[0], comp_ids[1]
-            critical = (min(per_comp[c1]), min(per_comp[c2]), c1, c2)
+    if len(least_edge) >= 2:
+        c1, c2 = sorted(least_edge)[:2]
+        critical = (least_edge[c1], least_edge[c2], c1, c2)
     return ClassificationVerdict(
         has_red_disk=bool(reds),
         has_blue_disk=bool(blues),
@@ -294,20 +298,9 @@ def quotient_by_symmetry(graph: _GraphCore,
                 raise ValueError(
                     f"bijection does not preserve edge {(u, v)} (-> {img})")
 
-    parent = {v: v for v in keys}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for sigma in bijections:
-        for u, v in sigma.items():
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-    orbit_rep = {v: min(w for w in keys if find(w) == find(v)) for v in keys}
+    orbits = _partition(graph.classes, (uv for sigma in bijections
+                                        for uv in sigma.items()))
+    orbit_rep = {v: min(orbit) for orbit in orbits for v in orbit}
 
     if isinstance(graph, DiskComplexGraph):
         out: _GraphCore = DiskComplexGraph(graph.diagram, graph.cap,
@@ -357,63 +350,55 @@ class DistanceResult:
         return self.value
 
 
-def vertex_distance(graph: LambdaGraph, u: VertexKey,
-                    v: VertexKey) -> DistanceResult:
-    if u not in graph.classes or v not in graph.classes:
+def _bfs_distance(graph: _GraphCore, sources: Iterable[VertexKey],
+                  targets: Iterable[VertexKey]) -> DistanceResult:
+    """Least number of edges from any source to any target: one
+    multi-source BFS over the adjacency index."""
+    sources, targets = set(sources), set(targets)
+    if any(w not in graph.classes for w in sources | targets):
         raise KeyError("vertex not in the capped graph")
-    if u == v:
+    if sources & targets:
         return DistanceResult(True, 0, graph.cap)
-    adj: dict[VertexKey, list[VertexKey]] = {}
-    for (a, b) in graph.edges:
-        if a != b:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-    frontier = [u]
-    dist = {u: 0}
+    seen = set(sources)
+    frontier = list(sources)
+    d = 0
     while frontier:
+        d += 1
         nxt = []
         for w in frontier:
-            for z in adj.get(w, ()):
-                if z not in dist:
-                    dist[z] = dist[w] + 1
-                    if z == v:
-                        return DistanceResult(True, dist[z], graph.cap)
-                    nxt.append(z)
+            for z in graph._adj.get(w, ()):
+                if z in seen:
+                    continue
+                if z in targets:
+                    return DistanceResult(True, d, graph.cap)
+                seen.add(z)
+                nxt.append(z)
         frontier = nxt
     return DistanceResult(False, None, graph.cap)
+
+
+def vertex_distance(graph: LambdaGraph, u: VertexKey,
+                    v: VertexKey) -> DistanceResult:
+    return _bfs_distance(graph, [u], [v])
 
 
 def edge_distance(graph: LambdaGraph, e1: EdgeKey, e2: EdgeKey) -> DistanceResult:
     """Minimal endpoint-to-endpoint vertex distance; adjacent or touching
     edges have distance 0."""
-    for e in (e1, e2):
-        if not graph.contains_edge(*e):
-            raise KeyError(f"edge {e} not in the capped graph")
-    best: Optional[int] = None
-    for u in set(e1):
-        for v in set(e2):
-            r = vertex_distance(graph, u, v)
-            if r.connected and (best is None or r.value < best):
-                best = r.value
-    if best is None:
-        return DistanceResult(False, None, graph.cap)
-    return DistanceResult(True, best, graph.cap)
+    return component_distance(graph, [e1], [e2])
 
 
 def component_distance(graph: LambdaGraph, c1: Sequence[EdgeKey],
                        c2: Sequence[EdgeKey]) -> DistanceResult:
-    """Minimum of edge_distance over pairs of edges from the two components."""
+    """Minimum of edge_distance over pairs of edges from the two components,
+    found by one BFS from c1's endpoints to c2's endpoints."""
     if not c1 or not c2:
         raise ValueError("component distance needs nonempty edge sets")
-    best: Optional[int] = None
-    for e1 in c1:
-        for e2 in c2:
-            r = edge_distance(graph, e1, e2)
-            if r.connected and (best is None or r.value < best):
-                best = r.value
-    if best is None:
-        return DistanceResult(False, None, graph.cap)
-    return DistanceResult(True, best, graph.cap)
+    for e in [*c1, *c2]:
+        if not graph.contains_edge(*e):
+            raise KeyError(f"edge {e} not in the capped graph")
+    return _bfs_distance(graph, [w for e in c1 for w in e],
+                         [w for e in c2 for w in e])
 
 
 # ---------------------------------------------------------------------------

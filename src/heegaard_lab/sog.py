@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import disk_complex
-from .disk_complex import DistanceResult, build_gamma, build_lambda, components
+from .disk_complex import DistanceResult
 from .ghs import (
     GHS,
     Destabilization,
@@ -91,37 +91,25 @@ class SOG:
         return len(self.ghss)
 
 
+def _extremal_positions(sog: SOG, peaks: bool) -> list[int]:
+    """Indices that are the source of both neighboring steps (peaks) or
+    obtained by both (valleys); an endpoint needs only its one step."""
+    left, right = (0, 0) if peaks else (-1, 1)
+    n = len(sog.ghss)
+    return [k for k in range(n)
+            if (k == 0 or sog.steps[k - 1].src == k + left)
+            and (k == n - 1 or sog.steps[k].src == k + right)]
+
+
 def maximal_positions(sog: SOG) -> list[int]:
     """Indices whose GHS is obtained-from by both neighbors.  An endpoint is
     maximal iff its single neighbor is obtained from it; a singleton SOG is
     both maximal and minimal."""
-    n = len(sog.ghss)
-    if n == 1:
-        return [0]
-    out = []
-    for k in range(n):
-        left_down = k > 0 and sog.steps[k - 1].src == k
-        right_down = k < n - 1 and sog.steps[k].src == k
-        left_ok = left_down if k > 0 else True
-        right_ok = right_down if k < n - 1 else True
-        if left_ok and right_ok:
-            out.append(k)
-    return out
+    return _extremal_positions(sog, peaks=True)
 
 
 def minimal_positions(sog: SOG) -> list[int]:
-    n = len(sog.ghss)
-    if n == 1:
-        return [0]
-    out = []
-    for k in range(n):
-        left_up = k > 0 and sog.steps[k - 1].src == k - 1
-        right_up = k < n - 1 and sog.steps[k].src == k + 1
-        left_ok = left_up if k > 0 else True
-        right_ok = right_up if k < n - 1 else True
-        if left_ok and right_ok:
-            out.append(k)
-    return out
+    return _extremal_positions(sog, peaks=False)
 
 
 MaxKey = tuple[tuple[int, ...], ...]
@@ -422,20 +410,18 @@ def splitting_distance(diagram: HeegaardDiagram, e1, e2, cap: int,
     capped curve complex, and 0 when one component contains both (the cap
     does not distinguish the splittings).
     """
-    gamma = build_gamma(diagram, cap, budget)
+    curves, certified = disk_complex._capped_curves(diagram, cap, budget)
+    gamma = disk_complex._gamma_of(diagram, cap, curves, certified)
     e1 = tuple(sorted(tuple(map(tuple, e1))))
     e2 = tuple(sorted(tuple(map(tuple, e2))))
     for e in (e1, e2):
         if gamma.edges.get(e) != 1:
             raise KeyError(f"{e} is not an i=1 edge of the capped complex")
-    comp_of = {}
-    for idx, comp in enumerate(components(gamma)):
-        for v in comp:
-            comp_of[v] = idx
+    comp_of = disk_complex._component_index(gamma)
     c1, c2 = comp_of[e1[0]], comp_of[e2[0]]
     if c1 == c2:
         return DistanceResult(True, 0, cap)
-    lam = build_lambda(diagram, cap, budget)
+    lam = disk_complex._lambda_of(diagram, cap, curves, certified)
     edges1 = [e for e in gamma.edge_keys() if comp_of[e[0]] == c1]
     edges2 = [e for e in gamma.edge_keys() if comp_of[e[0]] == c2]
     return disk_complex.component_distance(lam, edges1, edges2)

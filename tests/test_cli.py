@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from heegaard_lab.cli import main
 
 S3 = '{"genus": 1, "red": [{"slope": [1, 0]}], "blue": [{"slope": [0, 1]}]}'
@@ -149,6 +151,13 @@ def test_quotient_command(capsys, tmp_path):
     assert data["edges"] == [{"u": 0, "v": 0, "i": 1}]
 
 
+def test_quotient_without_bijection_is_input_error(capsys):
+    code, out, err = run(capsys, "diagram", "quotient", "--diagram", S3,
+                         "--cap", "12")
+    assert code == 1 and out == ""
+    assert err == "input error: diagram quotient needs --bijection\n"
+
+
 def test_distance_command(capsys, tmp_path):
     f = tmp_path / "s3.json"
     f.write_text(S3)
@@ -197,31 +206,30 @@ def test_surface_curves_command(capsys):
     assert data["complete"] is True
 
 
-def test_thread_cap_does_not_change_results(capsys, tmp_path, monkeypatch):
-    f = tmp_path / "s3.json"
-    f.write_text(S3)
-    outputs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("HEEGAARD_LAB_THREADS", threads)
-        code, out, _ = run(capsys, "diagram", "gamma",
-                           "--diagram", str(f), "--cap", "12")
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
-
-
-def test_bad_thread_cap_rejected(capsys, tmp_path, monkeypatch):
-    f = tmp_path / "s3.json"
-    f.write_text(S3)
-    monkeypatch.setenv("HEEGAARD_LAB_THREADS", "many")
-    code, _, err = run(capsys, "diagram", "gamma",
-                       "--diagram", str(f), "--cap", "12")
-    assert code == 1
-    assert "HEEGAARD_LAB_THREADS" in err
-
-
 def test_budget_exit_2(capsys):
     code, out, _ = run(capsys, "surface", "curves", "--genus", "2",
                        "--cap", "8", "--budget", "5")
     assert code == 2
     assert json.loads(out)["complete"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["surface", "curves", "--genus", "1", "--cap", "x"],
+    ["diagram", "gamma", "--diagram", S3, "--cap", "0"],
+    ["diagram", "gamma", "--diagram", S3, "--cap", "12", "--budget", "0"],
+    ["sog", "flatten", "--start", "P", "--end", "Q", "--oracle", ORACLE1,
+     "--budget", "0"],
+    ["proptest", "--seed", "0", "--iterations", "-5"],
+    ["frobnicate"],
+])
+def test_usage_errors_exit_1_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("input error: ")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["diagram", "--help"])
+    assert exc.value.code == 0
+    assert "--cap" in capsys.readouterr().out

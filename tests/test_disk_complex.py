@@ -197,6 +197,46 @@ def test_edge_and_component_distance():
     c = component_distance(lam, [e1], [e3])
     assert c.value == d.value
 
+    def oracle_min(c1, c2):
+        dists = [bfs_oracle(emitted, index[u]) for e in c1 for u in e]
+        reached = [du[index[v]] for du in dists for e in c2 for v in e
+                   if index[v] in du]
+        return min(reached) if reached else None
+
+    rng = random.Random(5)
+    edges, values = sorted(lam.edges), set()
+    for _ in range(30):
+        c1, c2 = rng.sample(edges, 3), rng.sample(edges, 2)
+        got = component_distance(lam, c1, c2)
+        assert got.connected and got.value == oracle_min(c1, c2)
+        values.add(got.value)
+    assert len(values) >= 2
+
+    # Two edges with no path between them in the graph.
+    split = LambdaGraph(1, 10, True)
+    for p, q in [(1, 0), (0, 1), (5, 2), (7, 3)]:
+        split.add_vertex(CurveClass.from_slope(p, q))
+    k73 = CurveClass.from_slope(7, 3).coords
+    split.add_edge(K10, K01, 1)
+    split.add_edge(k52, k73, 1)
+    apart = component_distance(split, [(K10, K01)], [(k52, k73)])
+    assert not apart.connected and apart.value is None
+    with pytest.raises(ValueError):
+        apart.require()
+
+    with pytest.raises(KeyError):
+        vertex_distance(lam, K10, (9, 9, 9))
+    missing = tuple(sorted((K10, CurveClass.from_slope(1, 2).coords)))
+    assert missing not in lam.edges
+    with pytest.raises(KeyError):
+        edge_distance(lam, e1, missing)
+    with pytest.raises(KeyError):
+        component_distance(lam, [e1], [e3, missing])
+    with pytest.raises(ValueError):
+        component_distance(lam, [], [e1])
+    with pytest.raises(ValueError):
+        component_distance(lam, [e1], [])
+
 
 def test_distance_vs_bfs_oracle_seeded():
     lam = build_lambda(s3_genus1(), 40)
