@@ -15,6 +15,7 @@ rewrite a boundary collection are rejected.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -31,8 +32,8 @@ Collection = tuple[int, ...]        # genera, sorted non-increasing
 
 
 def collection(genera: Sequence[int]) -> Collection:
-    out = tuple(sorted((int(g) for g in genera), reverse=True))
-    if any(g < 0 for g in out):
+    out = tuple(sorted(map(int, genera), reverse=True))
+    if out and out[-1] < 0:
         raise InvalidGHS("negative genus")
     return out
 
@@ -91,7 +92,7 @@ def validate_ghs(ghs: GHS) -> list[str]:
     if len(levels) % 2 == 0 or len(levels) < 3:
         errors.append(f"level count {len(levels)} is not an odd number >= 3")
     for i, level in enumerate(levels):
-        if any(g < 0 for g in level):
+        if level and min(level) < 0:
             errors.append(f"level {i} has a negative genus")
         if tuple(sorted(level, reverse=True)) != level:
             errors.append(f"level {i} is not sorted non-increasing")
@@ -107,7 +108,7 @@ def validate_ghs(ghs: GHS) -> list[str]:
 
 def ghs_key(ghs: GHS) -> list[int]:
     """Thick-level complexities in non-increasing order."""
-    return sorted((complexity(ghs.levels[i]) for i in ghs.thick_indices()),
+    return sorted([complexity(level) for level in ghs.levels[1::2]],
                   reverse=True)
 
 
@@ -152,7 +153,11 @@ class CompressionDescriptor:
 def compress(sc: Sequence[int], d: CompressionDescriptor) -> Collection:
     """Apply one compression to the collection; genus-0 components are kept
     (normalization happens at the move level)."""
-    sc = collection(sc)
+    return _compress(collection(sc), d)
+
+
+@functools.cache
+def _compress(sc: Collection, d: CompressionDescriptor) -> Collection:
     if d.target_genus not in sc:
         raise InvalidMove(f"no component of genus {d.target_genus} in {sc}")
     rest = list(sc)
@@ -209,7 +214,7 @@ class MoveReport:
 
 def _strip_and_merge(levels: list[Collection]) -> tuple[list[Collection], bool]:
     """Sphere rule, then collapse interior thin levels that became empty."""
-    out = [tuple(g for g in level if g != 0) if 0 < i < len(levels) - 1
+    out = [tuple(filter(None, level)) if 0 < i < len(levels) - 1
            else level for i, level in enumerate(levels)]
     merged = False
     while True:
@@ -226,7 +231,7 @@ def _strip_and_merge(levels: list[Collection]) -> tuple[list[Collection], bool]:
 def _finish(old: GHS, levels: list[Collection], case: str,
             merged_already: bool) -> MoveReport:
     levels, merged = _strip_and_merge(levels)
-    new = GHS(tuple(collection(level) for level in levels))
+    new = GHS(tuple(map(collection, levels)))
     errors = validate_ghs(new)
     if errors:
         raise InvalidMove(f"move yields an invalid GHS: {'; '.join(errors)}")
@@ -247,16 +252,10 @@ def _thick(ghs: GHS, t: int) -> Collection:
     return ghs.levels[t]
 
 
-def _one_step_compressions(sc: Collection) -> set[Collection]:
+@functools.cache
+def _one_step_compressions(sc: Collection) -> frozenset[Collection]:
     """Collections reachable from sc by one essential compression."""
-    out = set()
-    for g in set(sc):
-        if g >= 1:
-            out.add(compress(sc, CompressionDescriptor("down", g, ("nonsep",))))
-        for g1 in range(1, g // 2 + 1):
-            out.add(compress(
-                sc, CompressionDescriptor("down", g, ("sep", g1, g - g1))))
-    return out
+    return frozenset(_compress(sc, d) for d in _descriptors(sc, "down"))
 
 
 def weak_reduce_report(ghs: GHS, m: WeakReduction) -> MoveReport:
@@ -272,6 +271,12 @@ def weak_reduce_report(ghs: GHS, m: WeakReduction) -> MoveReport:
         raise InvalidMove(
             f"F_DE={f_de} is not one compression away from both "
             f"F_D={f_d} and F_E={f_e}")
+    return _weak_reduction(ghs, t, f_d, f_e, f_de)
+
+
+def _weak_reduction(ghs: GHS, t: int, f_d: Collection, f_e: Collection,
+                    f_de: Collection) -> MoveReport:
+    """Cases 1(a)-1(d), once F_D, F_E and F_DE are known to be consistent."""
     below, above = ghs.levels[t - 1], ghs.levels[t + 1]
     eq_d, eq_e = (f_d == below), (f_e == above)
     levels = list(ghs.levels)
@@ -300,10 +305,14 @@ def destabilize_report(ghs: GHS, m: Destabilization) -> MoveReport:
     t = m.thick_index
     f_t = _thick(ghs, t)
     d = CompressionDescriptor("down", m.target_genus, ("nonsep",))
-    f_d = compress(f_t, d)
-    f_e = f_d
+    return _destabilization(ghs, t, compress(f_t, d), m.remove)
+
+
+def _destabilization(ghs: GHS, t: int, f_d: Collection,
+                     remove: str) -> MoveReport:
+    """Cases 2(a)-2(d); the dual disks give F_E = F_D."""
     below, above = ghs.levels[t - 1], ghs.levels[t + 1]
-    eq_d, eq_e = (f_d == below), (f_e == above)
+    eq_d, eq_e = (f_d == below), (f_d == above)
     levels = list(ghs.levels)
     if not eq_d and not eq_e:
         case = "2a"
@@ -320,7 +329,7 @@ def destabilize_report(ghs: GHS, m: Destabilization) -> MoveReport:
         del levels[t:t + 2]
     else:
         case = "2d"
-        if m.remove == "right":
+        if remove == "right":
             if t + 1 == len(levels) - 1:
                 raise InvalidMove("case 2d (right) would delete the upper boundary")
             del levels[t:t + 2]
@@ -385,29 +394,33 @@ def enumerate_moves(ghs: GHS) -> list[Move]:
     """Every valid move from the GHS, deterministically ordered: all weak
     reductions (with every consistent F_DE) and all destabilizations
     (including both 2(d) removal choices when the case arises)."""
-    out: list[Move] = []
+    return [move for move, _ in _moves_with_reports(ghs)]
+
+
+def _moves_with_reports(ghs: GHS) -> Iterator[tuple[Move, MoveReport]]:
+    """The moves of `enumerate_moves`, each with the report of applying it.
+    The compressions are consistent by construction; every result still
+    passes the checks of `_finish`."""
     for t in ghs.thick_indices():
         f_t = ghs.levels[t]
         for d in _descriptors(f_t, "down"):
-            f_d = compress(f_t, d)
+            f_d = _compress(f_t, d)
             for e in _descriptors(f_t, "up"):
-                f_e = compress(f_t, e)
+                f_e = _compress(f_t, e)
                 for f_de in sorted(_one_step_compressions(f_d)
                                    & _one_step_compressions(f_e)):
-                    move = WeakReduction(t, d, e, f_de)
                     try:
-                        weak_reduce(ghs, move)
+                        report = _weak_reduction(ghs, t, f_d, f_e, f_de)
                     except InvalidMove:
                         continue
-                    out.append(move)
+                    yield WeakReduction(t, d, e, f_de), report
         for g in sorted({g for g in f_t if g >= 1}, reverse=True):
+            f_d = _compress(f_t, CompressionDescriptor("down", g, ("nonsep",)))
             for remove in ("right", "left"):
-                move = Destabilization(t, g, remove)
                 try:
-                    report = destabilize_report(ghs, move)
+                    report = _destabilization(ghs, t, f_d, remove)
                 except InvalidMove:
                     continue
-                out.append(move)
+                yield Destabilization(t, g, remove), report
                 if report.case != "2d":
                     break       # the removal choice only matters in case 2d
-    return out

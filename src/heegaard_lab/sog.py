@@ -23,9 +23,9 @@ from .ghs import (
     InvalidGHS,
     InvalidMove,
     Move,
+    _moves_with_reports,
     apply_move,
     collection,
-    enumerate_moves,
     ghs_key,
     validate_ghs,
 )
@@ -164,6 +164,14 @@ class InventoryOracle:
                 raise ValueError(
                     f"stabilize({lo}) = {hi} does not raise genus by one")
         self.boundary = (collection(boundary[0]), collection(boundary[1]))
+        self._edges: dict[str, list[OracleEdge]] = {
+            label: [] for label in self.genus_of}
+        for lo, hi in self.stab.items():
+            edge = OracleEdge(hi, lo, Destabilization(1, self.genus_of[hi]))
+            self._edges[lo].append(edge)
+            self._edges[hi].append(edge)
+        for edges in self._edges.values():
+            edges.sort(key=lambda e: (str(e.parent), str(e.child)))
 
     @staticmethod
     def from_jsonable(data: dict) -> "InventoryOracle":
@@ -199,16 +207,7 @@ class InventoryOracle:
         raise TypeError(f"cannot resolve {x!r} to an inventory label")
 
     def edges_at(self, node: str) -> list[OracleEdge]:
-        out = []
-        if node in self.stab:
-            parent = self.stab[node]
-            move = Destabilization(1, self.genus_of[parent])
-            out.append(OracleEdge(parent, node, move))
-        for lo, hi in self.stab.items():
-            if hi == node:
-                move = Destabilization(1, self.genus_of[node])
-                out.append(OracleEdge(node, lo, move))
-        return sorted(out, key=lambda e: (str(e.parent), str(e.child)))
+        return list(self._edges.get(node, ()))
 
 
 @dataclass(frozen=True)
@@ -230,18 +229,18 @@ class SymbolicOracle:
         self.budget = budget
         self.boundary = (collection(boundary[0]), collection(boundary[1]))
         self._nodes = self._enumerate_states()
-        nodeset = set(self._nodes)
+        self._labels = {g: repr(g) for g in self._nodes}
         self._edges: dict[GHS, list[OracleEdge]] = {g: [] for g in self._nodes}
         for g in self._nodes:
-            for move in enumerate_moves(g):
-                try:
-                    result = apply_move(g, move)
-                except InvalidMove:
-                    continue
-                if result in nodeset:
-                    edge = OracleEdge(g, result, move)
+            for move, report in _moves_with_reports(g):
+                if report.result in self._edges:
+                    edge = OracleEdge(g, report.result, move)
                     self._edges[g].append(edge)
-                    self._edges[result].append(edge)
+                    self._edges[report.result].append(edge)
+        labels = self._labels
+        for edges in self._edges.values():
+            edges.sort(key=lambda e: (labels[e.parent], labels[e.child],
+                                      repr(e.move)))
 
     @staticmethod
     def _nonempty_collections(total: int) -> list[tuple]:
@@ -285,7 +284,7 @@ class SymbolicOracle:
         return node
 
     def label_of(self, node: GHS) -> str:
-        return repr(node)
+        return self._labels.get(node) or repr(node)
 
     def resolve(self, x) -> GHS:
         if not isinstance(x, GHS):
@@ -295,9 +294,7 @@ class SymbolicOracle:
         return x
 
     def edges_at(self, node: GHS) -> list[OracleEdge]:
-        return sorted(self._edges[node],
-                      key=lambda e: (self.label_of(e.parent),
-                                     self.label_of(e.child), repr(e.move)))
+        return list(self._edges[node])
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +302,19 @@ class SymbolicOracle:
 # ---------------------------------------------------------------------------
 
 
+_TERMINAL = -1       # flatten's sentinel state, reached from the end node
+
+
 def flatten(start, end, oracle, budget: int = 100000) -> SOG:
-    """A SOG from start to end whose MAX multiset is lexicographically
-    minimal over all zigzags in the oracle's graph; MaxKey ties break by
-    length, then by serialized form.  Exact within the oracle's space.
+    """A SOG from start to end that minimizes (MaxKey, length, labels
+    joined by "/"), compared in that order, over every zigzag between them
+    in the oracle's graph.  Exact within the oracle's space.
+
+    The search is a Dijkstra over (node, arrived ascending) states, sound
+    because every part of the priority only grows along a zigzag and keeps
+    its order under a common extension.  For the joined labels that needs
+    no label to contain "/": two zigzags of one length to one node then
+    never have joined labels of which one is a proper prefix of the other.
 
     Raises FlattenBudgetExhausted when the endpoints cannot be joined within
     the budgeted search.
@@ -318,15 +324,28 @@ def flatten(start, end, oracle, budget: int = 100000) -> SOG:
     if s == t:
         return SOG.of([oracle.ghs_of(s)], [], labels=[oracle.label_of(s)])
 
-    def node_key(n) -> tuple:
-        return tuple(ghs_key(oracle.ghs_of(n)))
+    # Nodes are numbered as the search meets them, each label and key found
+    # once.  State 2*i + 1 means node i arrived at ascending, 2*i
+    # descending.  The start counts as arrived ascending, so leaving it
+    # downward records it as a peak; reaching the end ascending records the
+    # end.  A terminal sentinel carries the end node's own contribution so
+    # the heap order reflects final objectives.
+    ids: dict = {}
+    nodes: list = []
+    labels: list[str] = []
+    keys: list[tuple] = []
 
-    # State: (node, arrived_ascending).  The start counts as arrived
-    # ascending, so leaving it downward records it as a peak; reaching the
-    # end ascending records the end.  A terminal sentinel carries the end
-    # node's own contribution so the heap order reflects final objectives.
-    TERMINAL = ("#done", None)
-    start_state = (s, True)
+    def node_id(n) -> int:
+        i = ids.get(n)
+        if i is None:
+            i = ids[n] = len(nodes)
+            nodes.append(n)
+            labels.append(oracle.label_of(n))
+            keys.append(tuple(ghs_key(oracle.ghs_of(n))))
+        return i
+
+    start_state = 2 * node_id(s) + 1
+    end_id = node_id(t)
     counter = itertools.count()
     best_push: dict = {start_state: ((), 0, "")}
     parent: dict = {start_state: None}
@@ -351,29 +370,29 @@ def flatten(start, end, oracle, budget: int = 100000) -> SOG:
         if pops > budget:
             raise FlattenBudgetExhausted(
                 f"unknown: flattening budget of {budget} expansions exhausted")
-        if state == TERMINAL:
-            return _reconstruct(oracle, parent, multiset)
-        node, arrived_asc = state
-        if node == t:
-            gained = (node_key(node),) if arrived_asc else ()
-            final = tuple(sorted(multiset + gained, reverse=True))
-            relax(TERMINAL, (final, length, serial), (state, None, None))
+        if state == _TERMINAL:
+            return _reconstruct(oracle, parent, multiset, nodes, labels)
+        i, arrived_asc = divmod(state, 2)
+        node = nodes[i]
+        # The multiset after leaving downward: a peak if we came up.
+        peaked = tuple(sorted(multiset + (keys[i],), reverse=True)) \
+            if arrived_asc else multiset
+        if i == end_id:
+            relax(_TERMINAL, (peaked, length, serial), (state, None, None))
         for edge in oracle.edges_at(node):
             descending = edge.parent == node
-            other = edge.child if descending else edge.parent
-            gained = (node_key(node),) if descending and arrived_asc else ()
-            new_multiset = tuple(sorted(multiset + gained, reverse=True))
-            new_state = (other, not descending)
-            new_serial = serial + "/" + oracle.label_of(other)
-            relax(new_state, (new_multiset, length + 1, new_serial),
+            j = node_id(edge.child if descending else edge.parent)
+            relax(2 * j + (not descending),
+                  (peaked if descending else multiset, length + 1,
+                   serial + "/" + labels[j]),
                   (state, edge, descending))
     raise FlattenBudgetExhausted(
         "unknown: the endpoints are not joined within the oracle's space")
 
 
-def _reconstruct(oracle, parent, final_multiset) -> SOG:
+def _reconstruct(oracle, parent, final_multiset, nodes, labels) -> SOG:
     # Walk back from the terminal sentinel.
-    state, _, _ = parent[("#done", None)]
+    state, _, _ = parent[_TERMINAL]
     chain = [state]
     edges = []
     while parent[state] is not None:
@@ -383,12 +402,12 @@ def _reconstruct(oracle, parent, final_multiset) -> SOG:
         chain.append(state)
     chain.reverse()
     edges.reverse()
-    nodes = [c[0] for c in chain]
-    ghss = [oracle.ghs_of(n) for n in nodes]
+    ids = [c // 2 for c in chain]
+    ghss = [oracle.ghs_of(nodes[i]) for i in ids]
     steps = []
     for k, (edge, descending) in enumerate(edges):
         steps.append(SOGStep(k if descending else k + 1, edge.move))
-    sog = SOG.of(ghss, steps, labels=[oracle.label_of(n) for n in nodes])
+    sog = SOG.of(ghss, steps, labels=[labels[i] for i in ids])
     if max_key(sog) != final_multiset:
         raise AssertionError(
             f"flatten bookkeeping mismatch: {max_key(sog)} != {final_multiset}")

@@ -306,7 +306,8 @@ _TRI_CACHE: dict[int, Triangulation] = {}
 def canonical_triangulation(genus: int) -> Triangulation:
     """Deterministic triangulation for each genus >= 1 (cached)."""
     if genus < 1:
-        raise ValueError("no curves live on a genus-0 surface; need genus >= 1")
+        raise ValueError(
+            f"no curves live on a surface of genus {genus}; need genus >= 1")
     if genus not in _TRI_CACHE:
         _TRI_CACHE[genus] = Triangulation(ModelSurface(genus))
     return _TRI_CACHE[genus]

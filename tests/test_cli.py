@@ -206,6 +206,14 @@ def test_surface_curves_command(capsys):
     assert data["complete"] is True
 
 
+@pytest.mark.parametrize("genus", ["0", "-2"])
+def test_surface_curves_nonpositive_genus_named(capsys, genus):
+    code, out, err = run(capsys, "surface", "curves", "--genus", genus,
+                         "--cap", "3")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and f"surface of genus {genus};" in err
+
+
 def test_budget_exit_2(capsys):
     code, out, _ = run(capsys, "surface", "curves", "--genus", "2",
                        "--cap", "8", "--budget", "5")

@@ -1,15 +1,25 @@
+import hashlib
 import random
 
 import pytest
 
+from heegaard_lab import serialize
 from heegaard_lab.disk_complex import DistanceResult
-from heegaard_lab.ghs import GHS, Destabilization, ghs_key
+from heegaard_lab.ghs import (
+    GHS,
+    Destabilization,
+    apply_move,
+    enumerate_moves,
+    ghs_key,
+)
 from heegaard_lab.handlebody import s3_genus1, standard_diagram
+from heegaard_lab.proptools import random_ghs
 from heegaard_lab.sog import (
     SOG,
     FlattenBudgetExhausted,
     InvalidSOG,
     InventoryOracle,
+    OracleEdge,
     SOGStep,
     SymbolicBudget,
     SymbolicOracle,
@@ -236,3 +246,222 @@ def test_splitting_distance_on_separated_components():
             if got is not None and (best is None or got < best):
                 best = got
     assert best == r.value
+
+
+# ---------------------------------------------------------------------------
+# Golden digests: the oracle graphs, flatten results and move enumeration
+# are pinned byte for byte, so a faster calculus must give the same answers.
+# ---------------------------------------------------------------------------
+
+
+def sha256_lines(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden_oracles():
+    return {
+        "closed7": SymbolicOracle(SymbolicBudget(max_total_genus=7)),
+        "bounded6": SymbolicOracle(SymbolicBudget(max_total_genus=6),
+                                   boundary=((1,), (1,))),
+    }
+
+
+GOLDEN_ORACLE_LISTINGS = {
+    "closed7": "7dd0d2b3a701523ed80e18455945f0e630437337602ab5069dbe353031e3e1df",
+    "bounded6": "615e167be38b92e17bd9bcc3f8d951f97832c896a0f2a4fd659b5c705d24ed55",
+}
+
+GOLDEN_FLATTENS = {
+    "closed7": (1, "86136f56f39f33e6b77be5f93fdc375a8c9260c526085ee1f32a10d12eebb33b"),
+    "bounded6": (2, "c55b1295ecb8744f4cee9e05fe4462639122fae1e21f3f55f95f56932d2b63fc"),
+}
+
+GOLDEN_MOVES = "c2e0bbbbd052c23f3c88bd72a6aaa14cb64ab706c847f9c5aeabd9d2abb1b371"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ORACLE_LISTINGS))
+def test_symbolic_oracle_listing_golden(golden_oracles, name):
+    oracle = golden_oracles[name]
+    lines = []
+    for node in oracle.nodes():
+        lines.append(oracle.label_of(node))
+        for e in oracle.edges_at(node):
+            lines.append(f"  {oracle.label_of(e.parent)} > "
+                         f"{oracle.label_of(e.child)} {e.move!r}")
+    assert sha256_lines(lines) == GOLDEN_ORACLE_LISTINGS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FLATTENS))
+def test_flatten_golden(golden_oracles, name):
+    # 40 seeded pairs; every fourth search gets a budget of 40 expansions,
+    # so the scoped verdicts of both kinds are pinned as well.
+    oracle = golden_oracles[name]
+    seed, digest = GOLDEN_FLATTENS[name]
+    rng = random.Random(seed)
+    nodes = oracle.nodes()
+    lines = []
+    for k in range(40):
+        s, t = rng.choice(nodes), rng.choice(nodes)
+        budget = 40 if k % 4 == 3 else 100000
+        try:
+            sog = flatten(s, t, oracle, budget)
+        except FlattenBudgetExhausted as exc:
+            lines.append(f"{s!r} -> {t!r}: {exc}")
+        else:
+            lines.append(serialize.dumps(serialize.sog_to_jsonable(sog)))
+    assert sha256_lines(lines) == digest
+
+
+def test_enumerate_and_apply_moves_golden():
+    rng = random.Random(5)
+    lines = []
+    for _ in range(200):
+        g = random_ghs(rng)
+        for m in enumerate_moves(g):
+            lines.append(f"{g!r} | {m!r} | {apply_move(g, m)!r}")
+    assert sha256_lines(lines) == GOLDEN_MOVES
+
+
+# ---------------------------------------------------------------------------
+# Flatten against brute force on small random inventories
+# ---------------------------------------------------------------------------
+
+# Labels are "A" or "B" and up to two characters more, mostly ones that sort
+# below "/": one label is then often a prefix of another, followed by such a
+# character, which is where a tiebreak on joined strings could go wrong.
+LABEL_CHARS = "!- .b"
+
+
+def random_stock(rng, max_labels):
+    """3 to max_labels distinct labels with genera 1 to 4."""
+    n = rng.randint(3, max_labels)
+    labels = set()
+    while len(labels) < n:
+        labels.add(rng.choice("AB") + "".join(
+            rng.choice(LABEL_CHARS) for _ in range(rng.randint(0, 2))))
+    return {lab: rng.randint(1, 4) for lab in sorted(labels)}
+
+
+def random_inventory(rng):
+    genus_of = random_stock(rng, 8)
+    stab = {}
+    for lo, g in genus_of.items():
+        above = [hi for hi, h in genus_of.items() if h == g + 1]
+        if above and rng.random() < 0.8:
+            stab[lo] = rng.choice(above)
+    splittings = {}
+    for lab, g in genus_of.items():
+        splittings.setdefault(g, []).append(lab)
+    return InventoryOracle(splittings, stab), list(stab.items())
+
+
+class RelationOracle:
+    """An inventory whose stabilizations form a relation, not a function.
+    Its move graph has cycles, so zigzags of equal MaxKey and length exist
+    and the label tiebreak decides between them; an InventoryOracle's graph
+    is a forest, where the best zigzag is the only simple one."""
+
+    def __init__(self, genus_of, pairs):
+        self.genus_of = genus_of
+        self.edges = {lab: [] for lab in genus_of}
+        for lo, hi in pairs:
+            edge = OracleEdge(hi, lo, destab(genus_of[hi]))
+            self.edges[lo].append(edge)
+            self.edges[hi].append(edge)
+
+    def nodes(self):
+        return sorted(self.genus_of)
+
+    def resolve(self, label):
+        return label
+
+    def ghs_of(self, label):
+        return GHS.closed_splitting(self.genus_of[label])
+
+    def label_of(self, label):
+        return label
+
+    def edges_at(self, label):
+        return list(self.edges[label])
+
+
+def random_relation_oracle(rng):
+    # Cycles multiply the walks, so the brute force stays at 6 labels here.
+    genus_of = random_stock(rng, 6)
+    pairs = []
+    for lo, g in genus_of.items():
+        above = [hi for hi, h in genus_of.items() if h == g + 1]
+        pairs += [(lo, hi) for hi in rng.sample(above, min(len(above), 2))]
+    return RelationOracle(genus_of, pairs), pairs
+
+
+def brute_force_best(oracle, pairs, s, t):
+    """The minimum of (MaxKey, length, "/"-joined labels) over every walk
+    from s to t of at most 2n+2 steps along the (lower, upper) pairs, or
+    None when t is not reachable from s.  A best walk never repeats a
+    (node, arrived ascending) state, since cutting the loop drops peaks and
+    steps, so 2n steps suffice.  Peaks and length only grow along a walk,
+    so a walk whose (peaks, length) already reach the best one found is
+    not extended."""
+    key = {lab: tuple(ghs_key(oracle.ghs_of(lab))) for lab in oracle.nodes()}
+    above, below = {}, {}
+    for lo, hi in pairs:
+        above.setdefault(lo, []).append(hi)
+        below.setdefault(hi, []).append(lo)
+    seen, frontier = {s}, [s]
+    for node in frontier:
+        for other in above.get(node, []) + below.get(node, []):
+            if other not in seen:
+                seen.add(other)
+                frontier.append(other)
+    if t not in seen:
+        return None
+    limit = 2 * len(key) + 2
+    best = None
+
+    def walk(path, peaks, arrived_asc):
+        # arrived_asc: the last step went up (the start counts as such), so
+        # leaving downward, or stopping, makes the current node a peak.
+        nonlocal best
+        node = path[-1]
+        if node == t:
+            final = tuple(sorted(peaks + ((key[node],) if arrived_asc
+                                          else ()), reverse=True))
+            cand = (final, len(path) - 1, "/".join(path))
+            if best is None or cand < best:
+                best = cand
+        if len(path) - 1 == limit or best is not None and \
+                (tuple(sorted(peaks, reverse=True)), len(path) - 1) >= best[:2]:
+            return
+        for hi in above.get(node, ()):
+            walk(path + [hi], peaks, True)
+        for lo in below.get(node, ()):
+            gained = (key[node],) if arrived_asc else ()
+            walk(path + [lo], peaks + gained, False)
+
+    walk([s], (), True)
+    return best
+
+
+@pytest.mark.parametrize("make_oracle, seed", [
+    (random_inventory, 41),
+    (random_relation_oracle, 43),
+])
+def test_flatten_matches_brute_force(make_oracle, seed):
+    rng = random.Random(seed)
+    reachable = 0
+    for _ in range(300):
+        oracle, pairs = make_oracle(rng)
+        nodes = oracle.nodes()
+        s, t = rng.choice(nodes), rng.choice(nodes)
+        best = brute_force_best(oracle, pairs, s, t)
+        try:
+            sog = flatten(s, t, oracle)
+        except FlattenBudgetExhausted:
+            assert best is None, (pairs, s, t)
+            continue
+        reachable += 1
+        got = (max_key(sog), len(sog.steps), "/".join(sog.labels))
+        assert got == best, (pairs, s, t)
+    assert reachable >= 100, reachable
