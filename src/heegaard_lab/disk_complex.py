@@ -187,20 +187,54 @@ def _lambda_of(diagram: HeegaardDiagram, cap: int, curves: list[CurveClass],
         graph.add_vertex(c)
     keys = graph.vertex_keys()
     if diagram.genus == 1:
-        # Torus fast path: one slope extraction per vertex, then integer
-        # determinants for the whole pair loop.
-        slopes = [(graph.classes[k].slope().p, graph.classes[k].slope().q)
-                  for k in keys]
-        for i in range(len(keys)):
-            p, q = slopes[i]
-            for j in range(i + 1, len(keys)):
-                r, s = slopes[j]
-                det = p * s - q * r
-                if -1 <= det <= 1:
-                    graph.add_edge(keys[i], keys[j], abs(det))
+        _add_farey_edges(graph, keys)
         return graph
     _add_meeting_pairs(graph, itertools.combinations(keys, 2))
     return graph
+
+
+def _bezout(p: int, q: int) -> tuple[int, int]:
+    """(x, y) with p*x + q*y = 1, for coprime p and q (extended Euclid)."""
+    a, b, x0, x1, y0, y1 = p, q, 1, 0, 0, 1
+    while b:
+        quot = a // b
+        a, b = b, a - quot * b
+        x0, x1 = x1, x0 - quot * x1
+        y0, y1 = y1, y0 - quot * y1
+    return x0 * a, y0 * a
+
+
+def _add_farey_edges(graph: LambdaGraph, keys: list[VertexKey]) -> None:
+    """Torus Λ: join the slopes (p, q) and (r, s) with |ps - qr| = 1.
+
+    Slopes are taken up to sign, so the neighbours of (p, q) are exactly the
+    slopes (r0 + t*p, s0 + t*q) for one solution of p*s0 - q*r0 = 1 and all
+    integers t.  Along that progression the coordinate (|s|, |r|, |r - s|)
+    with the largest coefficient grows linearly in |t|, so the heaviest
+    vertex bounds the scan.  Edges are added in the order of the index
+    pairs (i, j), i < j, so the adjacency lists list neighbours by index.
+    """
+    index = {k: i for i, k in enumerate(keys)}
+    top = max(max(k) for k in keys)
+    for i, key in enumerate(keys):
+        slope = graph.classes[key].slope()
+        p, q = slope.p, slope.q
+        x, y = _bezout(p, q)
+        r0, s0 = -y, x
+        # The coordinates s, r and r - s move by q, p and p - q per step of
+        # t; the one that moves fastest bounds t the tightest.
+        c, o = max(((q, s0), (p, r0), (p - q, r0 - s0)),
+                   key=lambda f: abs(f[0]))
+        if c < 0:
+            c, o = -c, -o
+        found = []
+        for t in range(-((top + o) // c), (top - o) // c + 1):
+            r, s = r0 + t * p, s0 + t * q
+            j = index.get((abs(s), abs(r), abs(r - s)), -1)
+            if j > i:
+                found.append(j)
+        for j in sorted(found):
+            graph.add_edge(key, keys[j], 1)
 
 
 def _add_meeting_pairs(graph: _GraphCore, pairs: Iterable[EdgeKey]) -> None:

@@ -359,7 +359,9 @@ def apply_move(ghs: GHS, m: Move) -> GHS:
 def apply_move_report(ghs: GHS, m: Move) -> MoveReport:
     if isinstance(m, WeakReduction):
         return weak_reduce_report(ghs, m)
-    return destabilize_report(ghs, m)
+    if isinstance(m, Destabilization):
+        return destabilize_report(ghs, m)
+    raise InvalidMove(f"unknown move {m!r}")
 
 
 def stabilize(ghs: GHS, thick_index: int, component_genus: int) -> GHS:

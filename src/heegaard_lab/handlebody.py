@@ -185,11 +185,13 @@ def bounds_disk(c: CurveClass, side: str, diagram: HeegaardDiagram) -> bool:
 
     The exponent sum of generator j in that word is the algebraic
     intersection with meridian j, and reduction preserves exponent sums, so
-    a nonzero one rules the disk out before any arrangement is built."""
+    a nonzero one rules the disk out before any arrangement is built.  A
+    solid torus has one disk boundary, its meridian, and that is the only
+    torus class pairing to 0 with it, so at genus 1 this test decides."""
     cut = diagram.side(side)
     if any(algebraic_intersection(c, z) for z in cut.curves):
         return False
-    return boundary_word(c, cut).is_trivial()
+    return c.genus == 1 or boundary_word(c, cut).is_trivial()
 
 
 def enumerate_disk_boundaries(

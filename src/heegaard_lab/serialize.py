@@ -67,14 +67,6 @@ def curve_from_jsonable(data: dict) -> CurveClass:
 # -- diagrams -----------------------------------------------------------------
 
 
-def diagram_to_jsonable(d: HeegaardDiagram) -> dict:
-    return {
-        "genus": d.genus,
-        "red": [curve_to_jsonable(c) for c in d.red.curves],
-        "blue": [curve_to_jsonable(c) for c in d.blue.curves],
-    }
-
-
 def diagram_from_jsonable(data: dict) -> HeegaardDiagram:
     _check_keys(data, {"genus", "red", "blue"})
     genus = int(data["genus"])

@@ -440,7 +440,12 @@ _BUCKET_CACHE: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
 
 
 def _homology_bucket(curve: CurveClass) -> tuple[int, ...]:
-    """Homology class of the curve, up to the sign its orientation picks."""
+    """Homology class of the curve, up to the sign its orientation picks.
+
+    Torus classes come in closed form; higher genus traces once per vector."""
+    if curve.genus == 1:
+        cls = list(_torus_class(curve.coords))
+        return tuple(min(cls, [-x for x in cls]))
     key = (curve.genus, curve.coords)
     if key not in _BUCKET_CACHE:
         cls = list(homology_class(curve.genus, curve.coords))
@@ -462,18 +467,61 @@ def algebraic_intersection(a: CurveClass, b: CurveClass) -> int:
                    for i in range(a.genus)))
 
 
-_SLOPE_CACHE: dict[tuple[int, ...], Slope] = {}
+def _component_counts(tri: Triangulation,
+                      coords: Sequence[int]) -> dict[tuple[int, ...], int]:
+    """Each distinct component vector of an admissible vector, with its
+    multiplicity: by tracing, except on the torus, where the split of
+    `coords_to_slope` gives them in closed form."""
+    counts: dict[tuple[int, ...], int] = {}
+    if tri.genus == 1:
+        tri.check_matching(coords)
+        k = sum(coords) // 2 - max(coords)
+        rest = [c - 2 * k for c in coords]
+        m = math.gcd(*rest)
+        if k:
+            counts[tri.vertex_link_vector()] = k
+        if m:
+            counts[tuple(c // m for c in rest)] = m
+        return counts
+    for comp in tri.trace(coords):
+        counts[comp.vector] = counts.get(comp.vector, 0) + 1
+    return counts
+
+
+def _torus_class(coords: Sequence[int]) -> tuple[int, int]:
+    """H_1 class (p, q) of a connected torus vector, up to sign: (0, 0) for
+    the vertex link, else the slope whose coords() are the vector."""
+    tri = canonical_triangulation(1)
+    counts = _component_counts(tri, coords)
+    if sum(counts.values()) != 1:
+        raise ValueError("signed crossings need a connected curve")
+    (vec,) = counts
+    if vec == tri.vertex_link_vector():
+        return (0, 0)
+    # Invert (|q|, |p|, |p - q|): |p - q| = |p| + |q| with both nonzero
+    # exactly when p and q have opposite signs.
+    a, b, d = vec
+    return (b, -a if a and b and d == a + b else a)
 
 
 def coords_to_slope(coords: Sequence[int]) -> Slope:
-    """Slope of a connected essential torus vector (exact, via homology)."""
-    key = tuple(coords)
-    if key not in _SLOPE_CACHE:
-        alpha, beta = homology_class(1, key)
-        if alpha == 0 and beta == 0:
-            raise InessentialCurve("null-homologous torus curve is inessential")
-        _SLOPE_CACHE[key] = Slope.of(alpha, beta)
-    return _SLOPE_CACHE[key]
+    """Slope of a connected essential torus vector, in closed form.
+
+    Disjoint essential curves on the torus are parallel, so a normal
+    multicurve there is k vertex links plus m copies of one primitive slope
+    curve, and its vector splits uniquely as v = k*(2, 2, 2) + m*r.  A slope
+    vector (|q|, |p|, |p - q|) has one weight equal to the sum of the other
+    two, so its maximum is half its weight, while each link adds 2 to the
+    maximum and 6 to the weight.  Hence k = weight/2 - max(v),
+    m = gcd(v - 2k) and r = (v - 2k)/m.  The vector is connected exactly
+    when k + m = 1 and essential when m = 1; then r = (a, b, d) is the
+    slope (b, -a) when a and b are nonzero and d = a + b, else (b, a).  The
+    cost is a few integer operations, whatever the weight.
+    """
+    p, q = _torus_class(coords)
+    if p == 0 and q == 0:
+        raise InessentialCurve("null-homologous torus curve is inessential")
+    return Slope.of(p, q)
 
 
 @dataclass(frozen=True)
@@ -497,7 +545,7 @@ class MulticurveReport:
 def normalize(surface: ModelSurface | int, coords: Sequence[int]):
     """Validate a raw edge-weight vector and classify what it carries.
 
-    Returns a CurveClass when the trace is a single essential component, a
+    Returns a CurveClass when the vector is a single essential component, a
     MulticurveReport when there are several components, and raises on
     matching violations, the zero vector, or a single inessential component.
     """
@@ -507,21 +555,13 @@ def normalize(surface: ModelSurface | int, coords: Sequence[int]):
     if len(coords) == tri.n_edges and all(c == 0 for c in coords):
         raise InvalidCoordinates("the zero vector carries no curve")
     tri.check_matching(coords)
-    comps = tri.trace(coords)
+    groups = _component_counts(tri, coords)
     link = tri.vertex_link_vector()
-    if len(comps) == 1:
-        vec = comps[0].vector
+    if sum(groups.values()) == 1:
+        (vec,) = groups
         if vec == link:
             raise InessentialCurve("the vertex link bounds a disk")
-        if genus == 1:
-            vec = coords_to_slope(vec).coords()
         return CurveClass(genus, vec)
-    groups: dict[tuple[int, ...], int] = {}
-    for comp in comps:
-        vec = comp.vector
-        if genus == 1 and vec != link:
-            vec = coords_to_slope(vec).coords()
-        groups[vec] = groups.get(vec, 0) + 1
     entries = tuple(
         MulticurveEntry(vec, mult, vec != link)
         for vec, mult in sorted(groups.items()))
@@ -529,17 +569,18 @@ def normalize(surface: ModelSurface | int, coords: Sequence[int]):
 
 
 def is_essential(surface: ModelSurface | int, coords: Sequence[int]) -> bool:
-    """True iff the (connected) traced curve is not null-homotopic.
+    """True iff the (connected) curve is not null-homotopic.
 
     On a one-vertex triangulation the only inessential connected normal curve
     is the vertex link, so the test is exact.
     """
     genus = surface.genus if isinstance(surface, ModelSurface) else surface
     tri = canonical_triangulation(genus)
-    comps = tri.trace(coords)
-    if len(comps) != 1:
+    groups = _component_counts(tri, coords)
+    if sum(groups.values()) != 1:
         raise ValueError("essentialness is defined for connected curves")
-    return comps[0].vector != tri.vertex_link_vector()
+    (vec,) = groups
+    return vec != tri.vertex_link_vector()
 
 
 # ---------------------------------------------------------------------------

@@ -375,3 +375,56 @@ def test_genus2_graph_bytes_golden():
         graph = builders[kind](diagrams[name], cap)
         got = hashlib.sha256(emit_graph(graph)).hexdigest()
         assert got == want, (name, cap, kind)
+
+
+def pair_loop_lambda(graph):
+    """Reference torus Λ edges: the determinant |ps - qr| <= 1 tested on
+    every pair of vertices, in index order."""
+    keys = graph.vertex_keys()
+    ref = LambdaGraph(graph.genus, graph.cap, graph.certified)
+    for k in keys:
+        ref.add_vertex(graph.classes[k])
+    slopes = [graph.classes[k].slope() for k in keys]
+    for i in range(len(keys)):
+        p, q = slopes[i].p, slopes[i].q
+        for j in range(i + 1, len(keys)):
+            det = p * slopes[j].q - q * slopes[j].p
+            if -1 <= det <= 1:
+                ref.add_edge(keys[i], keys[j], abs(det))
+    return ref
+
+
+@pytest.mark.parametrize("diagram", [s3_genus1(), lens_space(7, 2),
+                                     s2_x_s1()], ids=["S3", "L72", "S2xS1"])
+def test_farey_edges_match_pair_loop(diagram):
+    for cap in range(1, 61):
+        graph = build_lambda(diagram, cap)
+        ref = pair_loop_lambda(graph)
+        # Same edges, added in the same order, so the adjacency index and
+        # everything that walks it are unchanged.
+        assert list(graph.edges.items()) == list(ref.edges.items()), cap
+        assert list(graph._adj.items()) == list(ref._adj.items()), cap
+
+
+# sha256 of emit_graph(build(diagram, cap)) for torus diagrams, recorded
+# while Λ still tested every vertex pair and slopes were read from traces.
+# L(200, 3) has a blue meridian of weight 400, far beyond its cap.
+GOLDEN_TORUS_GRAPH_SHA256 = {
+    ((7, 2), 134, "lambda"):
+        "1293c14ad381fd55832fcaee81b867ade7fc286eb2e2f3287e998ec6e27515f9",
+    ((200, 3), 40, "lambda"):
+        "d27eab92e1444550289472452c1aa8c47b19de47691617ebfe45bdf181ff7187",
+    ((7, 2), 134, "gamma"):
+        "99c166bccd774f7193e677076ad426b7109e3eba10d4b892139b4ecf43d39602",
+    ((12, 5), 134, "gamma"):
+        "8a85e02927c257f03373eafffd64239605d93d698f78089fe2524072981c7f24",
+}
+
+
+def test_torus_graph_bytes_golden():
+    import hashlib
+    builders = {"gamma": build_gamma, "lambda": build_lambda}
+    for (pq, cap, kind), want in GOLDEN_TORUS_GRAPH_SHA256.items():
+        graph = builders[kind](lens_space(*pq), cap)
+        got = hashlib.sha256(emit_graph(graph)).hexdigest()
+        assert got == want, (pq, cap, kind)

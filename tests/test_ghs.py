@@ -184,6 +184,13 @@ def test_destabilize_genus1_closed_is_invalid():
         apply_move(GHS.closed_splitting(1), Destabilization(1, 1))
 
 
+@pytest.mark.parametrize("apply", [apply_move, apply_move_report])
+@pytest.mark.parametrize("move", ["x", None, (1, 2)])
+def test_unknown_move_rejected(apply, move):
+    with pytest.raises(InvalidMove, match="unknown move"):
+        apply(GHS.closed_splitting(3), move)
+
+
 def test_weak_reduction_needs_consistent_fde():
     g = GHS.closed_splitting(3)
     with pytest.raises(InvalidMove):

@@ -180,3 +180,16 @@ def test_bounds_disk_certificate_matches_word_reduction():
                 rejected += any(algebraic_intersection(c, z)
                                 for z in cut.curves)
     assert rejected > 0
+
+
+def test_torus_bounds_disk_matches_word_reduction():
+    # At genus 1 a zero exponent sum decides the disk test outright; the
+    # boundary word is the reference.
+    from heegaard_lab.surface import enumerate_essential_curves
+    curves = enumerate_essential_curves(1, 16)
+    for d in (s3_genus1(), lens_space(7, 2), s2_x_s1()):
+        for side in ("red", "blue"):
+            cut = d.side(side)
+            for c in curves + list(cut.curves):
+                want = boundary_word(c, cut).is_trivial()
+                assert bounds_disk(c, side, d) == want, (c, side)

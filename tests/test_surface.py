@@ -1,5 +1,9 @@
+import itertools
 import math
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -9,8 +13,11 @@ from heegaard_lab.surface import (
     InessentialCurve,
     InvalidCoordinates,
     ModelSurface,
+    MulticurveEntry,
     MulticurveReport,
     Slope,
+    Triangulation,
+    _homology_bucket,
     admissible_vectors,
     canonical_triangulation,
     coords_to_slope,
@@ -219,3 +226,122 @@ def test_slope_box_contained_in_sum_cap():
             if p == 0 and q != 1:
                 continue
             assert Slope.of(p, q) in slopes
+
+
+# -- genus 1 in closed form, against the trace ---------------------------------
+
+
+def outcome(f):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return f()
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+def traced_normalize(vec):
+    """Reference `normalize` at genus 1, from the components of the trace."""
+    tri = canonical_triangulation(1)
+    if vec == (0, 0, 0):
+        raise InvalidCoordinates("the zero vector carries no curve")
+    comps = tri.trace(vec)
+    link = tri.vertex_link_vector()
+    if len(comps) == 1:
+        if comps[0].vector == link:
+            raise InessentialCurve("the vertex link bounds a disk")
+        return CurveClass(1, comps[0].vector)
+    groups = {}
+    for comp in comps:
+        groups[comp.vector] = groups.get(comp.vector, 0) + 1
+    return MulticurveReport(1, tuple(
+        MulticurveEntry(v, n, v != link) for v, n in sorted(groups.items())))
+
+
+def traced_is_essential(vec):
+    tri = canonical_triangulation(1)
+    comps = tri.trace(vec)
+    if len(comps) != 1:
+        raise ValueError("essentialness is defined for connected curves")
+    return comps[0].vector != tri.vertex_link_vector()
+
+
+def traced_slope(vec):
+    alpha, beta = homology_class(1, vec)
+    if alpha == 0 and beta == 0:
+        raise InessentialCurve("null-homologous torus curve is inessential")
+    return Slope.of(alpha, beta)
+
+
+def traced_bucket(vec):
+    cls = list(homology_class(1, vec))
+    return tuple(min(cls, [-x for x in cls]))
+
+
+def test_torus_closed_form_matches_trace():
+    # Every admissible vector up to weight 60, plus a box of raw vectors
+    # that includes the zero vector and matching violations.
+    tri = canonical_triangulation(1)
+    vectors = list(admissible_vectors(tri, 60))
+    vectors += list(itertools.product(range(7), repeat=3))
+    vectors += [(1, 1), (1, 2, 3, 4), (-1, 1, 0)]
+    kinds = set()
+    for vec in vectors:
+        for closed, traced in [(normalize, traced_normalize),
+                               (is_essential, traced_is_essential)]:
+            assert outcome(lambda: closed(1, vec)) == \
+                outcome(lambda: traced(vec)), (closed.__name__, vec)
+        got = outcome(lambda: coords_to_slope(vec))
+        assert got == outcome(lambda: traced_slope(vec)), vec
+        kinds.add(got[0] if isinstance(got, tuple) else type(got))
+        if tri.is_admissible(vec):
+            assert outcome(lambda: _homology_bucket(CurveClass(1, vec))) \
+                == outcome(lambda: traced_bucket(vec)), vec
+    assert kinds == {Slope, InvalidCoordinates, InessentialCurve, ValueError}
+
+
+def test_torus_never_traces(monkeypatch):
+    from heegaard_lab.disk_complex import build_gamma, build_lambda, classify
+    from heegaard_lab.handlebody import lens_space
+    diagram = lens_space(7, 2)          # validating the meridians traces
+
+    def no_trace(self, weights):
+        raise AssertionError(f"traced {tuple(weights)} at genus {self.genus}")
+
+    monkeypatch.setattr(Triangulation, "trace", no_trace)
+    assert len(build_lambda(diagram, 40).edges) > 0
+    assert len(build_gamma(diagram, 40).classes) == 2
+    assert classify(diagram, 40).reducing_class is None
+    assert normalize(1, (5, 7, 12)).slope() == Slope.of(7, -5)
+    assert normalize(1, (6, 4, 4)).total_components() == 3
+    a, b = CurveClass.from_slope(3, 1), CurveClass.from_slope(1, 2)
+    assert geometric_intersection(a, b) == 5
+    assert not same_class(a, b) and same_class(a, a)
+
+
+def test_huge_torus_slope_costs_no_weight():
+    # A weight-4e8 curve: the closed form must not allocate per unit of
+    # weight.  The child caps its own address space, so a regression to
+    # tracing fails there instead of exhausting the machine.
+    script = textwrap.dedent("""
+        import contextlib, io, resource, time
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+        from heegaard_lab.cli import main
+        from heegaard_lab.surface import CurveClass, Slope, normalize
+        t0 = time.perf_counter()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["intersect", "--a", '{"slope": [100000001, 100000000]}',
+                         "--b", '{"slope": [1, 0]}'])
+        c = normalize(1, Slope.of(10**8 + 1, 10**8).coords())
+        elapsed = time.perf_counter() - t0
+        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(code, out.getvalue().strip(), type(c).__name__, elapsed, rss_mb)
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, emitted, kind, elapsed, rss_mb = proc.stdout.split()
+    assert (code, emitted, kind) == \
+        ("0", '{"intersection":100000000}', "CurveClass")
+    assert float(elapsed) < 1.0
+    assert float(rss_mb) < 100
