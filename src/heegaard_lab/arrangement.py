@@ -1,12 +1,20 @@
 """Exact curve arrangements on a triangulated surface.
 
 Realizes one distinguished curve A (curve id 0) together with a pairwise
-disjoint multicurve B (curve ids 1..) as chord systems in the triangles of a
-one-vertex triangulation, then eliminates bigons by sliding A across B until
-the arrangement is in minimal position.  Complementary regions are computed
-exactly, including Euler characteristics and whether they contain the
-triangulation vertex, so bigons that sweep across the vertex are found and
-removed like any other.
+disjoint multicurve B (curve ids 1..) on a one-vertex triangulation.  Each
+curve is a cyclic list of tokens, the points where it crosses triangulation
+edges, joined by links, the arcs it draws inside the triangles.  Bigons are
+eliminated by sliding A across B until the arrangement is in minimal
+position.
+
+Regions come from one planar map of the whole surface.  Its nodes are the
+triangulation vertex, the tokens and the crossings; its edges are the gap
+arcs between consecutive nodes along each triangulation edge and the
+segments the crossings cut each link into.  Its faces are the pieces the
+links cut the triangles into.  Uniting faces across gap arcs gives the
+complementary regions exactly, with their Euler characteristics and whether
+they contain the triangulation vertex, so bigons that sweep across the
+vertex are found and removed like any other.
 
 Each crossing carries the local sign of A against its B component, so the
 sum of signs over a component is their algebraic intersection number.  That
@@ -26,22 +34,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .surface import Triangulation
-
-
-class _Token:
-    __slots__ = ("edge", "curve", "uid")
-    _uid = itertools.count()
-
-    def __init__(self, edge: int, curve: int):
-        self.edge = edge
-        self.curve = curve
-        self.uid = next(_Token._uid)
-
-    def __repr__(self):
-        return f"T(e{self.edge},c{self.curve},#{self.uid})"
 
 
 @dataclass
@@ -50,7 +45,7 @@ class _Curve:
     tokens[i+1 mod n] inside triangle link_tris[i]."""
 
     cid: int
-    tokens: list[_Token]
+    tokens: list[int]
     link_tris: list[int]
 
     def __len__(self):
@@ -72,13 +67,16 @@ class Crossing:
 class Region:
     """A complementary region of the arrangement.
 
-    chi is the Euler characteristic of the open region (faces minus interior
-    gap arcs, plus one if the region swallows the triangulation vertex)."""
+    chi is the Euler characteristic of the open region (faces minus the gap
+    arcs between them, plus one if the region swallows the triangulation
+    vertex).  Each boundary circle is a list of steps
+    (link key, triangle, direction along the curve, tail, head), where a
+    tail or head is a token id, or a negative number for a crossing."""
 
     faces: list
-    gaps: set
+    gaps: set                   # (edge, k): the gap just before token k
     contains_vertex: bool
-    circles: list               # boundary circles: lists of (tri, dart)
+    circles: list
     corner_visits: int
     crossing_keys: list
 
@@ -92,20 +90,16 @@ class Region:
 
 
 @dataclass
-class _LocalMap:
-    """Planar subdivision of one triangle by the chords that cross it."""
-
-    faces: list                 # inner faces as dart lists
-    arc_info: dict              # forward boundary-arc dart -> global gap id
-    next_in_face: Callable
-    seg_nodes: dict             # link key -> vertex chain along the link
-
-
-@dataclass
 class Analysis:
     crossings: list
     regions: list
-    local_maps: dict
+
+
+def _in_open_arc(x, a, b) -> bool:
+    """Is x strictly inside the cyclic interval (a, b)?"""
+    if a < b:
+        return a < x < b
+    return x > a or x < b
 
 
 class Arrangement:
@@ -113,338 +107,262 @@ class Arrangement:
 
     vectors[0] becomes curve 0 (A, unless used in single-multicurve mode);
     every later vector contributes one curve per traced component.  Only
-    curve 0 may cross the others; any other interleaving raises.
+    curve 0 may cross the others; any other interleaving raises.  Tokens are
+    ints: tok_edge[t] is the edge of token t, and edge_pts[e] lists the
+    tokens on edge e along its arrow.
     """
 
     def __init__(self, tri: Triangulation, vectors: Sequence[Sequence[int]]):
         self.tri = tri
         self.curves: list[_Curve] = []
-        self.edge_pts: list[list[_Token]] = [[] for _ in range(tri.n_edges)]
+        self.tok_edge: list[int] = []
+        self.edge_pts: list[list[int]] = [[] for _ in range(tri.n_edges)]
+        self._side = {(t, e): m for t, occs in enumerate(tri.triangles)
+                      for m, (e, _) in enumerate(occs)}
         for vec in vectors:
             comps = tri.trace(vec)
-            token_of: dict[tuple[int, int], _Token] = {}
-            traced = []
+            token_of = {pos: self._new_token(pos[0])
+                        for comp in comps for pos in comp.cycle}
+            for (e, _), tok in sorted(token_of.items()):
+                self.edge_pts[e].append(tok)
             for comp in comps:
-                cid = len(self.curves) + len(traced)
-                for pos in comp.cycle:
-                    token_of[pos] = _Token(pos[0], cid)
-                traced.append(comp)
-            by_edge: dict[int, list[tuple[int, _Token]]] = {}
-            for (e, pos), tok in token_of.items():
-                by_edge.setdefault(e, []).append((pos, tok))
-            for e, entries in by_edge.items():
-                entries.sort(key=lambda x: x[0])
-                self.edge_pts[e].extend(tok for _, tok in entries)
-            for comp in traced:
-                toks = [token_of[p] for p in comp.cycle]
-                self.curves.append(
-                    _Curve(toks[0].curve, toks, list(comp.triangles)))
+                self.curves.append(_Curve(
+                    len(self.curves), [token_of[p] for p in comp.cycle],
+                    list(comp.triangles)))
+
+    def _new_token(self, edge: int) -> int:
+        self.tok_edge.append(edge)
+        return len(self.tok_edge) - 1
 
     # -- elementary queries ---------------------------------------------------
 
     def component_vector(self, cid: int) -> tuple[int, ...]:
         vec = [0] * self.tri.n_edges
         for tok in self.curves[cid].tokens:
-            vec[tok.edge] += 1
+            vec[self.tok_edge[tok]] += 1
         return tuple(vec)
 
-    def _side_in(self, t: int, e: int) -> int:
-        for tt, m in self.tri.edge_sides[e]:
-            if tt == t:
-                return m
-        raise AssertionError(f"edge {e} not on triangle {t}")
+    def _positions(self) -> list[int]:
+        """Index of every token in its edge's list."""
+        pos = [0] * len(self.tok_edge)
+        for pts in self.edge_pts:
+            for i, tok in enumerate(pts):
+                pos[tok] = i
+        return pos
 
-    def _boundary_coord(self, t: int, tok: _Token) -> tuple[int, int]:
-        m = self._side_in(t, tok.edge)
-        sign = self.tri.triangles[t][m][1]
-        pts = self.edge_pts[tok.edge]
-        p = pts.index(tok)
-        return (m, p if sign == 1 else len(pts) - 1 - p)
+    def _link_coords(self) -> dict:
+        """link key -> (triangle, start, end), where an end is (m, p): side m
+        of the triangle and the token's place along it, counterclockwise."""
+        pos = self._positions()
+        triangles = self.tri.triangles
 
-    def _links_by_triangle(self) -> dict[int, list[tuple[int, int]]]:
-        out: dict[int, list[tuple[int, int]]] = {}
+        def coord(t: int, tok: int) -> tuple[int, int]:
+            e = self.tok_edge[tok]
+            m = self._side[t, e]
+            if triangles[t][m][1] == 1:
+                return (m, pos[tok])
+            return (m, len(self.edge_pts[e]) - 1 - pos[tok])
+
+        out = {}
         for c in self.curves:
+            toks = c.tokens
             for i, t in enumerate(c.link_tris):
-                out.setdefault(t, []).append((c.cid, i))
+                out[c.cid, i] = (t, coord(t, toks[i]),
+                                 coord(t, toks[(i + 1) % len(toks)]))
         return out
 
-    def link_ends(self, key: tuple[int, int]) -> tuple[_Token, _Token]:
-        c = self.curves[key[0]]
-        return c.tokens[key[1]], c.tokens[(key[1] + 1) % len(c.tokens)]
-
-    @staticmethod
-    def _in_open_arc(x, a, b) -> bool:
-        """Is x strictly inside the cyclic interval (a, b)?"""
-        if a < b:
-            return a < x < b
-        return x > a or x < b
-
     def crossings(self) -> list[Crossing]:
+        coords = self._link_coords()
+        by_tri: dict[int, list] = {}
+        for key, (t, _, _) in coords.items():
+            by_tri.setdefault(t, []).append(key)
         out = []
-        for t, links in sorted(self._links_by_triangle().items()):
-            coords = {}
-            for key in links:
-                u, v = self.link_ends(key)
-                coords[key] = (self._boundary_coord(t, u),
-                               self._boundary_coord(t, v))
+        for t, links in sorted(by_tri.items()):
             for k1, k2 in itertools.combinations(sorted(links), 2):
-                (p, q), (r, s) = coords[k1], coords[k2]
-                if self._in_open_arc(r, p, q) == self._in_open_arc(s, p, q):
+                _, p, q = coords[k1]
+                _, r, s = coords[k2]
+                if _in_open_arc(r, p, q) == _in_open_arc(s, p, q):
                     continue
                 if (k1[0] == 0) == (k2[0] == 0):
                     raise AssertionError(
                         f"links {k1} and {k2} cross but are not an A-B pair")
                 ak, bk = (k1, k2) if k1[0] == 0 else (k2, k1)
-                p, q = coords[ak]
-                r, _ = coords[bk]
-                sign = 1 if self._in_open_arc(r, p, q) else -1
+                _, p, q = coords[ak]
+                _, r, _ = coords[bk]
+                sign = 1 if _in_open_arc(r, p, q) else -1
                 out.append(Crossing(t, ak, bk, sign))
         return out
 
-    def crossings_on_link(self, key: tuple[int, int],
-                          crossings: Sequence[Crossing]) -> list[Crossing]:
-        """Crossings on one link ordered from its start token.  The crossing
-        chords are pairwise disjoint, so the order along the link agrees with
-        the cyclic order of their endpoints on the near-side boundary arc."""
-        mine = [x for x in crossings if key in (x.a_key, x.b_key)]
-        if not mine:
-            return []
-        t = mine[0].triangle
-        u, v = self.link_ends(key)
-        p, q = self._boundary_coord(t, u), self._boundary_coord(t, v)
+    def _crossings_by_link(self, crossings: Sequence[Crossing]) -> dict:
+        """Crossings on each link, ordered from its start token.  The chords
+        crossing one link are pairwise disjoint, so the order along the link
+        agrees with the cyclic order of their endpoints on the near-side
+        boundary arc."""
+        coords = self._link_coords()
+        out: dict = {}
+        for x in crossings:
+            out.setdefault(x.a_key, []).append(x)
+            out.setdefault(x.b_key, []).append(x)
+        for key, mine in out.items():
+            _, p, q = coords[key]
 
-        def order_key(x: Crossing):
-            other = x.b_key if key == x.a_key else x.a_key
-            r, s = (self._boundary_coord(t, tok) for tok in self.link_ends(other))
-            inside = r if self._in_open_arc(r, p, q) else s
-            return inside if inside > p else (inside[0] + 3, inside[1])
+            def along(x: Crossing, key=key, p=p, q=q):
+                _, r, s = coords[x.b_key if key == x.a_key else x.a_key]
+                inside = r if _in_open_arc(r, p, q) else s
+                return inside if inside > p else (inside[0] + 3, inside[1])
 
-        mine.sort(key=order_key)
-        return mine
+            mine.sort(key=along)
+        return out
 
-    # -- local planar subdivisions --------------------------------------------
-
-    def _triangle_subdivision(self, t: int, crossings: Sequence[Crossing],
-                              links_by_tri: dict) -> _LocalMap:
-        tri = self.tri
-        items: list = []
-        item_gap: list = []     # global gap id of the arc after items[i]
-        for m in range(3):
-            e, sign = tri.triangles[t][m]
-            pts = self.edge_pts[e]
-            w = len(pts)
-            occ = pts if sign == 1 else list(reversed(pts))
-            items.append(("c", m))
-            item_gap.append((e, 0 if sign == 1 else w))
-            for j, tok in enumerate(occ):
-                items.append(("t", tok.uid))
-                item_gap.append((e, j + 1 if sign == 1 else w - (j + 1)))
-        K = len(items)
-
-        links_here = links_by_tri.get(t, [])
-        xs_here = [x for x in crossings if x.triangle == t]
-
-        seg_nodes: dict[tuple[int, int], list] = {}
-        for key in links_here:
-            u, v = self.link_ends(key)
-            nodes = [("t", u.uid)]
-            for x in self.crossings_on_link(key, xs_here):
-                nodes.append(("x", x.key()))
-            nodes.append(("t", v.uid))
-            seg_nodes[key] = nodes
-
-        darts: list = []
-        twin: dict = {}
-        out_at: dict = {}
-
-        def add_edge(u, v, tag):
-            d1 = (u, v, tag)
-            d2 = (v, u, tag)
-            darts.append(d1)
-            darts.append(d2)
-            twin[d1] = d2
-            twin[d2] = d1
-            out_at.setdefault(u, []).append(d1)
-            out_at.setdefault(v, []).append(d2)
-            return d1
-
-        arc_forward = [add_edge(items[i], items[(i + 1) % K], ("a", i))
-                       for i in range(K)]
-        for key, nodes in seg_nodes.items():
-            for j in range(len(nodes) - 1):
-                add_edge(nodes[j], nodes[j + 1], ("s", key, j))
-
-        # Counterclockwise rotations.  Boundary vertices see, in ccw order:
-        # the next boundary arc, the chord into the disk, the previous arc.
-        rot: dict = {}
-        for i in range(K):
-            u = items[i]
-            nxt = arc_forward[i]
-            prev_back = twin[arc_forward[(i - 1) % K]]
-            if u[0] == "c":
-                rot[u] = [nxt, prev_back]
-            else:
-                chord = next(d for d in out_at[u] if d[2][0] == "s")
-                rot[u] = [nxt, chord, prev_back]
-        for x in xs_here:
-            xv = ("x", x.key())
-
-            def dart_of(key, fore: bool):
-                j = seg_nodes[key].index(xv)
-                want = j if fore else j - 1
-                for d in out_at[xv]:
-                    tag = d[2]
-                    if tag[0] == "s" and tag[1] == key and tag[2] == want:
-                        return d
-                raise AssertionError("missing crossing dart")
-
-            a_fore, a_back = dart_of(x.a_key, True), dart_of(x.a_key, False)
-            b_fore, b_back = dart_of(x.b_key, True), dart_of(x.b_key, False)
-            if x.sign == 1:
-                rot[xv] = [a_fore, b_fore, a_back, b_back]
-            else:
-                rot[xv] = [a_fore, b_back, a_back, b_fore]
-
-        def next_in_face(d):
-            r = rot[d[1]]
-            return r[(r.index(twin[d]) - 1) % len(r)]
-
-        faces = []
-        seen = set()
-        for d0 in darts:
-            if d0 in seen:
-                continue
-            face = []
-            d = d0
-            while True:
-                face.append(d)
-                seen.add(d)
-                d = next_in_face(d)
-                if d == d0:
-                    break
-            faces.append(face)
-        if len(out_at) - len(darts) // 2 + len(faces) != 2:
-            raise AssertionError("local subdivision is not spherical")
-        outer = next(i for i, f in enumerate(faces)
-                     if twin[arc_forward[0]] in f)
-        inner = [f for i, f in enumerate(faces) if i != outer]
-
-        arc_info = {arc_forward[i]: item_gap[i] for i in range(K)}
-        return _LocalMap(inner, arc_info, next_in_face, seg_nodes)
-
-    # -- global regions ---------------------------------------------------------
+    # -- regions ----------------------------------------------------------------
 
     def analyze(self, crossings: Optional[list] = None) -> Analysis:
+        """Regions of the arrangement, read off one planar map of the surface.
+
+        Nodes are token ids, then the vertex; crossing i is node ~i, which
+        indexes the node table from its end.  Darts are ints with twin
+        d ^ 1, gap darts first, and an even dart runs along the edge arrow
+        or the link.  Each node lists its outgoing darts counterclockwise: a
+        token has the gap toward the edge's head, its chord into the +1
+        triangle, the gap toward the tail and its chord into the -1
+        triangle; a crossing has A forward then B forward when its sign is
+        +1, B backward when -1; the vertex follows the triangulation.  The
+        face after dart d is the dart before d ^ 1 at d's head.  Uniting
+        faces across gap arcs gives the regions, and walking chord darts
+        while turning past gap darts gives their boundary circles.
+        """
         if crossings is None:
             crossings = self.crossings()
-        links_by_tri = self._links_by_triangle()
-        maps = {t: self._triangle_subdivision(t, crossings, links_by_tri)
-                for t in range(self.tri.n_triangles())}
+        tri = self.tri
+        vertex = len(self.tok_edge)
+        rot: list[list[int]] = [[] for _ in range(vertex + 1 + len(crossings))]
+        tail: list[int] = []    # tail node of each dart
+        label: list = []        # per edge: gap (e, k) or chord (link key, t)
 
-        parent: dict = {}
+        def add_edge(u: int, v: int, lab) -> int:
+            tail.append(u)
+            tail.append(v)
+            label.append(lab)
+            return len(tail) - 2
 
-        def find(x):
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
+        first_gap = []
+        for e, pts in enumerate(self.edge_pts):
+            first_gap.append(len(tail))
+            nodes = [vertex] + pts + [vertex]
+            for k in range(len(nodes) - 1):
+                add_edge(nodes[k], nodes[k + 1], (e, k))
+            for k, tok in enumerate(pts):
+                rot[tok] = [first_gap[e] + 2 * k + 2, -1,
+                            first_gap[e] + 2 * k + 1, -1]
+        n_gap_darts = len(tail)
+        for e, end in reversed(tri.vertex_rotation()):
+            rot[vertex].append(first_gap[e] if end == "tail" else
+                               first_gap[e] + 2 * len(self.edge_pts[e]) + 1)
 
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
+        def chord_slot(t: int, tok: int) -> int:
+            e = self.tok_edge[tok]
+            return 1 if tri.triangles[t][self._side[t, e]][1] == 1 else 3
 
-        face_of_dart: dict = {}
-        for t, lm in maps.items():
-            for fi, face in enumerate(lm.faces):
-                parent[(t, fi)] = (t, fi)
-                for d in face:
-                    face_of_dart[(t, d)] = (t, fi)
+        node_of = {x: ~i for i, x in enumerate(crossings)}
+        x_darts = [[0, 0, 0, 0] for _ in crossings]  # A, B fore; A, B back
+        by_link = self._crossings_by_link(crossings)
+        for c in self.curves:
+            side = 0 if c.cid == 0 else 1
+            for i, t in enumerate(c.link_tris):
+                key = (c.cid, i)
+                on = by_link.get(key, [])
+                u, v = c.tokens[i], c.tokens[(i + 1) % len(c)]
+                nodes = [u] + [node_of[x] for x in on] + [v]
+                segs = [add_edge(nodes[j], nodes[j + 1], (key, t))
+                        for j in range(len(nodes) - 1)]
+                rot[u][chord_slot(t, u)] = segs[0]
+                rot[v][chord_slot(t, v)] = segs[-1] ^ 1
+                for j in range(1, len(nodes) - 1):
+                    darts = x_darts[~nodes[j]]
+                    darts[side] = segs[j]
+                    darts[2 + side] = segs[j - 1] ^ 1
+        for x, (af, bf, ab, bb) in zip(crossings, x_darts):
+            rot[node_of[x]] = [af, bf, ab, bb] if x.sign == 1 else [af, bb, ab, bf]
 
-        gap_sides: dict = {}
-        for t, lm in maps.items():
-            for d, gap in lm.arc_info.items():
-                if (t, d) in face_of_dart:
-                    gap_sides.setdefault(gap, []).append((t, d))
-        partner: dict = {}
-        for gap, sides in gap_sides.items():
-            if len(sides) != 2:
-                raise AssertionError(f"gap {gap} has {len(sides)} face sides")
-            (t1, d1), (t2, d2) = sides
-            union(face_of_dart[(t1, d1)], face_of_dart[(t2, d2)])
-            partner[(t1, d1)] = (t2, d2)
-            partner[(t2, d2)] = (t1, d1)
+        where = [0] * len(tail)
+        for r in rot:
+            for i, d in enumerate(r):
+                where[d] = i
 
-        def next_strand(td):
-            t, d = td
-            nxt = maps[t].next_in_face(d)
-            while nxt[2][0] == "a":
-                t, jump = partner[(t, nxt)]
-                nxt = maps[t].next_in_face(jump)
-            return (t, nxt)
+        def next_in_face(d: int) -> int:
+            d ^= 1
+            return rot[tail[d]][where[d] - 1]
 
-        circles = []
-        seen: set = set()
-        for t, lm in maps.items():
-            for face in lm.faces:
-                for d in face:
-                    if d[2][0] != "s" or (t, d) in seen:
-                        continue
-                    circle = []
-                    cur = (t, d)
-                    while True:
-                        circle.append(cur)
-                        seen.add(cur)
-                        cur = next_strand(cur)
-                        if cur == (t, d):
-                            break
-                    circles.append(circle)
+        face = [-1] * len(tail)
+        n_faces = 0
+        for d0 in range(len(tail)):
+            if face[d0] >= 0:
+                continue
+            d = d0
+            while face[d] < 0:
+                face[d] = n_faces
+                d = next_in_face(d)
+            n_faces += 1
+        n_nodes = 1 + sum(map(len, self.edge_pts)) + len(crossings)
+        chi_surface = tri.surface.euler_characteristic
+        if n_nodes - len(label) + n_faces != chi_surface:
+            raise AssertionError("arrangement map is not a cell decomposition")
 
-        data: dict = {}
-        for t, lm in maps.items():
-            for fi, face in enumerate(lm.faces):
-                root = find((t, fi))
-                entry = data.setdefault(root, {
-                    "faces": [], "gaps": set(), "vertex": False,
-                    "circles": [], "visits": 0, "xkeys": []})
-                entry["faces"].append((t, fi))
-                for d in face:
-                    u, v, tag = d
-                    if tag[0] == "a":
-                        entry["gaps"].add(maps[t].arc_info[d])
-                    if u[0] == "c" or v[0] == "c":
-                        entry["vertex"] = True
-                    if u[0] == "x":
-                        entry["visits"] += 1
-                        entry["xkeys"].append(u[1])
-        for circle in circles:
-            t, d = circle[0]
-            data[find(face_of_dart[(t, d)])]["circles"].append(circle)
+        parent = list(range(n_faces))
 
-        regions = [Region(e["faces"], e["gaps"], e["vertex"], e["circles"],
-                          e["visits"], e["xkeys"])
-                   for _, e in sorted(data.items())]
+        def find(f: int) -> int:
+            while parent[f] != f:
+                parent[f] = parent[parent[f]]
+                f = parent[f]
+            return f
 
+        for d in range(0, n_gap_darts, 2):
+            parent[find(face[d])] = find(face[d + 1])
+        by_root: dict[int, Region] = {}
+        region_of = []
+        for f in range(n_faces):
+            root = find(f)
+            if root not in by_root:
+                by_root[root] = Region([], set(), False, [], 0, [])
+            region = by_root[root]
+            region.faces.append(f)
+            region_of.append(region)
+        for d in range(0, n_gap_darts, 2):
+            region_of[face[d]].gaps.add(label[d >> 1])
+        for d in rot[vertex]:
+            region_of[face[d]].contains_vertex = True
+        for x in crossings:
+            for d in rot[node_of[x]]:
+                region = region_of[face[d]]
+                region.corner_visits += 1
+                region.crossing_keys.append(x.key())
+
+        seen = bytearray(len(tail))
+        for d0 in range(n_gap_darts, len(tail)):
+            if seen[d0]:
+                continue
+            circle = []
+            d = d0
+            while not seen[d]:
+                seen[d] = 1
+                key, t = label[d >> 1]
+                circle.append((key, t, -1 if d & 1 else 1, tail[d], tail[d ^ 1]))
+                d = next_in_face(d)
+                while d < n_gap_darts:
+                    d = next_in_face(d ^ 1)
+            region_of[face[d0]].circles.append(circle)
+
+        regions = list(by_root.values())
         total = sum(r.chi for r in regions)
-        expected = self.tri.surface.euler_characteristic + len(crossings)
+        expected = chi_surface + len(crossings)
         if total != expected:
             raise AssertionError(f"region chi sum {total} != {expected}")
-        return Analysis(crossings, regions, maps)
+        return Analysis(crossings, regions)
 
 
 # ---------------------------------------------------------------------------
 # Bigon elimination
 # ---------------------------------------------------------------------------
-
-
-def _dart_link_dir(maps, td):
-    """(link key, direction along the curve) of a strand dart."""
-    t, (u, _v, tag) = td
-    _, key, j = tag
-    nodes = maps[t].seg_nodes[key]
-    return key, (1 if u == nodes[j] else -1)
 
 
 @dataclass
@@ -457,49 +375,43 @@ class _Run:
     between_tris: list          # triangle of the link between interior[k], [k+1]
     t_first: int                # triangle of the crossing the run leaves
     t_last: int                 # triangle of the crossing the run reaches
-    token_before: object        # curve token just outside the run, entry side
-    token_after: object         # curve token just outside the run, exit side
+    token_before: int           # curve token just outside the run, entry side
+    token_after: int            # curve token just outside the run, exit side
 
 
-def _run_info(arr: Arrangement, maps, run) -> _Run:
-    uid_to_tok = {tok.uid: tok for c in arr.curves for tok in c.tokens}
-    key0, dir0 = _dart_link_dir(maps, run[0])
+def _run_info(arr: Arrangement, run) -> _Run:
+    key0, t_first, dir0 = run[0][:3]
+    key_last, t_last, dir_last = run[-1][:3]
     cid = key0[0]
-    curve = arr.curves[cid]
-    n = len(curve)
-    interior = []
-    tris_after = []
-    for a, b in zip(run, run[1:]):
-        shared = a[1][1]
-        if shared[0] != "t":
-            raise AssertionError("run interrupted by a crossing")
-        interior.append(uid_to_tok[shared[1]])
-        tris_after.append(b[0])
-    key_last, dir_last = _dart_link_dir(maps, run[-1])
     if key_last[0] != cid or dir_last != dir0:
         raise AssertionError("run is not a coherent stretch of one curve")
-    between = tris_after[:-1] if interior else []
+    interior = []
+    for step in run[:-1]:
+        if step[4] < 0:
+            raise AssertionError("run interrupted by a crossing")
+        interior.append(step[4])
+    curve = arr.curves[cid]
+    n = len(curve)
     ix, iy = key0[1], key_last[1]
     if dir0 == 1:
         before, after = curve.tokens[ix], curve.tokens[(iy + 1) % n]
     else:
         before, after = curve.tokens[(ix + 1) % n], curve.tokens[iy]
-    return _Run(cid, dir0, interior, between, run[0][0], run[-1][0],
-                before, after)
+    return _Run(cid, dir0, interior, [step[1] for step in run[1:-1]],
+                t_first, t_last, before, after)
 
 
-def _slide(arr: Arrangement, analysis: Analysis, region: Region) -> None:
+def _slide(arr: Arrangement, region: Region) -> None:
     """Isotope A across the bigon `region`, removing its two crossings."""
-    maps = analysis.local_maps
     if len(region.circles) != 1:
         raise AssertionError("bigon region must have one boundary circle")
     circle = region.circles[0]
-    corner_at = [i for i, td in enumerate(circle) if td[1][0][0] == "x"]
+    corner_at = [i for i, step in enumerate(circle) if step[3] < 0]
     if len(corner_at) != 2:
         raise AssertionError("bigon region must have two corners")
     i1, i2 = corner_at
     runs = [circle[i1:i2], circle[i2:] + circle[:i1]]
-    infos = [_run_info(arr, maps, r) for r in runs]
+    infos = [_run_info(arr, r) for r in runs]
     if (infos[0].cid == 0) == (infos[1].cid == 0):
         raise AssertionError("bigon runs must pair A with a B component")
     alpha, beta = (infos[0], infos[1]) if infos[0].cid == 0 else (infos[1], infos[0])
@@ -514,43 +426,44 @@ def _slide(arr: Arrangement, analysis: Analysis, region: Region) -> None:
     if n_new == 0 and t_x != t_y:
         raise AssertionError("chordless beta must stay in one triangle")
 
-    # For each beta token decide the side away from the region (the region
-    # holds exactly one of the two flanking gaps).  Record before mutating.
-    plans = []
+    # Each beta token gets a new A token beside it, on the side away from
+    # the region (the region holds exactly one of the two flanking gaps).
+    pos = arr._positions()
+    beside = {}
+    new_tokens = []
     for tok in b_interior:
-        p = arr.edge_pts[tok.edge].index(tok)
-        before_in = (tok.edge, p) in region.gaps
-        after_in = (tok.edge, p + 1) in region.gaps
+        e = arr.tok_edge[tok]
+        before_in = (e, pos[tok]) in region.gaps
+        after_in = (e, pos[tok] + 1) in region.gaps
         if before_in == after_in:
             raise AssertionError("cannot identify the region side of beta")
-        plans.append((tok, after_in))    # region after the token => insert before
-
-    curve = arr.curves[0]
-    dropped = set(id(tok) for tok in alpha.interior)
-    for tok in alpha.interior:
-        arr.edge_pts[tok.edge].remove(tok)
-
-    new_tokens = []
-    for tok, insert_before in plans:
-        t_new = _Token(tok.edge, 0)
-        pts = arr.edge_pts[tok.edge]
-        p = pts.index(tok)
-        pts.insert(p if insert_before else p + 1, t_new)
-        new_tokens.append(t_new)
+        new_tokens.append(arr._new_token(e))
+        beside[tok] = (new_tokens[-1], after_in)   # region after => before it
+    dropped = set(alpha.interior)
+    for e in {arr.tok_edge[tok] for tok in itertools.chain(dropped, beside)}:
+        pts = []
+        for tok in arr.edge_pts[e]:
+            if tok in beside:
+                new, ahead = beside[tok]
+                pts += [new, tok] if ahead else [tok, new]
+            elif tok not in dropped:
+                pts.append(tok)
+        arr.edge_pts[e] = pts
 
     # Triangles of the replacement links, in x -> y order: a_in to t'_1 lives
     # where x was, consecutive new tokens share the triangles of the beta
     # links they parallel, and t'_n to a_out lives where y was.
     new_link_tris = [t_x] + b_between + [t_y] if n_new else [t_x]
 
+    curve = arr.curves[0]
     kept = [(tok, tri) for tok, tri in zip(curve.tokens, curve.link_tris)
-            if id(tok) not in dropped]
+            if tok not in dropped]
     a_in, a_out = alpha.token_before, alpha.token_after
-    if id(a_in) in dropped or id(a_out) in dropped:
+    if a_in in dropped or a_out in dropped:
         # Both bigon corners sit on one A-link and alpha wraps the long way
         # around: every old token is interior, and the slid curve is just the
         # parallel-to-beta path, closed up through the old link's triangle.
-        if not (id(a_in) in dropped and id(a_out) in dropped and not kept):
+        if not (a_in in dropped and a_out in dropped and not kept):
             raise AssertionError("inconsistent wrapped bigon")
         if t_x != t_y or n_new < 2:
             raise AssertionError("wrapped bigon must close in one triangle")
@@ -558,12 +471,12 @@ def _slide(arr: Arrangement, analysis: Analysis, region: Region) -> None:
         curve.link_tris = b_between + [t_x]
         return
     n = len(kept)
-    idx = {id(tok): i for i, (tok, _) in enumerate(kept)}
+    idx = {tok: i for i, (tok, _) in enumerate(kept)}
     if alpha.dirn == 1:
         # Stored order runs ... a_in, a_out ...; rotate a_in to the tail and
         # append the new tokens after it.
-        i_in = idx[id(a_in)]
-        if (i_in + 1) % n != idx[id(a_out)]:
+        i_in = idx[a_in]
+        if (i_in + 1) % n != idx[a_out]:
             raise AssertionError("alpha endpoints not adjacent after deletion")
         rotated = kept[(i_in + 1) % n:] + kept[: (i_in + 1) % n]
         pairs = rotated[:-1] + [(a_in, new_link_tris[0])]
@@ -571,8 +484,8 @@ def _slide(arr: Arrangement, analysis: Analysis, region: Region) -> None:
     else:
         # Stored order runs ... a_out, a_in ...; the new tokens appear in
         # reversed order between them.
-        i_out = idx[id(a_out)]
-        if (i_out + 1) % n != idx[id(a_in)]:
+        i_out = idx[a_out]
+        if (i_out + 1) % n != idx[a_in]:
             raise AssertionError("alpha endpoints not adjacent after deletion")
         rotated = kept[(i_out + 1) % n:] + kept[: (i_out + 1) % n]
         pairs = rotated[:-1] + [(a_out, new_link_tris[-1])]
@@ -593,8 +506,7 @@ def _algebraically_minimal(xs: Sequence[Crossing]) -> bool:
     return all(n == abs(total[cid]) for cid, n in count.items())
 
 
-def minimize(arr: Arrangement, drop_free: bool = True,
-             max_steps: int = 100000) -> list[Crossing]:
+def minimize(arr: Arrangement, drop_free: bool = True) -> list[Crossing]:
     """Remove bigons until the arrangement is in minimal position, and
     return its crossings.
 
@@ -602,20 +514,23 @@ def minimize(arr: Arrangement, drop_free: bool = True,
     carry no letters and no crossings) unless drop_free is False; keeping
     them could hide a bigon behind an annular region.  Minimization stops
     without analysing regions once the crossing signs certify that every B
-    component already meets A minimally."""
+    component already meets A minimally.  Each slide removes two crossings,
+    so there are at most half as many slides as starting crossings."""
     xs = arr.crossings()
-    for _ in range(max_steps):
+    for _ in range(len(xs) // 2 + 1):
         if not xs:
             return xs
         if drop_free:
             # Dropped components carry no crossings, so xs stays valid.
             busy = {x.b_key[0] for x in xs}
-            for c in arr.curves[1:]:
-                if c.tokens and c.cid not in busy:
-                    for tok in c.tokens:
-                        arr.edge_pts[tok.edge].remove(tok)
-                    c.tokens = []
-                    c.link_tris = []
+            free = [c for c in arr.curves[1:] if c.tokens and c.cid not in busy]
+            gone = {tok for c in free for tok in c.tokens}
+            if gone:
+                arr.edge_pts = [[tok for tok in pts if tok not in gone]
+                                for pts in arr.edge_pts]
+            for c in free:
+                c.tokens = []
+                c.link_tris = []
         if _algebraically_minimal(xs):
             return xs
         analysis = arr.analyze(xs)
@@ -624,7 +539,7 @@ def minimize(arr: Arrangement, drop_free: bool = True,
         if not bigons:
             return xs
         bigons.sort(key=lambda r: sorted(map(repr, r.crossing_keys)))
-        _slide(arr, analysis, bigons[0])
+        _slide(arr, bigons[0])
         after = arr.crossings()
         if len(after) != len(xs) - 2:
             raise AssertionError(
@@ -656,8 +571,8 @@ def isotopic(tri: Triangulation, a_vec, b_vec) -> bool:
         counts: dict[tuple[int, int], int] = {}
         per_curve = {0: 0, 1: 0}
         for circle in region.circles:
-            for td in circle:
-                key = td[1][2][1]
+            for step in circle:
+                key = step[0]
                 counts[key] = counts.get(key, 0) + 1
                 per_curve[key[0]] += 1
         if all(v == 1 for v in counts.values()) \
@@ -684,11 +599,11 @@ def crossing_word(tri: Triangulation, curve_vec, system_vecs):
                 "system components do not match the given curve vectors; "
                 "the system is not realizable disjointly as given")
         index_of[c.cid] = matches[0]
-    xs = minimize(arr)
+    by_link = arr._crossings_by_link(minimize(arr))
     letters = []
     counts = [0] * len(system_vecs)
     for i in range(len(arr.curves[0])):
-        for x in arr.crossings_on_link((0, i), xs):
+        for x in by_link.get((0, i), []):
             cid = x.b_key[0]
             letters.append((index_of[cid], x.sign))
             counts[index_of[cid]] += 1
@@ -698,7 +613,8 @@ def crossing_word(tri: Triangulation, curve_vec, system_vecs):
 def complement_regions(tri: Triangulation, union_vec):
     """Regions of the complement of a multicurve (no distinguished curve).
 
-    Returns ([(chi, n_boundary_circles, contains_vertex)], component vectors).
+    Returns ([(chi, n_boundary_circles, contains_vertex)], component vectors),
+    with the regions in order of their least face of the map.
     """
     arr = Arrangement(tri, [union_vec])
     if arr.crossings():

@@ -69,7 +69,7 @@ _nonnegative = _int_at_least(0)
 
 INPUT_ERRORS = (UsageError, FormatError, InvalidCoordinates, InessentialCurve,
                 SurfaceMismatch, InvalidCutSystem, InvalidGHS, InvalidMove,
-                sog.InvalidSOG, json.JSONDecodeError, FileNotFoundError,
+                sog.InvalidSOG, json.JSONDecodeError, OSError,
                 KeyError, ValueError)
 
 
@@ -143,9 +143,7 @@ def cmd_diagram(args) -> int:
     build = build_lambda if args.action == "lambda" else build_gamma
     graph = build(diagram, args.cap, args.budget)
     if args.action == "quotient":
-        sigma = {serialize.curve_from_jsonable(pair[0]).coords:
-                 serialize.curve_from_jsonable(pair[1]).coords
-                 for pair in _load_json(args.bijection)}
+        sigma = serialize._bijection_from_jsonable(_load_json(args.bijection))
         graph = quotient_by_symmetry(graph, [sigma])
     fmt = "dot" if args.format == "dot" else "json"
     sys.stdout.write(emit_graph(graph, fmt).decode())

@@ -17,6 +17,7 @@ from .handlebody import HeegaardDiagram, bounds_disk
 from .surface import (
     BudgetExhausted,
     CurveClass,
+    _slope_of_vector,
     enumerate_essential_curves,
     intersection_at_most,
     same_class,
@@ -209,32 +210,34 @@ def _add_farey_edges(graph: LambdaGraph, keys: list[VertexKey]) -> None:
 
     Slopes are taken up to sign, so the neighbours of (p, q) are exactly the
     slopes (r0 + t*p, s0 + t*q) for one solution of p*s0 - q*r0 = 1 and all
-    integers t.  Along that progression the coordinate (|s|, |r|, |r - s|)
-    with the largest coefficient grows linearly in |t|, so the heaviest
-    vertex bounds the scan.  Edges are added in the order of the index
-    pairs (i, j), i < j, so the adjacency lists list neighbours by index.
+    integers t.  Along that progression one of the coordinates
+    (|s|, |r|, |r - s|) moves by the vertex's own largest coordinate per
+    step of t, so at most three neighbours have no coordinate above it.
+    Scanning those finds each edge from its heavier end, or from both ends
+    when their largest coordinates agree.  Edges are added in the order of
+    the index pairs (i, j), i < j, so the adjacency lists list neighbours
+    by index.
     """
     index = {k: i for i, k in enumerate(keys)}
-    top = max(max(k) for k in keys)
+    pairs = set()
     for i, key in enumerate(keys):
-        slope = graph.classes[key].slope()
-        p, q = slope.p, slope.q
+        p, q = _slope_of_vector(key)
         x, y = _bezout(p, q)
         r0, s0 = -y, x
         # The coordinates s, r and r - s move by q, p and p - q per step of
-        # t; the one that moves fastest bounds t the tightest.
+        # t; the fastest moves by top = max(key).
+        top = max(key)
         c, o = max(((q, s0), (p, r0), (p - q, r0 - s0)),
                    key=lambda f: abs(f[0]))
         if c < 0:
             c, o = -c, -o
-        found = []
         for t in range(-((top + o) // c), (top - o) // c + 1):
             r, s = r0 + t * p, s0 + t * q
-            j = index.get((abs(s), abs(r), abs(r - s)), -1)
-            if j > i:
-                found.append(j)
-        for j in sorted(found):
-            graph.add_edge(key, keys[j], 1)
+            j = index.get((abs(s), abs(r), abs(r - s)))
+            if j is not None:
+                pairs.add((i, j) if i < j else (j, i))
+    for i, j in sorted(pairs):
+        graph.add_edge(keys[i], keys[j], 1)
 
 
 def _add_meeting_pairs(graph: _GraphCore, pairs: Iterable[EdgeKey]) -> None:
@@ -440,30 +443,26 @@ def component_distance(graph: LambdaGraph, c1: Sequence[EdgeKey],
 # ---------------------------------------------------------------------------
 
 
-def graph_to_jsonable(graph: _GraphCore) -> dict:
-    keys = graph.vertex_keys()
-    index = {k: i for i, k in enumerate(keys)}
-    return {
-        "genus": graph.genus,
-        "cap": graph.cap,
-        "certified": graph.certified,
-        "vertices": [
-            {"coords": list(k), "colors": sorted(graph.colors.get(k, ()))}
-            for k in keys],
-        "edges": [
-            {"u": index[u], "v": index[v], "i": i}
-            for (u, v), i in sorted(graph.edges.items())],
-    }
-
-
 def emit_graph(graph: _GraphCore, format: str = "json") -> bytes:
     """Byte-identical output for identical graphs; vertices and edges sorted."""
+    keys = graph.vertex_keys()
+    index = {k: i for i, k in enumerate(keys)}
     if format == "json":
-        return (json.dumps(graph_to_jsonable(graph), sort_keys=True,
-                           separators=(",", ":")) + "\n").encode()
+        # Compact JSON with sorted keys, written without building the object
+        # tree first: a graph has thousands of vertices and edges.
+        colors = {c: json.dumps(sorted(c), separators=(",", ":"))
+                  for c in {*graph.colors.values(), frozenset()}}
+        vertices = ",".join(
+            '{"colors":%s,"coords":[%s]}'
+            % (colors[graph.colors.get(k, frozenset())],
+               ",".join(map(str, k))) for k in keys)
+        edges = ",".join('{"i":%d,"u":%d,"v":%d}' % (i, index[u], index[v])
+                         for (u, v), i in sorted(graph.edges.items()))
+        return ('{"cap":%s,"certified":%s,"edges":[%s],"genus":%s,'
+                '"vertices":[%s]}\n'
+                % (json.dumps(graph.cap), json.dumps(graph.certified), edges,
+                   json.dumps(graph.genus), vertices)).encode()
     if format == "dot":
-        keys = graph.vertex_keys()
-        index = {k: i for i, k in enumerate(keys)}
         lines = ["graph complex {"]
         for k in keys:
             colors = graph.colors.get(k, frozenset())

@@ -18,6 +18,7 @@ from .surface import (
     CurveClass,
     ModelSurface,
     SurfaceMismatch,
+    _component_counts,
     algebraic_intersection,
     canonical_triangulation,
     enumerate_essential_curves,
@@ -28,6 +29,10 @@ from .surface import (
 
 class InvalidCutSystem(ValueError):
     """The curves do not cut the surface into a single planar piece."""
+
+
+_NOT_DISJOINT = ("the stored coordinate vectors do not overlay disjointly; "
+                 "re-supply representatives that are disjoint as drawn")
 
 
 @dataclass(frozen=True)
@@ -128,11 +133,18 @@ def validate_cut_system(surface: ModelSurface | int,
                     f"curves {i} and {j} intersect in {n} points")
     tri = canonical_triangulation(genus)
     system = CutSystem(surface, curves)
+    if genus == 1:
+        # One torus curve cuts off an annulus exactly when its vector is a
+        # single essential curve, which the closed-form split decides.
+        counts = _component_counts(tri, curves[0].coords)
+        if sum(counts.values()) != 1:
+            raise InvalidCutSystem(_NOT_DISJOINT)
+        if tri.vertex_link_vector() in counts:
+            raise InvalidCutSystem("cut complement has 2 pieces, expected 1")
+        return system
     regions, comps = arrangement.complement_regions(tri, system.union_vector())
     if sorted(comps) != sorted(c.coords for c in curves):
-        raise InvalidCutSystem(
-            "the stored coordinate vectors do not overlay disjointly; "
-            "re-supply representatives that are disjoint as drawn")
+        raise InvalidCutSystem(_NOT_DISJOINT)
     if len(regions) != 1:
         raise InvalidCutSystem(
             f"cut complement has {len(regions)} pieces, expected 1")

@@ -1,7 +1,7 @@
 """JSON wire formats for curves, diagrams, GHSs, moves, SOGs, and oracles.
 
 All emitters produce deterministic, key-sorted JSON; all parsers reject
-unknown fields.
+unknown fields and values of the wrong JSON type with a FormatError.
 """
 
 from __future__ import annotations
@@ -24,6 +24,24 @@ from .surface import CurveClass, ModelSurface, normalize
 
 class FormatError(ValueError):
     pass
+
+
+_SHAPE_NAMES = {int: "an integer", str: "a string", list: "a list",
+                dict: "an object"}
+
+
+def _expect(value, shape, what: str):
+    """Return `value` if it has the JSON shape `shape`, else raise a
+    FormatError naming `what`.  A shape is int, str, list or dict, or [shape]
+    for a list whose entries all have that shape; booleans are not
+    integers."""
+    if isinstance(shape, list):
+        for item in _expect(value, list, what):
+            _expect(item, shape[0], f"each entry of {what}")
+    elif not isinstance(value, shape) or isinstance(value, bool):
+        raise FormatError(
+            f"{what} must be {_SHAPE_NAMES[shape]}, got {json.dumps(value)}")
+    return value
 
 
 def _check_keys(data: dict, required: set, optional: set = frozenset()):
@@ -53,12 +71,15 @@ def curve_to_jsonable(c: CurveClass) -> dict:
 
 
 def curve_from_jsonable(data: dict) -> CurveClass:
-    if "slope" in data:
+    if "slope" in _expect(data, dict, "a curve"):
         _check_keys(data, {"slope"})
-        p, q = data["slope"]
-        return CurveClass.from_slope(int(p), int(q))
+        slope = _expect(data["slope"], [int], "slope")
+        if len(slope) != 2:
+            raise FormatError(f"slope needs 2 integers, got {len(slope)}")
+        return CurveClass.from_slope(*slope)
     _check_keys(data, {"genus", "coords"})
-    result = normalize(int(data["genus"]), data["coords"])
+    result = normalize(_expect(data["genus"], int, "genus"),
+                       _expect(data["coords"], [int], "coords"))
     if not isinstance(result, CurveClass):
         raise FormatError("coords carry a multicurve, not a single curve")
     return result
@@ -69,13 +90,25 @@ def curve_from_jsonable(data: dict) -> CurveClass:
 
 def diagram_from_jsonable(data: dict) -> HeegaardDiagram:
     _check_keys(data, {"genus", "red", "blue"})
-    genus = int(data["genus"])
-    surface = ModelSurface(genus)
-    red = validate_cut_system(
-        surface, [curve_from_jsonable(c) for c in data["red"]])
-    blue = validate_cut_system(
-        surface, [curve_from_jsonable(c) for c in data["blue"]])
+    surface = ModelSurface(_expect(data["genus"], int, "genus"))
+    red = validate_cut_system(surface, [
+        curve_from_jsonable(c) for c in _expect(data["red"], list, "red")])
+    blue = validate_cut_system(surface, [
+        curve_from_jsonable(c) for c in _expect(data["blue"], list, "blue")])
     return HeegaardDiagram(surface, red, blue)
+
+
+def _bijection_from_jsonable(data) -> dict:
+    """A curve bijection given as [curve, curve] pairs, as a map between
+    coordinate vectors."""
+    sigma = {}
+    for pair in _expect(data, [list], "the bijection"):
+        if len(pair) != 2:
+            raise FormatError(
+                f"each bijection pair needs 2 curves, got {len(pair)}")
+        a, b = (curve_from_jsonable(c) for c in pair)
+        sigma[a.coords] = b.coords
+    return sigma
 
 
 # -- GHSs and moves -----------------------------------------------------------
@@ -91,7 +124,7 @@ def ghs_from_jsonable(data: dict) -> GHS:
     boundary = data.get("boundary", [True, True])
     if boundary != [True, True]:
         raise FormatError("the first and last levels are always boundary")
-    return GHS.of(data["levels"])
+    return GHS.of(_expect(data["levels"], [[int]], "levels"))
 
 
 def _descriptor_to_jsonable(d: CompressionDescriptor) -> dict:
@@ -105,10 +138,13 @@ def _descriptor_from_jsonable(data: dict) -> CompressionDescriptor:
     if kind == "nonsep":
         parsed = ("nonsep",)
     elif isinstance(kind, list) and len(kind) == 3 and kind[0] == "sep":
-        parsed = ("sep", int(kind[1]), int(kind[2]))
+        parsed = ("sep", _expect(kind[1], int, "a sep genus"),
+                  _expect(kind[2], int, "a sep genus"))
     else:
         raise FormatError(f"unknown compression kind {kind!r}")
-    return CompressionDescriptor(data["side"], int(data["target_genus"]), parsed)
+    return CompressionDescriptor(
+        data["side"], _expect(data["target_genus"], int, "target_genus"),
+        parsed)
 
 
 def move_to_jsonable(m: Move) -> dict:
@@ -134,16 +170,17 @@ def move_from_jsonable(data: dict) -> Move:
     if data["type"] == "weak_reduction":
         _check_keys(data, {"type", "thick_index", "D", "E", "F_DE"})
         return WeakReduction(
-            int(data["thick_index"]),
+            _expect(data["thick_index"], int, "thick_index"),
             _descriptor_from_jsonable(data["D"]),
             _descriptor_from_jsonable(data["E"]),
-            collection(data["F_DE"]),
+            collection(_expect(data["F_DE"], [int], "F_DE")),
         )
     if data["type"] == "destabilization":
         _check_keys(data, {"type", "thick_index", "target_genus"}, {"remove"})
-        return Destabilization(int(data["thick_index"]),
-                               int(data["target_genus"]),
-                               data.get("remove", "right"))
+        return Destabilization(
+            _expect(data["thick_index"], int, "thick_index"),
+            _expect(data["target_genus"], int, "target_genus"),
+            data.get("remove", "right"))
     raise FormatError(f"unknown move type {data['type']!r}")
 
 
@@ -163,14 +200,23 @@ def sog_to_jsonable(s: SOG) -> dict:
 
 def sog_from_jsonable(data: dict) -> SOG:
     _check_keys(data, {"ghss", "steps"}, {"labels"})
-    ghss = [ghs_from_jsonable(g) for g in data["ghss"]]
+    ghss = [ghs_from_jsonable(g) for g in _expect(data["ghss"], list, "ghss")]
     steps = []
-    for st in data["steps"]:
+    for st in _expect(data["steps"], list, "steps"):
         _check_keys(st, {"src", "move"})
-        steps.append(SOGStep(int(st["src"]), move_from_jsonable(st["move"])))
-    return SOG.of(ghss, steps, data.get("labels"))
+        steps.append(SOGStep(_expect(st["src"], int, "src"),
+                             move_from_jsonable(st["move"])))
+    labels = data.get("labels")
+    return SOG.of(ghss, steps,
+                  None if labels is None else _expect(labels, list, "labels"))
 
 
 def oracle_from_jsonable(data: dict) -> InventoryOracle:
     _check_keys(data, {"splittings", "stabilize"}, {"boundary"})
+    for labels in _expect(data["splittings"], dict, "splittings").values():
+        _expect(labels, [str], "the labels of a genus")
+    for label in _expect(data["stabilize"], dict, "stabilize").values():
+        _expect(label, str, "a stabilize target")
+    if len(_expect(data.get("boundary", [[], []]), [[int]], "boundary")) != 2:
+        raise FormatError("boundary needs 2 collections")
     return InventoryOracle.from_jsonable(data)

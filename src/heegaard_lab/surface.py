@@ -498,8 +498,14 @@ def _torus_class(coords: Sequence[int]) -> tuple[int, int]:
     (vec,) = counts
     if vec == tri.vertex_link_vector():
         return (0, 0)
-    # Invert (|q|, |p|, |p - q|): |p - q| = |p| + |q| with both nonzero
-    # exactly when p and q have opposite signs.
+    return _slope_of_vector(vec)
+
+
+def _slope_of_vector(vec: Sequence[int]) -> tuple[int, int]:
+    """The slope (p, q) whose coords() are the primitive vector `vec`.
+
+    Inverts (|q|, |p|, |p - q|): |p - q| = |p| + |q| with both nonzero
+    exactly when p and q have opposite signs."""
     a, b, d = vec
     return (b, -a if a and b and d == a + b else a)
 
@@ -674,15 +680,12 @@ def admissible_vectors(tri: Triangulation, cap: int) -> Iterator[tuple[int, ...]
 
 def enumerate_slopes(cap: int) -> list[Slope]:
     """Torus classes with coordinate sum |p| + |q| + |p-q| <= cap."""
-    out = []
-    for p in range(0, cap + 1):
-        lo, hi = -cap, cap
-        for q in range(lo, hi + 1):
-            if p == 0 and q != 1:
-                continue
-            if math.gcd(p, abs(q)) != 1:
-                continue
-            if abs(q) + p + abs(p - q) <= cap:
+    # The weight is 2 * max(p, q) for q >= 0 and 2 * (p - q) for q < 0.
+    half = cap // 2
+    out = [Slope(0, 1)] if cap >= 2 else []
+    for p in range(1, half + 1):
+        for q in range(p - half, half + 1):
+            if math.gcd(p, q) == 1:
                 out.append(Slope(p, q))
     return sorted(out, key=lambda s: (sum(s.coords()), s.coords()))
 

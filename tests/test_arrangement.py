@@ -273,3 +273,29 @@ def test_intersection_symmetric_and_bounded_by_homology(x, y):
     assert i == arrangement.intersection_number(tri, y, x)
     assert alg <= i
     assert (i - alg) % 2 == 0
+
+
+# sha256 of the crossing word and isotopy verdict of every ordered pair of
+# connected essential genus-2 vectors of weight <= 8, then the sorted
+# complement regions of each vector.  Graph digests pin which curves are
+# adjacent, but not the letter order of a crossing word, which depends on
+# which bigons minimization slides across.
+GOLDEN_ARRANGEMENT_SHA256 = (
+    "a8656091e6d65cdee23f1754951c31aca686bdc3f1053372ab6857e59cdd1c99")
+
+
+def test_arrangement_answers_golden():
+    import hashlib
+    tri = canonical_triangulation(2)
+    vecs = genus2_vectors(8)
+    lines = []
+    for a, b in itertools.permutations(vecs, 2):
+        letters, counts = arrangement.crossing_word(tri, a, [b])
+        lines.append(f"{a} {b} {letters} {counts} "
+                     f"{arrangement.isotopic(tri, a, b)}")
+    for v in vecs:
+        regions, comps = arrangement.complement_regions(tri, v)
+        lines.append(f"{v} {sorted(regions)} {comps}")
+    assert len(vecs) * (len(vecs) - 1) == 650
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_ARRANGEMENT_SHA256

@@ -241,3 +241,43 @@ def test_help_exits_0(capsys):
         main(["diagram", "--help"])
     assert exc.value.code == 0
     assert "--cap" in capsys.readouterr().out
+
+
+CURVE = '{"slope": [1, 0]}'
+WR1A_BAD_F = json.dumps(dict(json.loads(WR1A), F_DE=5))
+
+
+def flatten_with(oracle):
+    return ["sog", "flatten", "--start", "P", "--end", "Q", "--oracle", oracle]
+
+
+@pytest.mark.parametrize("argv", [
+    ["intersect", "--a", '{"slope": 5}', "--b", CURVE],
+    ["intersect", "--a", '{"genus": 2, "coords": 5}', "--b", CURVE],
+    ["intersect", "--a", '{"genus": 2, "coords": [0, 0, 0, 0, 0, 0, 0, 0, null]}',
+     "--b", CURVE],
+    ["intersect", "--a", '{"genus": [2], "coords": [1]}', "--b", CURVE],
+    ["intersect", "--a", ".", "--b", CURVE],
+    ["diagram", "gamma", "--cap", "2", "--diagram",
+     '{"genus": 1, "red": 5, "blue": [{"slope": [0, 1]}]}'],
+    ["diagram", "gamma", "--cap", "2", "--diagram",
+     '{"genus": 1, "red": [5], "blue": [{"slope": [0, 1]}]}'],
+    ["diagram", "quotient", "--diagram", S3, "--cap", "2",
+     "--bijection", '[[{"slope": [1, 0]}]]'],
+    ["ghs", "compare", '{"levels": 5}', G3],
+    ["ghs", "compare", '{"levels": [5]}', G3],
+    ["ghs", "compare", '{"levels": [[], [null], []]}', G3],
+    ["ghs", "reduce", "--in", G3, "--move", WR1A_BAD_F],
+    flatten_with('{"splittings": 5, "stabilize": {}}'),
+    flatten_with('{"splittings": {"2": 5}, "stabilize": {}}'),
+    flatten_with('{"splittings": {"2": ["P", "Q"]}, "stabilize": 5}'),
+    ["sog", "verify", "--in", '{"ghss": 5, "steps": []}'],
+    ["sog", "verify", "--in", json.dumps(
+        {"ghss": [json.loads(G3)], "steps": [], "labels": 5})],
+])
+def test_wrong_json_shapes_exit_1_with_one_line(capsys, argv):
+    # Each input is valid JSON of the wrong shape (or a path that is not a
+    # file); none may end in a traceback.
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("input error: ")

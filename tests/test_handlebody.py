@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from heegaard_lab.handlebody import (
@@ -66,6 +68,29 @@ def test_cut_system_examples():
         validate_cut_system(torus, [CurveClass.from_slope(1, 0)] * 2)
     with pytest.raises(InvalidCutSystem):
         validate_cut_system(2, [CurveClass.from_slope(1, 0)])
+
+
+@pytest.mark.parametrize("coords, message", [
+    ((2, 2, 2), "cut complement has 2 pieces, expected 1"),
+    ((2, 0, 2), "the stored coordinate vectors do not overlay disjointly; "
+                "re-supply representatives that are disjoint as drawn"),
+    ((3, 3, 2), "the stored coordinate vectors do not overlay disjointly; "
+                "re-supply representatives that are disjoint as drawn"),
+])
+def test_torus_cut_system_rejects_non_curves(coords, message):
+    # The vertex link, two parallel copies of a slope, and a slope plus a
+    # vertex link.
+    with pytest.raises(InvalidCutSystem) as info:
+        validate_cut_system(1, [CurveClass(1, coords)])
+    assert str(info.value) == message
+
+
+def test_torus_cut_system_check_is_closed_form():
+    # The blue meridian weighs about 40,000: validation must not walk it.
+    t0 = time.perf_counter()
+    d = lens_space(20001, 20000)
+    assert time.perf_counter() - t0 < 1.0
+    assert d.blue.curves[0].slope().q == 20001
 
 
 def test_cut_system_rejects_crossing_curves():

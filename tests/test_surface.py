@@ -228,6 +228,18 @@ def test_slope_box_contained_in_sum_cap():
             assert Slope.of(p, q) in slopes
 
 
+def test_enumerate_slopes_matches_weight_filter():
+    """The bounded scan lists exactly the canonical slopes of weight <= cap,
+    in (weight, coords) order."""
+    for cap in range(0, 41):
+        ref = [Slope(p, q) for p in range(cap + 1)
+               for q in range(-cap, cap + 1)
+               if math.gcd(p, abs(q)) == 1 and (p > 0 or q == 1)
+               and sum(Slope(p, q).coords()) <= cap]
+        ref.sort(key=lambda s: (sum(s.coords()), s.coords()))
+        assert enumerate_slopes(cap) == ref, cap
+
+
 # -- genus 1 in closed form, against the trace ---------------------------------
 
 
