@@ -24,7 +24,15 @@ from .ghs import (
     enumerate_moves,
     validate_ghs,
 )
-from .surface import Slope, canonical_triangulation, slope_intersection
+from .surface import (
+    CurveClass,
+    Slope,
+    algebraic_intersection,
+    canonical_triangulation,
+    enumerate_essential_curves,
+    geometric_intersection,
+    slope_intersection,
+)
 
 
 def random_ghs(rng: random.Random, max_thick: int = 3,
@@ -88,7 +96,6 @@ def check_torus_oracle(rng: random.Random, iterations: int,
         a = random_coprime_pair(rng, 50)
         b = random_coprime_pair(rng, 50)
         want = slope_intersection(a, b)
-        from .surface import CurveClass, geometric_intersection
         got = geometric_intersection(CurveClass(1, a.coords()),
                                      CurveClass(1, b.coords()))
         if got != want:
@@ -170,6 +177,22 @@ def check_commutation(rng: random.Random, iterations: int) -> PropertyReport:
     return PropertyReport("move-commutation", done, failures)
 
 
+def check_genus2_intersection(rng: random.Random,
+                               iterations: int) -> PropertyReport:
+    """On pairs of genus-2 classes of weight <= 8, |a . b| <= i(a, b) with
+    the same parity, and i(a, b) = i(b, a)."""
+    failures = []
+    curves = enumerate_essential_curves(2, 8)
+    for _ in range(iterations):
+        a, b = rng.sample(curves, 2)
+        alg = algebraic_intersection(a, b)
+        i_ab = geometric_intersection(a, b)
+        i_ba = geometric_intersection(b, a)
+        if alg > i_ab or (i_ab - alg) % 2 or i_ab != i_ba:
+            failures.append((a, b, alg, i_ab, i_ba))
+    return PropertyReport("genus2-intersection-bounds", iterations, failures)
+
+
 def property_suite(seed: int, iterations: int) -> list[PropertyReport]:
     """The randomized invariants behind the `proptest` command."""
     reports = []
@@ -180,4 +203,6 @@ def property_suite(seed: int, iterations: int) -> list[PropertyReport]:
         random.Random(rng.randrange(2 ** 32)), iterations))
     reports.append(check_commutation(
         random.Random(rng.randrange(2 ** 32)), iterations // 2))
+    reports.append(check_genus2_intersection(
+        random.Random(rng.randrange(2 ** 32)), iterations))
     return reports

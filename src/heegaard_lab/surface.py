@@ -313,6 +313,15 @@ def canonical_triangulation(genus: int) -> Triangulation:
     return _TRI_CACHE[genus]
 
 
+def _sized_triangulation(genus: int, coords: Sequence[int]) -> Triangulation:
+    """canonical_triangulation(genus), once `coords` has been checked to
+    hold one weight per edge, so a wrong length costs nothing at any genus."""
+    if genus >= 1 and len(coords) != 6 * genus - 3:
+        raise InvalidCoordinates(
+            f"expected {6 * genus - 3} weights, got {len(coords)}")
+    return canonical_triangulation(genus)
+
+
 # ---------------------------------------------------------------------------
 # Slopes (torus fast path)
 # ---------------------------------------------------------------------------
@@ -367,8 +376,7 @@ class CurveClass:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        tri = canonical_triangulation(self.genus)
-        tri.check_matching(self.coords)
+        _sized_triangulation(self.genus, self.coords).check_matching(self.coords)
 
     @property
     def surface(self) -> ModelSurface:
@@ -556,9 +564,9 @@ def normalize(surface: ModelSurface | int, coords: Sequence[int]):
     matching violations, the zero vector, or a single inessential component.
     """
     genus = surface.genus if isinstance(surface, ModelSurface) else surface
-    tri = canonical_triangulation(genus)
     coords = tuple(int(c) for c in coords)
-    if len(coords) == tri.n_edges and all(c == 0 for c in coords):
+    tri = _sized_triangulation(genus, coords)
+    if all(c == 0 for c in coords):
         raise InvalidCoordinates("the zero vector carries no curve")
     tri.check_matching(coords)
     groups = _component_counts(tri, coords)
@@ -581,7 +589,7 @@ def is_essential(surface: ModelSurface | int, coords: Sequence[int]) -> bool:
     is the vertex link, so the test is exact.
     """
     genus = surface.genus if isinstance(surface, ModelSurface) else surface
-    tri = canonical_triangulation(genus)
+    tri = _sized_triangulation(genus, coords)
     groups = _component_counts(tri, coords)
     if sum(groups.values()) != 1:
         raise ValueError("essentialness is defined for connected curves")
@@ -597,7 +605,12 @@ def is_essential(surface: ModelSurface | int, coords: Sequence[int]) -> bool:
 def geometric_intersection(a: CurveClass, b: CurveClass) -> int:
     """Minimal-position (bigon-free) intersection number, exact.
 
-    Torus pairs use the determinant |ps - qr|; higher genus runs the traced
+    Torus pairs use the determinant |ps - qr|.  At higher genus a pair is
+    first offered to the disjointness certificate: when a . b = 0 and the
+    normal sum a + b traces to exactly two components, with vectors a and b,
+    the answer is 0.  A normal curve is determined up to normal isotopy by
+    its vector, so those two components are disjoint normal curves isotopic
+    to a and to b, and i(a, b) = 0.  Every other pair runs the traced
     arrangement with bigon elimination.
     """
     if a.genus != b.genus:
@@ -607,16 +620,22 @@ def geometric_intersection(a: CurveClass, b: CurveClass) -> int:
     if a.genus == 1:
         return slope_intersection(coords_to_slope(a.coords),
                                   coords_to_slope(b.coords))
+    tri = canonical_triangulation(a.genus)
+    if algebraic_intersection(a, b) == 0:
+        total = tuple(x + y for x, y in zip(a.coords, b.coords))
+        if _component_counts(tri, total) == {a.coords: 1, b.coords: 1}:
+            return 0
     from . import arrangement
-    return arrangement.intersection_number(
-        canonical_triangulation(a.genus), a.coords, b.coords)
+    return arrangement.intersection_number(tri, a.coords, b.coords)
 
 
 def intersection_at_most(a: CurveClass, b: CurveClass, k: int) -> Optional[int]:
     """i(a, b) when it is at most k, else None.
 
     Since |algebraic intersection| <= i(a, b), a pair whose homology classes
-    pair to more than k is answered without building an arrangement.
+    pair to more than k is answered without building an arrangement, and a
+    disjoint pair that the normal-sum certificate of
+    `geometric_intersection` recognizes is answered 0 by one trace.
     """
     if a.genus > 1 and algebraic_intersection(a, b) > k:
         return None
@@ -650,29 +669,38 @@ def same_class(a: CurveClass, b: CurveClass) -> bool:
 
 def admissible_vectors(tri: Triangulation, cap: int) -> Iterator[tuple[int, ...]]:
     """All nonzero admissible vectors with coordinate sum <= cap, in
-    lexicographic order.  DFS over edges, checking each triangle as soon as
-    its three weights are fixed."""
+    lexicographic order.
+
+    DFS over edges in index order.  An edge that closes a triangle whose
+    other two weights x and y are fixed can only take the weights
+    |x - y| <= w <= x + y with the parity of x + y, so it steps through that
+    interval by 2; an edge closing two triangles takes the intersection of
+    both intervals, and none when their parities differ.  Every other edge
+    ranges over 0..remaining.
+    """
     n = tri.n_edges
-    by_last_edge: dict[int, list[int]] = {}
-    for t, triple in enumerate(tri.triangles):
-        last = max(e for e, _ in triple)
-        by_last_edge.setdefault(last, []).append(t)
+    closing: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for triple in tri.triangles:
+        x, y, last = sorted(e for e, _ in triple)
+        closing[last].append((x, y))
 
     vec = [0] * n
-
-    def feasible(t: int) -> bool:
-        w = sorted(vec[e] for e, _ in tri.triangles[t])
-        return sum(w) % 2 == 0 and w[2] <= w[0] + w[1]
 
     def rec(e: int, remaining: int) -> Iterator[tuple[int, ...]]:
         if e == n:
             if any(vec):
                 yield tuple(vec)
             return
-        for w in range(remaining + 1):
+        lo, hi, step = 0, remaining, 1
+        for x, y in closing[e]:
+            wx, wy = vec[x], vec[y]
+            t_lo = abs(wx - wy)
+            if step == 2 and (t_lo - lo) % 2:
+                return
+            lo, hi, step = max(lo, t_lo), min(hi, wx + wy), 2
+        for w in range(lo, hi + 1, step):
             vec[e] = w
-            if all(feasible(t) for t in by_last_edge.get(e, ())):
-                yield from rec(e + 1, remaining - w)
+            yield from rec(e + 1, remaining - w)
         vec[e] = 0
 
     yield from rec(0, cap)

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import types
 
 import pytest
 
@@ -357,3 +358,93 @@ def test_huge_torus_slope_costs_no_weight():
         ("0", '{"intersection":100000000}', "CurveClass")
     assert float(elapsed) < 1.0
     assert float(rss_mb) < 100
+
+
+def test_wrong_length_rejected_before_building_triangulation():
+    from heegaard_lab import surface
+    for check in (normalize, is_essential, CurveClass):
+        with pytest.raises(InvalidCoordinates) as info:
+            check(10**6, [1])
+        assert str(info.value) == "expected 5999997 weights, got 1"
+    assert 10**6 not in surface._TRI_CACHE
+    with pytest.raises(ValueError, match="genus 0; need genus >= 1"):
+        normalize(0, [1])
+
+
+def reference_admissible_vectors(tri, cap):
+    """The per-triangle DFS the interval enumeration replaced: every weight
+    0..remaining is tried, and each triangle is checked once its three
+    weights are fixed."""
+    n = tri.n_edges
+    by_last_edge = {}
+    for t, triple in enumerate(tri.triangles):
+        by_last_edge.setdefault(max(e for e, _ in triple), []).append(t)
+    vec = [0] * n
+
+    def feasible(t):
+        w = sorted(vec[e] for e, _ in tri.triangles[t])
+        return sum(w) % 2 == 0 and w[2] <= w[0] + w[1]
+
+    def rec(e, remaining):
+        if e == n:
+            if any(vec):
+                yield tuple(vec)
+            return
+        for w in range(remaining + 1):
+            vec[e] = w
+            if all(feasible(t) for t in by_last_edge.get(e, ())):
+                yield from rec(e + 1, remaining - w)
+        vec[e] = 0
+
+    yield from rec(0, cap)
+
+
+def test_admissible_vectors_match_reference_dfs():
+    for genus, max_cap in [(1, 30), (2, 14), (3, 8)]:
+        tri = canonical_triangulation(genus)
+        for cap in range(max_cap + 1):
+            assert list(admissible_vectors(tri, cap)) == \
+                list(reference_admissible_vectors(tri, cap)), (genus, cap)
+    # On a closed surface the triangle weight sums add up to an even number,
+    # so two triangles closed by the last edge never ask for different
+    # parities.  Two triangles glued along one edge can.
+    hinge = types.SimpleNamespace(
+        n_edges=5, triangles=[((0, 1), (1, 1), (4, 1)),
+                              ((2, 1), (3, 1), (4, -1))])
+    for cap in range(13):
+        assert list(admissible_vectors(hinge, cap)) == \
+            list(reference_admissible_vectors(hinge, cap)), cap
+
+
+def test_disjointness_certificate_sound_and_complete(monkeypatch):
+    """Over every pair of connected essential vectors with algebraic
+    intersection 0, the normal-sum certificate answers only pairs the
+    arrangement finds disjoint, and it answers all of them."""
+    from heegaard_lab import arrangement
+    from heegaard_lab.surface import algebraic_intersection
+    exact = arrangement.intersection_number
+    built = []
+
+    def recording(tri, a, b):
+        built.append((a, b))
+        return exact(tri, a, b)
+
+    monkeypatch.setattr(arrangement, "intersection_number", recording)
+    for genus, cap, n_vecs, n_pairs, n_zero in [(2, 12, 114, 1291, 1027),
+                                                (3, 8, 32, 329, 325)]:
+        tri = canonical_triangulation(genus)
+        link = tri.vertex_link_vector()
+        curves = [CurveClass(genus, v) for v in admissible_vectors(tri, cap)
+                  if v != link and len(tri.trace(v)) == 1]
+        pairs = [(a, b) for a, b in itertools.combinations(curves, 2)
+                 if algebraic_intersection(a, b) == 0]
+        assert (len(curves), len(pairs)) == (n_vecs, n_pairs)
+        zero = 0
+        for a, b in pairs:
+            truth = exact(tri, a.coords, b.coords)
+            zero += truth == 0
+            built.clear()
+            assert geometric_intersection(a, b) == truth, (a, b)
+            certified = not built
+            assert certified == (truth == 0), (a, b, truth)
+        assert zero == n_zero
