@@ -121,13 +121,14 @@ class Arrangement:
                       for m, (e, _) in enumerate(occs)}
         for vec in vectors:
             comps = tri.trace(vec)
-            token_of = {pos: self._new_token(pos[0])
-                        for comp in comps for pos in comp.cycle}
-            for (e, _), tok in sorted(token_of.items()):
-                self.edge_pts[e].append(tok)
+            first = []
+            for e, w in enumerate(vec):
+                first.append(len(self.tok_edge))
+                self.edge_pts[e].extend(range(first[e], first[e] + w))
+                self.tok_edge.extend([e] * w)
             for comp in comps:
                 self.curves.append(_Curve(
-                    len(self.curves), [token_of[p] for p in comp.cycle],
+                    len(self.curves), [first[e] + p for e, p in comp.cycle],
                     list(comp.triangles)))
 
     def _new_token(self, edge: int) -> int:

@@ -349,11 +349,7 @@ def destabilize(ghs: GHS, m: Destabilization) -> GHS:
 
 
 def apply_move(ghs: GHS, m: Move) -> GHS:
-    if isinstance(m, WeakReduction):
-        return weak_reduce(ghs, m)
-    if isinstance(m, Destabilization):
-        return destabilize(ghs, m)
-    raise InvalidMove(f"unknown move {m!r}")
+    return apply_move_report(ghs, m).result
 
 
 def apply_move_report(ghs: GHS, m: Move) -> MoveReport:

@@ -35,23 +35,29 @@ from .surface import (
 )
 
 
-def random_ghs(rng: random.Random, max_thick: int = 3,
-               max_genus: int = 4, bounded: bool = True) -> GHS:
+# Size of a random GHS: thick levels, and genus of a thick component.
+MAX_THICK = 3
+MAX_GENUS = 4
+# Slopes up to this size are also checked through the arrangement engine.
+ENGINE_BOUND = 4
+
+
+def random_ghs(rng: random.Random) -> GHS:
     """A random valid GHS; boundary collections may be nonempty."""
     while True:
-        n_thick = rng.randint(1, max_thick)
+        n_thick = rng.randint(1, MAX_THICK)
         levels = []
-        if bounded and rng.random() < 0.3:
+        if rng.random() < 0.3:
             levels.append([rng.randint(0, 2)
                            for _ in range(rng.randint(1, 2))])
         else:
             levels.append([])
         for k in range(n_thick):
-            levels.append([rng.randint(1, max_genus)
+            levels.append([rng.randint(1, MAX_GENUS)
                            for _ in range(1 if rng.random() < 0.8 else 2)])
             if k < n_thick - 1:
-                levels.append([rng.randint(1, max_genus - 1)])
-        if bounded and rng.random() < 0.3:
+                levels.append([rng.randint(1, MAX_GENUS - 1)])
+        if rng.random() < 0.3:
             levels.append([rng.randint(0, 2)
                            for _ in range(rng.randint(1, 2))])
         else:
@@ -86,8 +92,7 @@ class PropertyReport:
         return not self.failures
 
 
-def check_torus_oracle(rng: random.Random, iterations: int,
-                       engine_bound: int = 4) -> PropertyReport:
+def check_torus_oracle(rng: random.Random, iterations: int) -> PropertyReport:
     """geometric_intersection equals |ps - qr|, both through the slope fast
     path and, for small slopes, through the arrangement engine."""
     failures = []
@@ -100,7 +105,7 @@ def check_torus_oracle(rng: random.Random, iterations: int,
                                      CurveClass(1, b.coords()))
         if got != want:
             failures.append(("fast-path", a, b, got, want))
-        if max(abs(a.p), abs(a.q), abs(b.p), abs(b.q)) <= engine_bound \
+        if max(abs(a.p), abs(a.q), abs(b.p), abs(b.q)) <= ENGINE_BOUND \
                 and a != b:
             raw = arrangement.intersection_number(tri, a.coords(), b.coords())
             if raw != want:
@@ -145,7 +150,7 @@ def check_commutation(rng: random.Random, iterations: int) -> PropertyReport:
     attempts = 0
     while done < iterations and attempts < iterations * 400:
         attempts += 1
-        g = random_ghs(rng, max_thick=3)
+        g = random_ghs(rng)
         moves = enumerate_moves(g)
         if len(moves) < 2:
             continue

@@ -213,10 +213,19 @@ def sog_from_jsonable(data: dict) -> SOG:
 
 def oracle_from_jsonable(data: dict) -> InventoryOracle:
     _check_keys(data, {"splittings", "stabilize"}, {"boundary"})
-    for labels in _expect(data["splittings"], dict, "splittings").values():
-        _expect(labels, [str], "the labels of a genus")
+    splittings = {}
+    for key, labels in _expect(data["splittings"], dict, "splittings").items():
+        try:
+            genus = int(key)
+        except ValueError:
+            raise FormatError(
+                f"splittings key {key!r} must be an integer genus") from None
+        if genus in splittings:
+            raise FormatError(f"splittings key {key!r} repeats genus {genus}")
+        splittings[genus] = _expect(labels, [str], "the labels of a genus")
     for label in _expect(data["stabilize"], dict, "stabilize").values():
         _expect(label, str, "a stabilize target")
-    if len(_expect(data.get("boundary", [[], []]), [[int]], "boundary")) != 2:
+    boundary = _expect(data.get("boundary", [[], []]), [[int]], "boundary")
+    if len(boundary) != 2:
         raise FormatError("boundary needs 2 collections")
-    return InventoryOracle.from_jsonable(data)
+    return InventoryOracle(splittings, data["stabilize"], boundary)

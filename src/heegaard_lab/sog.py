@@ -173,14 +173,6 @@ class InventoryOracle:
         for edges in self._edges.values():
             edges.sort(key=lambda e: (str(e.parent), str(e.child)))
 
-    @staticmethod
-    def from_jsonable(data: dict) -> "InventoryOracle":
-        return InventoryOracle(
-            {int(g): list(labels) for g, labels in data["splittings"].items()},
-            dict(data["stabilize"]),
-            tuple(data.get("boundary", ((), ()))),
-        )
-
     def nodes(self) -> list[str]:
         return sorted(self.genus_of)
 

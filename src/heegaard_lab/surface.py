@@ -157,14 +157,18 @@ class Triangulation:
                     f"triangle inequality fails in triangle {t}: {w}")
         return (c[0], c[1], c[2])
 
-    def check_matching(self, weights: Sequence[int]) -> None:
+    def check_matching(self, weights: Sequence[int]) -> list[tuple[int, int, int]]:
+        """Raise InvalidCoordinates unless `weights` is admissible: one
+        non-negative weight per edge, and an even sum meeting the triangle
+        inequalities in every triangle, checked in triangle order.  Returns
+        the corner counts of every triangle, as `corner_counts` gives them."""
         if len(weights) != self.n_edges:
             raise InvalidCoordinates(
                 f"expected {self.n_edges} weights, got {len(weights)}")
         if any(w < 0 for w in weights):
             raise InvalidCoordinates("negative edge weight")
-        for t in range(len(self.triangles)):
-            self.corner_counts(weights, t)
+        return [self.corner_counts(weights, t)
+                for t in range(len(self.triangles))]
 
     def is_admissible(self, weights: Sequence[int]) -> bool:
         try:
@@ -180,60 +184,52 @@ class Triangulation:
 
         Returns one TracedCurve per component, carrying its own weight vector
         and its token cycle (edge crossings in order, with the triangle of
-        each connecting arc), ordered deterministically.
+        each connecting arc).  Token (e, p) is the p-th crossing along edge
+        e's arrow.  Components come in order of least token; each cycle
+        starts there and leaves through the lower-numbered triangle on e.
+
+        The walk follows the corner-arc map.  A token at place k along side
+        m, counterclockwise (k = p on a +1 occurrence, w[m] - 1 - p on a -1),
+        leaves by side m-1 at place w[m-1] - 1 - k when k < c[m], the arcs at
+        corner m, and by side m+1 at place w[m] - 1 - k otherwise; the walk
+        then crosses that edge into its other triangle.
         """
-        self.check_matching(weights)
-        # Token = (edge, position along the edge arrow), positions 0..w-1.
-        # In each triangle, the k-th innermost arc at corner m joins side m-1
-        # at occurrence position w_{m-1}-1-k to side m at occurrence position k.
-        links: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
-
-        def phys(occ: Occurrence, opos: int) -> tuple[int, int]:
-            e, sign = occ
-            return (e, opos if sign == 1 else weights[e] - 1 - opos)
-
-        for t, tri in enumerate(self.triangles):
-            w = [weights[e] for e, _ in tri]
-            c = self.corner_counts(weights, t)
-            for m in range(3):
-                for k in range(c[m]):
-                    p = phys(tri[m - 1], w[m - 1] - 1 - k)
-                    q = phys(tri[m], k)
-                    links.setdefault(p, []).append((q, t))
-                    links.setdefault(q, []).append((p, t))
-        for tok, nb in links.items():
-            if len(nb) != 2:
-                raise AssertionError(f"token {tok} has {len(nb)} arcs")
-
-        seen: set[tuple[int, int]] = set()
+        corners = self.check_matching(weights)
+        seen = [bytearray(w) for w in weights]
         components: list[TracedCurve] = []
-        for start in sorted(links):
-            if start in seen:
-                continue
-            cycle = [start]
-            tris: list[int] = []
-            cur = start
-            prev_tri: Optional[int] = None
-            while True:
-                first, second = links[cur]
-                # The arrival arc is identified by its triangle; the two arcs
-                # at a token lie in the two distinct flanking triangles.
-                if prev_tri is not None and first[1] == prev_tri:
-                    nxt, tri_id = second
-                else:
-                    nxt, tri_id = first
-                tris.append(tri_id)
-                seen.add(cur)
-                prev_tri = tri_id
-                if nxt == start:
-                    break
-                cur = nxt
-                cycle.append(cur)
-            vec = [0] * self.n_edges
-            for e, _ in cycle:
-                vec[e] += 1
-            components.append(TracedCurve(tuple(vec), cycle, tris))
-        components.sort(key=lambda c: sorted(c.cycle))
+        for e0 in range(self.n_edges):
+            p0 = seen[e0].find(0)
+            while p0 != -1:
+                cycle: list[tuple[int, int]] = []
+                tris: list[int] = []
+                e, p = e0, p0
+                t, m = self.edge_sides[e0][0]
+                while True:
+                    if seen[e][p]:
+                        raise AssertionError(
+                            f"trace from token {(e0, p0)} does not close")
+                    seen[e][p] = 1
+                    cycle.append((e, p))
+                    tris.append(t)
+                    tri = self.triangles[t]
+                    k = p if tri[m][1] == 1 else weights[e] - 1 - p
+                    if k < corners[t][m]:
+                        m = (m - 1) % 3
+                        k = weights[tri[m][0]] - 1 - k
+                    else:
+                        m = (m + 1) % 3
+                        k = weights[e] - 1 - k
+                    e, sign = tri[m]
+                    p = k if sign == 1 else weights[e] - 1 - k
+                    if e == e0 and p == p0:
+                        break
+                    (t1, m1), (t2, m2) = self.edge_sides[e]
+                    t, m = (t2, m2) if t1 == t else (t1, m1)
+                vec = [0] * self.n_edges
+                for e, _ in cycle:
+                    vec[e] += 1
+                components.append(TracedCurve(tuple(vec), cycle, tris))
+                p0 = seen[e0].find(0, p0)
         return components
 
     # -- vertex link / rotation ----------------------------------------------
@@ -568,7 +564,6 @@ def normalize(surface: ModelSurface | int, coords: Sequence[int]):
     tri = _sized_triangulation(genus, coords)
     if all(c == 0 for c in coords):
         raise InvalidCoordinates("the zero vector carries no curve")
-    tri.check_matching(coords)
     groups = _component_counts(tri, coords)
     link = tri.vertex_link_vector()
     if sum(groups.values()) == 1:

@@ -281,3 +281,19 @@ def test_wrong_json_shapes_exit_1_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("input error: ")
+
+
+def test_oracle_genus_key_parsed_once(capsys):
+    bad = '{"splittings": {"x": ["P"], "3": ["Q"]}, "stabilize": {"P": "Q"}}'
+    code, out, err = run(capsys, "sog", "flatten", "--start", "P", "--end", "Q",
+                         "--oracle", bad)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("input error: ")
+    assert "'x'" in err
+    twice = '{"splittings": {"2": ["P"], "02": ["Q"]}, "stabilize": {}}'
+    assert run(capsys, *flatten_with(twice)) == \
+        (1, "", "input error: splittings key '02' repeats genus 2\n")
+    # Keys that int() reads, padded or signed, still name a genus.
+    padded = ORACLE1.replace('"2"', '" +2"').replace('"3"', '"03"')
+    assert run(capsys, *flatten_with(padded)) == \
+        run(capsys, *flatten_with(ORACLE1))

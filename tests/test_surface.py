@@ -17,6 +17,7 @@ from heegaard_lab.surface import (
     MulticurveEntry,
     MulticurveReport,
     Slope,
+    TracedCurve,
     Triangulation,
     _homology_bucket,
     admissible_vectors,
@@ -448,3 +449,116 @@ def test_disjointness_certificate_sound_and_complete(monkeypatch):
             certified = not built
             assert certified == (truth == 0), (a, b, truth)
         assert zero == n_zero
+
+
+def reference_trace(tri, weights):
+    """The token-table trace the corner-arc walk replaced: every arc is
+    entered in a dict keyed by its two end tokens, then the components are
+    walked through that dict."""
+    tri.check_matching(weights)
+    links = {}
+
+    def phys(occ, opos):
+        e, sign = occ
+        return (e, opos if sign == 1 else weights[e] - 1 - opos)
+
+    for t, triple in enumerate(tri.triangles):
+        w = [weights[e] for e, _ in triple]
+        c = tri.corner_counts(weights, t)
+        for m in range(3):
+            for k in range(c[m]):
+                p = phys(triple[m - 1], w[m - 1] - 1 - k)
+                q = phys(triple[m], k)
+                links.setdefault(p, []).append((q, t))
+                links.setdefault(q, []).append((p, t))
+    for tok, nb in links.items():
+        if len(nb) != 2:
+            raise AssertionError(f"token {tok} has {len(nb)} arcs")
+
+    seen = set()
+    components = []
+    for start in sorted(links):
+        if start in seen:
+            continue
+        cycle = [start]
+        tris = []
+        cur = start
+        prev_tri = None
+        while True:
+            first, second = links[cur]
+            if prev_tri is not None and first[1] == prev_tri:
+                nxt, tri_id = second
+            else:
+                nxt, tri_id = first
+            tris.append(tri_id)
+            seen.add(cur)
+            prev_tri = tri_id
+            if nxt == start:
+                break
+            cur = nxt
+            cycle.append(cur)
+        vec = [0] * tri.n_edges
+        for e, _ in cycle:
+            vec[e] += 1
+        components.append(TracedCurve(tuple(vec), cycle, tris))
+    components.sort(key=lambda c: sorted(c.cycle))
+    return components
+
+
+def trace_outcome(trace, tri, vec):
+    try:
+        return [(c.vector, c.cycle, c.triangles) for c in trace(tri, vec)]
+    except InvalidCoordinates as exc:
+        return (type(exc), str(exc))
+
+
+def test_trace_matches_reference_trace():
+    rng = random.Random(10)
+    cases = []
+    for genus, cap in [(1, 30), (2, 14), (3, 8)]:
+        tri = canonical_triangulation(genus)
+        cases += [(tri, v) for v in admissible_vectors(tri, cap)]
+    for genus, cap in [(2, 8), (3, 6)]:
+        tri = canonical_triangulation(genus)
+        classes = [c.coords for c in enumerate_essential_curves(genus, cap)]
+        classes.append(tri.vertex_link_vector())
+        for _ in range(150):
+            vec = [0] * tri.n_edges
+            for coords in rng.sample(classes, rng.randint(1, 3)):
+                mult = rng.randint(1, 30)
+                vec = [x + mult * y for x, y in zip(vec, coords)]
+            cases.append((tri, tuple(vec)))
+    tri = canonical_triangulation(2)
+    good = list(tri.vertex_link_vector())
+    for bad in (good[:-1], good + [2], good[:4] + [-2] + good[5:],
+                good[:4] + [3] + good[5:], good[:4] + [8] + good[5:]):
+        cases.append((tri, bad))
+    errors = 0
+    for tri, vec in cases:
+        want = trace_outcome(reference_trace, tri, vec)
+        assert trace_outcome(Triangulation.trace, tri, vec) == want, vec
+        errors += isinstance(want, tuple)
+    assert errors == 5
+
+
+def test_trace_allocates_no_per_token_table():
+    # Tracing a connected genus-2 curve of weight 400,003 keeps one byte per
+    # token for its visited marks; a table of tokens would take hundreds of
+    # megabytes.  The child caps its own address space, as above.
+    script = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from heegaard_lab.surface import canonical_triangulation
+        a = (0, 0, 0, 1, 0, 0, 0, 0, 1)
+        b = (0, 0, 1, 0, 0, 0, 0, 1, 1)
+        vec = tuple(200000 * x + y for x, y in zip(a, b))
+        comps = canonical_triangulation(2).trace(vec)
+        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(sum(vec), len(comps), comps[0].vector == vec, rss_mb)
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    weight, n_comps, same, rss_mb = proc.stdout.split()
+    assert (weight, n_comps, same) == ("400003", "1", "True")
+    assert float(rss_mb) < 100
