@@ -26,7 +26,8 @@ without analysing any region, as soon as every B component meets A exactly
 The same machinery answers, exactly:
   * geometric intersection numbers (crossings after minimization),
   * signed crossing words of A against the components of B,
-  * isotopy of two disjoint curves (an annulus region between them),
+  * isotopy of two disjoint curves (an annulus region, chi = 0, between
+    them),
   * the topology of the complement of a multicurve (cut-system checks).
 """
 
@@ -54,10 +55,14 @@ class _Curve:
 
 @dataclass(frozen=True)
 class Crossing:
+    """A crossing of an A link with a B link; places as in `crossings`."""
+
     triangle: int
     a_key: tuple[int, int]      # (curve id 0, link index)
     b_key: tuple[int, int]      # (curve id >= 1, link index)
     sign: int
+    a_place: tuple[int, int]    # place along the A link
+    b_place: tuple[int, int]    # place along the B link
 
     def key(self):
         return (self.a_key, self.b_key)
@@ -77,16 +82,15 @@ class Region:
     gaps: set                   # (edge, k): the gap just before token k
     contains_vertex: bool
     circles: list
-    corner_visits: int
-    crossing_keys: list
+    crossing_keys: list         # one per corner of the region
+
+    @property
+    def corner_visits(self) -> int:
+        return len(self.crossing_keys)
 
     @property
     def chi(self) -> int:
         return len(self.faces) - len(self.gaps) + (1 if self.contains_vertex else 0)
-
-    @property
-    def n_boundary_circles(self) -> int:
-        return len(self.circles)
 
 
 @dataclass
@@ -117,8 +121,6 @@ class Arrangement:
         self.curves: list[_Curve] = []
         self.tok_edge: list[int] = []
         self.edge_pts: list[list[int]] = [[] for _ in range(tri.n_edges)]
-        self._side = {(t, e): m for t, occs in enumerate(tri.triangles)
-                      for m, (e, _) in enumerate(occs)}
         for vec in vectors:
             comps = tri.trace(vec)
             first = []
@@ -159,7 +161,7 @@ class Arrangement:
 
         def coord(t: int, tok: int) -> tuple[int, int]:
             e = self.tok_edge[tok]
-            m = self._side[t, e]
+            m = self.tri.side_of[t, e]
             if triangles[t][m][1] == 1:
                 return (m, pos[tok])
             return (m, len(self.edge_pts[e]) - 1 - pos[tok])
@@ -173,47 +175,51 @@ class Arrangement:
         return out
 
     def crossings(self) -> list[Crossing]:
+        """Every crossing of A with B, by triangle, then link keys.
+
+        Two links cross when exactly one end of one lies inside the boundary
+        arc running counterclockwise from the other's start to its end.  A
+        crossing's place along a link is the other link's end inside that
+        link's arc: (m, k) for place k on side m, or (m + 3, k) once the arc
+        has wrapped past its start.  The chords crossing one link are
+        pairwise disjoint, so their places order them along it.  The sign is
+        +1 when B starts inside A's arc."""
         coords = self._link_coords()
         by_tri: dict[int, list] = {}
         for key, (t, _, _) in coords.items():
             by_tri.setdefault(t, []).append(key)
+
+        def place(x, start):
+            return x if x > start else (x[0] + 3, x[1])
+
         out = []
         for t, links in sorted(by_tri.items()):
-            for k1, k2 in itertools.combinations(sorted(links), 2):
-                _, p, q = coords[k1]
-                _, r, s = coords[k2]
-                if _in_open_arc(r, p, q) == _in_open_arc(s, p, q):
-                    continue
-                if (k1[0] == 0) == (k2[0] == 0):
-                    raise AssertionError(
-                        f"links {k1} and {k2} cross but are not an A-B pair")
-                ak, bk = (k1, k2) if k1[0] == 0 else (k2, k1)
+            for ak, bk in itertools.combinations(sorted(links), 2):
                 _, p, q = coords[ak]
-                _, r, _ = coords[bk]
-                sign = 1 if _in_open_arc(r, p, q) else -1
-                out.append(Crossing(t, ak, bk, sign))
+                _, r, s = coords[bk]
+                r_inside = _in_open_arc(r, p, q)
+                if r_inside == _in_open_arc(s, p, q):
+                    continue
+                if ak[0] != 0 or bk[0] == 0:
+                    raise AssertionError(
+                        f"links {ak} and {bk} cross but are not an A-B pair")
+                # Crossing chords alternate around the boundary: p, r, q, s
+                # when r is inside A's arc, else p, s, q, r.
+                if r_inside:
+                    x = Crossing(t, ak, bk, 1, place(r, p), place(q, r))
+                else:
+                    x = Crossing(t, ak, bk, -1, place(s, p), place(p, r))
+                out.append(x)
         return out
 
     def _crossings_by_link(self, crossings: Sequence[Crossing]) -> dict:
-        """Crossings on each link, ordered from its start token.  The chords
-        crossing one link are pairwise disjoint, so the order along the link
-        agrees with the cyclic order of their endpoints on the near-side
-        boundary arc."""
-        coords = self._link_coords()
+        """Crossings on each link, ordered by their places along it."""
         out: dict = {}
         for x in crossings:
-            out.setdefault(x.a_key, []).append(x)
-            out.setdefault(x.b_key, []).append(x)
-        for key, mine in out.items():
-            _, p, q = coords[key]
-
-            def along(x: Crossing, key=key, p=p, q=q):
-                _, r, s = coords[x.b_key if key == x.a_key else x.a_key]
-                inside = r if _in_open_arc(r, p, q) else s
-                return inside if inside > p else (inside[0] + 3, inside[1])
-
-            mine.sort(key=along)
-        return out
+            out.setdefault(x.a_key, []).append((x.a_place, x))
+            out.setdefault(x.b_key, []).append((x.b_place, x))
+        return {key: [x for _, x in sorted(mine, key=lambda px: px[0])]
+                for key, mine in out.items()}
 
     # -- regions ----------------------------------------------------------------
 
@@ -256,13 +262,13 @@ class Arrangement:
                 rot[tok] = [first_gap[e] + 2 * k + 2, -1,
                             first_gap[e] + 2 * k + 1, -1]
         n_gap_darts = len(tail)
-        for e, end in reversed(tri.vertex_rotation()):
+        for e, end in reversed(tri.vertex_rotation):
             rot[vertex].append(first_gap[e] if end == "tail" else
                                first_gap[e] + 2 * len(self.edge_pts[e]) + 1)
 
         def chord_slot(t: int, tok: int) -> int:
             e = self.tok_edge[tok]
-            return 1 if tri.triangles[t][self._side[t, e]][1] == 1 else 3
+            return 1 if tri.triangles[t][tri.side_of[t, e]][1] == 1 else 3
 
         node_of = {x: ~i for i, x in enumerate(crossings)}
         x_darts = [[0, 0, 0, 0] for _ in crossings]  # A, B fore; A, B back
@@ -324,7 +330,7 @@ class Arrangement:
         for f in range(n_faces):
             root = find(f)
             if root not in by_root:
-                by_root[root] = Region([], set(), False, [], 0, [])
+                by_root[root] = Region([], set(), False, [], [])
             region = by_root[root]
             region.faces.append(f)
             region_of.append(region)
@@ -334,9 +340,7 @@ class Arrangement:
             region_of[face[d]].contains_vertex = True
         for x in crossings:
             for d in rot[node_of[x]]:
-                region = region_of[face[d]]
-                region.corner_visits += 1
-                region.crossing_keys.append(x.key())
+                region_of[face[d]].crossing_keys.append(x.key())
 
         seen = bytearray(len(tail))
         for d0 in range(n_gap_darts, len(tail)):
@@ -507,31 +511,31 @@ def _algebraically_minimal(xs: Sequence[Crossing]) -> bool:
     return all(n == abs(total[cid]) for cid, n in count.items())
 
 
-def minimize(arr: Arrangement, drop_free: bool = True) -> list[Crossing]:
+def minimize(arr: Arrangement) -> list[Crossing]:
     """Remove bigons until the arrangement is in minimal position, and
     return its crossings.
 
-    Components of the B side that lose all their crossings are dropped (they
-    carry no letters and no crossings) unless drop_free is False; keeping
-    them could hide a bigon behind an annular region.  Minimization stops
-    without analysing regions once the crossing signs certify that every B
-    component already meets A minimally.  Each slide removes two crossings,
-    so there are at most half as many slides as starting crossings."""
+    Components of the B side that lose all their crossings are dropped:
+    they carry no letters, and no bigon has a corner on them.  Minimization
+    stops without analysing regions once the crossing signs certify that
+    every B component already meets A minimally.  Each slide removes two
+    crossings, so there are at most half as many slides as starting
+    crossings."""
     xs = arr.crossings()
     for _ in range(len(xs) // 2 + 1):
         if not xs:
             return xs
-        if drop_free:
-            # Dropped components carry no crossings, so xs stays valid.
-            busy = {x.b_key[0] for x in xs}
-            free = [c for c in arr.curves[1:] if c.tokens and c.cid not in busy]
-            gone = {tok for c in free for tok in c.tokens}
-            if gone:
-                arr.edge_pts = [[tok for tok in pts if tok not in gone]
-                                for pts in arr.edge_pts]
-            for c in free:
-                c.tokens = []
-                c.link_tris = []
+        # Dropped components carry no crossings, so xs stays valid: the
+        # places of the tokens left on an edge shift but keep their order.
+        busy = {x.b_key[0] for x in xs}
+        free = [c for c in arr.curves[1:] if c.tokens and c.cid not in busy]
+        gone = {tok for c in free for tok in c.tokens}
+        if gone:
+            arr.edge_pts = [[tok for tok in pts if tok not in gone]
+                            for pts in arr.edge_pts]
+        for c in free:
+            c.tokens = []
+            c.link_tris = []
         if _algebraically_minimal(xs):
             return xs
         analysis = arr.analyze(xs)
@@ -559,27 +563,23 @@ def intersection_number(tri: Triangulation, a_vec, b_vec) -> int:
 
 
 def isotopic(tri: Triangulation, a_vec, b_vec) -> bool:
-    """Exact isotopy test for connected essential curves: minimize, then look
-    for an annulus region whose two boundary circles are the two curves."""
+    """Exact isotopy test for connected essential curves A and B.
+
+    Curves that meet in minimal position are not isotopic.  Otherwise they
+    are disjoint, and disjoint essential curves are isotopic exactly when
+    they cobound an annulus, which is then a region of the crossing-free
+    arrangement.  So the answer is whether some region has chi = 0:
+      * with no crossings, every boundary circle is one whole side of one
+        curve;
+      * an open orientable region with chi = 0 is an annulus;
+      * its two circles cannot both be sides of one curve: that curve and
+        the annulus would close up into the whole surface, a torus, and
+        leave nowhere for the other curve.
+    B is connected, so `minimize` never drops it: it returns as soon as no
+    crossing is left."""
     arr = Arrangement(tri, [a_vec, b_vec])
-    if minimize(arr, drop_free=False):
-        return False
-    analysis = arr.analyze()
-    want = {0: len(arr.curves[0]), 1: len(arr.curves[1])}
-    for region in analysis.regions:
-        if region.chi != 0:
-            continue
-        counts: dict[tuple[int, int], int] = {}
-        per_curve = {0: 0, 1: 0}
-        for circle in region.circles:
-            for step in circle:
-                key = step[0]
-                counts[key] = counts.get(key, 0) + 1
-                per_curve[key[0]] += 1
-        if all(v == 1 for v in counts.values()) \
-                and per_curve[0] == want[0] and per_curve[1] == want[1]:
-            return True
-    return False
+    xs = minimize(arr)
+    return not xs and any(r.chi == 0 for r in arr.analyze(xs).regions)
 
 
 def crossing_word(tri: Triangulation, curve_vec, system_vecs):
@@ -622,5 +622,5 @@ def complement_regions(tri: Triangulation, union_vec):
         raise AssertionError("a single multicurve cannot self-cross")
     analysis = arr.analyze()
     comps = [arr.component_vector(c.cid) for c in arr.curves]
-    return [(r.chi, r.n_boundary_circles, r.contains_vertex)
+    return [(r.chi, len(r.circles), r.contains_vertex)
             for r in analysis.regions], comps

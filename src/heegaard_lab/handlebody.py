@@ -40,8 +40,9 @@ class SignedWord:
     """A cyclic word in the free group on g generators.
 
     Letters are (generator index 1..g, sign).  Words compare by their
-    lexicographically minimal rotation; reduction cancels adjacent inverse
-    pairs, including around the wrap.
+    stored letters; `min_rotation` gives the lexicographically least
+    rotation, which is the same for every rotation of a cyclic word.
+    Reduction cancels adjacent inverse pairs, including around the wrap.
     """
 
     letters: tuple[tuple[int, int], ...]
@@ -61,23 +62,19 @@ class SignedWord:
         return min(rots)
 
     def reduced(self) -> "SignedWord":
-        w = list(self.letters)
-        changed = True
-        while changed:
-            changed = False
-            out: list[tuple[int, int]] = []
-            for letter in w:
-                if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-                    out.pop()
-                    changed = True
-                else:
-                    out.append(letter)
-            while len(out) >= 2 and out[0][0] == out[-1][0] \
-                    and out[0][1] == -out[-1][1]:
-                out = out[1:-1]
-                changed = True
-            w = out
-        return SignedWord(tuple(w))
+        """Free reduction by one stack pass, then trimming of inverse pairs
+        off the two ends, which leaves no new adjacent pair."""
+        out: list[tuple[int, int]] = []
+        for g, s in self.letters:
+            if out and out[-1] == (g, -s):
+                out.pop()
+            else:
+                out.append((g, s))
+        i, j = 0, len(out) - 1
+        while i < j and out[i] == (out[j][0], -out[j][1]):
+            i += 1
+            j -= 1
+        return SignedWord(tuple(out[i:j + 1]))
 
     def is_trivial(self) -> bool:
         return not self.reduced().letters

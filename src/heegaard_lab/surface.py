@@ -73,6 +73,11 @@ class Triangulation:
         triangles: list of (occ0, occ1, occ2); side m runs from corner m to
             corner m+1, all triangles counterclockwise.
         edge_names: generator edges "a1", "b1", ..., then diagonals "d2", ...
+        edge_sides: per edge, its sides (t, m), in two distinct triangles.
+        side_of: (t, e) -> the side m of triangle t on edge e.
+        plus_triangle: per edge, the triangle of its +1 occurrence.
+        vertex_rotation: edge-ends (edge, "tail"|"head") in cyclic order
+            around the vertex; tail is the arrow start.
     """
 
     def __init__(self, surface: ModelSurface):
@@ -125,6 +130,27 @@ class Triangulation:
                 raise AssertionError(f"edge {e} occurs with signs {signs}")
             if occs[0][0] == occs[1][0]:
                 raise AssertionError(f"edge {e} occurs twice in one triangle")
+        self.side_of = {(t, e): m for e, occs in enumerate(self.edge_sides)
+                        for t, m in occs}
+        self.plus_triangle = [t for occs in self.edge_sides for t, m in occs
+                              if self.triangles[t][m][1] == 1]
+
+        # The vertex sector at corner m of a triangle runs from the end where
+        # side m-1 arrives to the end where side m departs.
+        def departing(occ: Occurrence) -> tuple[int, str]:
+            return (occ[0], "tail" if occ[1] == 1 else "head")
+
+        after = {}
+        for tri in self.triangles:
+            for m in range(3):
+                e, s = tri[m - 1]
+                after[e, "head" if s == 1 else "tail"] = departing(tri[m])
+        rot = [departing(self.triangles[0][0])]
+        while after[rot[-1]] != rot[0]:
+            rot.append(after[rot[-1]])
+        if len(rot) != 2 * self.n_edges:
+            raise AssertionError("vertex link is not a single circle")
+        self.vertex_rotation: list[tuple[int, str]] = rot
 
     @property
     def genus(self) -> int:
@@ -135,11 +161,6 @@ class Triangulation:
 
     def edge_index(self, name: str) -> int:
         return self.edge_names.index(name)
-
-    def plus_triangle(self, e: int) -> int:
-        t, m = next((t, m) for t, m in self.edge_sides[e]
-                    if self.triangles[t][m][1] == 1)
-        return t
 
     # -- matching conditions -------------------------------------------------
 
@@ -232,44 +253,15 @@ class Triangulation:
                 p0 = seen[e0].find(0, p0)
         return components
 
-    # -- vertex link / rotation ----------------------------------------------
+    # -- vertex link ---------------------------------------------------------
 
     def vertex_link_vector(self) -> tuple[int, ...]:
         return tuple(2 for _ in range(self.n_edges))
 
-    def vertex_rotation(self) -> list[tuple[int, str]]:
-        """Edge-ends in cyclic order around the vertex.
-
-        Ends are (edge, "tail"|"head"); tail is the arrow start.  Sector
-        (t, m) lies between the end where side m-1 arrives and the end where
-        side m departs; successive sectors share an end.
-        """
-        sectors = {}
-        for t, tri in enumerate(self.triangles):
-            for m in range(3):
-                e_in, s_in = tri[m - 1]
-                e_out, s_out = tri[m]
-                end_in = (e_in, "head" if s_in == 1 else "tail")
-                end_out = (e_out, "tail" if s_out == 1 else "head")
-                sectors[(t, m)] = (end_in, end_out)
-        start_by_end = {v[0]: k for k, v in sectors.items()}
-        first = min(sectors)
-        order = []
-        cur = first
-        while True:
-            end_out = sectors[cur][1]
-            order.append(end_out)
-            cur = start_by_end[end_out]
-            if cur == first:
-                break
-        if len(order) != 2 * self.n_edges:
-            raise AssertionError("vertex link is not a single circle")
-        return order
-
     def edge_loop_pushoff(self, edge: int, side: int = 0) -> tuple[int, ...]:
         """Weight vector of the loop formed by edge `edge`, pushed off the
         vertex to one of its two sides (0 or 1)."""
-        rot = self.vertex_rotation()
+        rot = self.vertex_rotation
         n = len(rot)
         i = rot.index((edge, "tail"))
         j = rot.index((edge, "head"))
@@ -396,8 +388,12 @@ class CurveClass:
 
     def __repr__(self) -> str:
         if self.genus == 1:
-            s = self.slope()
-            return f"CurveClass(torus ({s.p},{s.q}))"
+            try:
+                s = self.slope()
+            except ValueError:      # parallel copies, or the vertex link
+                pass
+            else:
+                return f"CurveClass(torus ({s.p},{s.q}))"
         return f"CurveClass(g={self.genus}, {self.coords})"
 
 
@@ -417,7 +413,7 @@ def signed_edge_crossings(genus: int, coords: Sequence[int]) -> list[int]:
     for i, (e, _pos) in enumerate(comp.cycle):
         t_prev = comp.triangles[(i - 1) % n]
         t_next = comp.triangles[i]
-        pt = tri.plus_triangle(e)
+        pt = tri.plus_triangle[e]
         if t_next == pt and t_prev != pt:
             totals[e] += 1
         elif t_prev == pt and t_next != pt:
@@ -497,8 +493,10 @@ def _torus_class(coords: Sequence[int]) -> tuple[int, int]:
     the vertex link, else the slope whose coords() are the vector."""
     tri = canonical_triangulation(1)
     counts = _component_counts(tri, coords)
-    if sum(counts.values()) != 1:
-        raise ValueError("signed crossings need a connected curve")
+    n = sum(counts.values())
+    if n != 1:
+        raise ValueError(f"torus vector {tuple(coords)} has {n} components; "
+                         "a class needs one curve")
     (vec,) = counts
     if vec == tri.vertex_link_vector():
         return (0, 0)

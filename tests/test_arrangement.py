@@ -260,6 +260,68 @@ def test_same_class_matches_isotopic_inside_and_across_buckets():
     assert inside == {True, False}
 
 
+def reference_isotopic(tri, a_vec, b_vec):
+    """The annulus scan `isotopic` used to run: after minimization, a
+    chi = 0 region whose boundary steps pass every link of both curves
+    exactly once."""
+    arr = arrangement.Arrangement(tri, [a_vec, b_vec])
+    if arrangement.minimize(arr):
+        return False
+    analysis = arr.analyze()
+    want = {0: len(arr.curves[0]), 1: len(arr.curves[1])}
+    for region in analysis.regions:
+        if region.chi != 0:
+            continue
+        counts = {}
+        per_curve = {0: 0, 1: 0}
+        for circle in region.circles:
+            for step in circle:
+                key = step[0]
+                counts[key] = counts.get(key, 0) + 1
+                per_curve[key[0]] += 1
+        if all(v == 1 for v in counts.values()) \
+                and per_curve[0] == want[0] and per_curve[1] == want[1]:
+            return True
+    return False
+
+
+def connected_essential_vectors(genus, cap):
+    from heegaard_lab.surface import admissible_vectors
+    tri = canonical_triangulation(genus)
+    link = tri.vertex_link_vector()
+    return [v for v in admissible_vectors(tri, cap)
+            if v != link and len(tri.trace(v)) == 1]
+
+
+def test_isotopic_matches_annulus_scan():
+    # Same-bucket pairs hold every isotopic pair, and at genus 3 also 9
+    # disjoint pairs that are not isotopic, where no chi = 0 region may
+    # appear.
+    from heegaard_lab.surface import CurveClass, _homology_bucket
+    pairs = {1: list(itertools.product(connected_essential_vectors(1, 10),
+                                       repeat=2)),
+             2: [], 3: []}
+    for genus, cap in ((2, 16), (3, 13)):
+        by_bucket = {}
+        for v in connected_essential_vectors(genus, cap):
+            key = _homology_bucket(CurveClass(genus, v))
+            by_bucket.setdefault(key, []).append(v)
+            pairs[genus].append((v, v))
+        for group in by_bucket.values():
+            pairs[genus] += itertools.permutations(group, 2)
+    assert len(pairs[2]) == 449 + 398 and len(pairs[3]) == 193 + 26
+    disjoint_apart = 0
+    for genus, todo in pairs.items():
+        tri = canonical_triangulation(genus)
+        for a, b in todo:
+            want = reference_isotopic(tri, a, b)
+            assert arrangement.isotopic(tri, a, b) == want, (genus, a, b)
+            if genus == 3 and not want:
+                disjoint_apart += not arrangement.intersection_number(
+                    tri, a, b)
+    assert disjoint_apart == 2 * 9
+
+
 _PROPERTY_VECTORS = genus2_vectors(10)
 
 

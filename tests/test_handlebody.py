@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -53,6 +54,11 @@ def test_signed_word_reduction_matches_oracle():
         [(1, -1), (1, 1), (2, 1)],              # cyclic wrap cancellation
         [(2, 1), (1, 1), (1, -1), (2, -1), (1, 1)],
     ]
+    rng = random.Random(12)
+    for _ in range(2000):
+        g = rng.randint(1, 3)
+        samples.append([(rng.randint(1, g), rng.choice((1, -1)))
+                        for _ in range(rng.randint(0, 12))])
     for letters in samples:
         ours = list(SignedWord.of(letters).reduced().letters)
         theirs = oracle_reduce(letters)
@@ -218,3 +224,40 @@ def test_torus_bounds_disk_matches_word_reduction():
             for c in curves + list(cut.curves):
                 want = boundary_word(c, cut).is_trivial()
                 assert bounds_disk(c, side, d) == want, (c, side)
+
+
+# sha256 of the boundary word of every class of
+# enumerate_essential_curves(2, 10) against both sides of the standard
+# genus-2 diagram and of the twisted diagram of demos/05.  A two-curve cut
+# system is a B side with two components: minimization drops the ones that
+# lose all their crossings, and the order of crossings along each link
+# decides the letters.
+GOLDEN_BOUNDARY_WORDS_SHA256 = (
+    "fd0d6c02e7c397451fcb92e592c5b3f75a6bb82395e8369a83bfa343a234d9e5")
+
+
+def test_boundary_words_golden():
+    import hashlib
+    from heegaard_lab.handlebody import HeegaardDiagram
+    from heegaard_lab.surface import (canonical_triangulation,
+                                      enumerate_essential_curves)
+    tri = canonical_triangulation(2)
+
+    def small(name):
+        e = tri.edge_index(name)
+        return CurveClass(2, min((tri.edge_loop_pushoff(e, s) for s in (0, 1)),
+                                 key=lambda v: (sum(v), v)))
+
+    twisted = HeegaardDiagram(
+        ModelSurface(2),
+        validate_cut_system(2, [small("a1"), small("a2")]),
+        validate_cut_system(2, [CurveClass(2, (1, 0, 2, 1, 1, 2, 2, 2, 1)),
+                                CurveClass(2, (2, 1, 1, 1, 1, 1, 2, 1, 0))]))
+    curves = enumerate_essential_curves(2, 10)
+    lines = [f"{c.coords} {boundary_word(c, d.side(side)).letters}"
+             for d in (standard_diagram(2), twisted)
+             for side in ("red", "blue")
+             for c in curves]
+    assert len(lines) == 208
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_BOUNDARY_WORDS_SHA256

@@ -181,6 +181,32 @@ def test_homology_class_of_pushoffs():
         assert got == cls or got == tuple(-x for x in cls)
 
 
+def test_homology_class_of_heavy_curve():
+    # 200000·a + b for a disjoint pair with [a] = (0, 0, 1, 0) and
+    # [b] = (0, 0, 0, -1): one connected curve of weight 400,003.
+    a = (0, 0, 0, 1, 0, 0, 0, 0, 1)
+    b = (0, 0, 1, 0, 0, 0, 0, 1, 1)
+    assert homology_class(2, a) == (0, 0, 1, 0)
+    assert homology_class(2, b) == (0, 0, 0, -1)
+    vec = tuple(200000 * x + y for x, y in zip(a, b))
+    assert homology_class(2, vec) == (0, 0, 200000, -1)
+
+
+def test_torus_curve_class_repr_of_non_curves():
+    # Two parallel copies of a slope, and the vertex link, pass validation;
+    # their reprs show the coords, and only a slope needs one essential curve.
+    two = CurveClass(1, (2, 0, 2))
+    link = CurveClass(1, (2, 2, 2))
+    assert repr(two) == "CurveClass(g=1, (2, 0, 2))"
+    assert repr(link) == "CurveClass(g=1, (2, 2, 2))"
+    assert repr(CurveClass(1, (1, 0, 1))) == "CurveClass(torus (0,1))"
+    with pytest.raises(ValueError, match=r"torus vector \(2, 0, 2\) has 2 "
+                       r"components; a class needs one curve"):
+        two.slope()
+    with pytest.raises(InessentialCurve):
+        link.slope()
+
+
 def test_same_class_between_pushoff_sides():
     tri = canonical_triangulation(2)
     for name in ("a1", "b1", "a2", "b2", "d4"):
@@ -279,15 +305,24 @@ def traced_is_essential(vec):
     return comps[0].vector != tri.vertex_link_vector()
 
 
+def traced_class(vec):
+    """Reference torus H_1 class: the trace must give one component."""
+    comps = canonical_triangulation(1).trace(vec)
+    if len(comps) != 1:
+        raise ValueError(f"torus vector {tuple(vec)} has {len(comps)} "
+                         "components; a class needs one curve")
+    return homology_class(1, vec)
+
+
 def traced_slope(vec):
-    alpha, beta = homology_class(1, vec)
+    alpha, beta = traced_class(vec)
     if alpha == 0 and beta == 0:
         raise InessentialCurve("null-homologous torus curve is inessential")
     return Slope.of(alpha, beta)
 
 
 def traced_bucket(vec):
-    cls = list(homology_class(1, vec))
+    cls = list(traced_class(vec))
     return tuple(min(cls, [-x for x in cls]))
 
 
