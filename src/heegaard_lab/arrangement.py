@@ -28,7 +28,7 @@ The same machinery answers, exactly:
   * signed crossing words of A against the components of B,
   * isotopy of two disjoint curves (an annulus region, chi = 0, between
     them),
-  * the topology of the complement of a multicurve (cut-system checks).
+  * the topology of a multicurve's complement (cut-system test reference).
 """
 
 from __future__ import annotations

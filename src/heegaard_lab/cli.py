@@ -74,9 +74,11 @@ INPUT_ERRORS = (UsageError, FormatError, InvalidCoordinates, InessentialCurve,
 
 
 def _load_json(path: str):
-    if path.strip().startswith(("{", "[")):
-        return json.loads(path)
-    return json.loads(Path(path).read_text())
+    text = path if path.strip().startswith(("{", "[")) else Path(path).read_text()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise FormatError("JSON is nested too deeply") from None
 
 
 def _emit(args, payload: dict) -> None:

@@ -9,6 +9,7 @@ length equals the total geometric intersection with the system.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -19,6 +20,7 @@ from .surface import (
     ModelSurface,
     SurfaceMismatch,
     _component_counts,
+    _z2_rank,
     algebraic_intersection,
     canonical_triangulation,
     enumerate_essential_curves,
@@ -29,10 +31,6 @@ from .surface import (
 
 class InvalidCutSystem(ValueError):
     """The curves do not cut the surface into a single planar piece."""
-
-
-_NOT_DISJOINT = ("the stored coordinate vectors do not overlay disjointly; "
-                 "re-supply representatives that are disjoint as drawn")
 
 
 @dataclass(frozen=True)
@@ -106,9 +104,13 @@ def validate_cut_system(surface: ModelSurface | int,
                         curves: Sequence[CurveClass]) -> CutSystem:
     """Check the two cut-system invariants and return the system.
 
+    g pairwise disjoint curves whose stored vectors overlay disjointly cut
+    S into 1 + g - r pieces, r the rank of their classes in H_1(S; Z/2), so
+    into one piece, planar by its Euler characteristic, exactly when r = g.
+
     Raises InvalidCutSystem on: wrong curve count, an intersecting or
     repeated pair, a system whose stored vectors cannot be realized
-    disjointly, or a cut complement that is not a single planar piece.
+    disjointly, or a cut complement that is not a single piece.
     """
     genus = surface.genus if isinstance(surface, ModelSurface) else surface
     surface = ModelSurface(genus)
@@ -130,25 +132,15 @@ def validate_cut_system(surface: ModelSurface | int,
                     f"curves {i} and {j} intersect in {n} points")
     tri = canonical_triangulation(genus)
     system = CutSystem(surface, curves)
-    if genus == 1:
-        # One torus curve cuts off an annulus exactly when its vector is a
-        # single essential curve, which the closed-form split decides.
-        counts = _component_counts(tri, curves[0].coords)
-        if sum(counts.values()) != 1:
-            raise InvalidCutSystem(_NOT_DISJOINT)
-        if tri.vertex_link_vector() in counts:
-            raise InvalidCutSystem("cut complement has 2 pieces, expected 1")
-        return system
-    regions, comps = arrangement.complement_regions(tri, system.union_vector())
-    if sorted(comps) != sorted(c.coords for c in curves):
-        raise InvalidCutSystem(_NOT_DISJOINT)
-    if len(regions) != 1:
+    if _component_counts(tri, system.union_vector()) != Counter(
+            c.coords for c in curves):
         raise InvalidCutSystem(
-            f"cut complement has {len(regions)} pieces, expected 1")
-    chi, circles, _ = regions[0]
-    if chi != 2 - 2 * genus or circles != 2 * genus:
+            "the stored coordinate vectors do not overlay disjointly; "
+            "re-supply representatives that are disjoint as drawn")
+    rank = _z2_rank(c._bucket for c in curves)
+    if rank != genus:
         raise InvalidCutSystem(
-            f"cut complement is not planar: chi={chi}, boundaries={circles}")
+            f"cut complement has {1 + genus - rank} pieces, expected 1")
     return system
 
 

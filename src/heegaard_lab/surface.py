@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 
@@ -386,6 +387,13 @@ class CurveClass:
             raise ValueError("slopes only exist on the torus")
         return coords_to_slope(self.coords)
 
+    @cached_property
+    def _bucket(self) -> tuple[int, ...]:
+        """H_1 class up to sign: closed form on the torus, else one trace."""
+        if self.genus == 1:
+            return _up_to_sign(_torus_class(self.coords))
+        return _up_to_sign(homology_class(self.genus, self.coords))
+
     def __repr__(self) -> str:
         if self.genus == 1:
             try:
@@ -397,61 +405,43 @@ class CurveClass:
         return f"CurveClass(g={self.genus}, {self.coords})"
 
 
-def signed_edge_crossings(genus: int, coords: Sequence[int]) -> list[int]:
-    """Algebraic crossing number of a connected curve with each edge.
+def _up_to_sign(cls: tuple[int, ...]) -> tuple[int, ...]:
+    return min(cls, tuple(-x for x in cls))
 
-    The curve orientation comes from its trace; the sign is +1 when the curve
-    passes from the -1 occurrence side of the edge to the +1 side.
-    """
+
+def _homology_of(tri: Triangulation, comp: "TracedCurve") -> tuple[int, ...]:
+    """H_1 class of a traced curve x, basis (a1, b1, ..., ag, bg).  Token i
+    crosses its edge e into comp.triangles[i], adding +1 to n_e when that
+    is e's plus_triangle and -1 otherwise; with a_i . b_i = +1,
+    alpha_i = x . b_i = n_{b_i} and beta_i = -(x . a_i) = -n_{a_i}."""
+    n, plus = [0] * (2 * tri.genus), tri.plus_triangle
+    for (e, _), t in zip(comp.cycle, comp.triangles):
+        if e < len(n):
+            n[e] += 1 if t == plus[e] else -1
+    return tuple(x for i in range(0, len(n), 2) for x in (n[i + 1], -n[i]))
+
+
+def homology_class(genus: int, coords: Sequence[int]) -> tuple[int, ...]:
+    """Class of a connected curve in H_1, basis (a1, b1, ..., ag, bg), read
+    off one trace by `_homology_of`; the trace picks the orientation."""
     tri = canonical_triangulation(genus)
     comps = tri.trace(coords)
     if len(comps) != 1:
         raise ValueError("signed crossings need a connected curve")
-    comp = comps[0]
-    totals = [0] * tri.n_edges
-    n = len(comp.cycle)
-    for i, (e, _pos) in enumerate(comp.cycle):
-        t_prev = comp.triangles[(i - 1) % n]
-        t_next = comp.triangles[i]
-        pt = tri.plus_triangle[e]
-        if t_next == pt and t_prev != pt:
-            totals[e] += 1
-        elif t_prev == pt and t_next != pt:
-            totals[e] -= 1
-        else:
-            raise AssertionError("ambiguous edge occurrence while orienting")
-    return totals
+    return _homology_of(tri, comps[0])
 
 
-def homology_class(genus: int, coords: Sequence[int]) -> tuple[int, ...]:
-    """Class of a connected curve in H_1, basis (a1, b1, ..., ag, bg).
-
-    With x = sum(alpha_i a_i + beta_i b_i) and a_i . b_i = +1:
-    alpha_i = x . b_i, beta_i = -(x . a_i).
-    """
-    n = signed_edge_crossings(genus, coords)
-    cls = []
-    for i in range(genus):
-        cls += [n[2 * i + 1], -n[2 * i]]
-    return tuple(cls)
-
-
-_BUCKET_CACHE: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
-
-
-def _homology_bucket(curve: CurveClass) -> tuple[int, ...]:
-    """Homology class of the curve, up to the sign its orientation picks.
-
-    Torus classes come in closed form; higher genus traces once per vector."""
-    if curve.genus == 1:
-        cls = list(_torus_class(curve.coords))
-        return tuple(min(cls, [-x for x in cls]))
-    key = (curve.genus, curve.coords)
-    if key not in _BUCKET_CACHE:
-        cls = list(homology_class(curve.genus, curve.coords))
-        neg = [-x for x in cls]
-        _BUCKET_CACHE[key] = tuple(min(cls, neg))
-    return _BUCKET_CACHE[key]
+def _z2_rank(classes) -> int:
+    """Rank over Z/2 by elimination on bit masks: x ^ b < x exactly when x
+    holds the leading bit of b, which no mask kept after b holds."""
+    basis: list[int] = []
+    for cls in classes:
+        x = sum(1 << i for i, a in enumerate(cls) if a % 2)
+        for b in basis:
+            x = min(x, x ^ b)
+        if x:
+            basis.append(x)
+    return len(basis)
 
 
 def algebraic_intersection(a: CurveClass, b: CurveClass) -> int:
@@ -462,7 +452,7 @@ def algebraic_intersection(a: CurveClass, b: CurveClass) -> int:
     """
     if a.genus != b.genus:
         raise SurfaceMismatch(f"genus {a.genus} vs {b.genus}")
-    x, y = _homology_bucket(a), _homology_bucket(b)
+    x, y = a._bucket, b._bucket
     return abs(sum(x[2 * i] * y[2 * i + 1] - x[2 * i + 1] * y[2 * i]
                    for i in range(a.genus)))
 
@@ -648,7 +638,7 @@ def same_class(a: CurveClass, b: CurveClass) -> bool:
         return True
     if a.genus == 1:
         return coords_to_slope(a.coords) == coords_to_slope(b.coords)
-    if _homology_bucket(a) != _homology_bucket(b):
+    if a._bucket != b._bucket:
         return False
     from . import arrangement
     return arrangement.isotopic(
@@ -664,12 +654,13 @@ def admissible_vectors(tri: Triangulation, cap: int) -> Iterator[tuple[int, ...]
     """All nonzero admissible vectors with coordinate sum <= cap, in
     lexicographic order.
 
-    DFS over edges in index order.  An edge that closes a triangle whose
-    other two weights x and y are fixed can only take the weights
-    |x - y| <= w <= x + y with the parity of x + y, so it steps through that
-    interval by 2; an edge closing two triangles takes the intersection of
-    both intervals, and none when their parities differ.  Every other edge
-    ranges over 0..remaining.
+    Depth-first over edges in index order, one weight iterator per edge on
+    a stack, so no genus meets the recursion limit.  An edge that closes a
+    triangle whose other two weights x and y are fixed can only take the
+    weights |x - y| <= w <= x + y with the parity of x + y, so it steps
+    through that interval by 2; an edge closing two triangles takes the
+    intersection of both intervals, and none when their parities differ.
+    Every other edge ranges over 0..remaining.
     """
     n = tri.n_edges
     closing: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -678,37 +669,50 @@ def admissible_vectors(tri: Triangulation, cap: int) -> Iterator[tuple[int, ...]
         closing[last].append((x, y))
 
     vec = [0] * n
+    left = [cap] * n        # weight left for edges e.. once 0..e-1 are fixed
 
-    def rec(e: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if e == n:
-            if any(vec):
-                yield tuple(vec)
-            return
-        lo, hi, step = 0, remaining, 1
+    def weights(e: int) -> range:
+        lo, hi, step = 0, left[e], 1
         for x, y in closing[e]:
             wx, wy = vec[x], vec[y]
             t_lo = abs(wx - wy)
             if step == 2 and (t_lo - lo) % 2:
-                return
+                return range(0)
             lo, hi, step = max(lo, t_lo), min(hi, wx + wy), 2
-        for w in range(lo, hi + 1, step):
-            vec[e] = w
-            yield from rec(e + 1, remaining - w)
-        vec[e] = 0
+        return range(lo, hi + 1, step)
 
-    yield from rec(0, cap)
+    stack = [iter(weights(0))]
+    while stack:
+        e = len(stack) - 1
+        w = next(stack[e], None)
+        if w is None:
+            stack.pop()
+            continue
+        vec[e] = w
+        if e + 1 < n:
+            left[e + 1] = left[e] - w
+            stack.append(iter(weights(e + 1)))
+        elif left[e] - w < cap:         # a nonzero vector spent some cap
+            yield tuple(vec)
 
 
-def enumerate_slopes(cap: int) -> list[Slope]:
-    """Torus classes with coordinate sum |p| + |q| + |p-q| <= cap."""
+def _slope_scan(cap: int) -> Iterator[Slope]:
+    """Torus classes with coordinate sum |p| + |q| + |p-q| <= cap, in
+    order of p, then q."""
     # The weight is 2 * max(p, q) for q >= 0 and 2 * (p - q) for q < 0.
     half = cap // 2
-    out = [Slope(0, 1)] if cap >= 2 else []
+    if cap >= 2:
+        yield Slope(0, 1)
     for p in range(1, half + 1):
         for q in range(p - half, half + 1):
             if math.gcd(p, q) == 1:
-                out.append(Slope(p, q))
-    return sorted(out, key=lambda s: (sum(s.coords()), s.coords()))
+                yield Slope(p, q)
+
+
+def enumerate_slopes(cap: int) -> list[Slope]:
+    """Torus classes with coordinate sum |p| + |q| + |p-q| <= cap, sorted
+    by (weight, coords)."""
+    return sorted(_slope_scan(cap), key=lambda s: (sum(s.coords()), s.coords()))
 
 
 def enumerate_essential_curves(
@@ -719,41 +723,42 @@ def enumerate_essential_curves(
     """Distinct essential curve classes having a representative of coordinate
     sum <= cap, sorted by (weight, coords) of the smallest representative.
 
-    At genus >= 2 candidates are deduplicated by the exact isotopy test.  A
-    `budget` bounds the number of admissible vectors visited; overruns raise
-    BudgetExhausted carrying the classes found so far.
+    A `budget` bounds the candidates visited, slopes on the torus and
+    admissible vectors at higher genus; overruns raise BudgetExhausted
+    carrying the classes found so far.  At genus >= 2 one trace per vector
+    decides connectivity and gives the homology bucket the candidate keeps;
+    the exact isotopy test deduplicates candidates within a bucket.
     """
-    if genus == 1:
-        return [CurveClass(1, s.coords()) for s in enumerate_slopes(cap)]
-
-    tri = canonical_triangulation(genus)
-    link = tri.vertex_link_vector()
     found: list[CurveClass] = []
     buckets: dict[tuple[int, ...], list[CurveClass]] = {}
-    visited = 0
-    for vec in admissible_vectors(tri, cap):
-        visited += 1
+    if genus == 1:
+        candidates = (s.coords() for s in _slope_scan(cap))
+    else:
+        tri = canonical_triangulation(genus)
+        link = tri.vertex_link_vector()
+        candidates = admissible_vectors(tri, cap)
+    for visited, vec in enumerate(candidates, 1):
         if budget is not None and visited > budget:
             found.sort(key=CurveClass.sort_key)
             raise BudgetExhausted(
                 f"visited more than {budget} candidate vectors", found)
+        if genus == 1:
+            found.append(CurveClass(1, vec))
+            continue
         comps = tri.trace(vec)
         if len(comps) != 1 or comps[0].vector == link:
             continue
         cand = CurveClass(genus, vec)
-        key = _homology_bucket(cand)
+        key = _up_to_sign(_homology_of(tri, comps[0]))
+        cand.__dict__["_bucket"] = key      # fills the cached property
         group = buckets.setdefault(key, [])
-        duplicate = False
-        for other in list(group):
-            if same_class(cand, other):
-                if cand.sort_key() < other.sort_key():
-                    group.remove(other)
-                    found.remove(other)
-                else:
-                    duplicate = True
-                break
-        if not duplicate:
-            group.append(cand)
-            found.append(cand)
+        other = next((c for c in group if same_class(cand, c)), None)
+        if other is not None:
+            if other.sort_key() < cand.sort_key():
+                continue
+            group.remove(other)
+            found.remove(other)
+        group.append(cand)
+        found.append(cand)
     found.sort(key=CurveClass.sort_key)
     return found

@@ -240,7 +240,7 @@ def test_minimize_certificate_leaves_no_bigon():
 
 
 def test_same_class_matches_isotopic_inside_and_across_buckets():
-    from heegaard_lab.surface import CurveClass, _homology_bucket, same_class
+    from heegaard_lab.surface import CurveClass, same_class
     tri = canonical_triangulation(2)
     curves = [CurveClass(2, v) for v in genus2_vectors(8)]
     pairs = list(itertools.combinations(curves, 2))
@@ -248,14 +248,14 @@ def test_same_class_matches_isotopic_inside_and_across_buckets():
     by_bucket = {}
     for v in genus2_vectors(12):
         c = CurveClass(2, v)
-        by_bucket.setdefault(_homology_bucket(c), []).append(c)
+        by_bucket.setdefault(c._bucket, []).append(c)
     for group in by_bucket.values():
         pairs += itertools.combinations(group, 2)
     inside = set()
     for a, b in pairs:
         want = arrangement.isotopic(tri, a.coords, b.coords)
         assert same_class(a, b) == want, (a, b)
-        if _homology_bucket(a) == _homology_bucket(b):
+        if a._bucket == b._bucket:
             inside.add(want)
     assert inside == {True, False}
 
@@ -297,14 +297,14 @@ def test_isotopic_matches_annulus_scan():
     # Same-bucket pairs hold every isotopic pair, and at genus 3 also 9
     # disjoint pairs that are not isotopic, where no chi = 0 region may
     # appear.
-    from heegaard_lab.surface import CurveClass, _homology_bucket
+    from heegaard_lab.surface import CurveClass
     pairs = {1: list(itertools.product(connected_essential_vectors(1, 10),
                                        repeat=2)),
              2: [], 3: []}
     for genus, cap in ((2, 16), (3, 13)):
         by_bucket = {}
         for v in connected_essential_vectors(genus, cap):
-            key = _homology_bucket(CurveClass(genus, v))
+            key = CurveClass(genus, v)._bucket
             by_bucket.setdefault(key, []).append(v)
             pairs[genus].append((v, v))
         for group in by_bucket.values():

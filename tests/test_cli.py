@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -219,6 +220,49 @@ def test_budget_exit_2(capsys):
                        "--cap", "8", "--budget", "5")
     assert code == 2
     assert json.loads(out)["complete"] is False
+
+
+def test_torus_budget_scopes_the_slope_scan(capsys):
+    # Each slope visited counts against the budget, as vectors do at
+    # genus >= 2, so a small budget ends the scan at once.
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "surface", "curves", "--genus", "1",
+                       "--cap", "1000", "--budget", "5")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    data = json.loads(out)
+    assert data["complete"] is False and len(data["curves"]) == 5
+
+
+def test_torus_budget_at_least_the_slope_count_changes_nothing(capsys):
+    code, out, _ = run(capsys, "surface", "curves", "--genus", "1",
+                       "--cap", "40")
+    assert code == 0
+    count = len(json.loads(out)["curves"])
+    for budget in (count, count + 1):
+        assert run(capsys, "surface", "curves", "--genus", "1", "--cap",
+                   "40", "--budget", str(budget)) == (0, out, "")
+    code, _, _ = run(capsys, "surface", "curves", "--genus", "1", "--cap",
+                     "40", "--budget", str(count - 1))
+    assert code == 2
+
+
+def test_enumeration_at_genus_200(capsys):
+    # 1,197 edges, more than Python's default recursion limit.
+    code, out, _ = run(capsys, "surface", "curves", "--genus", "200",
+                       "--cap", "1")
+    assert code == 0
+    assert json.loads(out) == {"cap": 1, "complete": True, "curves": [],
+                               "genus": 200}
+
+
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 50000 + "]" * 50000)
+    code, out, err = run(capsys, "intersect", "--a", str(f), "--b",
+                         '{"slope": [1, 0]}')
+    assert code == 1 and out == ""
+    assert err == "input error: JSON is nested too deeply\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,10 @@
+import itertools
 import random
 import time
 
 import pytest
 
+from heegaard_lab import arrangement
 from heegaard_lab.handlebody import (
     CutSystem,
     InvalidCutSystem,
@@ -19,11 +21,19 @@ from heegaard_lab.handlebody import (
 from heegaard_lab.surface import (
     CurveClass,
     ModelSurface,
+    SurfaceMismatch,
+    _component_counts,
+    admissible_vectors,
     algebraic_intersection,
+    canonical_triangulation,
+    enumerate_essential_curves,
     geometric_intersection,
+    same_class,
 )
 
 COMMUTATOR_CURVE = CurveClass(2, (2, 2, 2, 0, 2, 2, 4, 2, 2))
+NOT_DISJOINT = ("the stored coordinate vectors do not overlay disjointly; "
+                "re-supply representatives that are disjoint as drawn")
 
 
 def oracle_reduce(letters):
@@ -97,6 +107,91 @@ def test_torus_cut_system_check_is_closed_form():
     d = lens_space(20001, 20000)
     assert time.perf_counter() - t0 < 1.0
     assert d.blue.curves[0].slope().q == 20001
+
+
+def reference_validate_cut_system(genus, curves):
+    """The cut-system check as it read the complement off the arrangement:
+    a closed-form branch at genus 1, and region analysis at genus >= 2."""
+    surface = ModelSurface(genus)
+    curves = tuple(curves)
+    if len(curves) != genus:
+        raise InvalidCutSystem(
+            f"need exactly {genus} curves for genus {genus}, got {len(curves)}")
+    for c in curves:
+        if c.genus != genus:
+            raise SurfaceMismatch("cut curve lives on a different surface")
+    for i in range(len(curves)):
+        for j in range(i + 1, len(curves)):
+            if same_class(curves[i], curves[j]):
+                raise InvalidCutSystem(
+                    f"curves {i} and {j} are parallel copies of one class")
+            n = geometric_intersection(curves[i], curves[j])
+            if n != 0:
+                raise InvalidCutSystem(
+                    f"curves {i} and {j} intersect in {n} points")
+    tri = canonical_triangulation(genus)
+    system = CutSystem(surface, curves)
+    if genus == 1:
+        counts = _component_counts(tri, curves[0].coords)
+        if sum(counts.values()) != 1:
+            raise InvalidCutSystem(NOT_DISJOINT)
+        if tri.vertex_link_vector() in counts:
+            raise InvalidCutSystem("cut complement has 2 pieces, expected 1")
+        return system
+    regions, comps = arrangement.complement_regions(tri, system.union_vector())
+    if sorted(comps) != sorted(c.coords for c in curves):
+        raise InvalidCutSystem(NOT_DISJOINT)
+    if len(regions) != 1:
+        raise InvalidCutSystem(
+            f"cut complement has {len(regions)} pieces, expected 1")
+    chi, circles, _ = regions[0]
+    if chi != 2 - 2 * genus or circles != 2 * genus:
+        raise InvalidCutSystem(
+            f"cut complement is not planar: chi={chi}, boundaries={circles}")
+    return system
+
+
+def cut_system_family():
+    """(genus, curves) for: every ordered pair of genus-2 classes up to
+    weight 10 and the vertex link; 60 two-component genus-2 vectors, each
+    against 15 classes; every genus-3 triple up to weight 6; seven torus
+    vectors."""
+    tri = canonical_triangulation(2)
+    g2 = enumerate_essential_curves(2, 10)
+    g2.append(CurveClass(2, tri.vertex_link_vector()))
+    family = [(2, pair) for pair in itertools.product(g2, repeat=2)]
+    twos = [CurveClass(2, v) for v in admissible_vectors(tri, 10)
+            if len(tri.trace(v)) == 2][:60]
+    assert len(twos) == 60
+    family += [(2, (m, c)) for m in twos for c in g2[:15]]
+    g3 = enumerate_essential_curves(3, 6)
+    family += [(3, t) for t in itertools.combinations(g3, 3)]
+    family += [(1, (CurveClass(1, v),)) for v in [
+        (1, 0, 1), (0, 1, 1), (1, 1, 0), (3, 2, 5), (2, 2, 2), (2, 0, 2),
+        (3, 3, 2)]]
+    assert len(family) == 4276
+    return family
+
+
+def test_cut_system_rank_matches_complement_regions():
+    # The complement of pairwise disjoint curves c_1..c_k has 1 + k - r
+    # pieces, r their Z/2 homology rank; the region analysis counts them.
+    def outcome(check, genus, curves):
+        try:
+            return ("valid", check(genus, curves).curves)
+        except ValueError as exc:
+            return (type(exc), str(exc))
+
+    seen = set()
+    for genus, curves in cut_system_family():
+        got = outcome(validate_cut_system, genus, curves)
+        assert got == outcome(reference_validate_cut_system, genus, curves), \
+            (genus, curves)
+        seen.add(got[0] if got[0] == "valid" else got)
+    assert "valid" in seen
+    assert (InvalidCutSystem, NOT_DISJOINT) in seen
+    assert (InvalidCutSystem, "cut complement has 2 pieces, expected 1") in seen
+    assert (ValueError, "signed crossings need a connected curve") in seen
 
 
 def test_cut_system_rejects_crossing_curves():

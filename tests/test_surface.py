@@ -19,7 +19,7 @@ from heegaard_lab.surface import (
     Slope,
     TracedCurve,
     Triangulation,
-    _homology_bucket,
+    _z2_rank,
     admissible_vectors,
     canonical_triangulation,
     coords_to_slope,
@@ -192,6 +192,75 @@ def test_homology_class_of_heavy_curve():
     assert homology_class(2, vec) == (0, 0, 200000, -1)
 
 
+def reference_homology_class(genus, coords):
+    """The class as it was read before it came off the trace: the signed
+    crossing of each token is +1 when the curve passes from the triangle of
+    the edge's -1 occurrence into that of its +1 occurrence."""
+    tri = canonical_triangulation(genus)
+    comps = tri.trace(coords)
+    if len(comps) != 1:
+        raise ValueError("signed crossings need a connected curve")
+    comp = comps[0]
+    totals = [0] * tri.n_edges
+    n = len(comp.cycle)
+    for i, (e, _pos) in enumerate(comp.cycle):
+        t_prev = comp.triangles[(i - 1) % n]
+        t_next = comp.triangles[i]
+        pt = tri.plus_triangle[e]
+        if t_next == pt and t_prev != pt:
+            totals[e] += 1
+        elif t_prev == pt and t_next != pt:
+            totals[e] -= 1
+        else:
+            raise AssertionError("ambiguous edge occurrence while orienting")
+    cls = []
+    for i in range(genus):
+        cls += [totals[2 * i + 1], -totals[2 * i]]
+    return tuple(cls)
+
+
+@pytest.mark.parametrize("genus, cap, connected", [(2, 12, 114), (3, 8, 32)])
+def test_homology_class_matches_signed_crossings(genus, cap, connected):
+    tri = canonical_triangulation(genus)
+    checked = 0
+    for vec in admissible_vectors(tri, cap):
+        if len(tri.trace(vec)) == 1:
+            assert homology_class(genus, vec) \
+                == reference_homology_class(genus, vec), vec
+            checked += 1
+        else:
+            assert outcome(lambda: homology_class(genus, vec)) \
+                == outcome(lambda: reference_homology_class(genus, vec))
+    assert checked == connected
+
+
+def test_z2_rank_matches_span_size():
+    # k classes of rank r span exactly 2^r sums mod 2.
+    rng = random.Random(5)
+    for _ in range(300):
+        length, k = rng.randint(1, 8), rng.randint(0, 6)
+        classes = [tuple(rng.randint(-3, 3) for _ in range(length))
+                   for _ in range(k)]
+        span = {tuple(sum(c[i] * s for c, s in zip(classes, pick)) % 2
+                      for i in range(length))
+                for pick in itertools.product((0, 1), repeat=k)}
+        assert 2 ** _z2_rank(classes) == len(span), classes
+
+
+def test_enumeration_traces_each_vector_once(monkeypatch):
+    # Enumeration reads each candidate's bucket off its connectivity trace.
+    import heegaard_lab.surface as surface
+
+    def no_homology_class(genus, coords):
+        raise AssertionError(f"traced {coords} again for its class")
+
+    keys = ((2, 14), (3, 9))
+    monkeypatch.setattr(surface, "homology_class", no_homology_class)
+    got = [enumerate_essential_curves(*key) for key in keys]
+    monkeypatch.undo()
+    assert got == [enumerate_essential_curves(*key) for key in keys]
+
+
 def test_torus_curve_class_repr_of_non_curves():
     # Two parallel copies of a slope, and the vertex link, pass validation;
     # their reprs show the coords, and only a slope needs one essential curve.
@@ -343,7 +412,7 @@ def test_torus_closed_form_matches_trace():
         assert got == outcome(lambda: traced_slope(vec)), vec
         kinds.add(got[0] if isinstance(got, tuple) else type(got))
         if tri.is_admissible(vec):
-            assert outcome(lambda: _homology_bucket(CurveClass(1, vec))) \
+            assert outcome(lambda: CurveClass(1, vec)._bucket) \
                 == outcome(lambda: traced_bucket(vec)), vec
     assert kinds == {Slope, InvalidCoordinates, InessentialCurve, ValueError}
 
