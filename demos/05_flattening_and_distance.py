@@ -6,7 +6,11 @@ locally maximal GHSs over all zigzags joining two splittings; with a
 stabilization tree it lands on the minimal common stabilization.
 """
 
-from heegaard_lab.disk_complex import build_gamma, components
+from heegaard_lab.disk_complex import (
+    build_gamma,
+    components,
+    splitting_distance,
+)
 from heegaard_lab.ghs import GHS
 from heegaard_lab.handlebody import standard_diagram
 from heegaard_lab.sog import (
@@ -17,7 +21,6 @@ from heegaard_lab.sog import (
     max_key,
     maximal_positions,
     minimal_positions,
-    splitting_distance,
     verify_single_maximal,
 )
 

@@ -9,6 +9,7 @@ is the stable contract; text is for humans; DOT is for graph rendering.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from .disk_complex import (
     classify,
     emit_graph,
     quotient_by_symmetry,
+    splitting_distance,
 )
 from .ghs import InvalidGHS, InvalidMove, apply_move, compare_ghs, ghs_key
 from .handlebody import InvalidCutSystem
@@ -201,13 +203,9 @@ def cmd_sog(args) -> int:
 
 def cmd_distance(args) -> int:
     diagram = serialize.diagram_from_jsonable(_load_json(args.diagram))
-
-    def edge(text: str):
-        pair = _load_json(text)
-        return tuple(serialize.curve_from_jsonable(c).coords for c in pair)
-
-    result = sog.splitting_distance(diagram, edge(args.edge1),
-                                    edge(args.edge2), args.cap, args.budget)
+    e1, e2 = (serialize.edge_from_jsonable(_load_json(text))
+              for text in (args.edge1, args.edge2))
+    result = splitting_distance(diagram, e1, e2, args.cap, args.budget)
     payload = {"connected_within_cap": result.connected,
                "distance": result.value, "cap": result.cap}
     _emit(args, payload)
@@ -298,9 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process, built at the first `main` call: building it takes
+# far longer than parsing one command line.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Capped curve-level disk complexes and curve complexes.
+"""Capped curve-level disk complexes, curve complexes, and splitting distance.
 
 Vertices are curve classes, tagged with the sides (red/blue) on which they
 bound disks; edges join red-capable to blue-capable vertices meeting in at
@@ -436,6 +436,33 @@ def component_distance(graph: LambdaGraph, c1: Sequence[EdgeKey],
             raise KeyError(f"edge {e} not in the capped graph")
     return _bfs_distance(graph, [w for e in c1 for w in e],
                          [w for e in c2 for w in e])
+
+
+def splitting_distance(diagram: HeegaardDiagram, e1, e2, cap: int,
+                       budget: Optional[int] = None) -> DistanceResult:
+    """Distance between the two splittings destabilized by the given edges
+    of the diagram's disk complex.
+
+    e1 and e2 must be recorded intersection-1 edges of the capped complex;
+    the result is the distance between their components measured in the
+    capped curve complex, and 0 when one component contains both (the cap
+    does not distinguish the splittings).
+    """
+    curves, certified = _capped_curves(diagram, cap, budget)
+    gamma = _gamma_of(diagram, cap, curves, certified)
+    e1 = tuple(sorted(tuple(map(tuple, e1))))
+    e2 = tuple(sorted(tuple(map(tuple, e2))))
+    for e in (e1, e2):
+        if gamma.edges.get(e) != 1:
+            raise KeyError(f"{e} is not an i=1 edge of the capped complex")
+    comp_of = _component_index(gamma)
+    c1, c2 = comp_of[e1[0]], comp_of[e2[0]]
+    if c1 == c2:
+        return DistanceResult(True, 0, cap)
+    lam = _lambda_of(diagram, cap, curves, certified)
+    edges1 = [e for e in gamma.edge_keys() if comp_of[e[0]] == c1]
+    edges2 = [e for e in gamma.edge_keys() if comp_of[e[0]] == c2]
+    return component_distance(lam, edges1, edges2)
 
 
 # ---------------------------------------------------------------------------

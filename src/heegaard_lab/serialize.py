@@ -39,8 +39,9 @@ def _expect(value, shape, what: str):
         for item in _expect(value, list, what):
             _expect(item, shape[0], f"each entry of {what}")
     elif not isinstance(value, shape) or isinstance(value, bool):
-        raise FormatError(
-            f"{what} must be {_SHAPE_NAMES[shape]}, got {json.dumps(value)}")
+        echo = json.dumps(value)     # clipped: an error is one short line
+        raise FormatError(f"{what} must be {_SHAPE_NAMES[shape]}, got "
+                          + (echo if len(echo) <= 80 else echo[:80] + "..."))
     return value
 
 
@@ -98,16 +99,22 @@ def diagram_from_jsonable(data: dict) -> HeegaardDiagram:
     return HeegaardDiagram(surface, red, blue)
 
 
+def edge_from_jsonable(data, what: str = "an edge") -> tuple:
+    """Two curves given as [curve, curve], such as a disk-complex edge, as
+    a pair of coordinate vectors."""
+    pair = _expect(data, list, what)
+    if len(pair) != 2:
+        raise FormatError(f"{what} needs 2 curves, got {len(pair)}")
+    return tuple(curve_from_jsonable(c).coords for c in pair)
+
+
 def _bijection_from_jsonable(data) -> dict:
     """A curve bijection given as [curve, curve] pairs, as a map between
     coordinate vectors."""
     sigma = {}
     for pair in _expect(data, [list], "the bijection"):
-        if len(pair) != 2:
-            raise FormatError(
-                f"each bijection pair needs 2 curves, got {len(pair)}")
-        a, b = (curve_from_jsonable(c) for c in pair)
-        sigma[a.coords] = b.coords
+        a, b = edge_from_jsonable(pair, "each bijection pair")
+        sigma[a] = b
     return sigma
 
 
@@ -208,7 +215,7 @@ def sog_from_jsonable(data: dict) -> SOG:
                              move_from_jsonable(st["move"])))
     labels = data.get("labels")
     return SOG.of(ghss, steps,
-                  None if labels is None else _expect(labels, list, "labels"))
+                  None if labels is None else _expect(labels, [str], "labels"))
 
 
 def oracle_from_jsonable(data: dict) -> InventoryOracle:

@@ -1,4 +1,4 @@
-"""Sequences of GHSs: orderings, flattening, and splitting distance.
+"""Sequences of GHSs: orderings, move graphs, and flattening.
 
 A SOG is a zigzag of GHSs in which each consecutive pair is related by one
 recorded move; the engine replays every move to admit a sequence.  Flattening
@@ -13,10 +13,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence
 
-from . import disk_complex
-from .disk_complex import DistanceResult
 from .ghs import (
     GHS,
     Destabilization,
@@ -29,7 +28,6 @@ from .ghs import (
     ghs_key,
     validate_ghs,
 )
-from .handlebody import HeegaardDiagram
 
 
 class InvalidSOG(ValueError):
@@ -142,64 +140,92 @@ class OracleEdge:
     move: Move
 
 
-class InventoryOracle:
+class MoveGraph:
+    """A finite move graph, numbered once for flattening.
+
+    `nodes` are distinct hashable values in the order `nodes()` lists them,
+    `ghss` and `labels` their GHSs and labels, and each edge joins two
+    nodes.  Each node's edges are sorted by (parent label, child label,
+    repr(move)), so flattening reads every oracle alike.  A subclass builds
+    the nodes and edges and supplies `resolve`, which names a node from what
+    a caller passes.
+    """
+
+    def __init__(self, nodes: Sequence, ghss: Sequence[GHS],
+                 labels: Sequence[str], edges: Iterable[OracleEdge]):
+        self._nodes = list(nodes)
+        self._number = {node: i for i, node in enumerate(self._nodes)}
+        self._ghss = list(ghss)
+        self._labels = list(labels)
+        self._keys = [tuple(ghs_key(g)) for g in self._ghss]
+        arcs: list[list] = [[] for _ in self._nodes]
+        for edge in edges:
+            p, c = self._number[edge.parent], self._number[edge.child]
+            order = (self._labels[p], self._labels[c], repr(edge.move))
+            arcs[p].append((order, c, True, edge))
+            arcs[c].append((order, p, False, edge))
+        # Each node's edges as (the other end's number, whether the edge
+        # descends from this node, the edge); the sort is stable.
+        self._arcs = [[arc[1:] for arc in sorted(a, key=itemgetter(0))]
+                      for a in arcs]
+
+    def nodes(self) -> list:
+        return list(self._nodes)
+
+    def ghs_of(self, node) -> GHS:
+        return self._ghss[self._number[node]]
+
+    def label_of(self, node) -> str:
+        return self._labels[self._number[node]]
+
+    def edges_at(self, node) -> list[OracleEdge]:
+        return [edge for _, _, edge in self._arcs[self._number[node]]]
+
+
+class InventoryOracle(MoveGraph):
     """A declared finite stock of splitting labels per genus with a
     stabilization map.  The map is a function: stabilization is unique, so
-    each label has exactly one stabilization."""
+    each label has exactly one stabilization.  Nodes are the labels, in
+    sorted order; each label's GHS is built, and so validated, with the
+    oracle."""
 
     def __init__(self, splittings: dict[int, Sequence[str]],
                  stabilize_map: dict[str, str],
                  boundary: tuple = ((), ())):
-        self.genus_of: dict[str, int] = {}
+        genus_of: dict[str, int] = {}
         for genus, labels in splittings.items():
             for label in labels:
-                if label in self.genus_of:
+                if label in genus_of:
                     raise ValueError(f"label {label!r} declared twice")
-                self.genus_of[label] = int(genus)
-        self.stab: dict[str, str] = dict(stabilize_map)
-        for lo, hi in self.stab.items():
-            if lo not in self.genus_of or hi not in self.genus_of:
+                genus_of[label] = int(genus)
+        for lo, hi in stabilize_map.items():
+            if lo not in genus_of or hi not in genus_of:
                 raise ValueError(f"stabilize map uses undeclared label {lo}->{hi}")
-            if self.genus_of[hi] != self.genus_of[lo] + 1:
+            if genus_of[hi] != genus_of[lo] + 1:
                 raise ValueError(
                     f"stabilize({lo}) = {hi} does not raise genus by one")
-        self.boundary = (collection(boundary[0]), collection(boundary[1]))
-        self._edges: dict[str, list[OracleEdge]] = {
-            label: [] for label in self.genus_of}
-        for lo, hi in self.stab.items():
-            edge = OracleEdge(hi, lo, Destabilization(1, self.genus_of[hi]))
-            self._edges[lo].append(edge)
-            self._edges[hi].append(edge)
-        for edges in self._edges.values():
-            edges.sort(key=lambda e: (str(e.parent), str(e.child)))
-
-    def nodes(self) -> list[str]:
-        return sorted(self.genus_of)
-
-    def ghs_of(self, label: str) -> GHS:
-        b1, b2 = self.boundary
-        return GHS.of([b1, [self.genus_of[label]], b2])
-
-    def label_of(self, node: str) -> str:
-        return node
+        self.boundary = b1, b2 = (collection(boundary[0]),
+                                  collection(boundary[1]))
+        labels = sorted(genus_of)
+        super().__init__(
+            labels, [GHS.of([b1, [genus_of[lab]], b2]) for lab in labels],
+            labels, [OracleEdge(hi, lo, Destabilization(1, genus_of[hi]))
+                     for lo, hi in stabilize_map.items()])
 
     def resolve(self, x) -> str:
         if isinstance(x, str):
-            if x not in self.genus_of:
+            if x not in self._number:
                 raise KeyError(f"unknown splitting label {x!r}")
             return x
         if isinstance(x, GHS):
-            matches = [lab for lab in self.genus_of
-                       if self.ghs_of(lab).levels == x.levels]
+            matches = [lab for lab, g in zip(self._nodes, self._ghss)
+                       if g.levels == x.levels]
             if len(matches) != 1:
                 raise KeyError(
                     f"{x} matches {len(matches)} inventory labels; "
                     "pass the label itself")
             return matches[0]
         raise TypeError(f"cannot resolve {x!r} to an inventory label")
-
-    def edges_at(self, node: str) -> list[OracleEdge]:
-        return list(self._edges.get(node, ()))
 
 
 @dataclass(frozen=True)
@@ -211,28 +237,23 @@ class SymbolicBudget:
     max_levels: int = 7
 
 
-class SymbolicOracle:
+class SymbolicOracle(MoveGraph):
     """The full move graph over every valid GHS within a budget, with the
     fixed boundary pair.  Exact within the budget: edges are all valid moves
     whose results stay inside the space; geometric realizability is not
-    checked, so the graph over-approximates the SOG space."""
+    checked, so the graph over-approximates the SOG space.  Nodes are the
+    GHSs themselves, labelled by their repr."""
 
     def __init__(self, budget: SymbolicBudget, boundary: tuple = ((), ())):
         self.budget = budget
         self.boundary = (collection(boundary[0]), collection(boundary[1]))
-        self._nodes = self._enumerate_states()
-        self._labels = {g: repr(g) for g in self._nodes}
-        self._edges: dict[GHS, list[OracleEdge]] = {g: [] for g in self._nodes}
-        for g in self._nodes:
-            for move, report in _moves_with_reports(g):
-                if report.result in self._edges:
-                    edge = OracleEdge(g, report.result, move)
-                    self._edges[g].append(edge)
-                    self._edges[report.result].append(edge)
-        labels = self._labels
-        for edges in self._edges.values():
-            edges.sort(key=lambda e: (labels[e.parent], labels[e.child],
-                                      repr(e.move)))
+        states = self._enumerate_states()
+        inside = set(states)
+        super().__init__(
+            states, states, [repr(g) for g in states],
+            (OracleEdge(g, report.result, move) for g in states
+             for move, report in _moves_with_reports(g)
+             if report.result in inside))
 
     @staticmethod
     def _nonempty_collections(total: int) -> list[tuple]:
@@ -269,24 +290,12 @@ class SymbolicOracle:
             rec(0, budget.max_total_genus, [])
         return sorted(set(states), key=lambda g: (g.n_levels, ghs_key(g), g.levels))
 
-    def nodes(self) -> list[GHS]:
-        return list(self._nodes)
-
-    def ghs_of(self, node: GHS) -> GHS:
-        return node
-
-    def label_of(self, node: GHS) -> str:
-        return self._labels.get(node) or repr(node)
-
     def resolve(self, x) -> GHS:
         if not isinstance(x, GHS):
             raise TypeError("symbolic oracle nodes are GHS values")
-        if x not in self._edges:
+        if x not in self._number:
             raise KeyError(f"{x} lies outside the budgeted state space")
         return x
-
-    def edges_at(self, node: GHS) -> list[OracleEdge]:
-        return list(self._edges[node])
 
 
 # ---------------------------------------------------------------------------
@@ -297,47 +306,34 @@ class SymbolicOracle:
 _TERMINAL = -1       # flatten's sentinel state, reached from the end node
 
 
-def flatten(start, end, oracle, budget: int = 100000) -> SOG:
+def flatten(start, end, oracle: MoveGraph, budget: int = 100000) -> SOG:
     """A SOG from start to end that minimizes (MaxKey, length, labels
     joined by "/"), compared in that order, over every zigzag between them
-    in the oracle's graph.  Exact within the oracle's space.
+    in the oracle's move graph.  Exact within the oracle's space.
 
-    The search is a Dijkstra over (node, arrived ascending) states, sound
-    because every part of the priority only grows along a zigzag and keeps
-    its order under a common extension.  For the joined labels that needs
-    no label to contain "/": two zigzags of one length to one node then
-    never have joined labels of which one is a proper prefix of the other.
+    The oracle resolves both endpoints to nodes; the search then reads the
+    graph's node numbers, labels, keys and sorted edges.  It is a Dijkstra
+    over (node, arrived ascending) states, sound because every part of the
+    priority only grows along a zigzag and keeps its order under a common
+    extension.  For the joined labels that needs no label to contain "/":
+    two zigzags of one length to one node then never have joined labels of
+    which one is a proper prefix of the other.
 
     Raises FlattenBudgetExhausted when the endpoints cannot be joined within
     the budgeted search.
     """
-    s = oracle.resolve(start)
-    t = oracle.resolve(end)
+    s = oracle._number[oracle.resolve(start)]
+    t = oracle._number[oracle.resolve(end)]
+    labels, keys, arcs = oracle._labels, oracle._keys, oracle._arcs
     if s == t:
-        return SOG.of([oracle.ghs_of(s)], [], labels=[oracle.label_of(s)])
+        return SOG.of([oracle._ghss[s]], [], labels=[labels[s]])
 
-    # Nodes are numbered as the search meets them, each label and key found
-    # once.  State 2*i + 1 means node i arrived at ascending, 2*i
-    # descending.  The start counts as arrived ascending, so leaving it
-    # downward records it as a peak; reaching the end ascending records the
-    # end.  A terminal sentinel carries the end node's own contribution so
-    # the heap order reflects final objectives.
-    ids: dict = {}
-    nodes: list = []
-    labels: list[str] = []
-    keys: list[tuple] = []
-
-    def node_id(n) -> int:
-        i = ids.get(n)
-        if i is None:
-            i = ids[n] = len(nodes)
-            nodes.append(n)
-            labels.append(oracle.label_of(n))
-            keys.append(tuple(ghs_key(oracle.ghs_of(n))))
-        return i
-
-    start_state = 2 * node_id(s) + 1
-    end_id = node_id(t)
+    # State 2*i + 1 means node i arrived at ascending, 2*i descending.  The
+    # start counts as arrived ascending, so leaving it downward records it
+    # as a peak; reaching the end ascending records the end.  A terminal
+    # sentinel carries the end node's own contribution so the heap order
+    # reflects final objectives.
+    start_state = 2 * s + 1
     counter = itertools.count()
     best_push: dict = {start_state: ((), 0, "")}
     parent: dict = {start_state: None}
@@ -363,17 +359,14 @@ def flatten(start, end, oracle, budget: int = 100000) -> SOG:
             raise FlattenBudgetExhausted(
                 f"unknown: flattening budget of {budget} expansions exhausted")
         if state == _TERMINAL:
-            return _reconstruct(oracle, parent, multiset, nodes, labels)
+            return _reconstruct(oracle, parent, multiset)
         i, arrived_asc = divmod(state, 2)
-        node = nodes[i]
         # The multiset after leaving downward: a peak if we came up.
         peaked = tuple(sorted(multiset + (keys[i],), reverse=True)) \
             if arrived_asc else multiset
-        if i == end_id:
+        if i == t:
             relax(_TERMINAL, (peaked, length, serial), (state, None, None))
-        for edge in oracle.edges_at(node):
-            descending = edge.parent == node
-            j = node_id(edge.child if descending else edge.parent)
+        for j, descending, edge in arcs[i]:
             relax(2 * j + (not descending),
                   (peaked if descending else multiset, length + 1,
                    serial + "/" + labels[j]),
@@ -382,7 +375,7 @@ def flatten(start, end, oracle, budget: int = 100000) -> SOG:
         "unknown: the endpoints are not joined within the oracle's space")
 
 
-def _reconstruct(oracle, parent, final_multiset, nodes, labels) -> SOG:
+def _reconstruct(oracle: MoveGraph, parent, final_multiset) -> SOG:
     # Walk back from the terminal sentinel.
     state, _, _ = parent[_TERMINAL]
     chain = [state]
@@ -395,44 +388,12 @@ def _reconstruct(oracle, parent, final_multiset, nodes, labels) -> SOG:
     chain.reverse()
     edges.reverse()
     ids = [c // 2 for c in chain]
-    ghss = [oracle.ghs_of(nodes[i]) for i in ids]
     steps = []
     for k, (edge, descending) in enumerate(edges):
         steps.append(SOGStep(k if descending else k + 1, edge.move))
-    sog = SOG.of(ghss, steps, labels=[labels[i] for i in ids])
+    sog = SOG.of([oracle._ghss[i] for i in ids], steps,
+                 labels=[oracle._labels[i] for i in ids])
     if max_key(sog) != final_multiset:
         raise AssertionError(
             f"flatten bookkeeping mismatch: {max_key(sog)} != {final_multiset}")
     return sog
-
-
-# ---------------------------------------------------------------------------
-# Splitting distance (the metric pipeline)
-# ---------------------------------------------------------------------------
-
-
-def splitting_distance(diagram: HeegaardDiagram, e1, e2, cap: int,
-                       budget: Optional[int] = None) -> DistanceResult:
-    """Distance between the two splittings destabilized by the given edges
-    of the diagram's disk complex.
-
-    e1 and e2 must be recorded intersection-1 edges of the capped complex;
-    the result is the distance between their components measured in the
-    capped curve complex, and 0 when one component contains both (the cap
-    does not distinguish the splittings).
-    """
-    curves, certified = disk_complex._capped_curves(diagram, cap, budget)
-    gamma = disk_complex._gamma_of(diagram, cap, curves, certified)
-    e1 = tuple(sorted(tuple(map(tuple, e1))))
-    e2 = tuple(sorted(tuple(map(tuple, e2))))
-    for e in (e1, e2):
-        if gamma.edges.get(e) != 1:
-            raise KeyError(f"{e} is not an i=1 edge of the capped complex")
-    comp_of = disk_complex._component_index(gamma)
-    c1, c2 = comp_of[e1[0]], comp_of[e2[0]]
-    if c1 == c2:
-        return DistanceResult(True, 0, cap)
-    lam = disk_complex._lambda_of(diagram, cap, curves, certified)
-    edges1 = [e for e in gamma.edge_keys() if comp_of[e[0]] == c1]
-    edges2 = [e for e in gamma.edge_keys() if comp_of[e[0]] == c2]
-    return disk_complex.component_distance(lam, edges1, edges2)

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from heegaard_lab import cli
 from heegaard_lab.cli import main
 
 S3 = '{"genus": 1, "red": [{"slope": [1, 0]}], "blue": [{"slope": [0, 1]}]}'
@@ -318,6 +319,8 @@ def flatten_with(oracle):
     ["sog", "verify", "--in", '{"ghss": 5, "steps": []}'],
     ["sog", "verify", "--in", json.dumps(
         {"ghss": [json.loads(G3)], "steps": [], "labels": 5})],
+    ["sog", "verify", "--in", json.dumps(
+        {"ghss": [json.loads(G3)], "steps": [], "labels": [5]})],
 ])
 def test_wrong_json_shapes_exit_1_with_one_line(capsys, argv):
     # Each input is valid JSON of the wrong shape (or a path that is not a
@@ -341,3 +344,35 @@ def test_oracle_genus_key_parsed_once(capsys):
     padded = ORACLE1.replace('"2"', '" +2"').replace('"3"', '"03"')
     assert run(capsys, *flatten_with(padded)) == \
         run(capsys, *flatten_with(ORACLE1))
+
+
+@pytest.mark.parametrize("edge, problem", [
+    ("5", "must be a list, got 5"),
+    (f"[{CURVE}]", "needs 2 curves, got 1"),
+    (f"[{CURVE}, {CURVE}, {CURVE}]", "needs 2 curves, got 3"),
+])
+def test_distance_edge_is_two_curves(capsys, tmp_path, edge, problem):
+    f = tmp_path / "edge.json"
+    f.write_text(edge)
+    good = '[{"slope": [1, 0]}, {"slope": [0, 1]}]'
+    assert run(capsys, "distance", "--diagram", S3, "--edge1", str(f),
+               "--edge2", good, "--cap", "12") == \
+        (1, "", f"input error: an edge {problem}\n")
+
+
+def test_shape_errors_clip_the_echoed_value(capsys, tmp_path):
+    f = tmp_path / "long.json"
+    f.write_text(json.dumps(list(range(100000))))
+    code, out, err = run(capsys, "intersect", "--a", str(f), "--b", CURVE)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and len(err.encode()) < 300
+    # A short value is echoed whole.
+    assert run(capsys, "intersect", "--a", '{"slope": "x"}', "--b", CURVE) \
+        == (1, "", 'input error: slope must be a list, got "x"\n')
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli._parser.cache_clear()
+    run(capsys, "intersect", "--a", CURVE, "--b", CURVE)
+    run(capsys, "intersect", "--a", CURVE, "--b", CURVE)
+    assert cli._parser.cache_info().misses == 1

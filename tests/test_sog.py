@@ -1,13 +1,17 @@
+import ast
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
+import heegaard_lab
 from heegaard_lab import serialize
-from heegaard_lab.disk_complex import DistanceResult
+from heegaard_lab.disk_complex import DistanceResult, splitting_distance
 from heegaard_lab.ghs import (
     GHS,
     Destabilization,
+    InvalidGHS,
     apply_move,
     enumerate_moves,
     ghs_key,
@@ -19,6 +23,7 @@ from heegaard_lab.sog import (
     FlattenBudgetExhausted,
     InvalidSOG,
     InventoryOracle,
+    MoveGraph,
     OracleEdge,
     SOGStep,
     SymbolicBudget,
@@ -28,7 +33,6 @@ from heegaard_lab.sog import (
     max_key,
     maximal_positions,
     minimal_positions,
-    splitting_distance,
     verify_single_maximal,
 )
 from heegaard_lab.surface import CurveClass
@@ -128,6 +132,52 @@ def test_flatten_beats_naive_common_stabilization():
          SOGStep(2, destab(4)), SOGStep(3, destab(3))])
     assert max_key(sog) <= max_key(naive)
     assert compare_sogs(sog, naive) == "less"
+
+
+def test_inventory_ghss_are_validated_when_built():
+    # A genus-0 label has no GHS; the oracle is rejected even when no
+    # flatten would reach the label.
+    with pytest.raises(InvalidGHS) as exc:
+        InventoryOracle({0: ["Z"], 2: ["P", "Q"], 3: ["R"]},
+                        {"P": "R", "Q": "R"})
+    assert str(exc.value) == "interior level 1 has a 2-sphere component"
+
+
+def test_resolve_error_messages():
+    inventory = InventoryOracle({2: ["P", "Q"], 3: ["R"]},
+                                {"P": "R", "Q": "R"})
+    symbolic = SymbolicOracle(SymbolicBudget(3))
+    assert inventory.resolve(GHS.closed_splitting(3)) == "R"
+    for oracle, x, error, message in [
+        (inventory, "X", KeyError, "unknown splitting label 'X'"),
+        (inventory, GHS.closed_splitting(2), KeyError,
+         "GHS (-) [2] (-) matches 2 inventory labels; pass the label itself"),
+        (inventory, GHS.closed_splitting(5), KeyError,
+         "GHS (-) [5] (-) matches 0 inventory labels; pass the label itself"),
+        (inventory, 5, TypeError, "cannot resolve 5 to an inventory label"),
+        (symbolic, "P", TypeError, "symbolic oracle nodes are GHS values"),
+        (symbolic, GHS.closed_splitting(9), KeyError,
+         "GHS (-) [9] (-) lies outside the budgeted state space"),
+    ]:
+        with pytest.raises(error) as exc:
+            oracle.resolve(x)
+        assert exc.value.args == (message,)
+
+
+def test_ghs_stack_imports_no_curve_module():
+    # The GHS calculus and flattening stand apart from the curve stack.
+    curve_modules = {"surface", "arrangement", "handlebody", "disk_complex"}
+    package = Path(heegaard_lab.__file__).parent
+    for name in ("ghs.py", "sog.py"):
+        imported = set()
+        for node in ast.walk(ast.parse((package / name).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported.update((node.module or "").split("."))
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported.update(alias.name.split("."))
+        assert not imported & curve_modules, (name, imported & curve_modules)
 
 
 def test_flatten_unreachable():
@@ -356,34 +406,21 @@ def random_inventory(rng):
     return InventoryOracle(splittings, stab), list(stab.items())
 
 
-class RelationOracle:
+class RelationOracle(MoveGraph):
     """An inventory whose stabilizations form a relation, not a function.
     Its move graph has cycles, so zigzags of equal MaxKey and length exist
     and the label tiebreak decides between them; an InventoryOracle's graph
     is a forest, where the best zigzag is the only simple one."""
 
     def __init__(self, genus_of, pairs):
-        self.genus_of = genus_of
-        self.edges = {lab: [] for lab in genus_of}
-        for lo, hi in pairs:
-            edge = OracleEdge(hi, lo, destab(genus_of[hi]))
-            self.edges[lo].append(edge)
-            self.edges[hi].append(edge)
-
-    def nodes(self):
-        return sorted(self.genus_of)
+        labels = sorted(genus_of)
+        super().__init__(
+            labels, [GHS.closed_splitting(genus_of[lab]) for lab in labels],
+            labels, [OracleEdge(hi, lo, destab(genus_of[hi]))
+                     for lo, hi in pairs])
 
     def resolve(self, label):
         return label
-
-    def ghs_of(self, label):
-        return GHS.closed_splitting(self.genus_of[label])
-
-    def label_of(self, label):
-        return label
-
-    def edges_at(self, label):
-        return list(self.edges[label])
 
 
 def random_relation_oracle(rng):
