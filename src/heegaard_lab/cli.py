@@ -305,11 +305,10 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except BudgetExhausted as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_SCOPED
     except INPUT_ERRORS as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message.
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"input error: {message}", file=sys.stderr)
         return EXIT_INPUT
 
 

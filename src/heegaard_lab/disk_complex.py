@@ -1,9 +1,13 @@
-"""Capped curve-level disk complexes, curve complexes, and splitting distance.
+"""Capped disk boundaries, disk complexes, curve complexes, and splitting
+distance.
 
-Vertices are curve classes, tagged with the sides (red/blue) on which they
-bound disks; edges join red-capable to blue-capable vertices meeting in at
-most one point.  All "absence" verdicts are scoped by the enumeration cap:
-the graphs are finite approximations of complexes that generally are not.
+One capped class list, the essential classes within the cap plus the
+diagram's meridians, serves them all.  Disk boundaries are the classes of
+that list that bound on a side; they are the vertices of the disk complex,
+tagged with the sides (red/blue) on which they bound, and its edges join
+red-capable to blue-capable vertices meeting in at most one point.  All
+"absence" verdicts are scoped by the enumeration cap: the graphs are finite
+approximations of complexes that generally are not.
 """
 
 from __future__ import annotations
@@ -146,6 +150,26 @@ def _capped_curves(diagram: HeegaardDiagram, cap: int,
         if not any(same_class(z, c) for c in curves):
             curves.append(z)
     return curves, certified
+
+
+def enumerate_disk_boundaries(diagram: HeegaardDiagram, side: str, cap: int,
+                              budget: Optional[int] = None) -> list[CurveClass]:
+    """The classes of the capped list that bound a disk on the named side,
+    which are the vertices of `build_gamma` colored with that side, in
+    lexicographic order of coordinates.
+
+    A budget overrun raises BudgetExhausted carrying the same view of the
+    partial list.
+    """
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    diagram.side(side)             # rejects a bad side name first
+    curves, certified = _capped_curves(diagram, cap, budget)
+    out = sorted((c for c in curves if bounds_disk(c, side, diagram)),
+                 key=lambda c: c.coords)
+    if not certified:
+        raise BudgetExhausted("enumeration budget exhausted", out)
+    return out
 
 
 def build_gamma(diagram: HeegaardDiagram, cap: int,

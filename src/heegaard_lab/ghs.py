@@ -228,10 +228,11 @@ def _strip_and_merge(levels: list[Collection]) -> tuple[list[Collection], bool]:
     return out, merged
 
 
-def _finish(old: GHS, levels: list[Collection], case: str,
-            merged_already: bool) -> MoveReport:
+def _finish(old: GHS, levels: list[Collection], case: str) -> MoveReport:
+    """Normalize the moved levels, each already a sorted collection, and
+    check the result."""
     levels, merged = _strip_and_merge(levels)
-    new = GHS(tuple(map(collection, levels)))
+    new = GHS(tuple(levels))
     errors = validate_ghs(new)
     if errors:
         raise InvalidMove(f"move yields an invalid GHS: {'; '.join(errors)}")
@@ -242,8 +243,7 @@ def _finish(old: GHS, levels: list[Collection], case: str,
         # input (cross-component disks whose spheres empty a thin level);
         # such a pair is not a move of a connected manifold's GHS.
         raise InvalidMove(f"move does not shrink the GHS: {old} -> {new}")
-    return MoveReport(new, case, merged or merged_already,
-                      new.n_levels - old.n_levels)
+    return MoveReport(new, case, merged, new.n_levels - old.n_levels)
 
 
 def _thick(ghs: GHS, t: int) -> Collection:
@@ -298,7 +298,7 @@ def _weak_reduction(ghs: GHS, t: int, f_d: Collection, f_e: Collection,
         if t - 1 == 0 or t + 1 == len(levels) - 1:
             raise InvalidMove("case 1d would rewrite a boundary collection")
         levels[t - 1:t + 2] = [f_de]
-    return _finish(ghs, levels, case, False)
+    return _finish(ghs, levels, case)
 
 
 def destabilize_report(ghs: GHS, m: Destabilization) -> MoveReport:
@@ -337,7 +337,7 @@ def _destabilization(ghs: GHS, t: int, f_d: Collection,
             if t - 1 == 0:
                 raise InvalidMove("case 2d (left) would delete the lower boundary")
             del levels[t - 1:t + 1]
-    return _finish(ghs, levels, case, False)
+    return _finish(ghs, levels, case)
 
 
 def weak_reduce(ghs: GHS, m: WeakReduction) -> GHS:

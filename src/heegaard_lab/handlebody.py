@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import arrangement
 from .surface import (
-    BudgetExhausted,
     CurveClass,
     ModelSurface,
     SurfaceMismatch,
@@ -23,7 +22,6 @@ from .surface import (
     _z2_rank,
     algebraic_intersection,
     canonical_triangulation,
-    enumerate_essential_curves,
     geometric_intersection,
     same_class,
 )
@@ -193,39 +191,6 @@ def bounds_disk(c: CurveClass, side: str, diagram: HeegaardDiagram) -> bool:
     if any(algebraic_intersection(c, z) for z in cut.curves):
         return False
     return c.genus == 1 or boundary_word(c, cut).is_trivial()
-
-
-def enumerate_disk_boundaries(
-    diagram: HeegaardDiagram,
-    side: str,
-    cap: int,
-    budget: Optional[int] = None,
-) -> list[CurveClass]:
-    """Every essential curve class with coordinate sum <= cap bounding a disk
-    on the named side, in lexicographic order of canonical coordinates.
-
-    Complete within the cap; a candidate budget overrun raises
-    BudgetExhausted carrying the bounding curves found so far.
-    """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    cut = diagram.side(side)
-    try:
-        candidates = enumerate_essential_curves(diagram.genus, cap, budget)
-        partial = False
-    except BudgetExhausted as exc:
-        candidates = exc.partial
-        partial = True
-    out = [c for c in candidates if bounds_disk(c, side, diagram)]
-    # The side's own meridians bound by construction; keep them even when
-    # their representatives weigh more than the cap.
-    for z in cut.curves:
-        if not any(same_class(z, c) for c in out):
-            out.append(z)
-    out.sort(key=lambda c: c.coords)
-    if partial:
-        raise BudgetExhausted("enumeration budget exhausted", out)
-    return out
 
 
 # ---------------------------------------------------------------------------

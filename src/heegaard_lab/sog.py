@@ -19,7 +19,6 @@ from typing import Iterable, Optional, Sequence
 from .ghs import (
     GHS,
     Destabilization,
-    InvalidGHS,
     InvalidMove,
     Move,
     _moves_with_reports,
@@ -270,7 +269,12 @@ class SymbolicOracle(MoveGraph):
         return out
 
     def _enumerate_states(self) -> list[GHS]:
+        """Every GHS with at most max(1, (max_levels - 1) // 2) thick
+        levels whose interior collections are nonempty with total genus
+        within the budget.  Each is valid and is built once."""
         budget = self.budget
+        colls = [(coll, sum(coll)) for coll in
+                 self._nonempty_collections(budget.max_total_genus)]
         states = []
         max_thick = max(1, (budget.max_levels - 1) // 2)
         for n_thick in range(1, max_thick + 1):
@@ -278,17 +282,15 @@ class SymbolicOracle(MoveGraph):
 
             def rec(i, remaining, acc):
                 if i == n_interior:
-                    levels = [self.boundary[0]] + acc + [self.boundary[1]]
-                    try:
-                        states.append(GHS.of(levels))
-                    except InvalidGHS:
-                        pass
+                    states.append(GHS.of(
+                        [self.boundary[0], *acc, self.boundary[1]]))
                     return
-                for coll in self._nonempty_collections(remaining):
-                    rec(i + 1, remaining - sum(coll), acc + [list(coll)])
+                for coll, genus in colls:
+                    if genus <= remaining:
+                        rec(i + 1, remaining - genus, acc + [coll])
 
             rec(0, budget.max_total_genus, [])
-        return sorted(set(states), key=lambda g: (g.n_levels, ghs_key(g), g.levels))
+        return sorted(states, key=lambda g: (g.n_levels, ghs_key(g), g.levels))
 
     def resolve(self, x) -> GHS:
         if not isinstance(x, GHS):

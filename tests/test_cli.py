@@ -376,3 +376,17 @@ def test_parser_is_built_once_per_process(capsys):
     run(capsys, "intersect", "--a", CURVE, "--b", CURVE)
     run(capsys, "intersect", "--a", CURVE, "--b", CURVE)
     assert cli._parser.cache_info().misses == 1
+
+
+def test_key_errors_print_their_message(capsys):
+    # A KeyError's str() quotes its message; the CLI prints it bare.
+    not_one = '[{"slope": [1, 1]}, {"slope": [1, 0]}]'
+    good = '[{"slope": [1, 0]}, {"slope": [0, 1]}]'
+    assert run(capsys, "distance", "--diagram", S3, "--edge1", not_one,
+               "--edge2", good, "--cap", "12") == \
+        (1, "", "input error: ((0, 1, 1), (1, 1, 0)) is not an i=1 edge "
+                "of the capped complex\n")
+    assert run(capsys, "sog", "flatten", "--start", '{"levels": [[], [5], []]}',
+               "--end", "Q", "--oracle", ORACLE1) == \
+        (1, "", "input error: GHS (-) [5] (-) matches 0 inventory labels; "
+                "pass the label itself\n")

@@ -13,6 +13,7 @@ from heegaard_lab.disk_complex import (
     components,
     edge_distance,
     emit_graph,
+    enumerate_disk_boundaries,
     find_destab_edge,
     isolated_vertices,
     quotient_by_symmetry,
@@ -24,7 +25,7 @@ from heegaard_lab.handlebody import (
     s3_genus1,
     standard_diagram,
 )
-from heegaard_lab.surface import CurveClass
+from heegaard_lab.surface import BudgetExhausted, CurveClass
 
 K10 = CurveClass.from_slope(1, 0).coords
 K01 = CurveClass.from_slope(0, 1).coords
@@ -428,3 +429,56 @@ def test_torus_graph_bytes_golden():
         graph = builders[kind](lens_space(*pq), cap)
         got = hashlib.sha256(emit_graph(graph)).hexdigest()
         assert got == want, (pq, cap, kind)
+
+
+def heavy_meridian_diagram():
+    """The standard red side against a blue side whose first meridian has
+    weight 9 and also bounds on the red side."""
+    from heegaard_lab.handlebody import HeegaardDiagram, validate_cut_system
+
+    red = standard_diagram(2).red
+    blue = validate_cut_system(2, [CurveClass(2, (0, 1, 0, 1, 1, 1, 2, 2, 1)),
+                                   CurveClass(2, (0, 0, 0, 1, 0, 0, 0, 0, 1))])
+    return HeegaardDiagram(red.surface, red, blue)
+
+
+def colored(graph, side):
+    return sorted(k for k in graph.classes if side in graph.colors[k])
+
+
+@pytest.mark.parametrize("diagram", [
+    s3_genus1(), lens_space(7, 1), s2_x_s1(), standard_diagram(2),
+    heavy_meridian_diagram()])
+def test_disk_boundaries_are_gamma_vertices(diagram):
+    for cap in range(1, 11):
+        gamma = build_gamma(diagram, cap)
+        for side in ("red", "blue"):
+            got = enumerate_disk_boundaries(diagram, side, cap)
+            assert [c.coords for c in got] == colored(gamma, side), (cap, side)
+
+
+def test_disk_boundaries_partial_on_budget():
+    d = heavy_meridian_diagram()
+    gamma = build_gamma(d, 8, budget=40)
+    assert not gamma.certified
+    for side in ("red", "blue"):
+        with pytest.raises(BudgetExhausted) as info:
+            enumerate_disk_boundaries(d, side, 8, budget=40)
+        assert str(info.value) == "enumeration budget exhausted"
+        assert [c.coords for c in info.value.partial] == colored(gamma, side)
+
+
+def test_disk_boundaries_argument_errors():
+    d = s3_genus1()
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        enumerate_disk_boundaries(d, "green", 0)
+    with pytest.raises(ValueError, match="side must be 'red' or 'blue'"):
+        enumerate_disk_boundaries(d, "green", 1)
+
+
+def test_disk_boundaries_exported_from_package_root():
+    import heegaard_lab
+    from heegaard_lab import disk_complex
+
+    assert heegaard_lab.enumerate_disk_boundaries \
+        is disk_complex.enumerate_disk_boundaries

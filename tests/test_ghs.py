@@ -233,3 +233,13 @@ def test_random_ghs_always_valid():
     for _ in range(100):
         g = random_ghs(rng)
         assert validate_ghs(g) == []
+
+
+def test_move_on_unsorted_raw_ghs_is_rejected():
+    # GHS(...) does not sort its levels; a move keeps them as they are, so
+    # the unsorted level of the result is reported, not repaired.
+    raw = GHS(((), (2,), (1,), (1, 3), ()))
+    with pytest.raises(InvalidMove) as info:
+        apply_move(raw, Destabilization(1, 2))
+    assert str(info.value) == ("move yields an invalid GHS: "
+                               "level 1 is not sorted non-increasing")

@@ -5,13 +5,13 @@ import time
 import pytest
 
 from heegaard_lab import arrangement
+from heegaard_lab.disk_complex import enumerate_disk_boundaries
 from heegaard_lab.handlebody import (
     CutSystem,
     InvalidCutSystem,
     SignedWord,
     boundary_word,
     bounds_disk,
-    enumerate_disk_boundaries,
     lens_space,
     s2_x_s1,
     s3_genus1,

@@ -12,7 +12,9 @@ from heegaard_lab.ghs import (
     GHS,
     Destabilization,
     InvalidGHS,
+    _moves_with_reports,
     apply_move,
+    collection,
     enumerate_moves,
     ghs_key,
 )
@@ -502,3 +504,15 @@ def test_flatten_matches_brute_force(make_oracle, seed):
         got = (max_key(sog), len(sog.steps), "/".join(sog.labels))
         assert got == best, (pairs, s, t)
     assert reachable >= 100, reachable
+
+
+@pytest.mark.parametrize("oracle", [
+    SymbolicOracle(SymbolicBudget(7)),
+    SymbolicOracle(SymbolicBudget(6), ((1,), (1,)))])
+def test_symbolic_states_distinct_and_moves_sorted(oracle):
+    states = oracle.nodes()
+    assert len(set(states)) == len(states)
+    for g in states:
+        for _, report in _moves_with_reports(g):
+            assert all(level == collection(level)
+                       for level in report.result.levels)
