@@ -4,31 +4,50 @@ Realizes one distinguished curve A (curve id 0) together with a pairwise
 disjoint multicurve B (curve ids 1..) on a one-vertex triangulation.  Each
 curve is a cyclic list of tokens, the points where it crosses triangulation
 edges, joined by links, the arcs it draws inside the triangles.  Bigons are
-eliminated by sliding A across B until the arrangement is in minimal
-position.
+eliminated by sliding A across B until none is left, which is minimal
+position by the bigon criterion (Farb-Margalit, "A Primer on Mapping Class
+Groups", Prop. 1.7).
 
-Regions come from one planar map of the whole surface.  Its nodes are the
-triangulation vertex, the tokens and the crossings; its edges are the gap
-arcs between consecutive nodes along each triangulation edge and the
-segments the crossings cut each link into.  Its faces are the pieces the
-links cut the triangles into.  Uniting faces across gap arcs gives the
-complementary regions exactly, with their Euler characteristics and whether
-they contain the triangulation vertex, so bigons that sweep across the
-vertex are found and removed like any other.
+A bigon's corners x and y follow each other along A and along one B
+component.  The crossing-free A-arc from x to y and the B-arc between them
+form a loop L, and L bounds a bigon exactly when its cyclic word of crossed
+edges, with equal neighbours cancelled until none are left, is empty or is
+the vertex link's word up to rotation and reversal.  The test is exact:
+  1. Every edge lies in two distinct triangles, so crossing one edge twice
+     in a row is a return, and the cancelling is free reduction in the
+     fundamental group of the dual graph, a deformation retract of the
+     surface minus the vertex.
+  2. A simple closed curve that is null-homotopic bounds a disk (Epstein,
+     "Curves on 2-manifolds and isotopies", 1966).  If the disk misses the
+     vertex, L's word reduces to nothing; if it holds the vertex, L is
+     freely homotopic off the vertex to the vertex link, whose word is
+     already cyclically reduced.
+  3. The arcs have no crossing inside them, so the disk holds no part of A
+     or B, and it is the corner at x between them: otherwise A would lie in
+     its closure, and A is essential wherever bigons are removed.
+So bigons that swallow the vertex are found like any other, and no map
+of the surface is drawn to find one.
 
 Each crossing carries the local sign of A against its B component, so the
 sum of signs over a component is their algebraic intersection number.  That
 number bounds the geometric one from below, and a slide across a bigon
 would push the crossing count below it.  Minimization therefore stops,
-without analysing any region, as soon as every B component meets A exactly
-|sum of signs| times; only the remaining cases pay for region analysis.
+without looking for bigons, as soon as every B component meets A exactly
+|sum of signs| times.
 
-The same machinery answers, exactly:
-  * geometric intersection numbers (crossings after minimization),
-  * signed crossing words of A against the components of B,
-  * isotopy of two disjoint curves (an annulus region, chi = 0, between
-    them),
-  * the topology of a multicurve's complement (cut-system test reference).
+Regions, for the isotopy test and for complements, come from one planar
+map of the whole surface.  Its nodes are the triangulation vertex, the
+tokens and the crossings; its edges are the gap
+arcs between consecutive nodes along each triangulation edge and the
+segments the crossings cut each link into.  Its faces are the pieces the
+links cut the triangles into.  Uniting faces across gap arcs gives the
+complementary regions exactly, with their Euler characteristics and whether
+they contain the triangulation vertex.
+
+The same machinery answers, exactly: geometric intersection numbers
+(crossings after minimization), signed crossing words of A against the
+components of B, isotopy of two disjoint curves (an annulus region, chi = 0,
+between them), and the topology of a multicurve's complement.
 """
 
 from __future__ import annotations
@@ -370,133 +389,137 @@ class Arrangement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Run:
-    """One corner-to-corner stretch of a bigon boundary, along one curve."""
-
-    cid: int
-    dirn: int
-    interior: list              # tokens passed, in walk order
-    between_tris: list          # triangle of the link between interior[k], [k+1]
-    t_first: int                # triangle of the crossing the run leaves
-    t_last: int                 # triangle of the crossing the run reaches
-    token_before: int           # curve token just outside the run, entry side
-    token_after: int            # curve token just outside the run, exit side
-
-
-def _run_info(arr: Arrangement, run) -> _Run:
-    key0, t_first, dir0 = run[0][:3]
-    key_last, t_last, dir_last = run[-1][:3]
-    cid = key0[0]
-    if key_last[0] != cid or dir_last != dir0:
-        raise AssertionError("run is not a coherent stretch of one curve")
-    interior = []
-    for step in run[:-1]:
-        if step[4] < 0:
-            raise AssertionError("run interrupted by a crossing")
-        interior.append(step[4])
-    curve = arr.curves[cid]
-    n = len(curve)
-    ix, iy = key0[1], key_last[1]
-    if dir0 == 1:
-        before, after = curve.tokens[ix], curve.tokens[(iy + 1) % n]
-    else:
-        before, after = curve.tokens[(ix + 1) % n], curve.tokens[iy]
-    return _Run(cid, dir0, interior, [step[1] for step in run[1:-1]],
-                t_first, t_last, before, after)
+def _loop_is_trivial(tri: Triangulation, word: Sequence[int]) -> bool:
+    """Does a simple closed curve that misses the vertex, crossing the edges
+    `word` in cyclic order, bound a disk?  See the module docstring."""
+    w: list[int] = []
+    for e in word:
+        if w and w[-1] == e:
+            w.pop()
+        else:
+            w.append(e)
+    while len(w) > 1 and w[0] == w[-1]:
+        w = w[1:-1]
+    if len(w) != len(tri.vertex_rotation):
+        return not w
+    link = [e for e, _ in tri.vertex_rotation]
+    return any(w[k:] + w[:k] in (link, link[::-1]) for k in range(len(w)))
 
 
-def _slide(arr: Arrangement, region: Region) -> None:
-    """Isotope A across the bigon `region`, removing its two crossings."""
-    if len(region.circles) != 1:
-        raise AssertionError("bigon region must have one boundary circle")
-    circle = region.circles[0]
-    corner_at = [i for i, step in enumerate(circle) if step[3] < 0]
-    if len(corner_at) != 2:
-        raise AssertionError("bigon region must have two corners")
-    i1, i2 = corner_at
-    runs = [circle[i1:i2], circle[i2:] + circle[:i1]]
-    infos = [_run_info(arr, r) for r in runs]
-    if (infos[0].cid == 0) == (infos[1].cid == 0):
-        raise AssertionError("bigon runs must pair A with a B component")
-    alpha, beta = (infos[0], infos[1]) if infos[0].cid == 0 else (infos[1], infos[0])
+def _arc(n: int, run: list, k: int) -> list[int]:
+    """Indices of the tokens a curve of n tokens passes from its k-th
+    crossing to the next, where run lists its crossings in order along it
+    as (link index, place, crossing)."""
+    i, j = run[k][0], run[(k + 1) % len(run)][0]
+    count = (j - i) % n or (n if k == len(run) - 1 else 0)
+    return [(i + 1 + m) % n for m in range(count)]
 
-    # The circle walks x -> alpha -> y -> beta -> x, where x is the crossing
-    # alpha starts at.  Beta therefore walks y -> x; flip it to x -> y so it
-    # runs alongside alpha.
-    b_interior = list(reversed(beta.interior))
-    b_between = list(reversed(beta.between_tris))
-    t_x, t_y = alpha.t_first, alpha.t_last
-    n_new = len(b_interior)
-    if n_new == 0 and t_x != t_y:
+
+def _least_bigon(arr: Arrangement, xs: Sequence[Crossing]):
+    """The bigon whose corner keys sort least, as (x, y, alpha, beta,
+    forward), or None.  alpha lists the indices of the tokens A passes from
+    corner x to corner y, and beta those its B component passes between
+    them, in order from x to y, which runs forward along it when `forward`."""
+    runs: dict[int, list] = {0: []}
+    for x in xs:
+        runs[0].append((x.a_key[1], x.a_place, x))
+        runs.setdefault(x.b_key[0], []).append((x.b_key[1], x.b_place, x))
+    for run in runs.values():
+        run.sort()
+    place = {x: k for cid, run in runs.items() if cid
+             for k, (_, _, x) in enumerate(run)}
+    a, a_run, edge = arr.curves[0], runs[0], arr.tok_edge
+    best = None
+    for k, (_, _, x) in enumerate(a_run):
+        y = a_run[(k + 1) % len(a_run)][2]
+        cid = x.b_key[0]
+        if y is x or y.b_key[0] != cid:
+            continue
+        b, b_run = arr.curves[cid], runs[cid]
+        kx, ky = place[x], place[y]
+        alpha = _arc(len(a), a_run, k)
+        # The B arc runs forward from x to y, or forward from y to x.
+        for forward, k0, k1 in ((True, kx, ky), (False, ky, kx)):
+            if (k1 - k0) % len(b_run) != 1:
+                continue
+            arc = _arc(len(b), b_run, k0)
+            back = [edge[b.tokens[u]] for u in arc]
+            word = [edge[a.tokens[u]] for u in alpha] + (
+                back[::-1] if forward else back)
+            if _loop_is_trivial(arr.tri, word):
+                key = sorted(map(repr, (x.key(), y.key())))
+                if best is None or key < best[0]:
+                    best = (key, (x, y, alpha, arc if forward else arc[::-1],
+                                  forward))
+    return best and best[1]
+
+
+def _slide(arr: Arrangement, x: Crossing, y: Crossing, alpha: list,
+           beta: list, forward: bool) -> None:
+    """Isotope A across the bigon with corners x and y, as `_least_bigon`
+    gives it, removing both.  The bigon is the corner at x between alpha,
+    which leaves x forward along A, and beta.  At sign +1, A crosses B from
+    B's left to its right, and B crosses A from A's right to its left (see
+    `crossings`).  So the bigon lies on B's left exactly when x.sign is -1,
+    and on A's left when beta leaves x forward along B at sign +1 or
+    backward at sign -1."""
+    tri, a, b = arr.tri, arr.curves[0], arr.curves[x.b_key[0]]
+    if not beta and x.triangle != y.triangle:
         raise AssertionError("chordless beta must stay in one triangle")
+    b_between = [b.link_tris[u if forward else v]
+                 for u, v in zip(beta, beta[1:])]
 
     # Each beta token gets a new A token beside it, on the side away from
-    # the region (the region holds exactly one of the two flanking gaps).
-    pos = arr._positions()
+    # the bigon.  B's left gap at a token is the one after it exactly when
+    # the token's edge has sign +1 in the triangle of the B link arriving
+    # at it.
     beside = {}
-    new_tokens = []
-    for tok in b_interior:
+    for u in beta:
+        tok, t = b.tokens[u], b.link_tris[u - 1]
         e = arr.tok_edge[tok]
-        before_in = (e, pos[tok]) in region.gaps
-        after_in = (e, pos[tok] + 1) in region.gaps
-        if before_in == after_in:
-            raise AssertionError("cannot identify the region side of beta")
-        new_tokens.append(arr._new_token(e))
-        beside[tok] = (new_tokens[-1], after_in)   # region after => before it
-    dropped = set(alpha.interior)
+        left_after = tri.triangles[t][tri.side_of[t, e]][1] == 1
+        beside[tok] = (arr._new_token(e), left_after == (x.sign == -1))
+    new_tokens = [new for new, _ in beside.values()]
+    dropped = {a.tokens[u] for u in alpha}
     for e in {arr.tok_edge[tok] for tok in itertools.chain(dropped, beside)}:
         pts = []
         for tok in arr.edge_pts[e]:
             if tok in beside:
-                new, ahead = beside[tok]
-                pts += [new, tok] if ahead else [tok, new]
+                new, bigon_after = beside[tok]
+                pts += [new, tok] if bigon_after else [tok, new]
             elif tok not in dropped:
                 pts.append(tok)
         arr.edge_pts[e] = pts
 
-    # Triangles of the replacement links, in x -> y order: a_in to t'_1 lives
-    # where x was, consecutive new tokens share the triangles of the beta
-    # links they parallel, and t'_n to a_out lives where y was.
-    new_link_tris = [t_x] + b_between + [t_y] if n_new else [t_x]
-
-    curve = arr.curves[0]
-    kept = [(tok, tri) for tok, tri in zip(curve.tokens, curve.link_tris)
+    kept = [(tok, t) for tok, t in zip(a.tokens, a.link_tris)
             if tok not in dropped]
-    a_in, a_out = alpha.token_before, alpha.token_after
+    a_in = a.tokens[x.a_key[1]]
+    a_out = a.tokens[(y.a_key[1] + 1) % len(a)]
     if a_in in dropped or a_out in dropped:
-        # Both bigon corners sit on one A-link and alpha wraps the long way
-        # around: every old token is interior, and the slid curve is just the
-        # parallel-to-beta path, closed up through the old link's triangle.
+        # Both corners sit on one A-link and alpha wraps the long way round:
+        # the slid curve is the parallel-to-beta path, closed up through the
+        # old link's triangle, and oriented with the bigon on its left, which
+        # fixes the signs of its crossing word.
         if not (a_in in dropped and a_out in dropped and not kept):
             raise AssertionError("inconsistent wrapped bigon")
-        if t_x != t_y or n_new < 2:
+        if x.triangle != y.triangle or len(beta) < 2:
             raise AssertionError("wrapped bigon must close in one triangle")
-        curve.tokens = list(new_tokens)
-        curve.link_tris = b_between + [t_x]
+        if forward != (x.sign == 1):
+            new_tokens.reverse()
+            b_between.reverse()
+        a.tokens, a.link_tris = new_tokens, b_between + [x.triangle]
         return
-    n = len(kept)
-    idx = {tok: i for i, (tok, _) in enumerate(kept)}
-    if alpha.dirn == 1:
-        # Stored order runs ... a_in, a_out ...; rotate a_in to the tail and
-        # append the new tokens after it.
-        i_in = idx[a_in]
-        if (i_in + 1) % n != idx[a_out]:
-            raise AssertionError("alpha endpoints not adjacent after deletion")
-        rotated = kept[(i_in + 1) % n:] + kept[: (i_in + 1) % n]
-        pairs = rotated[:-1] + [(a_in, new_link_tris[0])]
-        pairs += list(zip(new_tokens, new_link_tris[1:]))
-    else:
-        # Stored order runs ... a_out, a_in ...; the new tokens appear in
-        # reversed order between them.
-        i_out = idx[a_out]
-        if (i_out + 1) % n != idx[a_in]:
-            raise AssertionError("alpha endpoints not adjacent after deletion")
-        rotated = kept[(i_out + 1) % n:] + kept[: (i_out + 1) % n]
-        pairs = rotated[:-1] + [(a_out, new_link_tris[-1])]
-        pairs += list(zip(reversed(new_tokens), reversed(new_link_tris[:-1])))
-    curve.tokens = [tok for tok, _ in pairs]
-    curve.link_tris = [tri for _, tri in pairs]
+    # Stored order runs ... a_in, a_out ...; rotate a_in to the tail and
+    # append the new tokens after it.  The link from a_in lives where x was,
+    # consecutive new tokens share the triangles of the beta links they
+    # parallel, and the link into a_out lives where y was.
+    i_in = next(i for i, (tok, _) in enumerate(kept) if tok == a_in)
+    if kept[(i_in + 1) % len(kept)][0] != a_out:
+        raise AssertionError("alpha endpoints not adjacent after deletion")
+    pairs = kept[i_in + 1:] + kept[:i_in] + [(a_in, x.triangle)]
+    pairs += zip(new_tokens, b_between + [y.triangle])
+    a.tokens = [tok for tok, _ in pairs]
+    a.link_tris = [t for _, t in pairs]
 
 
 def _algebraically_minimal(xs: Sequence[Crossing]) -> bool:
@@ -517,7 +540,7 @@ def minimize(arr: Arrangement) -> list[Crossing]:
 
     Components of the B side that lose all their crossings are dropped:
     they carry no letters, and no bigon has a corner on them.  Minimization
-    stops without analysing regions once the crossing signs certify that
+    stops without looking for bigons once the crossing signs certify that
     every B component already meets A minimally.  Each slide removes two
     crossings, so there are at most half as many slides as starting
     crossings."""
@@ -538,13 +561,10 @@ def minimize(arr: Arrangement) -> list[Crossing]:
             c.link_tris = []
         if _algebraically_minimal(xs):
             return xs
-        analysis = arr.analyze(xs)
-        bigons = [r for r in analysis.regions
-                  if r.chi == 1 and r.corner_visits == 2]
-        if not bigons:
+        bigon = _least_bigon(arr, xs)
+        if bigon is None:
             return xs
-        bigons.sort(key=lambda r: sorted(map(repr, r.crossing_keys)))
-        _slide(arr, bigons[0])
+        _slide(arr, *bigon)
         after = arr.crossings()
         if len(after) != len(xs) - 2:
             raise AssertionError(

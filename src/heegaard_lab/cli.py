@@ -2,7 +2,8 @@
 deterministic reports.
 
 Exit codes: 0 for certified results, 1 for input errors (usage errors
-included), 2 when a verdict is scoped by an exhausted cap or budget.  JSON
+included), 2 when a verdict is scoped by an exhausted cap or budget, 3 when
+an internal invariant check fails (a bug, not bad input).  JSON
 is the stable contract; text is for humans; DOT is for graph rendering.
 """
 
@@ -39,6 +40,7 @@ from .surface import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_SCOPED = 2
+EXIT_INTERNAL = 3
 
 
 class UsageError(Exception):
@@ -174,9 +176,14 @@ def cmd_sog(args) -> int:
         oracle = serialize.oracle_from_jsonable(_load_json(args.oracle))
 
         def endpoint(text: str):
-            if text in oracle.nodes():
-                return text
-            return serialize.ghs_from_jsonable(_load_json(text))
+            # Inline JSON, a file, or text with a directory or suffix is a
+            # GHS; anything else is a label, so a bad label reads as one.
+            path = Path(text)
+            if text not in oracle.nodes() and (
+                    text.strip().startswith(("{", "[")) or path.exists()
+                    or path.name != text or path.suffix):
+                return serialize.ghs_from_jsonable(_load_json(text))
+            return oracle.resolve(text)
 
         try:
             result = flatten(endpoint(args.start), endpoint(args.end),
@@ -310,6 +317,9 @@ def main(argv=None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"input error: {message}", file=sys.stderr)
         return EXIT_INPUT
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

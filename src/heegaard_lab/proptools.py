@@ -198,6 +198,24 @@ def check_genus2_intersection(rng: random.Random,
     return PropertyReport("genus2-intersection-bounds", iterations, failures)
 
 
+def check_genus2_minimal_position(rng: random.Random,
+                                  iterations: int) -> PropertyReport:
+    """On ordered pairs of genus-2 classes of weight <= 12, `minimize`
+    leaves no bigon region, and exactly i(b, a) crossings."""
+    failures = []
+    tri = canonical_triangulation(2)
+    curves = enumerate_essential_curves(2, 12)
+    for _ in range(iterations):
+        a, b = rng.sample(curves, 2)
+        arr = arrangement.Arrangement(tri, [a.coords, b.coords])
+        n = len(arrangement.minimize(arr))
+        if n != geometric_intersection(b, a) or any(
+                r.chi == 1 and r.corner_visits == 2
+                for r in arr.analyze().regions):
+            failures.append((a, b, n))
+    return PropertyReport("genus2-minimal-position", iterations, failures)
+
+
 def property_suite(seed: int, iterations: int) -> list[PropertyReport]:
     """The randomized invariants behind the `proptest` command."""
     reports = []
@@ -209,5 +227,7 @@ def property_suite(seed: int, iterations: int) -> list[PropertyReport]:
     reports.append(check_commutation(
         random.Random(rng.randrange(2 ** 32)), iterations // 2))
     reports.append(check_genus2_intersection(
+        random.Random(rng.randrange(2 ** 32)), iterations))
+    reports.append(check_genus2_minimal_position(
         random.Random(rng.randrange(2 ** 32)), iterations))
     return reports

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import dataclass
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -283,6 +284,254 @@ def reference_isotopic(tri, a_vec, b_vec):
                 and per_curve[0] == want[0] and per_curve[1] == want[1]:
             return True
     return False
+
+
+@dataclass
+class _Run:
+    """One corner-to-corner stretch of a bigon boundary, along one curve."""
+
+    cid: int
+    dirn: int
+    interior: list              # tokens passed, in walk order
+    between_tris: list          # triangle of the link between interior[k], [k+1]
+    t_first: int                # triangle of the crossing the run leaves
+    t_last: int                 # triangle of the crossing the run reaches
+    token_before: int           # curve token just outside the run, entry side
+    token_after: int            # curve token just outside the run, exit side
+
+
+def _run_info(arr, run):
+    key0, t_first, dir0 = run[0][:3]
+    key_last, t_last, dir_last = run[-1][:3]
+    cid = key0[0]
+    if key_last[0] != cid or dir_last != dir0:
+        raise AssertionError("run is not a coherent stretch of one curve")
+    interior = []
+    for step in run[:-1]:
+        if step[4] < 0:
+            raise AssertionError("run interrupted by a crossing")
+        interior.append(step[4])
+    curve = arr.curves[cid]
+    n = len(curve)
+    ix, iy = key0[1], key_last[1]
+    if dir0 == 1:
+        before, after = curve.tokens[ix], curve.tokens[(iy + 1) % n]
+    else:
+        before, after = curve.tokens[(ix + 1) % n], curve.tokens[iy]
+    return _Run(cid, dir0, interior, [step[1] for step in run[1:-1]],
+                t_first, t_last, before, after)
+
+
+def _reference_slide(arr, region):
+    """Isotope A across the bigon `region`, read off its boundary circle."""
+    if len(region.circles) != 1:
+        raise AssertionError("bigon region must have one boundary circle")
+    circle = region.circles[0]
+    corner_at = [i for i, step in enumerate(circle) if step[3] < 0]
+    if len(corner_at) != 2:
+        raise AssertionError("bigon region must have two corners")
+    i1, i2 = corner_at
+    runs = [circle[i1:i2], circle[i2:] + circle[:i1]]
+    infos = [_run_info(arr, r) for r in runs]
+    if (infos[0].cid == 0) == (infos[1].cid == 0):
+        raise AssertionError("bigon runs must pair A with a B component")
+    alpha, beta = (infos[0], infos[1]) if infos[0].cid == 0 \
+        else (infos[1], infos[0])
+
+    # The circle walks x -> alpha -> y -> beta -> x, where x is the crossing
+    # alpha starts at.  Beta therefore walks y -> x; flip it to x -> y so it
+    # runs alongside alpha.
+    b_interior = list(reversed(beta.interior))
+    b_between = list(reversed(beta.between_tris))
+    t_x, t_y = alpha.t_first, alpha.t_last
+    n_new = len(b_interior)
+    if n_new == 0 and t_x != t_y:
+        raise AssertionError("chordless beta must stay in one triangle")
+
+    # Each beta token gets a new A token beside it, on the side away from
+    # the region (the region holds exactly one of the two flanking gaps).
+    pos = arr._positions()
+    beside = {}
+    new_tokens = []
+    for tok in b_interior:
+        e = arr.tok_edge[tok]
+        before_in = (e, pos[tok]) in region.gaps
+        after_in = (e, pos[tok] + 1) in region.gaps
+        if before_in == after_in:
+            raise AssertionError("cannot identify the region side of beta")
+        new_tokens.append(arr._new_token(e))
+        beside[tok] = (new_tokens[-1], after_in)   # region after => before it
+    dropped = set(alpha.interior)
+    for e in {arr.tok_edge[tok] for tok in itertools.chain(dropped, beside)}:
+        pts = []
+        for tok in arr.edge_pts[e]:
+            if tok in beside:
+                new, ahead = beside[tok]
+                pts += [new, tok] if ahead else [tok, new]
+            elif tok not in dropped:
+                pts.append(tok)
+        arr.edge_pts[e] = pts
+
+    new_link_tris = [t_x] + b_between + [t_y] if n_new else [t_x]
+    curve = arr.curves[0]
+    kept = [(tok, tri) for tok, tri in zip(curve.tokens, curve.link_tris)
+            if tok not in dropped]
+    a_in, a_out = alpha.token_before, alpha.token_after
+    if a_in in dropped or a_out in dropped:
+        if not (a_in in dropped and a_out in dropped and not kept):
+            raise AssertionError("inconsistent wrapped bigon")
+        if t_x != t_y or n_new < 2:
+            raise AssertionError("wrapped bigon must close in one triangle")
+        curve.tokens = list(new_tokens)
+        curve.link_tris = b_between + [t_x]
+        return
+    n = len(kept)
+    idx = {tok: i for i, (tok, _) in enumerate(kept)}
+    if alpha.dirn == 1:
+        i_in = idx[a_in]
+        if (i_in + 1) % n != idx[a_out]:
+            raise AssertionError("alpha endpoints not adjacent after deletion")
+        rotated = kept[(i_in + 1) % n:] + kept[: (i_in + 1) % n]
+        pairs = rotated[:-1] + [(a_in, new_link_tris[0])]
+        pairs += list(zip(new_tokens, new_link_tris[1:]))
+    else:
+        i_out = idx[a_out]
+        if (i_out + 1) % n != idx[a_in]:
+            raise AssertionError("alpha endpoints not adjacent after deletion")
+        rotated = kept[(i_out + 1) % n:] + kept[: (i_out + 1) % n]
+        pairs = rotated[:-1] + [(a_out, new_link_tris[-1])]
+        pairs += list(zip(reversed(new_tokens), reversed(new_link_tris[:-1])))
+    curve.tokens = [tok for tok, _ in pairs]
+    curve.link_tris = [tri for _, tri in pairs]
+
+
+def reference_minimize(arr):
+    """Bigon elimination as the engine ran it before the loop-word test: one
+    planar map per slide, and the bigon read off its regions."""
+    xs = arr.crossings()
+    for _ in range(len(xs) // 2 + 1):
+        if not xs:
+            return xs
+        busy = {x.b_key[0] for x in xs}
+        free = [c for c in arr.curves[1:] if c.tokens and c.cid not in busy]
+        gone = {tok for c in free for tok in c.tokens}
+        if gone:
+            arr.edge_pts = [[tok for tok in pts if tok not in gone]
+                            for pts in arr.edge_pts]
+        for c in free:
+            c.tokens = []
+            c.link_tris = []
+        if arrangement._algebraically_minimal(xs):
+            return xs
+        bigons = [r for r in arr.analyze(xs).regions
+                  if r.chi == 1 and r.corner_visits == 2]
+        if not bigons:
+            return xs
+        bigons.sort(key=lambda r: sorted(map(repr, r.crossing_keys)))
+        _reference_slide(arr, bigons[0])
+        after = arr.crossings()
+        if len(after) != len(xs) - 2:
+            raise AssertionError(
+                f"slide changed crossings {len(xs)} -> {len(after)}")
+        xs = after
+    raise AssertionError("minimization did not terminate")
+
+
+def _minimized(minimize, tri, vectors):
+    """Crossing count, then A's (edge, place) sequence and link triangles,
+    after `minimize`."""
+    arr = arrangement.Arrangement(tri, vectors)
+    n = len(minimize(arr))
+    pos = arr._positions()
+    a = arr.curves[0]
+    return n, [(arr.tok_edge[t], pos[t]) for t in a.tokens], a.link_tris
+
+
+def test_minimize_matches_planar_map_reference():
+    # Every ordered pair of genus-2 classes up to cap 10 and of genus-3
+    # classes up to cap 7, and each genus-2 class up to cap 8 against the
+    # union of each disjoint pair of them.  The two may slide different
+    # bigons only when A is isotopic to a curve of the system: the bigons
+    # with the least corner keys are then the two halves of one annulus,
+    # and both ways end with no crossing.
+    from heegaard_lab.surface import (
+        enumerate_essential_curves, geometric_intersection)
+    cases = []
+    for genus, cap in ((2, 10), (3, 7)):
+        curves = [c.coords for c in enumerate_essential_curves(genus, cap)]
+        cases += [(genus, [a, b])
+                  for a, b in itertools.permutations(curves, 2)]
+    curves = enumerate_essential_curves(2, 8)
+    unions = [tuple(x + y for x, y in zip(a.coords, b.coords))
+              for a, b in itertools.combinations(curves, 2)
+              if geometric_intersection(a, b) == 0]
+    cases += [(2, [c.coords, u]) for c in curves for u in unions]
+    assert len(cases) == 2652 + 462 + 25 * 129
+    moved = 0
+    for genus, vectors in cases:
+        tri = canonical_triangulation(genus)
+        got = _minimized(arrangement.minimize, tri, vectors)
+        want = _minimized(reference_minimize, tri, vectors)
+        if got != want:
+            moved += 1
+            link = tri.vertex_link_vector()
+            parallel = any(
+                arrangement.isotopic(tri, vectors[0], comp.vector)
+                for comp in tri.trace(vectors[1]) if comp.vector != link)
+            assert got[0] == want[0] == 0 and parallel, (vectors, got, want)
+    assert moved == 42
+
+
+# Genus-2 pairs of weight <= 16 whose minimization reaches a bigon that
+# swallows the vertex, with no other bigon to slide instead: its loop word
+# reduces to the vertex link's, not to nothing.
+VERTEX_BIGON_PAIRS = [
+    ((2, 2, 2, 1, 2, 2, 2, 0, 1), (1, 2, 1, 1, 1, 2, 2, 3, 2)),
+    ((1, 0, 1, 2, 1, 2, 2, 3, 1), (1, 4, 2, 1, 3, 2, 2, 0, 1)),
+    ((1, 2, 1, 2, 1, 0, 2, 3, 3), (2, 2, 1, 2, 2, 2, 2, 1, 1)),
+]
+
+
+def test_bigon_around_the_vertex():
+    tri = canonical_triangulation(2)
+    for a, b in VERTEX_BIGON_PAIRS:
+        assert _minimized(arrangement.minimize, tri, [a, b]) \
+            == _minimized(reference_minimize, tri, [a, b]), (a, b)
+
+
+def test_loop_word_test():
+    for genus in (1, 2, 3):
+        tri = canonical_triangulation(genus)
+        link = [e for e, _ in tri.vertex_rotation]
+        for k in range(len(link)):
+            turned = link[k:] + link[:k]
+            assert arrangement._loop_is_trivial(tri, turned)
+            assert arrangement._loop_is_trivial(tri, turned[::-1])
+        assert arrangement._loop_is_trivial(tri, [])
+        for e in range(tri.n_edges):
+            assert arrangement._loop_is_trivial(tri, [e, e])
+            for side in (0, 1):
+                (comp,) = tri.trace(tri.edge_loop_pushoff(e, side))
+                word = [f for f, _ in comp.cycle]
+                assert not arrangement._loop_is_trivial(tri, word), (e, side)
+
+
+def test_minimize_builds_no_planar_map(monkeypatch):
+    from heegaard_lab.disk_complex import build_lambda, classify
+    from heegaard_lab.handlebody import standard_diagram
+    from test_disk_complex import critical_witness_diagram
+
+    # Enumeration's isotopy test still maps crossing-free arrangements, to
+    # look for an annulus; no map of an arrangement with crossings is built.
+    analyze = arrangement.Arrangement.analyze
+
+    def crossing_free_only(self, crossings=None):
+        if crossings != []:
+            raise AssertionError("a planar map with crossings was built")
+        return analyze(self, crossings)
+    monkeypatch.setattr(arrangement.Arrangement, "analyze", crossing_free_only)
+    build_lambda(critical_witness_diagram(), 8)
+    classify(standard_diagram(2), 8)
 
 
 def connected_essential_vectors(genus, cap):

@@ -390,3 +390,31 @@ def test_key_errors_print_their_message(capsys):
                "--end", "Q", "--oracle", ORACLE1) == \
         (1, "", "input error: GHS (-) [5] (-) matches 0 inventory labels; "
                 "pass the label itself\n")
+
+
+def test_sog_flatten_unknown_label_reported_as_label(capsys, tmp_path):
+    assert run(capsys, "sog", "flatten", "--start", "X", "--end", "Q",
+               "--oracle", ORACLE1) == \
+        (1, "", "input error: unknown splitting label 'X'\n")
+    # R is the one genus-3 label, so its GHS names it, inline or in a file.
+    by_label = run(capsys, "sog", "flatten", "--start", "R", "--end", "Q",
+                   "--oracle", ORACLE1)
+    assert by_label[0] == 0
+    r_file = tmp_path / "r"
+    r_file.write_text('{"levels": [[], [3], []]}')
+    for start in ('{"levels": [[], [3], []]}', str(r_file)):
+        assert run(capsys, "sog", "flatten", "--start", start, "--end", "Q",
+                   "--oracle", ORACLE1) == by_label
+
+
+def test_internal_error_exit_3(capsys, monkeypatch):
+    from heegaard_lab import arrangement
+
+    def broken(arr):
+        raise AssertionError("slide changed crossings 3 -> 3")
+    monkeypatch.setattr(arrangement, "minimize", broken)
+    a1 = '{"genus": 2, "coords": [0, 1, 0, 0, 1, 1, 0, 0, 0]}'
+    b1 = '{"genus": 2, "coords": [1, 0, 0, 0, 1, 0, 0, 0, 0]}'
+    assert run(capsys, "intersect", "--a", a1, "--b", b1) == \
+        (3, "",
+         "internal error: slide changed crossings 3 -> 3\n")
