@@ -27,6 +27,8 @@ from .ghs import (
 from .surface import (
     CurveClass,
     Slope,
+    _blocks_meet,
+    admissible_vectors,
     algebraic_intersection,
     canonical_triangulation,
     enumerate_essential_curves,
@@ -216,6 +218,25 @@ def check_genus2_minimal_position(rng: random.Random,
     return PropertyReport("genus2-minimal-position", iterations, failures)
 
 
+def check_genus2_block_certificate(rng: random.Random,
+                                   iterations: int) -> PropertyReport:
+    """On random pairs of connected essential genus-2 vectors of weight
+    <= 16 that `_blocks_meet` settles, `minimize` ends at |a . b|."""
+    failures, done = [], 0
+    tri = canonical_triangulation(2)
+    curves = [CurveClass(2, v) for v in admissible_vectors(tri, 16)
+              if len(tri.trace(v)) == 1 and v != tri.vertex_link_vector()]
+    while done < iterations:        # about one draw in 20 is settled
+        a, b = rng.choice(curves), rng.choice(curves)
+        alg = algebraic_intersection(a, b)
+        if alg <= 1 and _blocks_meet(tri, a._corners, b._corners, alg):
+            done += 1
+            arr = arrangement.Arrangement(tri, [a.coords, b.coords])
+            if len(arrangement.minimize(arr)) != alg:
+                failures.append((a, b, alg))
+    return PropertyReport("genus2-block-certificate", iterations, failures)
+
+
 def property_suite(seed: int, iterations: int) -> list[PropertyReport]:
     """The randomized invariants behind the `proptest` command."""
     reports = []
@@ -229,5 +250,7 @@ def property_suite(seed: int, iterations: int) -> list[PropertyReport]:
     reports.append(check_genus2_intersection(
         random.Random(rng.randrange(2 ** 32)), iterations))
     reports.append(check_genus2_minimal_position(
+        random.Random(rng.randrange(2 ** 32)), iterations))
+    reports.append(check_genus2_block_certificate(
         random.Random(rng.randrange(2 ** 32)), iterations))
     return reports

@@ -192,13 +192,6 @@ class Triangulation:
         return [self.corner_counts(weights, t)
                 for t in range(len(self.triangles))]
 
-    def is_admissible(self, weights: Sequence[int]) -> bool:
-        try:
-            self.check_matching(weights)
-        except InvalidCoordinates:
-            return False
-        return True
-
     # -- tracing -------------------------------------------------------------
 
     def trace(self, weights: Sequence[int]) -> list["TracedCurve"]:
@@ -365,7 +358,10 @@ class CurveClass:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        _sized_triangulation(self.genus, self.coords).check_matching(self.coords)
+        corners = _sized_triangulation(self.genus, self.coords).check_matching(
+            self.coords)
+        if self.genus > 1:      # read by _blocks_meet; unused on the torus
+            self.__dict__["_corners"] = corners
 
     @property
     def surface(self) -> ModelSurface:
@@ -536,9 +532,6 @@ class MulticurveReport:
     genus: int
     entries: tuple[MulticurveEntry, ...]
 
-    def total_components(self) -> int:
-        return sum(e.multiplicity for e in self.entries)
-
 
 def normalize(surface: ModelSurface | int, coords: Sequence[int]):
     """Validate a raw edge-weight vector and classify what it carries.
@@ -585,16 +578,62 @@ def is_essential(surface: ModelSurface | int, coords: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _blocks_meet(tri: Triangulation, c, d, k: int) -> bool:
+    """Can normal curves with corner counts c and d (from `check_matching`)
+    lie in two blocks on every edge, each in its own order, and cross at
+    most k <= 1 times?  Bit x_e says c's block is first along e's arrow.
+    Where it is first counterclockwise on side m, c's corner-(m+1) arcs
+    cross d's corner-m arcs, else c's corner-m arcs cross d's corner-(m+1)
+    arcs; the corner-m arcs cross when c's block is first on both sides m-1
+    and m, or on neither.  No edge occurs twice in a triangle, so each term
+    is absent when one bit, or the parity of two, takes one value."""
+    n = tri.n_edges         # x_n is the constant 0
+    hard, units = [], []    # (u, v, p): the term is absent when x_u ^ x_v == p
+    drops = None            # the unit terms of a side that crosses either way
+    for occ, ct, dt in zip(tri.triangles, c, d):
+        for m in range(3):
+            first, second = ct[m - 2] * dt[m], ct[m] * dt[m - 2]
+            corner = ct[m] * dt[m]
+            if not (first or second or corner):
+                continue
+            (e, s), (f, r) = occ[m], occ[m - 1]
+            terms = ((first, (e, n, s < 0)), (second, (e, n, s > 0)),
+                     (corner, (e, f, s == r)))
+            if first and second:
+                if k == 0 or drops is not None:
+                    return False
+                drops = [cond for w, cond in terms[:2] if w == 1]
+            for w, cond in terms:
+                if w:
+                    (hard if w > k else units).append(cond)
+
+    def solvable(conditions) -> bool:
+        root, off = list(range(n + 1)), [0] * (n + 1)
+        for u, v, p in conditions:      # p becomes x_root(u) ^ x_root(v)
+            while root[u] != u:
+                p, u = p ^ off[u], root[u]
+            while root[v] != v:
+                p, v = p ^ off[v], root[v]
+            if u != v:
+                root[u], off[u] = v, p
+            elif p:
+                return False
+        return True
+
+    return any(solvable(hard + [u for u in units if u is not drop])
+               for drop in (units or [None] if drops is None else drops))
+
+
 def geometric_intersection(a: CurveClass, b: CurveClass) -> int:
     """Minimal-position (bigon-free) intersection number, exact.
 
-    Torus pairs use the determinant |ps - qr|.  At higher genus a pair is
-    first offered to the disjointness certificate: when a . b = 0 and the
-    normal sum a + b traces to exactly two components, with vectors a and b,
-    the answer is 0.  A normal curve is determined up to normal isotopy by
-    its vector, so those two components are disjoint normal curves isotopic
-    to a and to b, and i(a, b) = 0.  Every other pair runs the traced
-    arrangement with bigon elimination.
+    Torus pairs use the determinant |ps - qr|.  At higher genus |a . b|
+    bounds i(a, b) from below and any realization bounds it from above, so
+    a pair with |a . b| <= 1 that `_blocks_meet` lays out meeting only
+    |a . b| times has i(a, b) = |a . b|.  A pair with a . b = 0 whose normal
+    sum a + b traces to two components, with vectors a and b, is disjoint:
+    a normal curve is determined up to normal isotopy by its vector.  Every
+    other pair runs the traced arrangement with bigon elimination.
     """
     if a.genus != b.genus:
         raise SurfaceMismatch(f"genus {a.genus} vs {b.genus}")
@@ -604,7 +643,10 @@ def geometric_intersection(a: CurveClass, b: CurveClass) -> int:
         return slope_intersection(coords_to_slope(a.coords),
                                   coords_to_slope(b.coords))
     tri = canonical_triangulation(a.genus)
-    if algebraic_intersection(a, b) == 0:
+    alg = algebraic_intersection(a, b)
+    if alg <= 1 and _blocks_meet(tri, a._corners, b._corners, alg):
+        return alg
+    if alg == 0:
         total = tuple(x + y for x, y in zip(a.coords, b.coords))
         if _component_counts(tri, total) == {a.coords: 1, b.coords: 1}:
             return 0
@@ -616,9 +658,8 @@ def intersection_at_most(a: CurveClass, b: CurveClass, k: int) -> Optional[int]:
     """i(a, b) when it is at most k, else None.
 
     Since |algebraic intersection| <= i(a, b), a pair whose homology classes
-    pair to more than k is answered without building an arrangement, and a
-    disjoint pair that the normal-sum certificate of
-    `geometric_intersection` recognizes is answered 0 by one trace.
+    pair to more than k is answered without building an arrangement, and so
+    is every pair that a certificate of `geometric_intersection` settles.
     """
     if a.genus > 1 and algebraic_intersection(a, b) > k:
         return None
@@ -707,12 +748,6 @@ def _slope_scan(cap: int) -> Iterator[Slope]:
         for q in range(p - half, half + 1):
             if math.gcd(p, q) == 1:
                 yield Slope(p, q)
-
-
-def enumerate_slopes(cap: int) -> list[Slope]:
-    """Torus classes with coordinate sum |p| + |q| + |p-q| <= cap, sorted
-    by (weight, coords)."""
-    return sorted(_slope_scan(cap), key=lambda s: (sum(s.coords()), s.coords()))
 
 
 def enumerate_essential_curves(

@@ -414,7 +414,7 @@ def test_internal_error_exit_3(capsys, monkeypatch):
         raise AssertionError("slide changed crossings 3 -> 3")
     monkeypatch.setattr(arrangement, "minimize", broken)
     a1 = '{"genus": 2, "coords": [0, 1, 0, 0, 1, 1, 0, 0, 0]}'
-    b1 = '{"genus": 2, "coords": [1, 0, 0, 0, 1, 0, 0, 0, 0]}'
+    b1 = '{"genus": 2, "coords": [2, 1, 0, 0, 1, 1, 0, 0, 0]}'
     assert run(capsys, "intersect", "--a", a1, "--b", b1) == \
         (3, "",
          "internal error: slide changed crossings 3 -> 3\n")

@@ -482,3 +482,24 @@ def test_disk_boundaries_exported_from_package_root():
 
     assert heegaard_lab.enumerate_disk_boundaries \
         is disk_complex.enumerate_disk_boundaries
+
+
+def test_twisted_lambda_arrangement_counts(monkeypatch):
+    """Arrangements built for Λ of the twisted diagram of demos/05.  The
+    block certificate settles most pairs with |a . b| <= 1 first; without
+    it, caps 8 and 12 built 104 and 1,786.  A change here is a change in
+    the work done, and should be explained."""
+    from heegaard_lab import arrangement
+    built = []
+    init = arrangement.Arrangement.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    d = critical_witness_diagram()
+    monkeypatch.setattr(arrangement.Arrangement, "__init__", counting)
+    for cap, n_built in [(8, 23), (12, 970)]:
+        built.clear()
+        build_lambda(d, cap)
+        assert len(built) == n_built, cap

@@ -19,18 +19,37 @@ from heegaard_lab.surface import (
     Slope,
     TracedCurve,
     Triangulation,
+    _slope_scan,
     _z2_rank,
     admissible_vectors,
+    algebraic_intersection,
     canonical_triangulation,
     coords_to_slope,
     enumerate_essential_curves,
-    enumerate_slopes,
     geometric_intersection,
     homology_class,
     is_essential,
     normalize,
     same_class,
 )
+
+
+def enumerate_slopes(cap):
+    """Torus classes with coordinate sum |p| + |q| + |p-q| <= cap, sorted
+    by (weight, coords)."""
+    return sorted(_slope_scan(cap), key=lambda s: (sum(s.coords()), s.coords()))
+
+
+def is_admissible(tri, weights):
+    try:
+        tri.check_matching(weights)
+    except InvalidCoordinates:
+        return False
+    return True
+
+
+def total_components(report):
+    return sum(e.multiplicity for e in report.entries)
 
 
 def oracle_torus_vector(p, q):
@@ -92,7 +111,7 @@ def test_normalize_multicurve_multiplicity():
     vec = tuple(3 * x for x in Slope.of(1, 0).coords())
     report = normalize(1, vec)
     assert isinstance(report, MulticurveReport)
-    assert report.total_components() == 3
+    assert total_components(report) == 3
     entry = report.entries[0]
     assert entry.coords == Slope.of(1, 0).coords()
     assert entry.multiplicity == 3 and entry.essential
@@ -411,7 +430,7 @@ def test_torus_closed_form_matches_trace():
         got = outcome(lambda: coords_to_slope(vec))
         assert got == outcome(lambda: traced_slope(vec)), vec
         kinds.add(got[0] if isinstance(got, tuple) else type(got))
-        if tri.is_admissible(vec):
+        if is_admissible(tri, vec):
             assert outcome(lambda: CurveClass(1, vec)._bucket) \
                 == outcome(lambda: traced_bucket(vec)), vec
     assert kinds == {Slope, InvalidCoordinates, InessentialCurve, ValueError}
@@ -430,7 +449,7 @@ def test_torus_never_traces(monkeypatch):
     assert len(build_gamma(diagram, 40).classes) == 2
     assert classify(diagram, 40).reducing_class is None
     assert normalize(1, (5, 7, 12)).slope() == Slope.of(7, -5)
-    assert normalize(1, (6, 4, 4)).total_components() == 3
+    assert total_components(normalize(1, (6, 4, 4))) == 3
     a, b = CurveClass.from_slope(3, 1), CurveClass.from_slope(1, 2)
     assert geometric_intersection(a, b) == 5
     assert not same_class(a, b) and same_class(a, a)
@@ -553,6 +572,87 @@ def test_disjointness_certificate_sound_and_complete(monkeypatch):
             certified = not built
             assert certified == (truth == 0), (a, b, truth)
         assert zero == n_zero
+
+
+def reference_block_crossings(tri, c, d, mask):
+    """Crossings of two normal curves with corner counts c and d when the
+    first curve's tokens come first along edge e exactly when bit e of
+    `mask` is set, counted triangle by triangle."""
+    total = 0
+    for occ, ct, dt in zip(tri.triangles, c, d):
+        first = [bool(mask >> e & 1) == (s == 1) for e, s in occ]
+        for m in range(3):
+            n = (m + 1) % 3
+            total += ct[n] * dt[m] if first[m] else ct[m] * dt[n]
+            if first[m - 1] == first[m]:
+                total += ct[m] * dt[m]
+    return total
+
+
+def test_block_crossings_match_arrangement():
+    """The per-triangle count is the crossing count of the arrangement with
+    each edge's tokens reordered into the chosen blocks, for all 512 masks."""
+    from heegaard_lab import arrangement
+    tri = canonical_triangulation(2)
+    curves = enumerate_essential_curves(2, 8)
+    rng = random.Random(8)
+    pairs = [rng.sample(curves, 2) for _ in range(6)]
+    assert sorted(algebraic_intersection(a, b) for a, b in pairs) == \
+        [0, 0, 0, 0, 1, 2]
+    for a, b in pairs:
+        arr = arrangement.Arrangement(tri, [a.coords, b.coords])
+        blocks = [(pts[:w], pts[w:]) for pts, w in zip(arr.edge_pts, a.coords)]
+        for mask in range(512):
+            arr.edge_pts = [a_pts + b_pts if mask >> e & 1 else b_pts + a_pts
+                            for e, (a_pts, b_pts) in enumerate(blocks)]
+            assert len(arr.crossings()) == reference_block_crossings(
+                tri, a._corners, b._corners, mask), (a, b, mask)
+
+
+def test_block_certificate_matches_exhaustive_minimum():
+    """`_blocks_meet` answers k = 0 and k = 1 exactly when some mask of
+    edge blocks crosses at most k times, on every ordered pair of genus-2
+    classes up to cap 8."""
+    from heegaard_lab.surface import _blocks_meet
+    tri = canonical_triangulation(2)
+    curves = enumerate_essential_curves(2, 8)
+    fired = [0, 0]
+    for a, b in itertools.permutations(curves, 2):
+        c, d = a._corners, b._corners
+        least = min(reference_block_crossings(tri, c, d, mask)
+                    for mask in range(512))
+        for k in (0, 1):
+            assert _blocks_meet(tri, c, d, k) == (least <= k), (a, b, k)
+            fired[k] += least <= k
+    assert fired == [236, 368]
+
+
+def test_block_certificate_sound(monkeypatch):
+    """Whenever the block certificate settles a pair, the arrangement finds
+    i(a, b) = |a . b|, and `geometric_intersection` answers without one:
+    every ordered pair of classes with |a . b| <= 1, at genus 2 up to cap 10
+    and at genus 3 up to cap 7."""
+    from heegaard_lab import arrangement
+    from heegaard_lab.surface import _blocks_meet
+    exact = arrangement.intersection_number
+    built = []
+    monkeypatch.setattr(arrangement, "intersection_number",
+                        lambda *args: built.append(args))
+    for genus, cap, n_pairs, n_fired in [(2, 10, 1574, 1120),
+                                         (3, 7, 390, 382)]:
+        tri = canonical_triangulation(genus)
+        curves = enumerate_essential_curves(genus, cap)
+        fired = 0
+        pairs = [(a, b) for a, b in itertools.permutations(curves, 2)
+                 if algebraic_intersection(a, b) <= 1]
+        for a, b in pairs:
+            alg = algebraic_intersection(a, b)
+            if _blocks_meet(tri, a._corners, b._corners, alg):
+                fired += 1
+                assert exact(tri, a.coords, b.coords) == alg, (a, b)
+                assert geometric_intersection(a, b) == alg, (a, b)
+        assert (len(pairs), fired) == (n_pairs, n_fired)
+    assert not built
 
 
 def reference_trace(tri, weights):
