@@ -1,6 +1,8 @@
 """Combinatorial engines for disk complexes, Heegaard diagrams, and
 generalized Heegaard splittings."""
 
+import types as _types
+
 from .disk_complex import (
     ClassificationVerdict,
     DiskComplexGraph,
@@ -85,78 +87,7 @@ from .surface import (
     same_class,
 )
 
-__all__ = [
-    "BudgetExhausted",
-    "ClassificationVerdict",
-    "CompressionDescriptor",
-    "CurveClass",
-    "CutSystem",
-    "Destabilization",
-    "DiskComplexGraph",
-    "DistanceResult",
-    "FlattenBudgetExhausted",
-    "GHS",
-    "HeegaardDiagram",
-    "InessentialCurve",
-    "InvalidCoordinates",
-    "InvalidCutSystem",
-    "InvalidGHS",
-    "InvalidMove",
-    "InvalidSOG",
-    "InventoryOracle",
-    "LambdaGraph",
-    "ModelSurface",
-    "MulticurveReport",
-    "SOG",
-    "SOGStep",
-    "SignedWord",
-    "Slope",
-    "SurfaceMismatch",
-    "SymbolicBudget",
-    "SymbolicOracle",
-    "WeakReduction",
-    "apply_move",
-    "boundary_word",
-    "bounds_disk",
-    "build_gamma",
-    "build_lambda",
-    "canonical_triangulation",
-    "classify",
-    "compare_collections",
-    "compare_ghs",
-    "compare_sogs",
-    "complexity",
-    "component_distance",
-    "components",
-    "compress",
-    "destabilize",
-    "edge_distance",
-    "emit_graph",
-    "enumerate_disk_boundaries",
-    "enumerate_essential_curves",
-    "enumerate_moves",
-    "find_destab_edge",
-    "flatten",
-    "geometric_intersection",
-    "ghs_key",
-    "intersection_at_most",
-    "is_essential",
-    "isolated_vertices",
-    "lens_space",
-    "max_key",
-    "maximal_positions",
-    "minimal_positions",
-    "normalize",
-    "quotient_by_symmetry",
-    "s2_x_s1",
-    "s3_genus1",
-    "same_class",
-    "splitting_distance",
-    "stabilize",
-    "standard_diagram",
-    "validate_cut_system",
-    "validate_ghs",
-    "verify_single_maximal",
-    "vertex_distance",
-    "weak_reduce",
-]
+# Every public name bound above, and only those: submodules are excluded.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _types.ModuleType))

@@ -35,7 +35,7 @@ would push the crossing count below it.  Minimization therefore stops,
 without looking for bigons, as soon as every B component meets A exactly
 |sum of signs| times.
 
-Regions, for the isotopy test and for complements, come from one planar
+Regions, for the isotopy test, come from one planar
 map of the whole surface.  Its nodes are the triangulation vertex, the
 tokens and the crossings; its edges are the gap
 arcs between consecutive nodes along each triangulation edge and the
@@ -47,7 +47,7 @@ they contain the triangulation vertex.
 The same machinery answers, exactly: geometric intersection numbers
 (crossings after minimization), signed crossing words of A against the
 components of B, isotopy of two disjoint curves (an annulus region, chi = 0,
-between them), and the topology of a multicurve's complement.
+between them).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .surface import Triangulation
+from .surface import Triangulation, _partition
 
 
 @dataclass
@@ -104,18 +104,8 @@ class Region:
     crossing_keys: list         # one per corner of the region
 
     @property
-    def corner_visits(self) -> int:
-        return len(self.crossing_keys)
-
-    @property
     def chi(self) -> int:
         return len(self.faces) - len(self.gaps) + (1 if self.contains_vertex else 0)
-
-
-@dataclass
-class Analysis:
-    crossings: list
-    regions: list
 
 
 def _in_open_arc(x, a, b) -> bool:
@@ -242,7 +232,7 @@ class Arrangement:
 
     # -- regions ----------------------------------------------------------------
 
-    def analyze(self, crossings: Optional[list] = None) -> Analysis:
+    def analyze(self, crossings: Optional[list] = None) -> list[Region]:
         """Regions of the arrangement, read off one planar map of the surface.
 
         Nodes are token ids, then the vertex; crossing i is node ~i, which
@@ -334,25 +324,10 @@ class Arrangement:
         if n_nodes - len(label) + n_faces != chi_surface:
             raise AssertionError("arrangement map is not a cell decomposition")
 
-        parent = list(range(n_faces))
-
-        def find(f: int) -> int:
-            while parent[f] != f:
-                parent[f] = parent[parent[f]]
-                f = parent[f]
-            return f
-
-        for d in range(0, n_gap_darts, 2):
-            parent[find(face[d])] = find(face[d + 1])
-        by_root: dict[int, Region] = {}
-        region_of = []
-        for f in range(n_faces):
-            root = find(f)
-            if root not in by_root:
-                by_root[root] = Region([], set(), False, [], [])
-            region = by_root[root]
-            region.faces.append(f)
-            region_of.append(region)
+        regions = [Region(faces, set(), False, [], []) for faces in _partition(
+            range(n_faces), ((face[d], face[d + 1])
+                             for d in range(0, n_gap_darts, 2)))]
+        region_of = {f: r for r in regions for f in r.faces}
         for d in range(0, n_gap_darts, 2):
             region_of[face[d]].gaps.add(label[d >> 1])
         for d in rot[vertex]:
@@ -376,12 +351,11 @@ class Arrangement:
                     d = next_in_face(d ^ 1)
             region_of[face[d0]].circles.append(circle)
 
-        regions = list(by_root.values())
         total = sum(r.chi for r in regions)
         expected = chi_surface + len(crossings)
         if total != expected:
             raise AssertionError(f"region chi sum {total} != {expected}")
-        return Analysis(crossings, regions)
+        return regions
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +573,7 @@ def isotopic(tri: Triangulation, a_vec, b_vec) -> bool:
     crossing is left."""
     arr = Arrangement(tri, [a_vec, b_vec])
     xs = minimize(arr)
-    return not xs and any(r.chi == 0 for r in arr.analyze(xs).regions)
+    return not xs and any(r.chi == 0 for r in arr.analyze(xs))
 
 
 def crossing_word(tri: Triangulation, curve_vec, system_vecs):
@@ -630,17 +604,3 @@ def crossing_word(tri: Triangulation, curve_vec, system_vecs):
             counts[index_of[cid]] += 1
     return letters, counts
 
-
-def complement_regions(tri: Triangulation, union_vec):
-    """Regions of the complement of a multicurve (no distinguished curve).
-
-    Returns ([(chi, n_boundary_circles, contains_vertex)], component vectors),
-    with the regions in order of their least face of the map.
-    """
-    arr = Arrangement(tri, [union_vec])
-    if arr.crossings():
-        raise AssertionError("a single multicurve cannot self-cross")
-    analysis = arr.analyze()
-    comps = [arr.component_vector(c.cid) for c in arr.curves]
-    return [(r.chi, len(r.circles), r.contains_vertex)
-            for r in analysis.regions], comps

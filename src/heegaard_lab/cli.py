@@ -123,28 +123,7 @@ def cmd_diagram(args) -> int:
     diagram = serialize.diagram_from_jsonable(_load_json(args.diagram))
     if args.action == "classify":
         verdict = classify(diagram, args.cap, args.budget)
-        payload = {
-            "summary": verdict.summary(),
-            "has_red_disk": verdict.has_red_disk,
-            "has_blue_disk": verdict.has_blue_disk,
-            "red_witness": serialize.curve_to_jsonable(verdict.red_witness)
-            if verdict.red_witness else None,
-            "blue_witness": serialize.curve_to_jsonable(verdict.blue_witness)
-            if verdict.blue_witness else None,
-            "reducing_class":
-                serialize.curve_to_jsonable(verdict.reducing_class)
-                if verdict.reducing_class else None,
-            "edge_witness": [list(v) for v in verdict.edge_witness]
-            if verdict.edge_witness else None,
-            "critical_witness":
-                [[list(v) for v in verdict.critical_witness[0]],
-                 [list(v) for v in verdict.critical_witness[1]],
-                 verdict.critical_witness[2], verdict.critical_witness[3]]
-                if verdict.critical_witness else None,
-            "negative_claims_cap": verdict.negative_claims_cap,
-            "certified": verdict.certified,
-        }
-        _emit(args, payload)
+        _emit(args, serialize.verdict_to_jsonable(verdict))
         return EXIT_OK if verdict.certified else EXIT_SCOPED
     build = build_lambda if args.action == "lambda" else build_gamma
     graph = build(diagram, args.cap, args.budget)

@@ -21,6 +21,7 @@ from .handlebody import HeegaardDiagram, bounds_disk
 from .surface import (
     BudgetExhausted,
     CurveClass,
+    _partition,
     _slope_of_vector,
     enumerate_essential_curves,
     intersection_at_most,
@@ -95,28 +96,6 @@ class LambdaGraph(_GraphCore):
 
     def contains_edge(self, u: VertexKey, v: VertexKey) -> bool:
         return u == v or _edge_key(u, v) in self.edges
-
-
-def _partition(keys: Iterable[VertexKey],
-               pairs: Iterable[EdgeKey]) -> list[list[VertexKey]]:
-    """Union-find: the classes of `keys` under the equivalence relation
-    generated by `pairs`, each in the order its keys were given."""
-    parent = {k: k for k in keys}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (u, v) in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[VertexKey, list[VertexKey]] = {}
-    for k in parent:
-        groups.setdefault(find(k), []).append(k)
-    return list(groups.values())
 
 
 def components(graph: _GraphCore) -> list[list[VertexKey]]:

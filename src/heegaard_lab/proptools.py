@@ -212,8 +212,8 @@ def check_genus2_minimal_position(rng: random.Random,
         arr = arrangement.Arrangement(tri, [a.coords, b.coords])
         n = len(arrangement.minimize(arr))
         if n != geometric_intersection(b, a) or any(
-                r.chi == 1 and r.corner_visits == 2
-                for r in arr.analyze().regions):
+                r.chi == 1 and len(r.crossing_keys) == 2
+                for r in arr.analyze()):
             failures.append((a, b, n))
     return PropertyReport("genus2-minimal-position", iterations, failures)
 

@@ -6,6 +6,7 @@ unknown fields and values of the wrong JSON type with a FormatError.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
 
@@ -69,6 +70,23 @@ def curve_to_jsonable(c: CurveClass) -> dict:
         s = c.slope()
         return {"slope": [s.p, s.q]}
     return {"genus": c.genus, "coords": list(c.coords)}
+
+
+def verdict_to_jsonable(verdict) -> dict:
+    """A `ClassificationVerdict`'s fields and summary; a class becomes its
+    curve object and a tuple a list, recursively."""
+
+    def jsonable(value):
+        if isinstance(value, CurveClass):
+            return curve_to_jsonable(value)
+        if isinstance(value, tuple):
+            return [jsonable(v) for v in value]
+        return value
+
+    payload = {f.name: jsonable(getattr(verdict, f.name))
+               for f in dataclasses.fields(verdict)}
+    payload["summary"] = verdict.summary()
+    return payload
 
 
 def curve_from_jsonable(data: dict) -> CurveClass:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 
 class InvalidCoordinates(ValueError):
@@ -438,6 +438,29 @@ def _z2_rank(classes) -> int:
         if x:
             basis.append(x)
     return len(basis)
+
+
+def _partition(keys: Iterable[Hashable],
+               pairs: Iterable[tuple]) -> list[list]:
+    """Union-find: the classes of `keys` under the equivalence relation
+    generated by `pairs`, each in the order its keys were given, ordered by
+    their first keys."""
+    parent = {k: k for k in keys}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for (u, v) in pairs:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    groups: dict = {}
+    for k in parent:
+        groups.setdefault(find(k), []).append(k)
+    return list(groups.values())
 
 
 def algebraic_intersection(a: CurveClass, b: CurveClass) -> int:

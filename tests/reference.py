@@ -1,0 +1,413 @@
+"""Slow reference versions of the engine's fast paths, in one place.
+
+Each function here is either the way the engine used to compute something
+before a faster method replaced it, or an independent check that never was
+the engine's own.  The tests compare each fast path against its reference
+on fixed data; change neither the references nor that data to make a test
+pass.
+
+  fast path                           reference
+  arrangement.isotopic                reference_isotopic
+  arrangement.minimize                reference_minimize
+  Triangulation.trace                 reference_trace
+  surface.admissible_vectors          reference_admissible_vectors
+  surface.homology_class              reference_homology_class
+  surface._blocks_meet                reference_block_crossings
+  handlebody.validate_cut_system      reference_validate_cut_system
+
+`complement_regions` reads a multicurve's complement off the planar map;
+the cut-system reference and the arrangement goldens use it.
+"""
+
+import itertools
+from dataclasses import dataclass
+
+from heegaard_lab import arrangement
+from heegaard_lab.handlebody import CutSystem, InvalidCutSystem
+from heegaard_lab.surface import (
+    ModelSurface,
+    SurfaceMismatch,
+    TracedCurve,
+    _component_counts,
+    admissible_vectors,
+    canonical_triangulation,
+    geometric_intersection,
+    same_class,
+)
+
+NOT_DISJOINT = ("the stored coordinate vectors do not overlay disjointly; "
+                "re-supply representatives that are disjoint as drawn")
+
+
+def connected_essential_vectors(genus, cap):
+    """Every connected essential vector of weight <= cap, so that a class
+    drawn on both sides of the vertex appears once per drawing."""
+    tri = canonical_triangulation(genus)
+    link = tri.vertex_link_vector()
+    return [v for v in admissible_vectors(tri, cap)
+            if v != link and len(tri.trace(v)) == 1]
+
+
+def complement_regions(tri, union_vec):
+    """Regions of the complement of a multicurve (no distinguished curve).
+
+    Returns ([(chi, n_boundary_circles, contains_vertex)], component vectors),
+    with the regions in order of their least face of the map.
+    """
+    arr = arrangement.Arrangement(tri, [union_vec])
+    if arr.crossings():
+        raise AssertionError("a single multicurve cannot self-cross")
+    comps = [arr.component_vector(c.cid) for c in arr.curves]
+    return [(r.chi, len(r.circles), r.contains_vertex)
+            for r in arr.analyze()], comps
+
+
+# -- arrangement --------------------------------------------------------------
+
+
+def reference_isotopic(tri, a_vec, b_vec):
+    """The annulus scan `isotopic` used to run: after minimization, a
+    chi = 0 region whose boundary steps pass every link of both curves
+    exactly once."""
+    arr = arrangement.Arrangement(tri, [a_vec, b_vec])
+    if arrangement.minimize(arr):
+        return False
+    regions = arr.analyze()
+    want = {0: len(arr.curves[0]), 1: len(arr.curves[1])}
+    for region in regions:
+        if region.chi != 0:
+            continue
+        counts = {}
+        per_curve = {0: 0, 1: 0}
+        for circle in region.circles:
+            for step in circle:
+                key = step[0]
+                counts[key] = counts.get(key, 0) + 1
+                per_curve[key[0]] += 1
+        if all(v == 1 for v in counts.values()) \
+                and per_curve[0] == want[0] and per_curve[1] == want[1]:
+            return True
+    return False
+
+
+@dataclass
+class _Run:
+    """One corner-to-corner stretch of a bigon boundary, along one curve."""
+
+    cid: int
+    dirn: int
+    interior: list              # tokens passed, in walk order
+    between_tris: list          # triangle of the link between interior[k], [k+1]
+    t_first: int                # triangle of the crossing the run leaves
+    t_last: int                 # triangle of the crossing the run reaches
+    token_before: int           # curve token just outside the run, entry side
+    token_after: int            # curve token just outside the run, exit side
+
+
+def _run_info(arr, run):
+    key0, t_first, dir0 = run[0][:3]
+    key_last, t_last, dir_last = run[-1][:3]
+    cid = key0[0]
+    if key_last[0] != cid or dir_last != dir0:
+        raise AssertionError("run is not a coherent stretch of one curve")
+    interior = []
+    for step in run[:-1]:
+        if step[4] < 0:
+            raise AssertionError("run interrupted by a crossing")
+        interior.append(step[4])
+    curve = arr.curves[cid]
+    n = len(curve)
+    ix, iy = key0[1], key_last[1]
+    if dir0 == 1:
+        before, after = curve.tokens[ix], curve.tokens[(iy + 1) % n]
+    else:
+        before, after = curve.tokens[(ix + 1) % n], curve.tokens[iy]
+    return _Run(cid, dir0, interior, [step[1] for step in run[1:-1]],
+                t_first, t_last, before, after)
+
+
+def _reference_slide(arr, region):
+    """Isotope A across the bigon `region`, read off its boundary circle."""
+    if len(region.circles) != 1:
+        raise AssertionError("bigon region must have one boundary circle")
+    circle = region.circles[0]
+    corner_at = [i for i, step in enumerate(circle) if step[3] < 0]
+    if len(corner_at) != 2:
+        raise AssertionError("bigon region must have two corners")
+    i1, i2 = corner_at
+    runs = [circle[i1:i2], circle[i2:] + circle[:i1]]
+    infos = [_run_info(arr, r) for r in runs]
+    if (infos[0].cid == 0) == (infos[1].cid == 0):
+        raise AssertionError("bigon runs must pair A with a B component")
+    alpha, beta = (infos[0], infos[1]) if infos[0].cid == 0 \
+        else (infos[1], infos[0])
+
+    # The circle walks x -> alpha -> y -> beta -> x, where x is the crossing
+    # alpha starts at.  Beta therefore walks y -> x; flip it to x -> y so it
+    # runs alongside alpha.
+    b_interior = list(reversed(beta.interior))
+    b_between = list(reversed(beta.between_tris))
+    t_x, t_y = alpha.t_first, alpha.t_last
+    n_new = len(b_interior)
+    if n_new == 0 and t_x != t_y:
+        raise AssertionError("chordless beta must stay in one triangle")
+
+    # Each beta token gets a new A token beside it, on the side away from
+    # the region (the region holds exactly one of the two flanking gaps).
+    pos = arr._positions()
+    beside = {}
+    new_tokens = []
+    for tok in b_interior:
+        e = arr.tok_edge[tok]
+        before_in = (e, pos[tok]) in region.gaps
+        after_in = (e, pos[tok] + 1) in region.gaps
+        if before_in == after_in:
+            raise AssertionError("cannot identify the region side of beta")
+        new_tokens.append(arr._new_token(e))
+        beside[tok] = (new_tokens[-1], after_in)   # region after => before it
+    dropped = set(alpha.interior)
+    for e in {arr.tok_edge[tok] for tok in itertools.chain(dropped, beside)}:
+        pts = []
+        for tok in arr.edge_pts[e]:
+            if tok in beside:
+                new, ahead = beside[tok]
+                pts += [new, tok] if ahead else [tok, new]
+            elif tok not in dropped:
+                pts.append(tok)
+        arr.edge_pts[e] = pts
+
+    new_link_tris = [t_x] + b_between + [t_y] if n_new else [t_x]
+    curve = arr.curves[0]
+    kept = [(tok, tri) for tok, tri in zip(curve.tokens, curve.link_tris)
+            if tok not in dropped]
+    a_in, a_out = alpha.token_before, alpha.token_after
+    if a_in in dropped or a_out in dropped:
+        if not (a_in in dropped and a_out in dropped and not kept):
+            raise AssertionError("inconsistent wrapped bigon")
+        if t_x != t_y or n_new < 2:
+            raise AssertionError("wrapped bigon must close in one triangle")
+        curve.tokens = list(new_tokens)
+        curve.link_tris = b_between + [t_x]
+        return
+    n = len(kept)
+    idx = {tok: i for i, (tok, _) in enumerate(kept)}
+    if alpha.dirn == 1:
+        i_in = idx[a_in]
+        if (i_in + 1) % n != idx[a_out]:
+            raise AssertionError("alpha endpoints not adjacent after deletion")
+        rotated = kept[(i_in + 1) % n:] + kept[: (i_in + 1) % n]
+        pairs = rotated[:-1] + [(a_in, new_link_tris[0])]
+        pairs += list(zip(new_tokens, new_link_tris[1:]))
+    else:
+        i_out = idx[a_out]
+        if (i_out + 1) % n != idx[a_in]:
+            raise AssertionError("alpha endpoints not adjacent after deletion")
+        rotated = kept[(i_out + 1) % n:] + kept[: (i_out + 1) % n]
+        pairs = rotated[:-1] + [(a_out, new_link_tris[-1])]
+        pairs += list(zip(reversed(new_tokens), reversed(new_link_tris[:-1])))
+    curve.tokens = [tok for tok, _ in pairs]
+    curve.link_tris = [tri for _, tri in pairs]
+
+
+def reference_minimize(arr):
+    """Bigon elimination as the engine ran it before the loop-word test: one
+    planar map per slide, and the bigon read off its regions."""
+    xs = arr.crossings()
+    for _ in range(len(xs) // 2 + 1):
+        if not xs:
+            return xs
+        busy = {x.b_key[0] for x in xs}
+        free = [c for c in arr.curves[1:] if c.tokens and c.cid not in busy]
+        gone = {tok for c in free for tok in c.tokens}
+        if gone:
+            arr.edge_pts = [[tok for tok in pts if tok not in gone]
+                            for pts in arr.edge_pts]
+        for c in free:
+            c.tokens = []
+            c.link_tris = []
+        if arrangement._algebraically_minimal(xs):
+            return xs
+        bigons = [r for r in arr.analyze(xs)
+                  if r.chi == 1 and len(r.crossing_keys) == 2]
+        if not bigons:
+            return xs
+        bigons.sort(key=lambda r: sorted(map(repr, r.crossing_keys)))
+        _reference_slide(arr, bigons[0])
+        after = arr.crossings()
+        if len(after) != len(xs) - 2:
+            raise AssertionError(
+                f"slide changed crossings {len(xs)} -> {len(after)}")
+        xs = after
+    raise AssertionError("minimization did not terminate")
+
+
+# -- surface ------------------------------------------------------------------
+
+
+def reference_trace(tri, weights):
+    """The token-table trace the corner-arc walk replaced: every arc is
+    entered in a dict keyed by its two end tokens, then the components are
+    walked through that dict."""
+    tri.check_matching(weights)
+    links = {}
+
+    def phys(occ, opos):
+        e, sign = occ
+        return (e, opos if sign == 1 else weights[e] - 1 - opos)
+
+    for t, triple in enumerate(tri.triangles):
+        w = [weights[e] for e, _ in triple]
+        c = tri.corner_counts(weights, t)
+        for m in range(3):
+            for k in range(c[m]):
+                p = phys(triple[m - 1], w[m - 1] - 1 - k)
+                q = phys(triple[m], k)
+                links.setdefault(p, []).append((q, t))
+                links.setdefault(q, []).append((p, t))
+    for tok, nb in links.items():
+        if len(nb) != 2:
+            raise AssertionError(f"token {tok} has {len(nb)} arcs")
+
+    seen = set()
+    components = []
+    for start in sorted(links):
+        if start in seen:
+            continue
+        cycle = [start]
+        tris = []
+        cur = start
+        prev_tri = None
+        while True:
+            first, second = links[cur]
+            if prev_tri is not None and first[1] == prev_tri:
+                nxt, tri_id = second
+            else:
+                nxt, tri_id = first
+            tris.append(tri_id)
+            seen.add(cur)
+            prev_tri = tri_id
+            if nxt == start:
+                break
+            cur = nxt
+            cycle.append(cur)
+        vec = [0] * tri.n_edges
+        for e, _ in cycle:
+            vec[e] += 1
+        components.append(TracedCurve(tuple(vec), cycle, tris))
+    components.sort(key=lambda c: sorted(c.cycle))
+    return components
+
+
+def reference_admissible_vectors(tri, cap):
+    """The per-triangle DFS the interval enumeration replaced: every weight
+    0..remaining is tried, and each triangle is checked once its three
+    weights are fixed."""
+    n = tri.n_edges
+    by_last_edge = {}
+    for t, triple in enumerate(tri.triangles):
+        by_last_edge.setdefault(max(e for e, _ in triple), []).append(t)
+    vec = [0] * n
+
+    def feasible(t):
+        w = sorted(vec[e] for e, _ in tri.triangles[t])
+        return sum(w) % 2 == 0 and w[2] <= w[0] + w[1]
+
+    def rec(e, remaining):
+        if e == n:
+            if any(vec):
+                yield tuple(vec)
+            return
+        for w in range(remaining + 1):
+            vec[e] = w
+            if all(feasible(t) for t in by_last_edge.get(e, ())):
+                yield from rec(e + 1, remaining - w)
+        vec[e] = 0
+
+    yield from rec(0, cap)
+
+
+def reference_homology_class(genus, coords):
+    """The class as it was read before it came off the trace: the signed
+    crossing of each token is +1 when the curve passes from the triangle of
+    the edge's -1 occurrence into that of its +1 occurrence."""
+    tri = canonical_triangulation(genus)
+    comps = tri.trace(coords)
+    if len(comps) != 1:
+        raise ValueError("signed crossings need a connected curve")
+    comp = comps[0]
+    totals = [0] * tri.n_edges
+    n = len(comp.cycle)
+    for i, (e, _pos) in enumerate(comp.cycle):
+        t_prev = comp.triangles[(i - 1) % n]
+        t_next = comp.triangles[i]
+        pt = tri.plus_triangle[e]
+        if t_next == pt and t_prev != pt:
+            totals[e] += 1
+        elif t_prev == pt and t_next != pt:
+            totals[e] -= 1
+        else:
+            raise AssertionError("ambiguous edge occurrence while orienting")
+    cls = []
+    for i in range(genus):
+        cls += [totals[2 * i + 1], -totals[2 * i]]
+    return tuple(cls)
+
+
+def reference_block_crossings(tri, c, d, mask):
+    """Crossings of two normal curves with corner counts c and d when the
+    first curve's tokens come first along edge e exactly when bit e of
+    `mask` is set, counted triangle by triangle."""
+    total = 0
+    for occ, ct, dt in zip(tri.triangles, c, d):
+        first = [bool(mask >> e & 1) == (s == 1) for e, s in occ]
+        for m in range(3):
+            n = (m + 1) % 3
+            total += ct[n] * dt[m] if first[m] else ct[m] * dt[n]
+            if first[m - 1] == first[m]:
+                total += ct[m] * dt[m]
+    return total
+
+
+# -- handlebody ---------------------------------------------------------------
+
+
+def reference_validate_cut_system(genus, curves):
+    """The cut-system check as it read the complement off the arrangement:
+    a closed-form branch at genus 1, and region analysis at genus >= 2."""
+    surface = ModelSurface(genus)
+    curves = tuple(curves)
+    if len(curves) != genus:
+        raise InvalidCutSystem(
+            f"need exactly {genus} curves for genus {genus}, got {len(curves)}")
+    for c in curves:
+        if c.genus != genus:
+            raise SurfaceMismatch("cut curve lives on a different surface")
+    for i in range(len(curves)):
+        for j in range(i + 1, len(curves)):
+            if same_class(curves[i], curves[j]):
+                raise InvalidCutSystem(
+                    f"curves {i} and {j} are parallel copies of one class")
+            n = geometric_intersection(curves[i], curves[j])
+            if n != 0:
+                raise InvalidCutSystem(
+                    f"curves {i} and {j} intersect in {n} points")
+    tri = canonical_triangulation(genus)
+    system = CutSystem(surface, curves)
+    if genus == 1:
+        counts = _component_counts(tri, curves[0].coords)
+        if sum(counts.values()) != 1:
+            raise InvalidCutSystem(NOT_DISJOINT)
+        if tri.vertex_link_vector() in counts:
+            raise InvalidCutSystem("cut complement has 2 pieces, expected 1")
+        return system
+    regions, comps = complement_regions(tri, system.union_vector())
+    if sorted(comps) != sorted(c.coords for c in curves):
+        raise InvalidCutSystem(NOT_DISJOINT)
+    if len(regions) != 1:
+        raise InvalidCutSystem(
+            f"cut complement has {len(regions)} pieces, expected 1")
+    chi, circles, _ = regions[0]
+    if chi != 2 - 2 * genus or circles != 2 * genus:
+        raise InvalidCutSystem(
+            f"cut complement is not planar: chi={chi}, boundaries={circles}")
+    return system

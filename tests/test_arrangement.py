@@ -1,13 +1,19 @@
 import itertools
 import math
 import random
-from dataclasses import dataclass
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heegaard_lab import arrangement
 from heegaard_lab.surface import Slope, canonical_triangulation
+
+from reference import (
+    complement_regions,
+    connected_essential_vectors,
+    reference_isotopic,
+    reference_minimize,
+)
 
 
 def coprime_pairs(rng, bound, count):
@@ -89,7 +95,7 @@ def test_crossing_word_signs_consistent():
 
 def test_complement_regions_torus_annulus():
     tri = canonical_triangulation(1)
-    regions, comps = arrangement.complement_regions(tri, Slope.of(1, 0).coords())
+    regions, comps = complement_regions(tri, Slope.of(1, 0).coords())
     assert regions == [(0, 2, True)]
     assert comps == [Slope.of(1, 0).coords()]
 
@@ -97,7 +103,7 @@ def test_complement_regions_torus_annulus():
 def test_complement_regions_two_parallel_copies():
     tri = canonical_triangulation(1)
     twice = tuple(2 * x for x in Slope.of(1, 0).coords())
-    regions, comps = arrangement.complement_regions(tri, twice)
+    regions, comps = complement_regions(tri, twice)
     assert len(regions) == 2
     assert sorted(r[0] for r in regions) == [0, 0]
 
@@ -111,7 +117,7 @@ def test_genus2_cut_complement_is_planar():
                    key=lambda v: (sum(v), v))
 
     union = tuple(a + b for a, b in zip(puff("a1"), puff("a2")))
-    regions, comps = arrangement.complement_regions(tri, union)
+    regions, comps = complement_regions(tri, union)
     assert len(regions) == 1
     chi, circles, _ = regions[0]
     assert chi == -2 and circles == 4      # a 4-holed sphere
@@ -124,7 +130,7 @@ def test_separating_curve_complement():
     e = tri.edge_index("d4")
     vec = min((tri.edge_loop_pushoff(e, s) for s in (0, 1)),
               key=lambda v: (sum(v), v))
-    regions, _ = arrangement.complement_regions(tri, vec)
+    regions, _ = complement_regions(tri, vec)
     assert sorted((chi, circles) for chi, circles, _ in regions) \
         == [(-1, 1), (-1, 1)]
 
@@ -207,16 +213,6 @@ def test_mined_same_class_pair_regression():
         == arrangement.intersection_number(tri, probe, v)
 
 
-def genus2_vectors(cap):
-    """Every connected essential genus-2 vector of weight <= cap, so that a
-    class drawn on both sides of the vertex appears once per drawing."""
-    from heegaard_lab.surface import admissible_vectors
-    tri = canonical_triangulation(2)
-    link = tri.vertex_link_vector()
-    return [v for v in admissible_vectors(tri, cap)
-            if v != link and len(tri.trace(v)) == 1]
-
-
 def test_minimize_certificate_leaves_no_bigon():
     # Every way minimize can return, including the early exit when the
     # crossing signs certify minimal position, must leave no bigon region.
@@ -224,12 +220,12 @@ def test_minimize_certificate_leaves_no_bigon():
     # threshold query must agree with it.
     from heegaard_lab.surface import CurveClass, intersection_at_most
     tri = canonical_triangulation(2)
-    vecs = genus2_vectors(8)
+    vecs = connected_essential_vectors(2, 8)
     for x, y in itertools.permutations(vecs, 2):
         arr = arrangement.Arrangement(tri, [x, y])
         xs = arrangement.minimize(arr)
-        bigons = [r for r in arr.analyze().regions
-                  if r.chi == 1 and r.corner_visits == 2]
+        bigons = [r for r in arr.analyze()
+                  if r.chi == 1 and len(r.crossing_keys) == 2]
         assert not bigons, (x, y)
         i = len(xs)
         assert i == len(arr.crossings())
@@ -243,11 +239,11 @@ def test_minimize_certificate_leaves_no_bigon():
 def test_same_class_matches_isotopic_inside_and_across_buckets():
     from heegaard_lab.surface import CurveClass, same_class
     tri = canonical_triangulation(2)
-    curves = [CurveClass(2, v) for v in genus2_vectors(8)]
+    curves = [CurveClass(2, v) for v in connected_essential_vectors(2, 8)]
     pairs = list(itertools.combinations(curves, 2))
     # Same-bucket pairs up to weight 12, isotopic or not.
     by_bucket = {}
-    for v in genus2_vectors(12):
+    for v in connected_essential_vectors(2, 12):
         c = CurveClass(2, v)
         by_bucket.setdefault(c._bucket, []).append(c)
     for group in by_bucket.values():
@@ -259,182 +255,6 @@ def test_same_class_matches_isotopic_inside_and_across_buckets():
         if a._bucket == b._bucket:
             inside.add(want)
     assert inside == {True, False}
-
-
-def reference_isotopic(tri, a_vec, b_vec):
-    """The annulus scan `isotopic` used to run: after minimization, a
-    chi = 0 region whose boundary steps pass every link of both curves
-    exactly once."""
-    arr = arrangement.Arrangement(tri, [a_vec, b_vec])
-    if arrangement.minimize(arr):
-        return False
-    analysis = arr.analyze()
-    want = {0: len(arr.curves[0]), 1: len(arr.curves[1])}
-    for region in analysis.regions:
-        if region.chi != 0:
-            continue
-        counts = {}
-        per_curve = {0: 0, 1: 0}
-        for circle in region.circles:
-            for step in circle:
-                key = step[0]
-                counts[key] = counts.get(key, 0) + 1
-                per_curve[key[0]] += 1
-        if all(v == 1 for v in counts.values()) \
-                and per_curve[0] == want[0] and per_curve[1] == want[1]:
-            return True
-    return False
-
-
-@dataclass
-class _Run:
-    """One corner-to-corner stretch of a bigon boundary, along one curve."""
-
-    cid: int
-    dirn: int
-    interior: list              # tokens passed, in walk order
-    between_tris: list          # triangle of the link between interior[k], [k+1]
-    t_first: int                # triangle of the crossing the run leaves
-    t_last: int                 # triangle of the crossing the run reaches
-    token_before: int           # curve token just outside the run, entry side
-    token_after: int            # curve token just outside the run, exit side
-
-
-def _run_info(arr, run):
-    key0, t_first, dir0 = run[0][:3]
-    key_last, t_last, dir_last = run[-1][:3]
-    cid = key0[0]
-    if key_last[0] != cid or dir_last != dir0:
-        raise AssertionError("run is not a coherent stretch of one curve")
-    interior = []
-    for step in run[:-1]:
-        if step[4] < 0:
-            raise AssertionError("run interrupted by a crossing")
-        interior.append(step[4])
-    curve = arr.curves[cid]
-    n = len(curve)
-    ix, iy = key0[1], key_last[1]
-    if dir0 == 1:
-        before, after = curve.tokens[ix], curve.tokens[(iy + 1) % n]
-    else:
-        before, after = curve.tokens[(ix + 1) % n], curve.tokens[iy]
-    return _Run(cid, dir0, interior, [step[1] for step in run[1:-1]],
-                t_first, t_last, before, after)
-
-
-def _reference_slide(arr, region):
-    """Isotope A across the bigon `region`, read off its boundary circle."""
-    if len(region.circles) != 1:
-        raise AssertionError("bigon region must have one boundary circle")
-    circle = region.circles[0]
-    corner_at = [i for i, step in enumerate(circle) if step[3] < 0]
-    if len(corner_at) != 2:
-        raise AssertionError("bigon region must have two corners")
-    i1, i2 = corner_at
-    runs = [circle[i1:i2], circle[i2:] + circle[:i1]]
-    infos = [_run_info(arr, r) for r in runs]
-    if (infos[0].cid == 0) == (infos[1].cid == 0):
-        raise AssertionError("bigon runs must pair A with a B component")
-    alpha, beta = (infos[0], infos[1]) if infos[0].cid == 0 \
-        else (infos[1], infos[0])
-
-    # The circle walks x -> alpha -> y -> beta -> x, where x is the crossing
-    # alpha starts at.  Beta therefore walks y -> x; flip it to x -> y so it
-    # runs alongside alpha.
-    b_interior = list(reversed(beta.interior))
-    b_between = list(reversed(beta.between_tris))
-    t_x, t_y = alpha.t_first, alpha.t_last
-    n_new = len(b_interior)
-    if n_new == 0 and t_x != t_y:
-        raise AssertionError("chordless beta must stay in one triangle")
-
-    # Each beta token gets a new A token beside it, on the side away from
-    # the region (the region holds exactly one of the two flanking gaps).
-    pos = arr._positions()
-    beside = {}
-    new_tokens = []
-    for tok in b_interior:
-        e = arr.tok_edge[tok]
-        before_in = (e, pos[tok]) in region.gaps
-        after_in = (e, pos[tok] + 1) in region.gaps
-        if before_in == after_in:
-            raise AssertionError("cannot identify the region side of beta")
-        new_tokens.append(arr._new_token(e))
-        beside[tok] = (new_tokens[-1], after_in)   # region after => before it
-    dropped = set(alpha.interior)
-    for e in {arr.tok_edge[tok] for tok in itertools.chain(dropped, beside)}:
-        pts = []
-        for tok in arr.edge_pts[e]:
-            if tok in beside:
-                new, ahead = beside[tok]
-                pts += [new, tok] if ahead else [tok, new]
-            elif tok not in dropped:
-                pts.append(tok)
-        arr.edge_pts[e] = pts
-
-    new_link_tris = [t_x] + b_between + [t_y] if n_new else [t_x]
-    curve = arr.curves[0]
-    kept = [(tok, tri) for tok, tri in zip(curve.tokens, curve.link_tris)
-            if tok not in dropped]
-    a_in, a_out = alpha.token_before, alpha.token_after
-    if a_in in dropped or a_out in dropped:
-        if not (a_in in dropped and a_out in dropped and not kept):
-            raise AssertionError("inconsistent wrapped bigon")
-        if t_x != t_y or n_new < 2:
-            raise AssertionError("wrapped bigon must close in one triangle")
-        curve.tokens = list(new_tokens)
-        curve.link_tris = b_between + [t_x]
-        return
-    n = len(kept)
-    idx = {tok: i for i, (tok, _) in enumerate(kept)}
-    if alpha.dirn == 1:
-        i_in = idx[a_in]
-        if (i_in + 1) % n != idx[a_out]:
-            raise AssertionError("alpha endpoints not adjacent after deletion")
-        rotated = kept[(i_in + 1) % n:] + kept[: (i_in + 1) % n]
-        pairs = rotated[:-1] + [(a_in, new_link_tris[0])]
-        pairs += list(zip(new_tokens, new_link_tris[1:]))
-    else:
-        i_out = idx[a_out]
-        if (i_out + 1) % n != idx[a_in]:
-            raise AssertionError("alpha endpoints not adjacent after deletion")
-        rotated = kept[(i_out + 1) % n:] + kept[: (i_out + 1) % n]
-        pairs = rotated[:-1] + [(a_out, new_link_tris[-1])]
-        pairs += list(zip(reversed(new_tokens), reversed(new_link_tris[:-1])))
-    curve.tokens = [tok for tok, _ in pairs]
-    curve.link_tris = [tri for _, tri in pairs]
-
-
-def reference_minimize(arr):
-    """Bigon elimination as the engine ran it before the loop-word test: one
-    planar map per slide, and the bigon read off its regions."""
-    xs = arr.crossings()
-    for _ in range(len(xs) // 2 + 1):
-        if not xs:
-            return xs
-        busy = {x.b_key[0] for x in xs}
-        free = [c for c in arr.curves[1:] if c.tokens and c.cid not in busy]
-        gone = {tok for c in free for tok in c.tokens}
-        if gone:
-            arr.edge_pts = [[tok for tok in pts if tok not in gone]
-                            for pts in arr.edge_pts]
-        for c in free:
-            c.tokens = []
-            c.link_tris = []
-        if arrangement._algebraically_minimal(xs):
-            return xs
-        bigons = [r for r in arr.analyze(xs).regions
-                  if r.chi == 1 and r.corner_visits == 2]
-        if not bigons:
-            return xs
-        bigons.sort(key=lambda r: sorted(map(repr, r.crossing_keys)))
-        _reference_slide(arr, bigons[0])
-        after = arr.crossings()
-        if len(after) != len(xs) - 2:
-            raise AssertionError(
-                f"slide changed crossings {len(xs)} -> {len(after)}")
-        xs = after
-    raise AssertionError("minimization did not terminate")
 
 
 def _minimized(minimize, tri, vectors):
@@ -534,14 +354,6 @@ def test_minimize_builds_no_planar_map(monkeypatch):
     classify(standard_diagram(2), 8)
 
 
-def connected_essential_vectors(genus, cap):
-    from heegaard_lab.surface import admissible_vectors
-    tri = canonical_triangulation(genus)
-    link = tri.vertex_link_vector()
-    return [v for v in admissible_vectors(tri, cap)
-            if v != link and len(tri.trace(v)) == 1]
-
-
 def test_isotopic_matches_annulus_scan():
     # Same-bucket pairs hold every isotopic pair, and at genus 3 also 9
     # disjoint pairs that are not isotopic, where no chi = 0 region may
@@ -571,7 +383,7 @@ def test_isotopic_matches_annulus_scan():
     assert disjoint_apart == 2 * 9
 
 
-_PROPERTY_VECTORS = genus2_vectors(10)
+_PROPERTY_VECTORS = connected_essential_vectors(2, 10)
 
 
 @settings(max_examples=200, deadline=None)
@@ -598,14 +410,14 @@ GOLDEN_ARRANGEMENT_SHA256 = (
 def test_arrangement_answers_golden():
     import hashlib
     tri = canonical_triangulation(2)
-    vecs = genus2_vectors(8)
+    vecs = connected_essential_vectors(2, 8)
     lines = []
     for a, b in itertools.permutations(vecs, 2):
         letters, counts = arrangement.crossing_word(tri, a, [b])
         lines.append(f"{a} {b} {letters} {counts} "
                      f"{arrangement.isotopic(tri, a, b)}")
     for v in vecs:
-        regions, comps = arrangement.complement_regions(tri, v)
+        regions, comps = complement_regions(tri, v)
         lines.append(f"{v} {sorted(regions)} {comps}")
     assert len(vecs) * (len(vecs) - 1) == 650
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()

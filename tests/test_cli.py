@@ -418,3 +418,134 @@ def test_internal_error_exit_3(capsys, monkeypatch):
     assert run(capsys, "intersect", "--a", a1, "--b", b1) == \
         (3, "",
          "internal error: slide changed crossings 3 -> 3\n")
+
+
+# `diagram classify --cap 8`, byte for byte, in JSON and in text, on the
+# standard genus-2 diagram, the critical-witness diagram, L(5, 2) and
+# S^2 x S^1.
+CLASSIFY_DIAGRAMS = {
+    "standard":
+        '{"genus":2,"red":[{"genus":2,"coords":[0,1,0,0,1,1,0,0,0]},'
+        '{"genus":2,"coords":[0,0,0,1,0,0,0,0,1]}],"blue":[{"genus":2,'
+        '"coords":[1,0,0,0,1,0,0,0,0]},{"genus":2,"coords":[0,0,1,0,0,0,0,'
+        '1,1]}]}',
+    "critical":
+        '{"genus":2,"red":[{"genus":2,"coords":[0,1,0,0,1,1,0,0,0]},'
+        '{"genus":2,"coords":[0,0,0,1,0,0,0,0,1]}],"blue":[{"genus":2,'
+        '"coords":[1,0,2,1,1,2,2,2,1]},{"genus":2,"coords":[2,1,1,1,1,1,2,'
+        '1,0]}]}',
+    "lens":
+        '{"genus":1,"red":[{"slope":[1,0]}],"blue":[{"slope":[2,5]}]}',
+    "s2xs1":
+        '{"genus":1,"red":[{"slope":[1,0]}],"blue":[{"slope":[1,0]}]}',
+}
+
+CLASSIFY_JSON = {
+    "standard":
+        '{"blue_witness":{"coords":[0,0,1,0,0,0,0,1,1],"genus":2},'
+        '"certified":true,"critical_witness":null,"edge_witness":[[0,0,0,1,'
+        '0,0,0,0,1],[0,0,1,0,0,0,0,1,1]],"has_blue_disk":true,'
+        '"has_red_disk":true,"negative_claims_cap":8,'
+        '"red_witness":{"coords":[0,0,0,1,0,0,0,0,1],"genus":2},'
+        '"reducing_class":{"coords":[0,0,2,2,0,0,0,2,2],"genus":2},'
+        '"summary":"reducible: (0, 0, 2, 2, 0, 0, 0, 2, 2) bounds on both '
+        'sides"}\n',
+    "critical":
+        '{"blue_witness":{"coords":[1,0,2,1,1,2,2,2,1],"genus":2},'
+        '"certified":true,"critical_witness":[[[0,0,0,1,0,0,0,0,1],[2,1,1,'
+        '1,1,1,2,1,0]],[[0,1,0,0,1,1,0,0,0],[1,0,2,1,1,2,2,2,1]],0,2],'
+        '"edge_witness":[[0,0,0,1,0,0,0,0,1],[2,1,1,1,1,1,2,1,0]],'
+        '"has_blue_disk":true,"has_red_disk":true,"negative_claims_cap":8,'
+        '"red_witness":{"coords":[0,0,0,1,0,0,0,0,1],"genus":2},'
+        '"reducing_class":null,"summary":"critical within cap 8: edges ((0,'
+        ' 0, 0, 1, 0, 0, 0, 0, 1), (2, 1, 1, 1, 1, 1, 2, 1, 0)) and ((0, 1,'
+        ' 0, 0, 1, 1, 0, 0, 0), (1, 0, 2, 1, 1, 2, 2, 2, 1)) lie in '
+        'components 0 and 2"}\n',
+    "lens":
+        '{"blue_witness":{"slope":[2,5]},"certified":true,'
+        '"critical_witness":null,"edge_witness":null,"has_blue_disk":true,'
+        '"has_red_disk":true,"negative_claims_cap":8,'
+        '"red_witness":{"slope":[1,0]},"reducing_class":null,'
+        '"summary":"strongly irreducible within cap 8: disks on both sides,'
+        ' no edges"}\n',
+    "s2xs1":
+        '{"blue_witness":{"slope":[1,0]},"certified":true,'
+        '"critical_witness":null,"edge_witness":[[0,1,1],[0,1,1]],'
+        '"has_blue_disk":true,"has_red_disk":true,"negative_claims_cap":8,'
+        '"red_witness":{"slope":[1,0]},"reducing_class":{"slope":[1,0]},'
+        '"summary":"reducible: (0, 1, 1) bounds on both sides"}\n',
+}
+
+CLASSIFY_TEXT = {
+    "standard": [
+        "blue_witness: {'genus': 2, 'coords': [0, 0, 1, 0, 0, 0, 0, 1, 1]}",
+        'certified: True',
+        'critical_witness: None',
+        'edge_witness: [[0, 0, 0, 1, 0, 0, 0, 0, 1], [0, 0, 1, 0, 0, 0, 0, '
+        '1, 1]]',
+        'has_blue_disk: True',
+        'has_red_disk: True',
+        'negative_claims_cap: 8',
+        "red_witness: {'genus': 2, 'coords': [0, 0, 0, 1, 0, 0, 0, 0, 1]}",
+        "reducing_class: {'genus': 2, 'coords': [0, 0, 2, 2, 0, 0, 0, 2, 2]}",
+        'summary: reducible: (0, 0, 2, 2, 0, 0, 0, 2, 2) bounds on both sides',
+    ],
+    "critical": [
+        "blue_witness: {'genus': 2, 'coords': [1, 0, 2, 1, 1, 2, 2, 2, 1]}",
+        'certified: True',
+        'critical_witness: [[[0, 0, 0, 1, 0, 0, 0, 0, 1], [2, 1, 1, 1, 1, '
+        '1, 2, 1, 0]], [[0, 1, 0, 0, 1, 1, 0, 0, 0], [1, 0, 2, 1, 1, 2, 2, '
+        '2, 1]], 0, 2]',
+        'edge_witness: [[0, 0, 0, 1, 0, 0, 0, 0, 1], [2, 1, 1, 1, 1, 1, 2, '
+        '1, 0]]',
+        'has_blue_disk: True',
+        'has_red_disk: True',
+        'negative_claims_cap: 8',
+        "red_witness: {'genus': 2, 'coords': [0, 0, 0, 1, 0, 0, 0, 0, 1]}",
+        'reducing_class: None',
+        'summary: critical within cap 8: edges ((0, 0, 0, 1, 0, 0, 0, 0, '
+        '1), (2, 1, 1, 1, 1, 1, 2, 1, 0)) and ((0, 1, 0, 0, 1, 1, 0, 0, 0),'
+        ' (1, 0, 2, 1, 1, 2, 2, 2, 1)) lie in components 0 and 2',
+    ],
+    "lens": [
+        "blue_witness: {'slope': [2, 5]}",
+        'certified: True',
+        'critical_witness: None',
+        'edge_witness: None',
+        'has_blue_disk: True',
+        'has_red_disk: True',
+        'negative_claims_cap: 8',
+        "red_witness: {'slope': [1, 0]}",
+        'reducing_class: None',
+        'summary: strongly irreducible within cap 8: disks on both sides, '
+        'no edges',
+    ],
+    "s2xs1": [
+        "blue_witness: {'slope': [1, 0]}",
+        'certified: True',
+        'critical_witness: None',
+        'edge_witness: [[0, 1, 1], [0, 1, 1]]',
+        'has_blue_disk: True',
+        'has_red_disk: True',
+        'negative_claims_cap: 8',
+        "red_witness: {'slope': [1, 0]}",
+        "reducing_class: {'slope': [1, 0]}",
+        'summary: reducible: (0, 1, 1) bounds on both sides',
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY_DIAGRAMS))
+def test_classify_payload_golden(capsys, name):
+    from heegaard_lab import serialize
+    from heegaard_lab.handlebody import lens_space, s2_x_s1, standard_diagram
+    from test_disk_complex import critical_witness_diagram
+    built = {"standard": lambda: standard_diagram(2),
+             "critical": critical_witness_diagram,
+             "lens": lambda: lens_space(5, 2), "s2xs1": s2_x_s1}[name]()
+    diagram = CLASSIFY_DIAGRAMS[name]
+    assert serialize.diagram_from_jsonable(json.loads(diagram)) == built
+    argv = ("diagram", "classify", "--diagram", diagram, "--cap", "8")
+    assert run(capsys, *argv) == (0, CLASSIFY_JSON[name], "")
+    text = "".join(line + "\n" for line in CLASSIFY_TEXT[name])
+    assert run(capsys, "--format", "text", *argv) == (0, text, "")

@@ -4,7 +4,6 @@ import time
 
 import pytest
 
-from heegaard_lab import arrangement
 from heegaard_lab.disk_complex import enumerate_disk_boundaries
 from heegaard_lab.handlebody import (
     CutSystem,
@@ -21,19 +20,16 @@ from heegaard_lab.handlebody import (
 from heegaard_lab.surface import (
     CurveClass,
     ModelSurface,
-    SurfaceMismatch,
-    _component_counts,
     admissible_vectors,
     algebraic_intersection,
     canonical_triangulation,
     enumerate_essential_curves,
     geometric_intersection,
-    same_class,
 )
 
+from reference import NOT_DISJOINT, reference_validate_cut_system
+
 COMMUTATOR_CURVE = CurveClass(2, (2, 2, 2, 0, 2, 2, 4, 2, 2))
-NOT_DISJOINT = ("the stored coordinate vectors do not overlay disjointly; "
-                "re-supply representatives that are disjoint as drawn")
 
 
 def oracle_reduce(letters):
@@ -107,48 +103,6 @@ def test_torus_cut_system_check_is_closed_form():
     d = lens_space(20001, 20000)
     assert time.perf_counter() - t0 < 1.0
     assert d.blue.curves[0].slope().q == 20001
-
-
-def reference_validate_cut_system(genus, curves):
-    """The cut-system check as it read the complement off the arrangement:
-    a closed-form branch at genus 1, and region analysis at genus >= 2."""
-    surface = ModelSurface(genus)
-    curves = tuple(curves)
-    if len(curves) != genus:
-        raise InvalidCutSystem(
-            f"need exactly {genus} curves for genus {genus}, got {len(curves)}")
-    for c in curves:
-        if c.genus != genus:
-            raise SurfaceMismatch("cut curve lives on a different surface")
-    for i in range(len(curves)):
-        for j in range(i + 1, len(curves)):
-            if same_class(curves[i], curves[j]):
-                raise InvalidCutSystem(
-                    f"curves {i} and {j} are parallel copies of one class")
-            n = geometric_intersection(curves[i], curves[j])
-            if n != 0:
-                raise InvalidCutSystem(
-                    f"curves {i} and {j} intersect in {n} points")
-    tri = canonical_triangulation(genus)
-    system = CutSystem(surface, curves)
-    if genus == 1:
-        counts = _component_counts(tri, curves[0].coords)
-        if sum(counts.values()) != 1:
-            raise InvalidCutSystem(NOT_DISJOINT)
-        if tri.vertex_link_vector() in counts:
-            raise InvalidCutSystem("cut complement has 2 pieces, expected 1")
-        return system
-    regions, comps = arrangement.complement_regions(tri, system.union_vector())
-    if sorted(comps) != sorted(c.coords for c in curves):
-        raise InvalidCutSystem(NOT_DISJOINT)
-    if len(regions) != 1:
-        raise InvalidCutSystem(
-            f"cut complement has {len(regions)} pieces, expected 1")
-    chi, circles, _ = regions[0]
-    if chi != 2 - 2 * genus or circles != 2 * genus:
-        raise InvalidCutSystem(
-            f"cut complement is not planar: chi={chi}, boundaries={circles}")
-    return system
 
 
 def cut_system_family():

@@ -17,7 +17,6 @@ from heegaard_lab.surface import (
     MulticurveEntry,
     MulticurveReport,
     Slope,
-    TracedCurve,
     Triangulation,
     _slope_scan,
     _z2_rank,
@@ -31,6 +30,13 @@ from heegaard_lab.surface import (
     is_essential,
     normalize,
     same_class,
+)
+
+from reference import (
+    reference_admissible_vectors,
+    reference_block_crossings,
+    reference_homology_class,
+    reference_trace,
 )
 
 
@@ -209,33 +215,6 @@ def test_homology_class_of_heavy_curve():
     assert homology_class(2, b) == (0, 0, 0, -1)
     vec = tuple(200000 * x + y for x, y in zip(a, b))
     assert homology_class(2, vec) == (0, 0, 200000, -1)
-
-
-def reference_homology_class(genus, coords):
-    """The class as it was read before it came off the trace: the signed
-    crossing of each token is +1 when the curve passes from the triangle of
-    the edge's -1 occurrence into that of its +1 occurrence."""
-    tri = canonical_triangulation(genus)
-    comps = tri.trace(coords)
-    if len(comps) != 1:
-        raise ValueError("signed crossings need a connected curve")
-    comp = comps[0]
-    totals = [0] * tri.n_edges
-    n = len(comp.cycle)
-    for i, (e, _pos) in enumerate(comp.cycle):
-        t_prev = comp.triangles[(i - 1) % n]
-        t_next = comp.triangles[i]
-        pt = tri.plus_triangle[e]
-        if t_next == pt and t_prev != pt:
-            totals[e] += 1
-        elif t_prev == pt and t_next != pt:
-            totals[e] -= 1
-        else:
-            raise AssertionError("ambiguous edge occurrence while orienting")
-    cls = []
-    for i in range(genus):
-        cls += [totals[2 * i + 1], -totals[2 * i]]
-    return tuple(cls)
 
 
 @pytest.mark.parametrize("genus, cap, connected", [(2, 12, 114), (3, 8, 32)])
@@ -495,34 +474,6 @@ def test_wrong_length_rejected_before_building_triangulation():
         normalize(0, [1])
 
 
-def reference_admissible_vectors(tri, cap):
-    """The per-triangle DFS the interval enumeration replaced: every weight
-    0..remaining is tried, and each triangle is checked once its three
-    weights are fixed."""
-    n = tri.n_edges
-    by_last_edge = {}
-    for t, triple in enumerate(tri.triangles):
-        by_last_edge.setdefault(max(e for e, _ in triple), []).append(t)
-    vec = [0] * n
-
-    def feasible(t):
-        w = sorted(vec[e] for e, _ in tri.triangles[t])
-        return sum(w) % 2 == 0 and w[2] <= w[0] + w[1]
-
-    def rec(e, remaining):
-        if e == n:
-            if any(vec):
-                yield tuple(vec)
-            return
-        for w in range(remaining + 1):
-            vec[e] = w
-            if all(feasible(t) for t in by_last_edge.get(e, ())):
-                yield from rec(e + 1, remaining - w)
-        vec[e] = 0
-
-    yield from rec(0, cap)
-
-
 def test_admissible_vectors_match_reference_dfs():
     for genus, max_cap in [(1, 30), (2, 14), (3, 8)]:
         tri = canonical_triangulation(genus)
@@ -572,21 +523,6 @@ def test_disjointness_certificate_sound_and_complete(monkeypatch):
             certified = not built
             assert certified == (truth == 0), (a, b, truth)
         assert zero == n_zero
-
-
-def reference_block_crossings(tri, c, d, mask):
-    """Crossings of two normal curves with corner counts c and d when the
-    first curve's tokens come first along edge e exactly when bit e of
-    `mask` is set, counted triangle by triangle."""
-    total = 0
-    for occ, ct, dt in zip(tri.triangles, c, d):
-        first = [bool(mask >> e & 1) == (s == 1) for e, s in occ]
-        for m in range(3):
-            n = (m + 1) % 3
-            total += ct[n] * dt[m] if first[m] else ct[m] * dt[n]
-            if first[m - 1] == first[m]:
-                total += ct[m] * dt[m]
-    return total
 
 
 def test_block_crossings_match_arrangement():
@@ -653,60 +589,6 @@ def test_block_certificate_sound(monkeypatch):
                 assert geometric_intersection(a, b) == alg, (a, b)
         assert (len(pairs), fired) == (n_pairs, n_fired)
     assert not built
-
-
-def reference_trace(tri, weights):
-    """The token-table trace the corner-arc walk replaced: every arc is
-    entered in a dict keyed by its two end tokens, then the components are
-    walked through that dict."""
-    tri.check_matching(weights)
-    links = {}
-
-    def phys(occ, opos):
-        e, sign = occ
-        return (e, opos if sign == 1 else weights[e] - 1 - opos)
-
-    for t, triple in enumerate(tri.triangles):
-        w = [weights[e] for e, _ in triple]
-        c = tri.corner_counts(weights, t)
-        for m in range(3):
-            for k in range(c[m]):
-                p = phys(triple[m - 1], w[m - 1] - 1 - k)
-                q = phys(triple[m], k)
-                links.setdefault(p, []).append((q, t))
-                links.setdefault(q, []).append((p, t))
-    for tok, nb in links.items():
-        if len(nb) != 2:
-            raise AssertionError(f"token {tok} has {len(nb)} arcs")
-
-    seen = set()
-    components = []
-    for start in sorted(links):
-        if start in seen:
-            continue
-        cycle = [start]
-        tris = []
-        cur = start
-        prev_tri = None
-        while True:
-            first, second = links[cur]
-            if prev_tri is not None and first[1] == prev_tri:
-                nxt, tri_id = second
-            else:
-                nxt, tri_id = first
-            tris.append(tri_id)
-            seen.add(cur)
-            prev_tri = tri_id
-            if nxt == start:
-                break
-            cur = nxt
-            cycle.append(cur)
-        vec = [0] * tri.n_edges
-        for e, _ in cycle:
-            vec[e] += 1
-        components.append(TracedCurve(tuple(vec), cycle, tris))
-    components.sort(key=lambda c: sorted(c.cycle))
-    return components
 
 
 def trace_outcome(trace, tri, vec):
