@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import proptools, serialize, sog
 from .disk_complex import (
+    CurveTable,
     build_gamma,
     build_lambda,
     classify,
@@ -121,12 +122,13 @@ def cmd_diagram(args) -> int:
     if args.action == "quotient" and args.bijection is None:
         raise UsageError("diagram quotient needs --bijection")
     diagram = serialize.diagram_from_jsonable(_load_json(args.diagram))
+    table = _session_table(diagram.genus)
     if args.action == "classify":
-        verdict = classify(diagram, args.cap, args.budget)
+        verdict = classify(diagram, args.cap, args.budget, table)
         _emit(args, serialize.verdict_to_jsonable(verdict))
         return EXIT_OK if verdict.certified else EXIT_SCOPED
     build = build_lambda if args.action == "lambda" else build_gamma
-    graph = build(diagram, args.cap, args.budget)
+    graph = build(diagram, args.cap, args.budget, table)
     if args.action == "quotient":
         sigma = serialize._bijection_from_jsonable(_load_json(args.bijection))
         graph = quotient_by_symmetry(graph, [sigma])
@@ -191,7 +193,8 @@ def cmd_distance(args) -> int:
     diagram = serialize.diagram_from_jsonable(_load_json(args.diagram))
     e1, e2 = (serialize.edge_from_jsonable(_load_json(text))
               for text in (args.edge1, args.edge2))
-    result = splitting_distance(diagram, e1, e2, args.cap, args.budget)
+    result = splitting_distance(diagram, e1, e2, args.cap, args.budget,
+                                _session_table(diagram.genus))
     payload = {"connected_within_cap": result.connected,
                "distance": result.value, "cap": result.cap}
     _emit(args, payload)
@@ -285,6 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
 # One parser per process, built at the first `main` call: building it takes
 # far longer than parsing one command line.
 _parser = functools.cache(build_parser)
+
+# One curve table per genus for the life of the process, so that the jobs
+# of a session enumerate, intersect and disk-test each class once.  Each
+# table bounds its own stores; this bounds the number of tables.
+MAX_SESSION_TABLES = 4
+_session_table = functools.lru_cache(maxsize=MAX_SESSION_TABLES)(CurveTable)
 
 
 def main(argv=None) -> int:

@@ -2,12 +2,14 @@
 distance.
 
 One capped class list, the essential classes within the cap plus the
-diagram's meridians, serves them all.  Disk boundaries are the classes of
-that list that bound on a side; they are the vertices of the disk complex,
-tagged with the sides (red/blue) on which they bound, and its edges join
-red-capable to blue-capable vertices meeting in at most one point.  All
-"absence" verdicts are scoped by the enumeration cap: the graphs are finite
-approximations of complexes that generally are not.
+diagram's meridians, serves them all; a `CurveTable` keeps it, with the
+pair and disk-test answers, across the calls that share the table.  Disk
+boundaries are the classes of that list that bound on a side; they are the
+vertices of the disk complex, tagged with the sides (red/blue) on which
+they bound, and its edges join red-capable to blue-capable vertices meeting
+in at most one point.  All "absence" verdicts are scoped by the
+enumeration cap: the graphs are finite approximations of complexes that
+generally are not.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .handlebody import HeegaardDiagram, bounds_disk
 from .surface import (
     BudgetExhausted,
     CurveClass,
+    SurfaceMismatch,
     _partition,
     _slope_of_vector,
     enumerate_essential_curves,
@@ -114,25 +117,117 @@ def isolated_vertices(graph: _GraphCore) -> list[VertexKey]:
     return [v for v in graph.vertex_keys() if graph.degree(v) == 0]
 
 
-def _capped_curves(diagram: HeegaardDiagram, cap: int,
-                   budget: Optional[int]) -> tuple[list[CurveClass], bool]:
-    """The essential classes within the cap, plus the diagram's meridians
-    (they bound whatever they weigh, so Γ always embeds), and whether the
-    list is complete: on budget exhaustion it is partial, not certified."""
-    try:
-        curves = enumerate_essential_curves(diagram.genus, cap, budget)
+# Entry bounds of a CurveTable's stores.  A store that holds its bound
+# stops growing; what it does not hold is computed again, so answers are the
+# same either way.  On 64-bit CPython 3.11 a genus-2 class takes about
+# 0.8 kB and a pair entry about 85 bytes, so a full table holds about
+# 16 MB of classes and 43 MB per pair store.  Genus-2 Λ at cap 14 has 203
+# classes and 20,503 pairs.
+MAX_STORED_CLASSES = 20_000
+MAX_STORED_PAIRS = 500_000
+MAX_STORED_DISK_TESTS = 100_000
+
+
+def _stored(store: dict, bound: int, key, compute):
+    """store[key], computed on a miss and kept while the store is below
+    its bound."""
+    if key in store:
+        return store[key]
+    value = compute()
+    if len(store) < bound:
+        store[key] = value
+    return value
+
+
+class CurveTable:
+    """The curves, intersections and disk tests of one genus, kept across
+    the Γ, Λ, classification and distance calls that share the table.
+
+    It stores the complete class list of the largest cap enumerated without
+    a budget, `same_class` and `intersection_at_most(a, b, 1)` per unordered
+    pair of coordinate vectors, and `bounds_disk` per cut system and class.
+    Every stored answer is exact, so an output never depends on what the
+    table held beforehand.
+
+    A smaller cap is served by filtering the stored list by weight.  A
+    class's listed representative is its least by (weight, coords), and
+    weight orders first.  So a class has a representative within cap c
+    exactly when its least one weighs at most c, and that representative is
+    then its least within cap c too.  The filter keeps the list's
+    (weight, coords) order, which is the order enumeration returns.
+    A budgeted call always enumerates afresh: where a budget runs out
+    depends on the candidates visited, not on the classes found.
+    """
+
+    def __init__(self, genus: int):
+        self.genus = genus
+        self._cap = 0                  # cap of the stored list; 0 for none
+        self._classes: list[CurveClass] = []
+        self._same: dict[EdgeKey, bool] = {}
+        self._meets: dict[EdgeKey, Optional[int]] = {}
+        self._disks: dict[tuple, bool] = {}
+
+    def capped_curves(self, diagram: HeegaardDiagram, cap: int,
+                      budget: Optional[int]) -> tuple[list[CurveClass], bool]:
+        """The essential classes within the cap, plus the diagram's
+        meridians (they bound whatever they weigh, so Γ always embeds), and
+        whether the list is complete: on budget exhaustion it is partial,
+        not certified."""
         certified = True
-    except BudgetExhausted as exc:
-        curves = exc.partial
-        certified = False
-    for z in diagram.red.curves + diagram.blue.curves:
-        if not any(same_class(z, c) for c in curves):
-            curves.append(z)
-    return curves, certified
+        if budget is None and cap <= self._cap:
+            curves = [c for c in self._classes if c.weight <= cap]
+        else:
+            try:
+                curves = enumerate_essential_curves(self.genus, cap, budget)
+            except BudgetExhausted as exc:
+                curves, certified = exc.partial, False
+            if budget is None and len(curves) <= MAX_STORED_CLASSES:
+                self._cap, self._classes = cap, list(curves)
+        for z in diagram.red.curves + diagram.blue.curves:
+            if not any(self.same_class(z, c) for c in curves):
+                curves.append(z)
+        return curves, certified
+
+    def same_class(self, a: CurveClass, b: CurveClass) -> bool:
+        return _stored(self._same, MAX_STORED_PAIRS,
+                       _edge_key(a.coords, b.coords), lambda: same_class(a, b))
+
+    def meets(self, a: CurveClass, b: CurveClass) -> Optional[int]:
+        """i(a, b) when the curves meet in at most one point, else None."""
+        return _stored(self._meets, MAX_STORED_PAIRS,
+                       _edge_key(a.coords, b.coords),
+                       lambda: intersection_at_most(a, b, 1))
+
+    def bounds_disk(self, c: CurveClass, side: str,
+                    diagram: HeegaardDiagram) -> bool:
+        cut = tuple(z.coords for z in diagram.side(side).curves)
+        return _stored(self._disks, MAX_STORED_DISK_TESTS, (cut, c.coords),
+                       lambda: bounds_disk(c, side, diagram))
+
+    def add_meeting_pairs(self, graph: _GraphCore,
+                          pairs: Iterable[EdgeKey]) -> None:
+        """Join each pair of classes that meet in at most one point."""
+        for u, v in pairs:
+            n = self.meets(graph.classes[u], graph.classes[v])
+            if n is not None:
+                graph.add_edge(u, v, n)
+
+
+def _table_for(diagram: HeegaardDiagram,
+               table: Optional[CurveTable]) -> CurveTable:
+    """The given table, or a fresh one when there is none."""
+    if table is None:
+        return CurveTable(diagram.genus)
+    if table.genus != diagram.genus:
+        raise SurfaceMismatch(f"genus {table.genus} table for a genus "
+                              f"{diagram.genus} diagram")
+    return table
 
 
 def enumerate_disk_boundaries(diagram: HeegaardDiagram, side: str, cap: int,
-                              budget: Optional[int] = None) -> list[CurveClass]:
+                              budget: Optional[int] = None,
+                              table: Optional[CurveTable] = None
+                              ) -> list[CurveClass]:
     """The classes of the capped list that bound a disk on the named side,
     which are the vertices of `build_gamma` colored with that side, in
     lexicographic order of coordinates.
@@ -143,8 +238,9 @@ def enumerate_disk_boundaries(diagram: HeegaardDiagram, side: str, cap: int,
     if cap < 1:
         raise ValueError("cap must be at least 1")
     diagram.side(side)             # rejects a bad side name first
-    curves, certified = _capped_curves(diagram, cap, budget)
-    out = sorted((c for c in curves if bounds_disk(c, side, diagram)),
+    table = _table_for(diagram, table)
+    curves, certified = table.capped_curves(diagram, cap, budget)
+    out = sorted((c for c in curves if table.bounds_disk(c, side, diagram)),
                  key=lambda c: c.coords)
     if not certified:
         raise BudgetExhausted("enumeration budget exhausted", out)
@@ -152,40 +248,47 @@ def enumerate_disk_boundaries(diagram: HeegaardDiagram, side: str, cap: int,
 
 
 def build_gamma(diagram: HeegaardDiagram, cap: int,
-                budget: Optional[int] = None) -> DiskComplexGraph:
+                budget: Optional[int] = None,
+                table: Optional[CurveTable] = None) -> DiskComplexGraph:
     """Vertices: disk boundaries on each side within the cap, merged with
     color sets.  Edges: exactly the red/blue pairs meeting in <= 1 point.
 
     On budget exhaustion the partial graph is returned flagged non-certified.
     """
-    return _gamma_of(diagram, cap, *_capped_curves(diagram, cap, budget))
+    table = _table_for(diagram, table)
+    return _gamma_of(table, diagram, cap,
+                     *table.capped_curves(diagram, cap, budget))
 
 
-def _gamma_of(diagram: HeegaardDiagram, cap: int, curves: list[CurveClass],
-              certified: bool) -> DiskComplexGraph:
+def _gamma_of(table: CurveTable, diagram: HeegaardDiagram, cap: int,
+              curves: list[CurveClass], certified: bool) -> DiskComplexGraph:
     graph = DiskComplexGraph(diagram, cap, certified)
     for c in curves:
         sides = {side for side in ("red", "blue")
-                 if bounds_disk(c, side, diagram)}
+                 if table.bounds_disk(c, side, diagram)}
         if sides:
             graph.add_vertex(c, sides)
     # Every color set is a nonempty subset of {red, blue}, so a pair is a
     # red/blue pair exactly when its colors together cover both sides.
     pairs = itertools.combinations_with_replacement(graph.vertex_keys(), 2)
-    _add_meeting_pairs(graph, ((u, v) for u, v in pairs
-                               if len(graph.colors[u] | graph.colors[v]) == 2))
+    colors = graph.colors
+    table.add_meeting_pairs(graph, ((u, v) for u, v in pairs
+                                    if len(colors[u] | colors[v]) == 2))
     return graph
 
 
 def build_lambda(diagram: HeegaardDiagram, cap: int,
-                 budget: Optional[int] = None) -> LambdaGraph:
+                 budget: Optional[int] = None,
+                 table: Optional[CurveTable] = None) -> LambdaGraph:
     """All essential classes within the cap; edges where curves meet in at
     most one point."""
-    return _lambda_of(diagram, cap, *_capped_curves(diagram, cap, budget))
+    table = _table_for(diagram, table)
+    return _lambda_of(table, diagram, cap,
+                      *table.capped_curves(diagram, cap, budget))
 
 
-def _lambda_of(diagram: HeegaardDiagram, cap: int, curves: list[CurveClass],
-               certified: bool) -> LambdaGraph:
+def _lambda_of(table: CurveTable, diagram: HeegaardDiagram, cap: int,
+               curves: list[CurveClass], certified: bool) -> LambdaGraph:
     graph = LambdaGraph(diagram.genus, cap, certified)
     for c in curves:
         graph.add_vertex(c)
@@ -193,7 +296,7 @@ def _lambda_of(diagram: HeegaardDiagram, cap: int, curves: list[CurveClass],
     if diagram.genus == 1:
         _add_farey_edges(graph, keys)
         return graph
-    _add_meeting_pairs(graph, itertools.combinations(keys, 2))
+    table.add_meeting_pairs(graph, itertools.combinations(keys, 2))
     return graph
 
 
@@ -243,14 +346,6 @@ def _add_farey_edges(graph: LambdaGraph, keys: list[VertexKey]) -> None:
         graph.add_edge(keys[i], keys[j], 1)
 
 
-def _add_meeting_pairs(graph: _GraphCore, pairs: Iterable[EdgeKey]) -> None:
-    """Join each pair of classes that meet in at most one point."""
-    for u, v in pairs:
-        n = intersection_at_most(graph.classes[u], graph.classes[v], 1)
-        if n is not None:
-            graph.add_edge(u, v, n)
-
-
 # ---------------------------------------------------------------------------
 # Classification (incompressible / reducible / strongly irreducible / critical)
 # ---------------------------------------------------------------------------
@@ -288,8 +383,9 @@ class ClassificationVerdict:
 
 
 def classify(diagram: HeegaardDiagram, cap: int,
-             budget: Optional[int] = None) -> ClassificationVerdict:
-    graph = build_gamma(diagram, cap, budget)
+             budget: Optional[int] = None,
+             table: Optional[CurveTable] = None) -> ClassificationVerdict:
+    graph = build_gamma(diagram, cap, budget, table)
     reds = sorted(v for v in graph.classes if "red" in graph.colors[v])
     blues = sorted(v for v in graph.classes if "blue" in graph.colors[v])
     both = sorted(v for v in graph.classes if len(graph.colors[v]) == 2)
@@ -442,7 +538,8 @@ def component_distance(graph: LambdaGraph, c1: Sequence[EdgeKey],
 
 
 def splitting_distance(diagram: HeegaardDiagram, e1, e2, cap: int,
-                       budget: Optional[int] = None) -> DistanceResult:
+                       budget: Optional[int] = None,
+                       table: Optional[CurveTable] = None) -> DistanceResult:
     """Distance between the two splittings destabilized by the given edges
     of the diagram's disk complex.
 
@@ -451,8 +548,9 @@ def splitting_distance(diagram: HeegaardDiagram, e1, e2, cap: int,
     capped curve complex, and 0 when one component contains both (the cap
     does not distinguish the splittings).
     """
-    curves, certified = _capped_curves(diagram, cap, budget)
-    gamma = _gamma_of(diagram, cap, curves, certified)
+    table = _table_for(diagram, table)
+    curves, certified = table.capped_curves(diagram, cap, budget)
+    gamma = _gamma_of(table, diagram, cap, curves, certified)
     e1 = tuple(sorted(tuple(map(tuple, e1))))
     e2 = tuple(sorted(tuple(map(tuple, e2))))
     for e in (e1, e2):
@@ -462,7 +560,7 @@ def splitting_distance(diagram: HeegaardDiagram, e1, e2, cap: int,
     c1, c2 = comp_of[e1[0]], comp_of[e2[0]]
     if c1 == c2:
         return DistanceResult(True, 0, cap)
-    lam = _lambda_of(diagram, cap, curves, certified)
+    lam = _lambda_of(table, diagram, cap, curves, certified)
     edges1 = [e for e in gamma.edge_keys() if comp_of[e[0]] == c1]
     edges2 = [e for e in gamma.edge_keys() if comp_of[e[0]] == c2]
     return component_distance(lam, edges1, edges2)

@@ -156,7 +156,12 @@ def compress(sc: Sequence[int], d: CompressionDescriptor) -> Collection:
     return _compress(collection(sc), d)
 
 
-@functools.cache
+# Entries kept by each memo of the compression calculus; a long session
+# evicts the least recently used collections instead of keeping them all.
+MEMO_ENTRIES = 4096
+
+
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
 def _compress(sc: Collection, d: CompressionDescriptor) -> Collection:
     if d.target_genus not in sc:
         raise InvalidMove(f"no component of genus {d.target_genus} in {sc}")
@@ -252,7 +257,7 @@ def _thick(ghs: GHS, t: int) -> Collection:
     return ghs.levels[t]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
 def _one_step_compressions(sc: Collection) -> frozenset[Collection]:
     """Collections reachable from sc by one essential compression."""
     return frozenset(_compress(sc, d) for d in _descriptors(sc, "down"))

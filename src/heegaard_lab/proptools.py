@@ -7,12 +7,14 @@ by an explicit random.Random so runs are reproducible.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from typing import Optional
 
 from . import arrangement
+from .disk_complex import CurveTable, build_gamma, build_lambda, emit_graph
 from .ghs import (
     GHS,
     InvalidGHS,
@@ -24,8 +26,10 @@ from .ghs import (
     enumerate_moves,
     validate_ghs,
 )
+from .handlebody import HeegaardDiagram, InvalidCutSystem, validate_cut_system
 from .surface import (
     CurveClass,
+    ModelSurface,
     Slope,
     _blocks_meet,
     admissible_vectors,
@@ -237,6 +241,36 @@ def check_genus2_block_certificate(rng: random.Random,
     return PropertyReport("genus2-block-certificate", iterations, failures)
 
 
+def check_session_table(rng: random.Random,
+                        iterations: int) -> PropertyReport:
+    """On random genus-2 diagrams whose cut systems are disjoint pairs of
+    classes of weight <= 8, Γ and Λ built through one table shared by every
+    iteration emit the bytes of the same builds on fresh tables.  Caps are
+    drawn up to 8, so smaller caps are served from larger stored lists, and
+    one iteration in four has a budget of at most 80 vectors (cap 8 has
+    72), which often leaves the list partial."""
+    failures = []
+    curves = enumerate_essential_curves(2, 8)
+    systems = []
+    for a, b in itertools.combinations(curves, 2):
+        if geometric_intersection(a, b) == 0:
+            try:
+                systems.append(validate_cut_system(2, [a, b]))
+            except InvalidCutSystem:
+                pass
+    table = CurveTable(2)
+    for _ in range(iterations):
+        diagram = HeegaardDiagram(ModelSurface(2), rng.choice(systems),
+                                  rng.choice(systems))
+        cap = rng.randint(1, 8)
+        budget = rng.randint(1, 80) if rng.random() < 0.25 else None
+        for build in (build_gamma, build_lambda):
+            shared = emit_graph(build(diagram, cap, budget, table))
+            if shared != emit_graph(build(diagram, cap, budget)):
+                failures.append((diagram, cap, budget, build.__name__))
+    return PropertyReport("session-table", iterations, failures)
+
+
 def property_suite(seed: int, iterations: int) -> list[PropertyReport]:
     """The randomized invariants behind the `proptest` command."""
     reports = []
@@ -253,4 +287,6 @@ def property_suite(seed: int, iterations: int) -> list[PropertyReport]:
         random.Random(rng.randrange(2 ** 32)), iterations))
     reports.append(check_genus2_block_certificate(
         random.Random(rng.randrange(2 ** 32)), iterations))
+    reports.append(check_session_table(
+        random.Random(rng.randrange(2 ** 32)), iterations // 2))
     return reports

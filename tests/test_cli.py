@@ -549,3 +549,119 @@ def test_classify_payload_golden(capsys, name):
     assert run(capsys, *argv) == (0, CLASSIFY_JSON[name], "")
     text = "".join(line + "\n" for line in CLASSIFY_TEXT[name])
     assert run(capsys, "--format", "text", *argv) == (0, text, "")
+
+
+# One curve table per genus serves every job of a process.  Each job's
+# stdout and exit code must equal the same job's on a fresh table, whatever
+# ran before it: caps above and below a stored list, and budgets that end
+# scoped before and after the same cap ran without one.
+TWISTED = CLASSIFY_DIAGRAMS["critical"]         # the diagram of demos/05
+TWISTED_EDGES = (
+    '[{"genus":2,"coords":[0,0,0,1,0,0,0,0,1]},'
+    '{"genus":2,"coords":[2,1,1,1,1,1,2,1,0]}]',
+    '[{"genus":2,"coords":[0,1,0,0,1,1,0,0,0]},'
+    '{"genus":2,"coords":[1,0,2,1,1,2,2,2,1]}]')
+HEAVY = ('{"genus":2,"red":[{"genus":2,"coords":[0,1,0,0,1,1,0,0,0]},'
+         '{"genus":2,"coords":[0,0,0,1,0,0,0,0,1]}],"blue":[{"genus":2,'
+         '"coords":[0,1,0,1,1,1,2,2,1]},{"genus":2,"coords":[0,0,0,1,0,0,0,'
+         '0,1]}]}')
+
+
+def _diagram_job(action, diagram, cap, *extra):
+    return ("diagram", action, "--diagram", diagram, "--cap", str(cap),
+            *extra)
+
+
+SESSION = [
+    (_diagram_job("gamma", TWISTED, 8, "--budget", "40"), 2),
+    (_diagram_job("lambda", TWISTED, 10), 0),
+    (_diagram_job("gamma", TWISTED, 8), 0),
+    (_diagram_job("classify", TWISTED, 8), 0),
+    (_diagram_job("lambda", TWISTED, 8), 0),
+    (_diagram_job("classify", TWISTED, 8, "--budget", "40"), 2),
+    (_diagram_job("lambda", TWISTED, 10, "--budget", "40"), 2),
+    (("distance", "--diagram", TWISTED, "--edge1", TWISTED_EDGES[0],
+      "--edge2", TWISTED_EDGES[1], "--cap", "8"), 0),
+    (_diagram_job("gamma", CLASSIFY_DIAGRAMS["standard"], 8), 0),
+    (_diagram_job("classify", CLASSIFY_DIAGRAMS["standard"], 8), 0),
+    (_diagram_job("lambda", CLASSIFY_DIAGRAMS["standard"], 6), 0),
+    (_diagram_job("lambda", CLASSIFY_DIAGRAMS["lens"], 30), 0),
+    (_diagram_job("gamma", CLASSIFY_DIAGRAMS["lens"], 12), 0),
+    (_diagram_job("classify", CLASSIFY_DIAGRAMS["lens"], 12), 0),
+    (_diagram_job("lambda", CLASSIFY_DIAGRAMS["lens"], 12, "--budget", "5"),
+     2),
+    (_diagram_job("gamma", TWISTED, 8, "--budget", "40"), 2),
+]
+
+
+def _run_session(capsys):
+    """Each SESSION job, in order, on one warm table per genus."""
+    cli._session_table.cache_clear()
+    return [run(capsys, *argv) for argv, _ in SESSION]
+
+
+def test_session_table_outputs_match_fresh_tables(capsys):
+    in_session = _run_session(capsys)
+    assert [code for code, _, _ in in_session] == [c for _, c in SESSION]
+    for (argv, _), got in zip(SESSION, in_session):
+        cli._session_table.cache_clear()
+        assert run(capsys, *argv) == got, argv
+
+
+def test_session_table_removes_repeated_work(capsys, monkeypatch):
+    from heegaard_lab import arrangement, disk_complex
+    enumerated, built = [], []
+    enumerate_curves = disk_complex.enumerate_essential_curves
+    init = arrangement.Arrangement.__init__
+
+    def counting_enumeration(*args):
+        enumerated.append(args)
+        return enumerate_curves(*args)
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(disk_complex, "enumerate_essential_curves",
+                        counting_enumeration)
+    monkeypatch.setattr(arrangement.Arrangement, "__init__", counting_init)
+
+    cli._session_table.cache_clear()
+    for diagram in (TWISTED, CLASSIFY_DIAGRAMS["standard"], HEAVY):
+        assert run(capsys, *_diagram_job("gamma", diagram, 8))[0] == 0
+    assert enumerated == [(2, 8, None)]
+
+    cli._session_table.cache_clear()
+    run(capsys, *_diagram_job("lambda", TWISTED, 10))
+    enumerated.clear()
+    assert run(capsys, *_diagram_job("lambda", TWISTED, 8))[0] == 0
+    assert enumerated == []
+
+    cli._session_table.cache_clear()
+    first = run(capsys, *_diagram_job("lambda", TWISTED, 8))
+    built.clear()
+    assert run(capsys, *_diagram_job("lambda", TWISTED, 8)) == first
+    assert built == []
+
+
+def test_session_table_stores_stay_within_bounds(capsys, monkeypatch):
+    from heegaard_lab import disk_complex
+    unbounded = _run_session(capsys)
+    bounds = {"MAX_STORED_CLASSES": (30, "_classes"),
+              "MAX_STORED_PAIRS": (50, "_same", "_meets"),
+              "MAX_STORED_DISK_TESTS": (10, "_disks")}
+    for name, (bound, *_) in bounds.items():
+        monkeypatch.setattr(disk_complex, name, bound)
+    cli._session_table.cache_clear()
+    for (argv, _), want in zip(SESSION, unbounded):
+        assert run(capsys, *argv) == want, argv
+        for genus in (1, 2):
+            table = cli._session_table(genus)
+            for bound, *stores in bounds.values():
+                for store in stores:
+                    assert len(getattr(table, store)) <= bound, store
+    # Every genus-2 pair and disk store filled up.  The cap-10 list of 52
+    # classes was never stored; the cap-8 list of 25 was.
+    table = cli._session_table(2)
+    assert [len(table._same), len(table._meets), len(table._disks)] \
+        == [50, 50, 10]
+    assert table._cap == 8 and len(table._classes) == 25

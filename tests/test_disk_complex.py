@@ -4,6 +4,7 @@ import random
 import pytest
 
 from heegaard_lab.disk_complex import (
+    CurveTable,
     DiskComplexGraph,
     LambdaGraph,
     build_gamma,
@@ -25,7 +26,12 @@ from heegaard_lab.handlebody import (
     s3_genus1,
     standard_diagram,
 )
-from heegaard_lab.surface import BudgetExhausted, CurveClass
+from heegaard_lab.surface import (
+    BudgetExhausted,
+    CurveClass,
+    SurfaceMismatch,
+    enumerate_essential_curves,
+)
 
 K10 = CurveClass.from_slope(1, 0).coords
 K01 = CurveClass.from_slope(0, 1).coords
@@ -503,3 +509,28 @@ def test_twisted_lambda_arrangement_counts(monkeypatch):
         built.clear()
         build_lambda(d, cap)
         assert len(built) == n_built, cap
+
+
+@pytest.mark.parametrize("genus, cap", [(1, 60), (2, 12), (3, 9)])
+def test_smaller_caps_are_weight_filters(genus, cap):
+    # What CurveTable relies on to serve a smaller cap from a stored list.
+    big = enumerate_essential_curves(genus, cap)
+    for smaller in range(cap):
+        assert enumerate_essential_curves(genus, smaller) \
+            == [c for c in big if c.weight <= smaller], smaller
+
+
+def test_shared_table_matches_fresh_calls():
+    # Caps fall and rise, so lists are served both stored and afresh.
+    table = CurveTable(2)
+    for cap in (10, 6, 8, 10):
+        for d in (critical_witness_diagram(), heavy_meridian_diagram()):
+            for build in (build_gamma, build_lambda):
+                assert emit_graph(build(d, cap, table=table)) \
+                    == emit_graph(build(d, cap)), (cap, build)
+            assert classify(d, cap, table=table) == classify(d, cap)
+            for side in ("red", "blue"):
+                assert enumerate_disk_boundaries(d, side, cap, table=table) \
+                    == enumerate_disk_boundaries(d, side, cap)
+    with pytest.raises(SurfaceMismatch, match="genus 2 table"):
+        build_gamma(s3_genus1(), 8, table=table)
