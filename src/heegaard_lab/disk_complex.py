@@ -119,13 +119,17 @@ def isolated_vertices(graph: _GraphCore) -> list[VertexKey]:
 
 # Entry bounds of a CurveTable's stores.  A store that holds its bound
 # stops growing; what it does not hold is computed again, so answers are the
-# same either way.  On 64-bit CPython 3.11 a genus-2 class takes about
-# 0.8 kB and a pair entry about 85 bytes, so a full table holds about
-# 16 MB of classes and 43 MB per pair store.  Genus-2 Λ at cap 14 has 203
-# classes and 20,503 pairs.
-MAX_STORED_CLASSES = 20_000
-MAX_STORED_PAIRS = 500_000
-MAX_STORED_DISK_TESTS = 100_000
+# same either way.  Measured with tracemalloc on 64-bit CPython 3.11, a
+# class with its cached corners and bucket takes 0.5-0.95 kB at genus 2-6
+# (it has 6g - 3 coordinates, so it grows with the genus), a pair entry
+# about 0.1 kB and a disk-test entry about 0.2 kB.  A full table then holds
+# about 5 MB of classes, 26 MB of pairs and 10 MB of disk tests, and a CLI
+# process, which keeps up to `cli.MAX_SESSION_TABLES` tables, at most four
+# times that.  The pair bound covers genus-2 Λ at cap 18: 657 classes,
+# 215,496 pairs.
+MAX_STORED_CLASSES = 5_000
+MAX_STORED_PAIRS = 250_000
+MAX_STORED_DISK_TESTS = 50_000
 
 
 def _stored(store: dict, bound: int, key, compute):
@@ -144,8 +148,10 @@ class CurveTable:
     the Γ, Λ, classification and distance calls that share the table.
 
     It stores the complete class list of the largest cap enumerated without
-    a budget, `same_class` and `intersection_at_most(a, b, 1)` per unordered
-    pair of coordinate vectors, and `bounds_disk` per cut system and class.
+    a budget, `intersection_at_most(a, b, 1)` per unordered pair of
+    coordinate vectors, and `bounds_disk` per cut system and class.  Stored
+    classes keep their cached homology buckets, so the `same_class` tests
+    that place the meridians are mostly a tuple comparison already.
     Every stored answer is exact, so an output never depends on what the
     table held beforehand.
 
@@ -163,7 +169,6 @@ class CurveTable:
         self.genus = genus
         self._cap = 0                  # cap of the stored list; 0 for none
         self._classes: list[CurveClass] = []
-        self._same: dict[EdgeKey, bool] = {}
         self._meets: dict[EdgeKey, Optional[int]] = {}
         self._disks: dict[tuple, bool] = {}
 
@@ -184,13 +189,9 @@ class CurveTable:
             if budget is None and len(curves) <= MAX_STORED_CLASSES:
                 self._cap, self._classes = cap, list(curves)
         for z in diagram.red.curves + diagram.blue.curves:
-            if not any(self.same_class(z, c) for c in curves):
+            if not any(same_class(z, c) for c in curves):
                 curves.append(z)
         return curves, certified
-
-    def same_class(self, a: CurveClass, b: CurveClass) -> bool:
-        return _stored(self._same, MAX_STORED_PAIRS,
-                       _edge_key(a.coords, b.coords), lambda: same_class(a, b))
 
     def meets(self, a: CurveClass, b: CurveClass) -> Optional[int]:
         """i(a, b) when the curves meet in at most one point, else None."""
@@ -225,8 +226,7 @@ def _table_for(diagram: HeegaardDiagram,
 
 
 def enumerate_disk_boundaries(diagram: HeegaardDiagram, side: str, cap: int,
-                              budget: Optional[int] = None,
-                              table: Optional[CurveTable] = None
+                              budget: Optional[int] = None
                               ) -> list[CurveClass]:
     """The classes of the capped list that bound a disk on the named side,
     which are the vertices of `build_gamma` colored with that side, in
@@ -238,7 +238,7 @@ def enumerate_disk_boundaries(diagram: HeegaardDiagram, side: str, cap: int,
     if cap < 1:
         raise ValueError("cap must be at least 1")
     diagram.side(side)             # rejects a bad side name first
-    table = _table_for(diagram, table)
+    table = CurveTable(diagram.genus)
     curves, certified = table.capped_curves(diagram, cap, budget)
     out = sorted((c for c in curves if table.bounds_disk(c, side, diagram)),
                  key=lambda c: c.coords)

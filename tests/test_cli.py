@@ -647,7 +647,7 @@ def test_session_table_stores_stay_within_bounds(capsys, monkeypatch):
     from heegaard_lab import disk_complex
     unbounded = _run_session(capsys)
     bounds = {"MAX_STORED_CLASSES": (30, "_classes"),
-              "MAX_STORED_PAIRS": (50, "_same", "_meets"),
+              "MAX_STORED_PAIRS": (50, "_meets"),
               "MAX_STORED_DISK_TESTS": (10, "_disks")}
     for name, (bound, *_) in bounds.items():
         monkeypatch.setattr(disk_complex, name, bound)
@@ -659,9 +659,8 @@ def test_session_table_stores_stay_within_bounds(capsys, monkeypatch):
             for bound, *stores in bounds.values():
                 for store in stores:
                     assert len(getattr(table, store)) <= bound, store
-    # Every genus-2 pair and disk store filled up.  The cap-10 list of 52
+    # The genus-2 pair and disk stores filled up.  The cap-10 list of 52
     # classes was never stored; the cap-8 list of 25 was.
     table = cli._session_table(2)
-    assert [len(table._same), len(table._meets), len(table._disks)] \
-        == [50, 50, 10]
+    assert [len(table._meets), len(table._disks)] == [50, 10]
     assert table._cap == 8 and len(table._classes) == 25

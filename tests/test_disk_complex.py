@@ -529,8 +529,5 @@ def test_shared_table_matches_fresh_calls():
                 assert emit_graph(build(d, cap, table=table)) \
                     == emit_graph(build(d, cap)), (cap, build)
             assert classify(d, cap, table=table) == classify(d, cap)
-            for side in ("red", "blue"):
-                assert enumerate_disk_boundaries(d, side, cap, table=table) \
-                    == enumerate_disk_boundaries(d, side, cap)
     with pytest.raises(SurfaceMismatch, match="genus 2 table"):
         build_gamma(s3_genus1(), 8, table=table)
