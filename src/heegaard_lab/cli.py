@@ -193,8 +193,8 @@ def cmd_distance(args) -> int:
     diagram = serialize.diagram_from_jsonable(_load_json(args.diagram))
     e1, e2 = (serialize.edge_from_jsonable(_load_json(text))
               for text in (args.edge1, args.edge2))
-    result = splitting_distance(diagram, e1, e2, args.cap, args.budget,
-                                _session_table(diagram.genus))
+    # A fresh table per job, not the session's: ROADMAP item 6 says why.
+    result = splitting_distance(diagram, e1, e2, args.cap, args.budget)
     payload = {"connected_within_cap": result.connected,
                "distance": result.value, "cap": result.cap}
     _emit(args, payload)
