@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .surface import Triangulation, _partition
 
@@ -363,17 +363,29 @@ class Arrangement:
 # ---------------------------------------------------------------------------
 
 
-def _loop_is_trivial(tri: Triangulation, word: Sequence[int]) -> bool:
-    """Does a simple closed curve that misses the vertex, crossing the edges
-    `word` in cyclic order, bound a disk?  See the module docstring."""
-    w: list[int] = []
-    for e in word:
-        if w and w[-1] == e:
+def _free_reduce(word: Sequence, inverse: Callable) -> list:
+    """The cyclic word reduced in its free group: one stack pass cancels
+    adjacent inverse letters, then inverse pairs are trimmed off the two
+    ends, which leaves no new adjacent pair.  `inverse` maps a letter to
+    its inverse."""
+    w: list = []
+    for x in word:
+        if w and w[-1] == inverse(x):
             w.pop()
         else:
-            w.append(e)
-    while len(w) > 1 and w[0] == w[-1]:
-        w = w[1:-1]
+            w.append(x)
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == inverse(w[j]):
+        i += 1
+        j -= 1
+    return w[i:j + 1]
+
+
+def _loop_is_trivial(tri: Triangulation, word: Sequence[int]) -> bool:
+    """Does a simple closed curve that misses the vertex, crossing the edges
+    `word` in cyclic order, bound a disk?  See the module docstring: each
+    edge letter is its own inverse."""
+    w = _free_reduce(word, lambda e: e)
     if len(w) != len(tri.vertex_rotation):
         return not w
     link = [e for e, _ in tri.vertex_rotation]

@@ -331,12 +331,11 @@ def _add_farey_edges(graph: LambdaGraph, keys: list[VertexKey]) -> None:
         x, y = _bezout(p, q)
         r0, s0 = -y, x
         # The coordinates s, r and r - s move by q, p and p - q per step of
-        # t; the fastest moves by top = max(key).
+        # t; the fastest moves by top = max(key).  Its step c is positive:
+        # p >= 0, and q < 0 only when p > 0, and then p - q > |q|.
         top = max(key)
         c, o = max(((q, s0), (p, r0), (p - q, r0 - s0)),
                    key=lambda f: abs(f[0]))
-        if c < 0:
-            c, o = -c, -o
         for t in range(-((top + o) // c), (top - o) // c + 1):
             r, s = r0 + t * p, s0 + t * q
             j = index.get((abs(s), abs(r), abs(r - s)))
@@ -538,8 +537,7 @@ def component_distance(graph: LambdaGraph, c1: Sequence[EdgeKey],
 
 
 def splitting_distance(diagram: HeegaardDiagram, e1, e2, cap: int,
-                       budget: Optional[int] = None,
-                       table: Optional[CurveTable] = None) -> DistanceResult:
+                       budget: Optional[int] = None) -> DistanceResult:
     """Distance between the two splittings destabilized by the given edges
     of the diagram's disk complex.
 
@@ -548,7 +546,7 @@ def splitting_distance(diagram: HeegaardDiagram, e1, e2, cap: int,
     capped curve complex, and 0 when one component contains both (the cap
     does not distinguish the splittings).
     """
-    table = _table_for(diagram, table)
+    table = CurveTable(diagram.genus)
     curves, certified = table.capped_curves(diagram, cap, budget)
     gamma = _gamma_of(table, diagram, cap, curves, certified)
     e1 = tuple(sorted(tuple(map(tuple, e1))))

@@ -58,19 +58,8 @@ class SignedWord:
         return min(rots)
 
     def reduced(self) -> "SignedWord":
-        """Free reduction by one stack pass, then trimming of inverse pairs
-        off the two ends, which leaves no new adjacent pair."""
-        out: list[tuple[int, int]] = []
-        for g, s in self.letters:
-            if out and out[-1] == (g, -s):
-                out.pop()
-            else:
-                out.append((g, s))
-        i, j = 0, len(out) - 1
-        while i < j and out[i] == (out[j][0], -out[j][1]):
-            i += 1
-            j -= 1
-        return SignedWord(tuple(out[i:j + 1]))
+        return SignedWord(tuple(arrangement._free_reduce(
+            self.letters, lambda x: (x[0], -x[1]))))
 
     def is_trivial(self) -> bool:
         return not self.reduced().letters

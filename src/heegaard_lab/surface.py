@@ -278,9 +278,6 @@ class TracedCurve:
     cycle: list[tuple[int, int]]        # (edge, position) tokens in order
     triangles: list[int]                # triangle of the arc cycle[i] -> cycle[i+1]
 
-    def __len__(self) -> int:
-        return len(self.cycle)
-
 
 _TRI_CACHE: dict[int, Triangulation] = {}
 
@@ -362,10 +359,6 @@ class CurveClass:
             self.coords)
         if self.genus > 1:      # read by _blocks_meet; unused on the torus
             self.__dict__["_corners"] = corners
-
-    @property
-    def surface(self) -> ModelSurface:
-        return ModelSurface(self.genus)
 
     @property
     def weight(self) -> int:

@@ -6,7 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heegaard_lab import arrangement
-from heegaard_lab.surface import Slope, canonical_triangulation
+from heegaard_lab.surface import (
+    CurveClass,
+    Slope,
+    canonical_triangulation,
+    geometric_intersection,
+)
 
 from reference import (
     complement_regions,
@@ -317,6 +322,31 @@ def test_bigon_around_the_vertex():
     for a, b in VERTEX_BIGON_PAIRS:
         assert _minimized(arrangement.minimize, tri, [a, b]) \
             == _minimized(reference_minimize, tri, [a, b]), (a, b)
+
+
+# Pairs of connected essential genus-2 vectors whose minimization slides a
+# bigon that swallows the triangulation vertex.  Each count is the geometric
+# intersection number; if `_loop_is_trivial` did not accept the vertex
+# link's word, `minimize` would stop at 3, 2, 2 and 4 crossings instead.
+VERTEX_LINK_COUNTS = [
+    ((2, 2, 1, 1, 2, 2, 2, 1, 2), (1, 1, 4, 1, 0, 1, 2, 2, 3), 1),
+    ((2, 2, 0, 1, 2, 2, 2, 2, 1), (1, 2, 2, 2, 1, 0, 2, 2, 2), 0),
+    ((3, 3, 2, 1, 2, 1, 2, 0, 1), (2, 2, 0, 1, 2, 2, 2, 2, 1), 0),
+    ((3, 1, 0, 1, 4, 1, 2, 2, 1), (2, 3, 3, 2, 1, 1, 2, 1, 1), 2),
+]
+
+
+def test_vertex_link_bigons_reach_minimal_position():
+    tri = canonical_triangulation(2)
+    for a, b, count in VERTEX_LINK_COUNTS:
+        assert geometric_intersection(CurveClass(2, a), CurveClass(2, b)) \
+            == count
+        for pair in ([a, b], [b, a]):
+            arr = arrangement.Arrangement(tri, pair)
+            xs = arrangement.minimize(arr)
+            assert len(xs) == count, pair
+            assert not [r for r in arr.analyze(xs)
+                        if r.chi == 1 and len(r.crossing_keys) == 2], pair
 
 
 def test_loop_word_test():

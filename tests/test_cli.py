@@ -34,16 +34,29 @@ def test_classify_s3(capsys, tmp_path):
     assert data["reducing_class"] is None
 
 
+# Both disks cut the genus-2 thick level into two tori.
+HALVES = {"target_genus": 2, "kind": ["sep", 1, 1]}
+WR_SEP = json.dumps({
+    "type": "weak_reduction", "thick_index": 1,
+    "D": {"side": "down", **HALVES}, "E": {"side": "up", **HALVES},
+    "F_DE": [1, 0]})
+
+
 def test_ghs_reduce_example(capsys, tmp_path):
-    g = tmp_path / "g3.json"
-    m = tmp_path / "wr1a.json"
-    g.write_text(G3)
-    m.write_text(WR1A)
-    code, out, _ = run(capsys, "ghs", "reduce", "--in", str(g),
-                       "--move", str(m))
-    assert code == 0
-    data = json.loads(out)
-    assert data["result"]["levels"] == [[], [2], [1], [2], []]
+    g = tmp_path / "g.json"
+    m = tmp_path / "move.json"
+    for ghs, move, levels, key in (
+            (G3, WR1A, [[], [2], [1], [2], []], [16, 16]),
+            ('{"levels": [[], [2], []]}', WR_SEP,
+             [[], [1, 1], [1], [1, 1], []], [8, 8])):
+        g.write_text(ghs)
+        m.write_text(move)
+        code, out, _ = run(capsys, "ghs", "reduce", "--in", str(g),
+                           "--move", str(m))
+        assert code == 0
+        data = json.loads(out)
+        assert data["result"]["levels"] == levels
+        assert data["key"] == key
 
 
 def test_ghs_compare(capsys, tmp_path):

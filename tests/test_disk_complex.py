@@ -151,6 +151,29 @@ def test_quotient_is_homomorphism_and_preserves_connectivity():
         assert q.edges        # images exist
 
 
+def test_quotient_of_lambda_keeps_least_edge():
+    # A hand-made Λ whose symmetry swaps a with c and b with d: the edges
+    # a-d and b-c (i = 1) land on the orbit pair of a-b and c-d (i = 0),
+    # after them or before them, and the quotient records the least.
+    a, b, c, d = (CurveClass.from_slope(*s)
+                  for s in ((1, 0), (0, 1), (1, 1), (1, -1)))
+    sigma = {a.coords: c.coords, c.coords: a.coords,
+             b.coords: d.coords, d.coords: b.coords}
+    for order in ([(a, d, 1), (c, b, 1), (a, b, 0), (c, d, 0)],
+                  [(a, b, 0), (c, d, 0), (a, d, 1), (c, b, 1)]):
+        lam = LambdaGraph(1, 4, True)
+        for v in (a, b, c, d):
+            lam.add_vertex(v)
+        for u, v, i in order:
+            lam.add_edge(u.coords, v.coords, i)
+        q = quotient_by_symmetry(lam, [sigma])
+        assert isinstance(q, LambdaGraph)
+        assert len(q.classes) == 2
+        assert list(q.edges.values()) == [0]
+        dot = emit_graph(q, "dot").decode()
+        assert dot.count("color=black") == 2 and " [label=0];" in dot
+
+
 def test_find_destab_edge():
     g = build_gamma(s3_genus1(), 12)
     assert find_destab_edge(g, components(g)[0]) == tuple(sorted((K10, K01)))

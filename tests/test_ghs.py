@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from heegaard_lab.ghs import (
     compare_ghs,
     complexity,
     compress,
+    enumerate_moves,
     ghs_key,
     stabilize,
     validate_ghs,
@@ -226,6 +228,19 @@ def test_move_json_roundtrip():
     from heegaard_lab.serialize import move_to_jsonable
     for _, _, move, _, _ in GOLDEN_CASES:
         assert move_from_jsonable(move_to_jsonable(move)) == move
+    # Every move from GHSs with a thick component of genus >= 2, through the
+    # text of the wire format; a separating compression is ["sep", g1, g2].
+    sep = []
+    for levels in ([[], [2], []], [[], [4], []], [[], [2, 2], []],
+                   [[], [3], [1], [3], []]):
+        for move in enumerate_moves(GHS.of(levels)):
+            data = json.loads(dumps(move_to_jsonable(move)))
+            assert move_from_jsonable(data) == move
+            if isinstance(move, WeakReduction):
+                sep += [d.kind for d in (move.d, move.e)
+                        if d.kind[0] == "sep"]
+    assert {("sep", 1, 1), ("sep", 1, 2), ("sep", 1, 3), ("sep", 2, 2)} \
+        == set(sep)
 
 
 def test_random_ghs_always_valid():
