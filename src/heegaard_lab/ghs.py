@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 
 class InvalidGHS(ValueError):
@@ -46,6 +46,11 @@ def complexity(sc: Sequence[int]) -> int:
 def compare_collections(a: Sequence[int], b: Sequence[int]) -> str:
     ca, cb = complexity(a), complexity(b)
     return "less" if ca < cb else "greater" if ca > cb else "equal"
+
+
+# Entries kept by each memo of the calculus; a long session evicts the least
+# recently used collections instead of keeping them all.
+MEMO_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,13 @@ class GHS:
     def boundary(self) -> tuple[Collection, Collection]:
         return (self.levels[0], self.levels[-1])
 
+    @functools.cached_property
+    def _key(self) -> tuple[int, ...]:
+        """`ghs_key` as a tuple, computed on first use.  It is not a field,
+        so it takes no part in ==, hash or repr."""
+        return tuple(sorted((complexity(level) for level in self.levels[1::2]),
+                            reverse=True))
+
     def __repr__(self) -> str:
         parts = []
         for i, level in enumerate(self.levels):
@@ -89,32 +101,44 @@ def validate_ghs(ghs: GHS) -> list[str]:
     """Itemized violations; empty list means valid."""
     errors = []
     levels = ghs.levels
+    last = len(levels) - 1
     if len(levels) % 2 == 0 or len(levels) < 3:
         errors.append(f"level count {len(levels)} is not an odd number >= 3")
     for i, level in enumerate(levels):
-        if level and min(level) < 0:
-            errors.append(f"level {i} has a negative genus")
-        if tuple(sorted(level, reverse=True)) != level:
-            errors.append(f"level {i} is not sorted non-increasing")
-        if i % 2 == 1 and not level:
-            errors.append(f"thick level {i} is empty")
-        if i % 2 == 0 and 0 < i < len(levels) - 1 and not level:
-            errors.append(
-                f"interior thin level {i} is empty (unmerged thick levels)")
-        if 0 < i < len(levels) - 1 and 0 in level:
-            errors.append(f"interior level {i} has a 2-sphere component")
+        problems = _level_problems(level, i % 2 == 1, 0 < i < last)
+        if problems:
+            errors += [problem.format(i) for problem in problems]
     return errors
+
+
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
+def _level_problems(level: Collection, thick: bool,
+                    interior: bool) -> tuple[str, ...]:
+    """The violations of one level, each with {} for its index.  A level is
+    judged only by its genera, its parity and whether it is interior."""
+    problems = []
+    if level and min(level) < 0:
+        problems.append("level {} has a negative genus")
+    if tuple(sorted(level, reverse=True)) != level:
+        problems.append("level {} is not sorted non-increasing")
+    if thick and not level:
+        problems.append("thick level {} is empty")
+    if not thick and interior and not level:
+        problems.append(
+            "interior thin level {} is empty (unmerged thick levels)")
+    if interior and 0 in level:
+        problems.append("interior level {} has a 2-sphere component")
+    return tuple(problems)
 
 
 def ghs_key(ghs: GHS) -> list[int]:
     """Thick-level complexities in non-increasing order."""
-    return sorted([complexity(level) for level in ghs.levels[1::2]],
-                  reverse=True)
+    return list(ghs._key)
 
 
 def compare_ghs(a: GHS, b: GHS) -> str:
     """Lexicographic on keys; a shorter list that is a prefix is smaller."""
-    ka, kb = ghs_key(a), ghs_key(b)
+    ka, kb = a._key, b._key
     return "less" if ka < kb else "greater" if ka > kb else "equal"
 
 
@@ -154,11 +178,6 @@ def compress(sc: Sequence[int], d: CompressionDescriptor) -> Collection:
     """Apply one compression to the collection; genus-0 components are kept
     (normalization happens at the move level)."""
     return _compress(collection(sc), d)
-
-
-# Entries kept by each memo of the compression calculus; a long session
-# evicts the least recently used collections instead of keeping them all.
-MEMO_ENTRIES = 4096
 
 
 @functools.lru_cache(maxsize=MEMO_ENTRIES)
@@ -219,7 +238,7 @@ class MoveReport:
 
 def _strip_and_merge(levels: list[Collection]) -> tuple[list[Collection], bool]:
     """Sphere rule, then collapse interior thin levels that became empty."""
-    out = [tuple(filter(None, level)) if 0 < i < len(levels) - 1
+    out = [tuple(filter(None, level)) if 0 < i < len(levels) - 1 and 0 in level
            else level for i, level in enumerate(levels)]
     merged = False
     while True:
@@ -233,11 +252,15 @@ def _strip_and_merge(levels: list[Collection]) -> tuple[list[Collection], bool]:
     return out, merged
 
 
-def _finish(old: GHS, levels: list[Collection], case: str) -> MoveReport:
+def _finish(old: GHS, levels: list[Collection], case: str,
+            within: Optional[frozenset] = None) -> Optional[MoveReport]:
     """Normalize the moved levels, each already a sorted collection, and
-    check the result."""
+    check the result.  Given `within`, a result outside it is dropped
+    (None) before any check runs."""
     levels, merged = _strip_and_merge(levels)
     new = GHS(tuple(levels))
+    if within is not None and new not in within:
+        return None
     errors = validate_ghs(new)
     if errors:
         raise InvalidMove(f"move yields an invalid GHS: {'; '.join(errors)}")
@@ -271,17 +294,44 @@ def weak_reduce_report(ghs: GHS, m: WeakReduction) -> MoveReport:
     f_d = compress(f_t, m.d)
     f_e = compress(f_t, m.e)
     f_de = collection(m.f_de)
-    if f_de not in _one_step_compressions(f_d) \
-            or f_de not in _one_step_compressions(f_e):
+    if not (_one_compression_apart(f_d, f_de)
+            and _one_compression_apart(f_e, f_de)):
         raise InvalidMove(
             f"F_DE={f_de} is not one compression away from both "
             f"F_D={f_d} and F_E={f_e}")
-    return _weak_reduction(ghs, t, f_d, f_e, f_de)
+    return _finish(ghs, *_weak_reduction(ghs, t, f_d, f_e, f_de))
+
+
+def _one_compression_apart(sc: Collection, out: Collection) -> bool:
+    """Whether out is in `_one_step_compressions(sc)`: one component g >= 1
+    of sc is replaced by g - 1, or by g1, g2 >= 1 with g1 + g2 = g.  Read
+    off the multiset difference of the sorted collections, in time linear in
+    their length, not in the genus.  Its two sides share no genus, so no
+    part of a split is 0; no genus is negative, so a gained g - 1 has g >= 1.
+    """
+    lost, gained = [], []
+    i = j = 0
+    while i < len(sc) and j < len(out):
+        if sc[i] == out[j]:
+            i, j = i + 1, j + 1
+        elif sc[i] > out[j]:
+            lost.append(sc[i])
+            i += 1
+        else:
+            gained.append(out[j])
+            j += 1
+    lost += sc[i:]
+    gained += out[j:]
+    if len(lost) != 1:
+        return False
+    g = lost[0]
+    return gained == [g - 1] or (len(gained) == 2 and sum(gained) == g)
 
 
 def _weak_reduction(ghs: GHS, t: int, f_d: Collection, f_e: Collection,
-                    f_de: Collection) -> MoveReport:
-    """Cases 1(a)-1(d), once F_D, F_E and F_DE are known to be consistent."""
+                    f_de: Collection) -> tuple[list[Collection], str]:
+    """Cases 1(a)-1(d), once F_D, F_E and F_DE are known to be consistent:
+    the moved levels, not yet normalized, and the case."""
     below, above = ghs.levels[t - 1], ghs.levels[t + 1]
     eq_d, eq_e = (f_d == below), (f_e == above)
     levels = list(ghs.levels)
@@ -303,19 +353,20 @@ def _weak_reduction(ghs: GHS, t: int, f_d: Collection, f_e: Collection,
         if t - 1 == 0 or t + 1 == len(levels) - 1:
             raise InvalidMove("case 1d would rewrite a boundary collection")
         levels[t - 1:t + 2] = [f_de]
-    return _finish(ghs, levels, case)
+    return levels, case
 
 
 def destabilize_report(ghs: GHS, m: Destabilization) -> MoveReport:
     t = m.thick_index
     f_t = _thick(ghs, t)
     d = CompressionDescriptor("down", m.target_genus, ("nonsep",))
-    return _destabilization(ghs, t, compress(f_t, d), m.remove)
+    return _finish(ghs, *_destabilization(ghs, t, compress(f_t, d), m.remove))
 
 
 def _destabilization(ghs: GHS, t: int, f_d: Collection,
-                     remove: str) -> MoveReport:
-    """Cases 2(a)-2(d); the dual disks give F_E = F_D."""
+                     remove: str) -> tuple[list[Collection], str]:
+    """Cases 2(a)-2(d), with the moved levels as for `_weak_reduction`; the
+    dual disks give F_E = F_D."""
     below, above = ghs.levels[t - 1], ghs.levels[t + 1]
     eq_d, eq_e = (f_d == below), (f_d == above)
     levels = list(ghs.levels)
@@ -342,7 +393,7 @@ def _destabilization(ghs: GHS, t: int, f_d: Collection,
             if t - 1 == 0:
                 raise InvalidMove("case 2d (left) would delete the lower boundary")
             del levels[t - 1:t + 1]
-    return _finish(ghs, levels, case)
+    return levels, case
 
 
 def weak_reduce(ghs: GHS, m: WeakReduction) -> GHS:
@@ -385,12 +436,16 @@ def stabilize(ghs: GHS, thick_index: int, component_genus: int) -> GHS:
 # ---------------------------------------------------------------------------
 
 
-def _descriptors(sc: Collection, side: str) -> Iterator[CompressionDescriptor]:
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
+def _descriptors(sc: Collection,
+                 side: str) -> tuple[CompressionDescriptor, ...]:
+    out = []
     for g in sorted(set(sc), reverse=True):
         if g >= 1:
-            yield CompressionDescriptor(side, g, ("nonsep",))
+            out.append(CompressionDescriptor(side, g, ("nonsep",)))
         for g1 in range(1, g // 2 + 1):
-            yield CompressionDescriptor(side, g, ("sep", g1, g - g1))
+            out.append(CompressionDescriptor(side, g, ("sep", g1, g - g1)))
+    return tuple(out)
 
 
 def enumerate_moves(ghs: GHS) -> list[Move]:
@@ -400,10 +455,12 @@ def enumerate_moves(ghs: GHS) -> list[Move]:
     return [move for move, _ in _moves_with_reports(ghs)]
 
 
-def _moves_with_reports(ghs: GHS) -> Iterator[tuple[Move, MoveReport]]:
-    """The moves of `enumerate_moves`, each with the report of applying it.
-    The compressions are consistent by construction; every result still
-    passes the checks of `_finish`."""
+def _moves_with_reports(ghs: GHS, within: Optional[frozenset] = None
+                        ) -> Iterator[tuple[Move, MoveReport]]:
+    """The moves of `enumerate_moves`, each with the report of applying it;
+    given `within`, only those whose result lies in it.  The compressions
+    are consistent by construction; every result yielded still passes the
+    checks of `_finish`."""
     for t in ghs.thick_indices():
         f_t = ghs.levels[t]
         for d in _descriptors(f_t, "down"):
@@ -413,17 +470,21 @@ def _moves_with_reports(ghs: GHS) -> Iterator[tuple[Move, MoveReport]]:
                 for f_de in sorted(_one_step_compressions(f_d)
                                    & _one_step_compressions(f_e)):
                     try:
-                        report = _weak_reduction(ghs, t, f_d, f_e, f_de)
+                        report = _finish(ghs, *_weak_reduction(
+                            ghs, t, f_d, f_e, f_de), within)
                     except InvalidMove:
                         continue
-                    yield WeakReduction(t, d, e, f_de), report
+                    if report is not None:
+                        yield WeakReduction(t, d, e, f_de), report
         for g in sorted({g for g in f_t if g >= 1}, reverse=True):
             f_d = _compress(f_t, CompressionDescriptor("down", g, ("nonsep",)))
-            for remove in ("right", "left"):
+            # Only case 2(d), F_D on both flanking thin levels, has a choice.
+            case_2d = f_d == ghs.levels[t - 1] == ghs.levels[t + 1]
+            for remove in ("right", "left") if case_2d else ("right",):
                 try:
-                    report = _destabilization(ghs, t, f_d, remove)
+                    report = _finish(ghs, *_destabilization(
+                        ghs, t, f_d, remove), within)
                 except InvalidMove:
                     continue
-                yield Destabilization(t, g, remove), report
-                if report.case != "2d":
-                    break       # the removal choice only matters in case 2d
+                if report is not None:
+                    yield Destabilization(t, g, remove), report

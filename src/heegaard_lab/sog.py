@@ -24,7 +24,6 @@ from .ghs import (
     _moves_with_reports,
     apply_move,
     collection,
-    ghs_key,
     validate_ghs,
 )
 
@@ -114,7 +113,7 @@ MaxKey = tuple[tuple[int, ...], ...]
 
 def max_key(sog: SOG) -> MaxKey:
     """Keys of the maximal GHSs, reordered non-increasingly."""
-    keys = [tuple(ghs_key(sog.ghss[k])) for k in maximal_positions(sog)]
+    keys = [sog.ghss[k]._key for k in maximal_positions(sog)]
     return tuple(sorted(keys, reverse=True))
 
 
@@ -156,7 +155,7 @@ class MoveGraph:
         self._number = {node: i for i, node in enumerate(self._nodes)}
         self._ghss = list(ghss)
         self._labels = list(labels)
-        self._keys = [tuple(ghs_key(g)) for g in self._ghss]
+        self._keys = [g._key for g in self._ghss]
         arcs: list[list] = [[] for _ in self._nodes]
         for edge in edges:
             p, c = self._number[edge.parent], self._number[edge.child]
@@ -247,12 +246,11 @@ class SymbolicOracle(MoveGraph):
         self.budget = budget
         self.boundary = (collection(boundary[0]), collection(boundary[1]))
         states = self._enumerate_states()
-        inside = set(states)
+        inside = frozenset(states)
         super().__init__(
             states, states, [repr(g) for g in states],
             (OracleEdge(g, report.result, move) for g in states
-             for move, report in _moves_with_reports(g)
-             if report.result in inside))
+             for move, report in _moves_with_reports(g, inside)))
 
     @staticmethod
     def _nonempty_collections(total: int) -> list[tuple]:
@@ -290,7 +288,7 @@ class SymbolicOracle(MoveGraph):
                         rec(i + 1, remaining - genus, acc + [coll])
 
             rec(0, budget.max_total_genus, [])
-        return sorted(states, key=lambda g: (g.n_levels, ghs_key(g), g.levels))
+        return sorted(states, key=lambda g: (g.n_levels, g._key, g.levels))
 
     def resolve(self, x) -> GHS:
         if not isinstance(x, GHS):

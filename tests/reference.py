@@ -14,6 +14,9 @@ pass.
   surface.homology_class              reference_homology_class
   surface._blocks_meet                reference_block_crossings
   handlebody.validate_cut_system      reference_validate_cut_system
+  ghs.validate_ghs                    reference_validate_ghs
+  sog.SymbolicOracle                  reference_symbolic_states,
+                                      reference_symbolic_edges
 
 `complement_regions` reads a multicurve's complement off the planar map;
 the cut-system reference and the arrangement goldens use it.
@@ -23,6 +26,7 @@ import itertools
 from dataclasses import dataclass
 
 from heegaard_lab import arrangement
+from heegaard_lab.ghs import GHS, _moves_with_reports, collection, ghs_key
 from heegaard_lab.handlebody import CutSystem, InvalidCutSystem
 from heegaard_lab.surface import (
     ModelSurface,
@@ -411,3 +415,71 @@ def reference_validate_cut_system(genus, curves):
         raise InvalidCutSystem(
             f"cut complement is not planar: chi={chi}, boundaries={circles}")
     return system
+
+
+# -- ghs and sog --------------------------------------------------------------
+
+
+def reference_validate_ghs(ghs):
+    """`validate_ghs` as it judged every level afresh on each call."""
+    errors = []
+    levels = ghs.levels
+    if len(levels) % 2 == 0 or len(levels) < 3:
+        errors.append(f"level count {len(levels)} is not an odd number >= 3")
+    for i, level in enumerate(levels):
+        if level and min(level) < 0:
+            errors.append(f"level {i} has a negative genus")
+        if tuple(sorted(level, reverse=True)) != level:
+            errors.append(f"level {i} is not sorted non-increasing")
+        if i % 2 == 1 and not level:
+            errors.append(f"thick level {i} is empty")
+        if i % 2 == 0 and 0 < i < len(levels) - 1 and not level:
+            errors.append(
+                f"interior thin level {i} is empty (unmerged thick levels)")
+        if 0 < i < len(levels) - 1 and 0 in level:
+            errors.append(f"interior level {i} has a 2-sphere component")
+    return errors
+
+
+def reference_symbolic_states(budget, boundary):
+    """The states of `SymbolicOracle(budget, boundary)` in its node order,
+    enumerated independently: the boundary pair around 2k - 1 interior
+    collections of genera >= 1, for 1 <= k <= max(1, (max_levels - 1) // 2),
+    whose genera sum to at most max_total_genus."""
+    total = budget.max_total_genus
+    colls = [c for k in range(1, total + 1) for c in
+             itertools.combinations_with_replacement(range(total, 0, -1), k)
+             if sum(c) <= total]
+
+    def interiors(n, remaining):
+        if n == 0:
+            yield ()
+            return
+        for c in colls:
+            if sum(c) <= remaining:
+                for rest in interiors(n - 1, remaining - sum(c)):
+                    yield (c,) + rest
+
+    lower, upper = (collection(b) for b in boundary)
+    max_thick = max(1, (budget.max_levels - 1) // 2)
+    states = [GHS.of([lower, *mid, upper])
+              for k in range(1, max_thick + 1)
+              for mid in interiors(2 * k - 1, total)]
+    return sorted(states, key=lambda g: (g.n_levels, ghs_key(g), g.levels))
+
+
+def reference_symbolic_edges(budget, boundary):
+    """The oracle's edges as it found them before it tested each result
+    against its states first: every move of `_moves_with_reports(g)`, with
+    no `within`, whose result is a state.  Listed as (parent, child, move),
+    by parent in node order and then by (child label, repr(move)), which is
+    how the oracle lists each node's edges."""
+    states = reference_symbolic_states(budget, boundary)
+    inside = set(states)
+    edges = []
+    for g in states:
+        edges += sorted(((g, report.result, move)
+                         for move, report in _moves_with_reports(g)
+                         if report.result in inside),
+                        key=lambda e: (repr(e[1]), repr(e[2])))
+    return edges

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -10,6 +11,8 @@ from heegaard_lab.ghs import (
     InvalidGHS,
     InvalidMove,
     WeakReduction,
+    _one_compression_apart,
+    _one_step_compressions,
     apply_move,
     apply_move_report,
     compare_collections,
@@ -28,6 +31,8 @@ from heegaard_lab.proptools import (
     random_ghs,
 )
 from heegaard_lab.serialize import dumps, ghs_to_jsonable, move_from_jsonable
+
+from reference import reference_validate_ghs
 
 
 def nonsep(side, g):
@@ -174,6 +179,50 @@ def test_validate_examples():
         GHS.of([[], [], []])
 
 
+def random_levels(rng):
+    """0 to 7 levels of 0 to 3 genera each, drawn so that every fault
+    `validate_ghs` names shows up: negative genera, zeros, empty levels,
+    unsorted levels and an even level count."""
+    levels = []
+    for _ in range(rng.randint(0, 7)):
+        level = [rng.choice((-1, 0, 0, 1, 2, 3))
+                 for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.7:
+            level.sort(reverse=True)
+        levels.append(tuple(level))
+    return tuple(levels)
+
+
+FAULTS = ("not an odd number", "negative genus", "not sorted",
+          "thick level", "interior thin level", "2-sphere")
+
+
+def test_validate_ghs_matches_reference():
+    # The per-level memo must give today's messages, in today's order, for
+    # valid and invalid level tuples alike, also when a level is met again.
+    rng = random.Random(23)
+    seen = set()
+    for k in range(4000):
+        g = random_ghs(rng) if k % 4 == 0 else GHS(random_levels(rng))
+        want = reference_validate_ghs(g)
+        assert validate_ghs(g) == want, g.levels
+        assert validate_ghs(g) == want, g.levels
+        seen.update(fault for message in want for fault in FAULTS
+                    if fault in message)
+        seen.add("invalid" if want else "valid")
+    assert seen == {*FAULTS, "valid", "invalid"}, seen
+
+
+def test_ghs_key_is_a_fresh_list_and_not_a_field():
+    a = GHS.of([[], [2], [1], [3], []])
+    key = ghs_key(a)
+    key.append(99)
+    assert ghs_key(a) == [36, 16]
+    b = GHS.of([[], [2], [1], [3], []])
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert compare_ghs(a, b) == "equal"
+
+
 def test_boundary_protection():
     bounded = GHS.of([[1], [2], [1]])
     # F_D = [1] = lower boundary: case 2b would delete it.
@@ -198,6 +247,43 @@ def test_weak_reduction_needs_consistent_fde():
     with pytest.raises(InvalidMove):
         weak_reduce(g, WeakReduction(1, nonsep("down", 3), nonsep("up", 3),
                                      (2, 2)))
+
+
+def test_weak_reduction_at_genus_10_to_the_12():
+    # Consistency of F_DE is read off the multiset difference, so the work
+    # does not grow with the genus.
+    big = 10 ** 12
+    g = GHS.closed_splitting(big)
+    report = apply_move_report(g, WeakReduction(
+        1, nonsep("down", big), nonsep("up", big), (big - 2,)))
+    assert report.case == "1a"
+    assert report.result.levels == ((), (big - 1,), (big - 2,), (big - 1,), ())
+    assert ghs_key(report.result) == [4 * (big - 1) ** 2] * 2
+    sep = CompressionDescriptor("down", big, ("sep", 1, big - 1))
+    result = weak_reduce(g, WeakReduction(1, sep, nonsep("up", big),
+                                          (big - 2, 1)))
+    assert result.levels == ((), (big - 1, 1), (big - 2, 1), (big - 1,), ())
+    assert ghs_key(result) == [4 * (big - 1) ** 2 + 4,
+                               4 * (big - 1) ** 2]
+    with pytest.raises(InvalidMove, match="not one compression away"):
+        weak_reduce(g, WeakReduction(1, nonsep("down", big),
+                                     nonsep("up", big), (big - 3,)))
+
+
+def test_one_compression_apart_matches_enumeration():
+    # Every pair of collections of total genus <= 8, each with up to two
+    # spheres, since a compression of a torus leaves one.
+    positive = [c for k in range(9) for c in
+                itertools.combinations_with_replacement(range(8, 0, -1), k)
+                if sum(c) <= 8]
+    colls = [c + (0,) * zeros for c in positive for zeros in range(3)]
+    apart = 0
+    for a in colls:
+        reach = _one_step_compressions(a)
+        for b in colls:
+            assert _one_compression_apart(a, b) == (b in reach), (a, b)
+            apart += b in reach
+    assert apart == 642, apart
 
 
 def test_move_monotonicity_seeded():

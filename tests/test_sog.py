@@ -39,6 +39,8 @@ from heegaard_lab.sog import (
 )
 from heegaard_lab.surface import CurveClass
 
+from reference import reference_symbolic_edges, reference_symbolic_states
+
 
 def destab(g):
     return Destabilization(1, g)
@@ -516,3 +518,20 @@ def test_symbolic_states_distinct_and_moves_sorted(oracle):
         for _, report in _moves_with_reports(g):
             assert all(level == collection(level)
                        for level in report.result.levels)
+
+
+@pytest.mark.parametrize("boundary", [((), ()), ((1,), (1,)), ((2,), ()),
+                                      ((1, 1), (2,))])
+def test_state_first_oracle_matches_reference(boundary):
+    # The oracle drops a move whose result is not a state before checking
+    # it; its edges must be those of checking every move first.
+    for max_levels in (5, 7):
+        for total in range(1, 8):
+            budget = SymbolicBudget(total, max_levels)
+            oracle = SymbolicOracle(budget, boundary)
+            assert oracle.nodes() == reference_symbolic_states(budget,
+                                                               boundary)
+            edges = [(e.parent, e.child, e.move) for n in oracle.nodes()
+                     for e in oracle.edges_at(n) if e.parent == n]
+            assert edges == reference_symbolic_edges(budget, boundary), \
+                (budget, boundary)
