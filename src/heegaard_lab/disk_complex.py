@@ -481,7 +481,8 @@ class DistanceResult:
     def require(self) -> int:
         if not self.connected:
             raise ValueError(f"not connected within cap {self.cap}")
-        assert self.value is not None
+        if self.value is None:
+            raise AssertionError("a connected distance has no value")
         return self.value
 
 

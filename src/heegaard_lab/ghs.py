@@ -409,6 +409,11 @@ def apply_move(ghs: GHS, m: Move) -> GHS:
 
 
 def apply_move_report(ghs: GHS, m: Move) -> MoveReport:
+    """A move from `enumerate_moves` carries its checked report, returned
+    for a GHS equal to the one it came from; any other move is checked."""
+    checked = getattr(m, "_checked", None)
+    if checked is not None and (checked[0] is ghs or checked[0] == ghs):
+        return checked[1]
     if isinstance(m, WeakReduction):
         return weak_reduce_report(ghs, m)
     if isinstance(m, Destabilization):
@@ -455,12 +460,19 @@ def enumerate_moves(ghs: GHS) -> list[Move]:
     return [move for move, _ in _moves_with_reports(ghs)]
 
 
+def _carrying(move: Move, ghs: GHS, report: MoveReport) -> Move:
+    """The move, carrying its report on the GHS: like `GHS._key` not a
+    field, so a copy by `dataclasses.replace` or from JSON carries none."""
+    object.__setattr__(move, "_checked", (ghs, report))
+    return move
+
+
 def _moves_with_reports(ghs: GHS, within: Optional[frozenset] = None
                         ) -> Iterator[tuple[Move, MoveReport]]:
-    """The moves of `enumerate_moves`, each with the report of applying it;
-    given `within`, only those whose result lies in it.  The compressions
-    are consistent by construction; every result yielded still passes the
-    checks of `_finish`."""
+    """The moves of `enumerate_moves`, each carrying and paired with its
+    report; given `within`, only those whose result lies in it.  Every
+    descriptor is essential and F_DE one compression from F_D and F_E by
+    construction, so the checks `apply_move` adds to `_finish` pass."""
     for t in ghs.thick_indices():
         f_t = ghs.levels[t]
         for d in _descriptors(f_t, "down"):
@@ -475,7 +487,8 @@ def _moves_with_reports(ghs: GHS, within: Optional[frozenset] = None
                     except InvalidMove:
                         continue
                     if report is not None:
-                        yield WeakReduction(t, d, e, f_de), report
+                        yield _carrying(WeakReduction(t, d, e, f_de), ghs,
+                                        report), report
         for g in sorted({g for g in f_t if g >= 1}, reverse=True):
             f_d = _compress(f_t, CompressionDescriptor("down", g, ("nonsep",)))
             # Only case 2(d), F_D on both flanking thin levels, has a choice.
@@ -487,4 +500,5 @@ def _moves_with_reports(ghs: GHS, within: Optional[frozenset] = None
                 except InvalidMove:
                     continue
                 if report is not None:
-                    yield Destabilization(t, g, remove), report
+                    yield _carrying(Destabilization(t, g, remove), ghs,
+                                    report), report

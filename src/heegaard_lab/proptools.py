@@ -131,7 +131,8 @@ def check_move_monotonicity(rng: random.Random,
             continue
         done += 1
         try:
-            out = apply_move(g, move)
+            # A fresh copy carries no report, so apply_move checks it.
+            out = apply_move(g, dataclasses.replace(move))
         except InvalidMove as exc:
             failures.append(("rejected", g, move, str(exc)))
             continue

@@ -21,8 +21,10 @@ from .ghs import (
     Destabilization,
     InvalidMove,
     Move,
+    _carrying,
     _moves_with_reports,
     apply_move,
+    apply_move_report,
     collection,
     validate_ghs,
 )
@@ -184,8 +186,8 @@ class InventoryOracle(MoveGraph):
     """A declared finite stock of splitting labels per genus with a
     stabilization map.  The map is a function: stabilization is unique, so
     each label has exactly one stabilization.  Nodes are the labels, in
-    sorted order; each label's GHS is built, and so validated, with the
-    oracle."""
+    sorted order; each label's GHS, and each edge as a move from the higher
+    label's GHS to the lower one's, is checked when the oracle is built."""
 
     def __init__(self, splittings: dict[int, Sequence[str]],
                  stabilize_map: dict[str, str],
@@ -205,10 +207,20 @@ class InventoryOracle(MoveGraph):
         self.boundary = b1, b2 = (collection(boundary[0]),
                                   collection(boundary[1]))
         labels = sorted(genus_of)
-        super().__init__(
-            labels, [GHS.of([b1, [genus_of[lab]], b2]) for lab in labels],
-            labels, [OracleEdge(hi, lo, Destabilization(1, genus_of[hi]))
-                     for lo, hi in stabilize_map.items()])
+        ghs_of = {lab: GHS.of([b1, [genus_of[lab]], b2]) for lab in labels}
+        edges = []
+        for lo, hi in stabilize_map.items():
+            move = Destabilization(1, genus_of[hi])
+            try:
+                report = apply_move_report(ghs_of[hi], move)
+                if report.result != ghs_of[lo]:
+                    raise InvalidMove(f"it gives {report.result}")
+            except InvalidMove as exc:
+                raise ValueError(
+                    f"stabilize({lo}) = {hi} is not a move: {exc}") from None
+            edges.append(OracleEdge(hi, lo, _carrying(move, ghs_of[hi],
+                                                      report)))
+        super().__init__(labels, list(ghs_of.values()), labels, edges)
 
     def resolve(self, x) -> str:
         if isinstance(x, str):

@@ -343,6 +343,15 @@ def test_wrong_json_shapes_exit_1_with_one_line(capsys, argv):
     assert err.count("\n") == 1 and err.startswith("input error: ")
 
 
+def test_oracle_edge_that_is_not_a_move_exits_1(capsys):
+    bad = json.dumps({"splittings": {"1": ["a"], "2": ["b"]},
+                      "stabilize": {"a": "b"}, "boundary": [[1], []]})
+    assert run(capsys, "sog", "flatten", "--start", "b", "--end", "a",
+               "--oracle", bad) == \
+        (1, "", "input error: stabilize(a) = b is not a move: "
+                "case 2b would delete the lower boundary\n")
+
+
 def test_oracle_genus_key_parsed_once(capsys):
     bad = '{"splittings": {"x": ["P"], "3": ["Q"]}, "stabilize": {"P": "Q"}}'
     code, out, err = run(capsys, "sog", "flatten", "--start", "P", "--end", "Q",

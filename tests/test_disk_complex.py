@@ -6,6 +6,7 @@ import pytest
 from heegaard_lab.disk_complex import (
     CurveTable,
     DiskComplexGraph,
+    DistanceResult,
     LambdaGraph,
     build_gamma,
     build_lambda,
@@ -266,6 +267,16 @@ def test_edge_and_component_distance():
         component_distance(lam, [], [e1])
     with pytest.raises(ValueError):
         component_distance(lam, [e1], [])
+
+
+def test_distance_require():
+    # An explicit raise, so `python -O` keeps the check.
+    assert DistanceResult(True, 3, 8).require() == 3
+    with pytest.raises(ValueError, match="not connected within cap 8"):
+        DistanceResult(False, None, 8).require()
+    with pytest.raises(AssertionError) as exc:
+        DistanceResult(True, None, 8).require()
+    assert str(exc.value) == "a connected distance has no value"
 
 
 def test_distance_vs_bfs_oracle_seeded():

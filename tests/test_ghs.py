@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -11,6 +12,7 @@ from heegaard_lab.ghs import (
     InvalidGHS,
     InvalidMove,
     WeakReduction,
+    _moves_with_reports,
     _one_compression_apart,
     _one_step_compressions,
     apply_move,
@@ -30,7 +32,12 @@ from heegaard_lab.proptools import (
     check_move_monotonicity,
     random_ghs,
 )
-from heegaard_lab.serialize import dumps, ghs_to_jsonable, move_from_jsonable
+from heegaard_lab.serialize import (
+    dumps,
+    ghs_to_jsonable,
+    move_from_jsonable,
+    move_to_jsonable,
+)
 
 from reference import reference_validate_ghs
 
@@ -238,8 +245,9 @@ def test_destabilize_genus1_closed_is_invalid():
 @pytest.mark.parametrize("apply", [apply_move, apply_move_report])
 @pytest.mark.parametrize("move", ["x", None, (1, 2)])
 def test_unknown_move_rejected(apply, move):
-    with pytest.raises(InvalidMove, match="unknown move"):
+    with pytest.raises(InvalidMove) as exc:
         apply(GHS.closed_splitting(3), move)
+    assert exc.value.args == (f"unknown move {move!r}",)
 
 
 def test_weak_reduction_needs_consistent_fde():
@@ -344,3 +352,57 @@ def test_move_on_unsorted_raw_ghs_is_rejected():
         apply_move(raw, Destabilization(1, 2))
     assert str(info.value) == ("move yields an invalid GHS: "
                                "level 1 is not sorted non-increasing")
+
+
+# ---------------------------------------------------------------------------
+# Enumerated moves carry the report they were checked with
+# ---------------------------------------------------------------------------
+
+
+def outcome(g, m):
+    try:
+        return apply_move_report(g, m)
+    except InvalidMove as exc:
+        return str(exc)
+
+
+def test_enumerated_move_carries_its_checked_report():
+    # A fresh copy carries no report, so applying it checks the move again.
+    rng = random.Random(31)
+    ghss = [random_ghs(rng) for _ in range(500)]
+    moves = 0
+    for g in ghss:
+        for m, report in _moves_with_reports(g):
+            fresh = dataclasses.replace(m)
+            assert apply_move_report(g, m) is report
+            assert apply_move_report(g, fresh) == report
+            assert apply_move_report(GHS(g.levels), m) is report
+            moves += 1
+    assert moves > 5000, moves
+
+
+def test_enumerated_move_is_its_fresh_copy():
+    rng = random.Random(37)
+    for _ in range(100):
+        for m in enumerate_moves(random_ghs(rng)):
+            fresh = dataclasses.replace(m)
+            assert m == fresh and hash(m) == hash(fresh)
+            assert repr(m) == repr(fresh)
+            assert move_to_jsonable(m) == move_to_jsonable(fresh)
+
+
+def test_enumerated_move_on_another_ghs_is_checked_there():
+    # Applied to a GHS other than its own, the move is derived again: the
+    # same result as its fresh copy, or the same refusal.
+    rng = random.Random(41)
+    ghss = [random_ghs(rng) for _ in range(200)]
+    applied = refused = 0
+    for g, other in zip(ghss, ghss[1:]):
+        for m in enumerate_moves(g):
+            got = outcome(other, m)
+            assert got == outcome(other, dataclasses.replace(m)), (g, other, m)
+            if isinstance(got, str):
+                refused += 1
+            else:
+                applied += 1
+    assert applied > 100 and refused > 100, (applied, refused)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import random
 from pathlib import Path
@@ -14,6 +15,7 @@ from heegaard_lab.ghs import (
     InvalidGHS,
     _moves_with_reports,
     apply_move,
+    apply_move_report,
     collection,
     enumerate_moves,
     ghs_key,
@@ -145,6 +147,21 @@ def test_inventory_ghss_are_validated_when_built():
         InventoryOracle({0: ["Z"], 2: ["P", "Q"], 3: ["R"]},
                         {"P": "R", "Q": "R"})
     assert str(exc.value) == "interior level 1 has a 2-sphere component"
+
+
+@pytest.mark.parametrize("boundary, why", [
+    (((1,), (1,)), "case 2d (right) would delete the upper boundary"),
+    (((1,), ()), "case 2b would delete the lower boundary"),
+])
+def test_inventory_edges_are_checked_when_built(boundary, why):
+    # Destabilizing b must not delete a boundary collection; the oracle is
+    # rejected when built, not when a flatten crosses the edge.
+    with pytest.raises(ValueError) as exc:
+        InventoryOracle({1: ["a"], 2: ["b"]}, {"a": "b"}, boundary=boundary)
+    assert exc.value.args == (f"stabilize(a) = b is not a move: {why}",)
+    fine = InventoryOracle({1: ["a"], 2: ["b"]}, {"a": "b"},
+                           boundary=((2,), ()))
+    assert flatten("b", "a", fine).labels == ("b", "a")
 
 
 def test_resolve_error_messages():
@@ -365,6 +382,34 @@ def test_flatten_golden(golden_oracles, name):
         else:
             lines.append(serialize.dumps(serialize.sog_to_jsonable(sog)))
     assert sha256_lines(lines) == digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ORACLE_LISTINGS))
+def test_oracle_edges_carry_their_checked_reports(golden_oracles, name):
+    oracle = golden_oracles[name]
+    edges = 0
+    for node in oracle.nodes():
+        for e in oracle.edges_at(node):
+            if e.parent == node:
+                report = apply_move_report(e.parent, e.move)
+                assert report.result is e.child
+                assert report == apply_move_report(
+                    e.parent, dataclasses.replace(e.move))
+                edges += 1
+    assert edges > 100, edges
+
+
+def test_replay_rejects_a_carried_move_with_a_wrong_target():
+    g, wrong = GHS.closed_splitting(3), GHS.closed_splitting(1)
+    messages = []
+    for move, report in _moves_with_reports(g):
+        for m in (move, dataclasses.replace(move)):
+            with pytest.raises(InvalidSOG) as exc:
+                SOG.of([g, wrong], [SOGStep(0, m)])
+            messages.append(str(exc.value))
+        assert messages[-2] == messages[-1] == \
+            f"step 0 replays to {report.result}, recorded {wrong}"
+    assert len(messages) == 2 * len(enumerate_moves(g)) > 2
 
 
 def test_enumerate_and_apply_moves_golden():
