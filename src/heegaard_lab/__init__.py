@@ -22,6 +22,7 @@ from .disk_complex import (
     splitting_distance,
     vertex_distance,
 )
+from .errors import InputError
 from .ghs import (
     GHS,
     CompressionDescriptor,
@@ -34,12 +35,10 @@ from .ghs import (
     compare_ghs,
     complexity,
     compress,
-    destabilize,
     enumerate_moves,
     ghs_key,
     stabilize,
     validate_ghs,
-    weak_reduce,
 )
 from .handlebody import (
     CutSystem,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -25,18 +26,12 @@ from .disk_complex import (
     quotient_by_symmetry,
     splitting_distance,
 )
-from .ghs import InvalidGHS, InvalidMove, apply_move, compare_ghs, ghs_key
-from .handlebody import InvalidCutSystem
-from .serialize import FormatError, dumps
+from .errors import InputError
+from .ghs import apply_move, compare_ghs, ghs_key
+from .serialize import dumps
 from .sog import FlattenBudgetExhausted, flatten, max_key, verify_single_maximal
-from .surface import (
-    BudgetExhausted,
-    InessentialCurve,
-    InvalidCoordinates,
-    SurfaceMismatch,
-    enumerate_essential_curves,
-    geometric_intersection,
-)
+from .surface import (BudgetExhausted, enumerate_essential_curves,
+                      geometric_intersection)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -44,17 +39,13 @@ EXIT_SCOPED = 2
 EXIT_INTERNAL = 3
 
 
-class UsageError(Exception):
-    """The command line does not parse: an unknown command or flag, or a
-    value of the wrong type or range."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one input-error line, not usage text and
-    exit code 2 (which means a scoped verdict here)."""
+    """Reports a usage error (an unknown command or flag, or a value of the
+    wrong type or range) as one input-error line, not usage text and exit
+    code 2 (which means a scoped verdict here)."""
 
     def error(self, message):
-        raise UsageError(message)
+        raise InputError(message)
 
 
 def _int_at_least(low: int):
@@ -72,26 +63,36 @@ def _int_at_least(low: int):
 _positive = _int_at_least(1)
 _nonnegative = _int_at_least(0)
 
-INPUT_ERRORS = (UsageError, FormatError, InvalidCoordinates, InessentialCurve,
-                SurfaceMismatch, InvalidCutSystem, InvalidGHS, InvalidMove,
-                sog.InvalidSOG, json.JSONDecodeError, OSError,
-                KeyError, ValueError)
-
 
 def _load_json(path: str):
-    text = path if path.strip().startswith(("{", "[")) else Path(path).read_text()
+    """The one place where JSON text, inline or in a file, becomes data;
+    every way that fails is an input error."""
     try:
-        return json.loads(text)
+        inline = path.strip().startswith(("{", "["))
+        return json.loads(path if inline else Path(path).read_text())
     except RecursionError:
-        raise FormatError("JSON is nested too deeply") from None
+        raise InputError("JSON is nested too deeply") from None
+    except (OSError, ValueError) as exc:
+        # Unreadable or undecodable files, malformed JSON, an integer over
+        # the interpreter's digit limit, a path with a null byte.
+        raise InputError(str(exc)) from None
 
 
 def _emit(args, payload: dict) -> None:
-    if args.format == "text":
-        for key, value in sorted(payload.items()):
-            print(f"{key}: {value}")
-    else:
-        sys.stdout.write(dumps(payload))
+    # Inputs keep the interpreter's digit limit, but a result may print a
+    # longer integer, such as the key (2g)^2 of a GHS of a long genus.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "text":
+            for key, value in sorted(payload.items()):
+                print(f"{key}: {value}")
+        else:
+            sys.stdout.write(dumps(payload))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def cmd_surface_curves(args) -> int:
@@ -120,7 +121,7 @@ def cmd_intersect(args) -> int:
 
 def cmd_diagram(args) -> int:
     if args.action == "quotient" and args.bijection is None:
-        raise UsageError("diagram quotient needs --bijection")
+        raise InputError("diagram quotient needs --bijection")
     diagram = serialize.diagram_from_jsonable(_load_json(args.diagram))
     table = _session_table(diagram.genus)
     if args.action == "classify":
@@ -161,7 +162,7 @@ def cmd_sog(args) -> int:
             # GHS; anything else is a label, so a bad label reads as one.
             path = Path(text)
             if text not in oracle.nodes() and (
-                    text.strip().startswith(("{", "[")) or path.exists()
+                    text.strip().startswith(("{", "[")) or os.path.exists(text)
                     or path.name != text or path.suffix):
                 return serialize.ghs_from_jsonable(_load_json(text))
             return oracle.resolve(text)
@@ -301,12 +302,10 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except INPUT_ERRORS as exc:
-        # str() of a KeyError is the repr of its message.
-        message = exc.args[0] if isinstance(exc, KeyError) else exc
-        print(f"input error: {message}", file=sys.stderr)
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except AssertionError as exc:
+    except Exception as exc:        # any other failure is a bug, not bad input
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

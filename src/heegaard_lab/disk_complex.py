@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .errors import InputError
 from .handlebody import HeegaardDiagram, bounds_disk
 from .surface import (
     BudgetExhausted,
@@ -426,11 +427,11 @@ def quotient_by_symmetry(graph: _GraphCore,
     keys = set(graph.classes)
     for sigma in bijections:
         if set(sigma) != keys or set(sigma.values()) != keys:
-            raise ValueError("bijection does not permute the vertex set")
+            raise InputError("bijection does not permute the vertex set")
         for (u, v), i in graph.edges.items():
             img = _edge_key(sigma[u], sigma[v])
             if graph.edges.get(img) != i:
-                raise ValueError(
+                raise InputError(
                     f"bijection does not preserve edge {(u, v)} (-> {img})")
 
     orbits = _partition(graph.classes, (uv for sigma in bijections
@@ -554,7 +555,7 @@ def splitting_distance(diagram: HeegaardDiagram, e1, e2, cap: int,
     e2 = tuple(sorted(tuple(map(tuple, e2))))
     for e in (e1, e2):
         if gamma.edges.get(e) != 1:
-            raise KeyError(f"{e} is not an i=1 edge of the capped complex")
+            raise InputError(f"{e} is not an i=1 edge of the capped complex")
     comp_of = _component_index(gamma)
     c1, c2 = comp_of[e1[0]], comp_of[e2[0]]
     if c1 == c2:

@@ -19,12 +19,14 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from .errors import InputError
 
-class InvalidGHS(ValueError):
+
+class InvalidGHS(InputError):
     pass
 
 
-class InvalidMove(ValueError):
+class InvalidMove(InputError):
     pass
 
 
@@ -394,14 +396,6 @@ def _destabilization(ghs: GHS, t: int, f_d: Collection,
                 raise InvalidMove("case 2d (left) would delete the lower boundary")
             del levels[t - 1:t + 1]
     return levels, case
-
-
-def weak_reduce(ghs: GHS, m: WeakReduction) -> GHS:
-    return weak_reduce_report(ghs, m).result
-
-
-def destabilize(ghs: GHS, m: Destabilization) -> GHS:
-    return destabilize_report(ghs, m).result
 
 
 def apply_move(ghs: GHS, m: Move) -> GHS:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import arrangement
+from .errors import InputError
 from .surface import (
     CurveClass,
     ModelSurface,
@@ -27,7 +28,7 @@ from .surface import (
 )
 
 
-class InvalidCutSystem(ValueError):
+class InvalidCutSystem(InputError):
     """The curves do not cut the surface into a single planar piece."""
 
 

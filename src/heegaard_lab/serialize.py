@@ -1,7 +1,7 @@
 """JSON wire formats for curves, diagrams, GHSs, moves, SOGs, and oracles.
 
 All emitters produce deterministic, key-sorted JSON; all parsers reject
-unknown fields and values of the wrong JSON type with a FormatError.
+unknown fields and values of the wrong JSON type with an InputError.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import dataclasses
 import json
 from typing import Any
 
+from .errors import InputError
 from .ghs import (
     GHS,
     CompressionDescriptor,
@@ -23,17 +24,13 @@ from .sog import SOG, SOGStep, InventoryOracle
 from .surface import CurveClass, ModelSurface, normalize
 
 
-class FormatError(ValueError):
-    pass
-
-
 _SHAPE_NAMES = {int: "an integer", str: "a string", list: "a list",
                 dict: "an object"}
 
 
 def _expect(value, shape, what: str):
-    """Return `value` if it has the JSON shape `shape`, else raise a
-    FormatError naming `what`.  A shape is int, str, list or dict, or [shape]
+    """Return `value` if it has the JSON shape `shape`, else raise an
+    InputError naming `what`.  A shape is int, str, list or dict, or [shape]
     for a list whose entries all have that shape; booleans are not
     integers."""
     if isinstance(shape, list):
@@ -41,21 +38,21 @@ def _expect(value, shape, what: str):
             _expect(item, shape[0], f"each entry of {what}")
     elif not isinstance(value, shape) or isinstance(value, bool):
         echo = json.dumps(value)     # clipped: an error is one short line
-        raise FormatError(f"{what} must be {_SHAPE_NAMES[shape]}, got "
+        raise InputError(f"{what} must be {_SHAPE_NAMES[shape]}, got "
                           + (echo if len(echo) <= 80 else echo[:80] + "..."))
     return value
 
 
 def _check_keys(data: dict, required: set, optional: set = frozenset()):
     if not isinstance(data, dict):
-        raise FormatError(f"expected an object, got {type(data).__name__}")
+        raise InputError(f"expected an object, got {type(data).__name__}")
     keys = set(data)
     missing = required - keys
     unknown = keys - required - optional
     if missing:
-        raise FormatError(f"missing fields {sorted(missing)}")
+        raise InputError(f"missing fields {sorted(missing)}")
     if unknown:
-        raise FormatError(f"unknown fields {sorted(unknown)}")
+        raise InputError(f"unknown fields {sorted(unknown)}")
 
 
 def dumps(obj: Any) -> str:
@@ -94,13 +91,13 @@ def curve_from_jsonable(data: dict) -> CurveClass:
         _check_keys(data, {"slope"})
         slope = _expect(data["slope"], [int], "slope")
         if len(slope) != 2:
-            raise FormatError(f"slope needs 2 integers, got {len(slope)}")
+            raise InputError(f"slope needs 2 integers, got {len(slope)}")
         return CurveClass.from_slope(*slope)
     _check_keys(data, {"genus", "coords"})
     result = normalize(_expect(data["genus"], int, "genus"),
                        _expect(data["coords"], [int], "coords"))
     if not isinstance(result, CurveClass):
-        raise FormatError("coords carry a multicurve, not a single curve")
+        raise InputError("coords carry a multicurve, not a single curve")
     return result
 
 
@@ -122,7 +119,7 @@ def edge_from_jsonable(data, what: str = "an edge") -> tuple:
     a pair of coordinate vectors."""
     pair = _expect(data, list, what)
     if len(pair) != 2:
-        raise FormatError(f"{what} needs 2 curves, got {len(pair)}")
+        raise InputError(f"{what} needs 2 curves, got {len(pair)}")
     return tuple(curve_from_jsonable(c).coords for c in pair)
 
 
@@ -148,7 +145,7 @@ def ghs_from_jsonable(data: dict) -> GHS:
     _check_keys(data, {"levels"}, {"boundary"})
     boundary = data.get("boundary", [True, True])
     if boundary != [True, True]:
-        raise FormatError("the first and last levels are always boundary")
+        raise InputError("the first and last levels are always boundary")
     return GHS.of(_expect(data["levels"], [[int]], "levels"))
 
 
@@ -166,7 +163,7 @@ def _descriptor_from_jsonable(data: dict) -> CompressionDescriptor:
         parsed = ("sep", _expect(kind[1], int, "a sep genus"),
                   _expect(kind[2], int, "a sep genus"))
     else:
-        raise FormatError(f"unknown compression kind {kind!r}")
+        raise InputError(f"unknown compression kind {kind!r}")
     return CompressionDescriptor(
         data["side"], _expect(data["target_genus"], int, "target_genus"),
         parsed)
@@ -191,7 +188,7 @@ def move_to_jsonable(m: Move) -> dict:
 
 def move_from_jsonable(data: dict) -> Move:
     if not isinstance(data, dict) or "type" not in data:
-        raise FormatError("a move needs a 'type' field")
+        raise InputError("a move needs a 'type' field")
     if data["type"] == "weak_reduction":
         _check_keys(data, {"type", "thick_index", "D", "E", "F_DE"})
         return WeakReduction(
@@ -206,7 +203,7 @@ def move_from_jsonable(data: dict) -> Move:
             _expect(data["thick_index"], int, "thick_index"),
             _expect(data["target_genus"], int, "target_genus"),
             data.get("remove", "right"))
-    raise FormatError(f"unknown move type {data['type']!r}")
+    raise InputError(f"unknown move type {data['type']!r}")
 
 
 # -- SOGs and oracles ---------------------------------------------------------
@@ -243,14 +240,14 @@ def oracle_from_jsonable(data: dict) -> InventoryOracle:
         try:
             genus = int(key)
         except ValueError:
-            raise FormatError(
+            raise InputError(
                 f"splittings key {key!r} must be an integer genus") from None
         if genus in splittings:
-            raise FormatError(f"splittings key {key!r} repeats genus {genus}")
+            raise InputError(f"splittings key {key!r} repeats genus {genus}")
         splittings[genus] = _expect(labels, [str], "the labels of a genus")
     for label in _expect(data["stabilize"], dict, "stabilize").values():
         _expect(label, str, "a stabilize target")
     boundary = _expect(data.get("boundary", [[], []]), [[int]], "boundary")
     if len(boundary) != 2:
-        raise FormatError("boundary needs 2 collections")
+        raise InputError("boundary needs 2 collections")
     return InventoryOracle(splittings, data["stabilize"], boundary)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
+from .errors import InputError
 from .ghs import (
     GHS,
     Destabilization,
@@ -30,7 +31,7 @@ from .ghs import (
 )
 
 
-class InvalidSOG(ValueError):
+class InvalidSOG(InputError):
     pass
 
 
@@ -196,13 +197,13 @@ class InventoryOracle(MoveGraph):
         for genus, labels in splittings.items():
             for label in labels:
                 if label in genus_of:
-                    raise ValueError(f"label {label!r} declared twice")
+                    raise InputError(f"label {label!r} declared twice")
                 genus_of[label] = int(genus)
         for lo, hi in stabilize_map.items():
             if lo not in genus_of or hi not in genus_of:
-                raise ValueError(f"stabilize map uses undeclared label {lo}->{hi}")
+                raise InputError(f"stabilize map uses undeclared label {lo}->{hi}")
             if genus_of[hi] != genus_of[lo] + 1:
-                raise ValueError(
+                raise InputError(
                     f"stabilize({lo}) = {hi} does not raise genus by one")
         self.boundary = b1, b2 = (collection(boundary[0]),
                                   collection(boundary[1]))
@@ -216,7 +217,7 @@ class InventoryOracle(MoveGraph):
                 if report.result != ghs_of[lo]:
                     raise InvalidMove(f"it gives {report.result}")
             except InvalidMove as exc:
-                raise ValueError(
+                raise InputError(
                     f"stabilize({lo}) = {hi} is not a move: {exc}") from None
             edges.append(OracleEdge(hi, lo, _carrying(move, ghs_of[hi],
                                                       report)))
@@ -225,13 +226,13 @@ class InventoryOracle(MoveGraph):
     def resolve(self, x) -> str:
         if isinstance(x, str):
             if x not in self._number:
-                raise KeyError(f"unknown splitting label {x!r}")
+                raise InputError(f"unknown splitting label {x!r}")
             return x
         if isinstance(x, GHS):
             matches = [lab for lab, g in zip(self._nodes, self._ghss)
                        if g.levels == x.levels]
             if len(matches) != 1:
-                raise KeyError(
+                raise InputError(
                     f"{x} matches {len(matches)} inventory labels; "
                     "pass the label itself")
             return matches[0]

@@ -23,16 +23,18 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
+from .errors import InputError
 
-class InvalidCoordinates(ValueError):
+
+class InvalidCoordinates(InputError):
     """Raised when an edge-weight vector violates the matching conditions."""
 
 
-class InessentialCurve(ValueError):
+class InessentialCurve(InputError):
     """Raised when a traced connected curve is the vertex link."""
 
 
-class SurfaceMismatch(ValueError):
+class SurfaceMismatch(InputError):
     """Raised when an operation mixes curves from different surfaces."""
 
 
@@ -52,7 +54,7 @@ class ModelSurface:
 
     def __post_init__(self):
         if self.genus < 0:
-            raise ValueError(f"genus must be non-negative, got {self.genus}")
+            raise InputError(f"genus must be non-negative, got {self.genus}")
 
     @property
     def euler_characteristic(self) -> int:
@@ -285,7 +287,7 @@ _TRI_CACHE: dict[int, Triangulation] = {}
 def canonical_triangulation(genus: int) -> Triangulation:
     """Deterministic triangulation for each genus >= 1 (cached)."""
     if genus < 1:
-        raise ValueError(
+        raise InputError(
             f"no curves live on a surface of genus {genus}; need genus >= 1")
     if genus not in _TRI_CACHE:
         _TRI_CACHE[genus] = Triangulation(ModelSurface(genus))
@@ -315,7 +317,7 @@ class Slope:
 
     def __post_init__(self):
         if math.gcd(abs(self.p), abs(self.q)) != 1:
-            raise ValueError(f"slope ({self.p},{self.q}) is not coprime")
+            raise InputError(f"slope ({self.p},{self.q}) is not coprime")
         if self.p < 0 or (self.p == 0 and self.q < 0):
             raise ValueError("slope not in canonical form; use Slope.of")
 

@@ -25,7 +25,6 @@ from heegaard_lab.ghs import (
     ghs_key,
     stabilize,
     validate_ghs,
-    weak_reduce,
 )
 from heegaard_lab.proptools import (
     check_commutation,
@@ -95,7 +94,7 @@ def test_separating_zero_part_allowed_in_type_rejected_in_moves():
     assert compress([2], d) == (2, 0)
     move = WeakReduction(1, d, nonsep("up", 2), (1,))
     with pytest.raises(InvalidMove):
-        weak_reduce(GHS.closed_splitting(2), move)
+        apply_move(GHS.closed_splitting(2), move)
 
 
 GOLDEN_CASES = [
@@ -253,8 +252,8 @@ def test_unknown_move_rejected(apply, move):
 def test_weak_reduction_needs_consistent_fde():
     g = GHS.closed_splitting(3)
     with pytest.raises(InvalidMove):
-        weak_reduce(g, WeakReduction(1, nonsep("down", 3), nonsep("up", 3),
-                                     (2, 2)))
+        apply_move(g, WeakReduction(1, nonsep("down", 3), nonsep("up", 3),
+                                    (2, 2)))
 
 
 def test_weak_reduction_at_genus_10_to_the_12():
@@ -268,14 +267,14 @@ def test_weak_reduction_at_genus_10_to_the_12():
     assert report.result.levels == ((), (big - 1,), (big - 2,), (big - 1,), ())
     assert ghs_key(report.result) == [4 * (big - 1) ** 2] * 2
     sep = CompressionDescriptor("down", big, ("sep", 1, big - 1))
-    result = weak_reduce(g, WeakReduction(1, sep, nonsep("up", big),
-                                          (big - 2, 1)))
+    result = apply_move(g, WeakReduction(1, sep, nonsep("up", big),
+                                         (big - 2, 1)))
     assert result.levels == ((), (big - 1, 1), (big - 2, 1), (big - 1,), ())
     assert ghs_key(result) == [4 * (big - 1) ** 2 + 4,
                                4 * (big - 1) ** 2]
     with pytest.raises(InvalidMove, match="not one compression away"):
-        weak_reduce(g, WeakReduction(1, nonsep("down", big),
-                                     nonsep("up", big), (big - 3,)))
+        apply_move(g, WeakReduction(1, nonsep("down", big),
+                                    nonsep("up", big), (big - 3,)))
 
 
 def test_one_compression_apart_matches_enumeration():

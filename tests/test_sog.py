@@ -9,6 +9,7 @@ import pytest
 import heegaard_lab
 from heegaard_lab import serialize
 from heegaard_lab.disk_complex import DistanceResult, splitting_distance
+from heegaard_lab.errors import InputError
 from heegaard_lab.ghs import (
     GHS,
     Destabilization,
@@ -170,10 +171,10 @@ def test_resolve_error_messages():
     symbolic = SymbolicOracle(SymbolicBudget(3))
     assert inventory.resolve(GHS.closed_splitting(3)) == "R"
     for oracle, x, error, message in [
-        (inventory, "X", KeyError, "unknown splitting label 'X'"),
-        (inventory, GHS.closed_splitting(2), KeyError,
+        (inventory, "X", InputError, "unknown splitting label 'X'"),
+        (inventory, GHS.closed_splitting(2), InputError,
          "GHS (-) [2] (-) matches 2 inventory labels; pass the label itself"),
-        (inventory, GHS.closed_splitting(5), KeyError,
+        (inventory, GHS.closed_splitting(5), InputError,
          "GHS (-) [5] (-) matches 0 inventory labels; pass the label itself"),
         (inventory, 5, TypeError, "cannot resolve 5 to an inventory label"),
         (symbolic, "P", TypeError, "symbolic oracle nodes are GHS values"),
@@ -263,7 +264,7 @@ def test_splitting_distance_same_edge_and_component():
     e = (k10, k01)
     r = splitting_distance(d, e, e, 12)
     assert r == DistanceResult(True, 0, 12)
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError):
         splitting_distance(d, (k10, k10), e, 12)
 
 
