@@ -7,10 +7,18 @@ an alternating sequence of collections: even indices thin (first and last
 being the boundary of the ambient manifold, empty for closed manifolds), odd
 indices thick and nonempty.
 
+Both moves follow one rule, the cancellation step of thin position: the
+thick level becomes a zigzag of levels (F_D, F_DE, F_E for a weak reduction
+along disks D and E, F_D alone for a destabilization), and an end of the
+zigzag that equals the thin level beside it cancels with that level.  The
+case letter says which ends match: (a) neither, (b) the lower, (c) the
+upper, (d) both; the single level of a destabilization then cancels on the
+side the move names.  A move that would cancel into a boundary collection
+is rejected.
+
 Move normalization: genus-0 components produced by a move are deleted, and
 an interior thin level left empty merges its two flanking thick levels into
-one (a union of splittings of the now-joined submanifold).  Moves that would
-rewrite a boundary collection are rejected.
+one (a union of splittings of the now-joined submanifold).
 """
 
 from __future__ import annotations
@@ -267,7 +275,9 @@ def _finish(old: GHS, levels: list[Collection], case: str,
     if errors:
         raise InvalidMove(f"move yields an invalid GHS: {'; '.join(errors)}")
     if new.boundary() != old.boundary():
-        raise InvalidMove("move would delete a boundary collection")
+        # Cannot happen: `_cancel` refuses to cancel into a boundary, and
+        # `_strip_and_merge` touches only interior levels.
+        raise AssertionError(f"move changed the boundary: {old} -> {new}")
     if compare_ghs(new, old) != "less":
         # Happens only when the merge rule collapses the result back onto the
         # input (cross-component disks whose spheres empty a thin level);
@@ -286,22 +296,6 @@ def _thick(ghs: GHS, t: int) -> Collection:
 def _one_step_compressions(sc: Collection) -> frozenset[Collection]:
     """Collections reachable from sc by one essential compression."""
     return frozenset(_compress(sc, d) for d in _descriptors(sc, "down"))
-
-
-def weak_reduce_report(ghs: GHS, m: WeakReduction) -> MoveReport:
-    t = m.thick_index
-    f_t = _thick(ghs, t)
-    if not (m.d.essential() and m.e.essential()):
-        raise InvalidMove("compressions along inessential disks are not moves")
-    f_d = compress(f_t, m.d)
-    f_e = compress(f_t, m.e)
-    f_de = collection(m.f_de)
-    if not (_one_compression_apart(f_d, f_de)
-            and _one_compression_apart(f_e, f_de)):
-        raise InvalidMove(
-            f"F_DE={f_de} is not one compression away from both "
-            f"F_D={f_d} and F_E={f_e}")
-    return _finish(ghs, *_weak_reduction(ghs, t, f_d, f_e, f_de))
 
 
 def _one_compression_apart(sc: Collection, out: Collection) -> bool:
@@ -330,71 +324,27 @@ def _one_compression_apart(sc: Collection, out: Collection) -> bool:
     return gained == [g - 1] or (len(gained) == 2 and sum(gained) == g)
 
 
-def _weak_reduction(ghs: GHS, t: int, f_d: Collection, f_e: Collection,
-                    f_de: Collection) -> tuple[list[Collection], str]:
-    """Cases 1(a)-1(d), once F_D, F_E and F_DE are known to be consistent:
-    the moved levels, not yet normalized, and the case."""
-    below, above = ghs.levels[t - 1], ghs.levels[t + 1]
-    eq_d, eq_e = (f_d == below), (f_e == above)
+def _cancel(ghs: GHS, t: int, zigzag: tuple[Collection, ...],
+            remove: str = "right") -> tuple[list[Collection], str]:
+    """Cases 1(a)-2(d) by the module's one rule: thick level t becomes the
+    zigzag, (F_D, F_DE, F_E) or, as dual disks give F_E = F_D, (F_D,), and
+    an end equal to the thin level beside it cancels with that level; a
+    one-level zigzag cancels once, on the `remove` side if both match.
+    Returns the moved levels, not yet normalized, and the case."""
     levels = list(ghs.levels)
-    if not eq_d and not eq_e:
-        case = "1a"
-        levels[t:t + 1] = [f_d, f_de, f_e]
-    elif eq_d and not eq_e:
-        case = "1b"
-        if t - 1 == 0:
-            raise InvalidMove("case 1b would rewrite the lower boundary")
-        levels[t - 1:t + 1] = [f_de, f_e]
-    elif not eq_d and eq_e:
-        case = "1c"
-        if t + 1 == len(levels) - 1:
-            raise InvalidMove("case 1c would rewrite the upper boundary")
-        levels[t:t + 2] = [f_d, f_de]
-    else:
-        case = "1d"
-        if t - 1 == 0 or t + 1 == len(levels) - 1:
-            raise InvalidMove("case 1d would rewrite a boundary collection")
-        levels[t - 1:t + 2] = [f_de]
-    return levels, case
-
-
-def destabilize_report(ghs: GHS, m: Destabilization) -> MoveReport:
-    t = m.thick_index
-    f_t = _thick(ghs, t)
-    d = CompressionDescriptor("down", m.target_genus, ("nonsep",))
-    return _finish(ghs, *_destabilization(ghs, t, compress(f_t, d), m.remove))
-
-
-def _destabilization(ghs: GHS, t: int, f_d: Collection,
-                     remove: str) -> tuple[list[Collection], str]:
-    """Cases 2(a)-2(d), with the moved levels as for `_weak_reduction`; the
-    dual disks give F_E = F_D."""
-    below, above = ghs.levels[t - 1], ghs.levels[t + 1]
-    eq_d, eq_e = (f_d == below), (f_d == above)
-    levels = list(ghs.levels)
-    if not eq_d and not eq_e:
-        case = "2a"
-        levels[t] = f_d
-    elif eq_d and not eq_e:
-        case = "2b"
-        if t - 1 == 0:
-            raise InvalidMove("case 2b would delete the lower boundary")
-        del levels[t - 1:t + 1]
-    elif not eq_d and eq_e:
-        case = "2c"
-        if t + 1 == len(levels) - 1:
-            raise InvalidMove("case 2c would delete the upper boundary")
-        del levels[t:t + 2]
-    else:
-        case = "2d"
-        if remove == "right":
-            if t + 1 == len(levels) - 1:
-                raise InvalidMove("case 2d (right) would delete the upper boundary")
-            del levels[t:t + 2]
-        else:
-            if t - 1 == 0:
-                raise InvalidMove("case 2d (left) would delete the lower boundary")
-            del levels[t - 1:t + 1]
+    lower = zigzag[0] == levels[t - 1]
+    upper = zigzag[-1] == levels[t + 1]
+    n = len(zigzag)
+    case = ("1" if n == 3 else "2") + "abcd"[lower + 2 * upper]
+    if n == 1 and lower and upper:
+        lower, upper = remove == "left", remove == "right"
+    if (lower and t == 1) or (upper and t == len(levels) - 2):
+        choice = f" ({remove})" if case == "2d" else ""
+        verb = "rewrite" if n == 3 else "delete"
+        where = ("a boundary collection" if lower and upper
+                 else "the lower boundary" if lower else "the upper boundary")
+        raise InvalidMove(f"case {case}{choice} would {verb} {where}")
+    levels[t - lower:t + 1 + upper] = zigzag[lower:n - upper]
     return levels, case
 
 
@@ -408,11 +358,23 @@ def apply_move_report(ghs: GHS, m: Move) -> MoveReport:
     checked = getattr(m, "_checked", None)
     if checked is not None and (checked[0] is ghs or checked[0] == ghs):
         return checked[1]
-    if isinstance(m, WeakReduction):
-        return weak_reduce_report(ghs, m)
+    if not isinstance(m, Move):
+        raise InvalidMove(f"unknown move {m!r}")
+    t = m.thick_index
+    f_t = _thick(ghs, t)
     if isinstance(m, Destabilization):
-        return destabilize_report(ghs, m)
-    raise InvalidMove(f"unknown move {m!r}")
+        f_d = compress(f_t, CompressionDescriptor(
+            "down", m.target_genus, ("nonsep",)))
+        return _finish(ghs, *_cancel(ghs, t, (f_d,), m.remove))
+    if not (m.d.essential() and m.e.essential()):
+        raise InvalidMove("compressions along inessential disks are not moves")
+    f_d, f_e, f_de = compress(f_t, m.d), compress(f_t, m.e), collection(m.f_de)
+    if not (_one_compression_apart(f_d, f_de)
+            and _one_compression_apart(f_e, f_de)):
+        raise InvalidMove(
+            f"F_DE={f_de} is not one compression away from both "
+            f"F_D={f_d} and F_E={f_e}")
+    return _finish(ghs, *_cancel(ghs, t, (f_d, f_de, f_e)))
 
 
 def stabilize(ghs: GHS, thick_index: int, component_genus: int) -> GHS:
@@ -476,8 +438,8 @@ def _moves_with_reports(ghs: GHS, within: Optional[frozenset] = None
                 for f_de in sorted(_one_step_compressions(f_d)
                                    & _one_step_compressions(f_e)):
                     try:
-                        report = _finish(ghs, *_weak_reduction(
-                            ghs, t, f_d, f_e, f_de), within)
+                        report = _finish(ghs, *_cancel(
+                            ghs, t, (f_d, f_de, f_e)), within)
                     except InvalidMove:
                         continue
                     if report is not None:
@@ -489,8 +451,8 @@ def _moves_with_reports(ghs: GHS, within: Optional[frozenset] = None
             case_2d = f_d == ghs.levels[t - 1] == ghs.levels[t + 1]
             for remove in ("right", "left") if case_2d else ("right",):
                 try:
-                    report = _finish(ghs, *_destabilization(
-                        ghs, t, f_d, remove), within)
+                    report = _finish(ghs, *_cancel(
+                        ghs, t, (f_d,), remove), within)
                 except InvalidMove:
                     continue
                 if report is not None:

@@ -188,11 +188,16 @@ class InventoryOracle(MoveGraph):
     stabilization map.  The map is a function: stabilization is unique, so
     each label has exactly one stabilization.  Nodes are the labels, in
     sorted order; each label's GHS, and each edge as a move from the higher
-    label's GHS to the lower one's, is checked when the oracle is built."""
+    label's GHS to the lower one's, is checked when the oracle is built.
+    Labels must be printable, so that a message naming one is one line."""
 
     def __init__(self, splittings: dict[int, Sequence[str]],
                  stabilize_map: dict[str, str],
                  boundary: tuple = ((), ())):
+        for label in itertools.chain(*splittings.values(), stabilize_map,
+                                     stabilize_map.values()):
+            if not str.isprintable(label):
+                raise InputError(f"label {label!r} is not printable")
         genus_of: dict[str, int] = {}
         for genus, labels in splittings.items():
             for label in labels:

@@ -360,6 +360,14 @@ def test_oracle_edge_that_is_not_a_move_exits_1(capsys):
                 "case 2b would delete the lower boundary\n")
 
 
+def test_oracle_label_with_a_line_break_gives_one_line(capsys):
+    bad = json.dumps({"splittings": {"2": ["P", "Q"]},
+                      "stabilize": {"a\nb": "P"}})
+    assert run(capsys, "sog", "flatten", "--start", "P", "--end", "Q",
+               "--oracle", bad) == \
+        (1, "", "input error: label 'a\\nb' is not printable\n")
+
+
 def test_oracle_genus_key_parsed_once(capsys):
     bad = '{"splittings": {"x": ["P"], "3": ["Q"]}, "stabilize": {"P": "Q"}}'
     code, out, err = run(capsys, "sog", "flatten", "--start", "P", "--end", "Q",
@@ -448,6 +456,20 @@ def test_internal_error_exit_3(capsys, monkeypatch):
     assert run(capsys, "intersect", "--a", a1, "--b", b1) == \
         (3, "",
          "internal error: slide changed crossings 3 -> 3\n")
+
+
+def test_move_that_changes_the_boundary_is_an_internal_error(
+        capsys, monkeypatch):
+    # The move rule never cancels into a boundary collection; were it to,
+    # the boundary check reports a bug (exit 3) and does not blame the input.
+    from heegaard_lab import ghs
+
+    def rewrites_boundary(g, t, zigzag, remove="right"):
+        return [(1,), *zigzag, *g.levels[t + 1:]], "1a"
+    monkeypatch.setattr(ghs, "_cancel", rewrites_boundary)
+    assert run(capsys, "ghs", "reduce", "--in", G3, "--move", WR1A) == \
+        (3, "", "internal error: move changed the boundary: "
+                "GHS (-) [3] (-) -> GHS (1) [2] (1) [2] (-)\n")
 
 
 # `diagram classify --cap 8`, byte for byte, in JSON and in text, on the
@@ -850,12 +872,15 @@ MOVE_JSON = _mix(
           "target_genus": SMALL},
          {"remove": st.sampled_from(["left", "right", "up"])}))
 LABEL = st.sampled_from(["P", "Q", "R", "S", "X"])
+# Oracle labels may also hold a line break or a quote.
+ORACLE_LABEL = LABEL | TEXT
 ORACLE_JSON = _mix(
     [json.loads(ORACLE1)],
     _obj({"splittings": st.dictionaries(
               st.sampled_from(["1", "2", "3", "02", "x", "-1"]),
-              st.lists(LABEL, max_size=3), max_size=3),
-          "stabilize": st.dictionaries(LABEL, LABEL, max_size=3)},
+              st.lists(ORACLE_LABEL, max_size=3), max_size=3),
+          "stabilize": st.dictionaries(ORACLE_LABEL, ORACLE_LABEL,
+                                       max_size=3)},
          {"boundary": st.lists(COLLECTION, max_size=3)}))
 SOG_JSON = _mix(
     [{"ghss": [{"levels": [[], [2], []]}, {"levels": [[], [3], []]},

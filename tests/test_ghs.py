@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
@@ -12,6 +13,7 @@ from heegaard_lab.ghs import (
     InvalidGHS,
     InvalidMove,
     WeakReduction,
+    _descriptors,
     _moves_with_reports,
     _one_compression_apart,
     _one_step_compressions,
@@ -405,3 +407,85 @@ def test_enumerated_move_on_another_ghs_is_checked_there():
             else:
                 applied += 1
     assert applied > 100 and refused > 100, (applied, refused)
+
+
+# ---------------------------------------------------------------------------
+# Every candidate move's outcome, refusals included
+# ---------------------------------------------------------------------------
+
+# GHSs whose boundary equals a compression of the thick level next to it,
+# so that each case tries to cancel into a boundary collection.
+BOUNDARY_GHSS = [
+    [[1], [2], [1]],
+    [[1], [2], []],
+    [[], [2], [1]],
+    [[2], [3], [2]],
+    [[1], [2], [1], [2], [1]],
+    [[2], [3], [2], [3], [2]],
+]
+
+
+def candidate_moves(g):
+    """Each destabilization of a genus of a thick level, or of genus 0 or 9,
+    with both `remove` sides; each weak reduction with a down and an up
+    descriptor of the level and F_DE one compression from F_D or F_E, or
+    F_D or F_E itself.  A move its own constructor refuses is its message."""
+    for t in g.thick_indices():
+        f_t = g.levels[t]
+        for genus in sorted(set(f_t) | {0, 9}):
+            for remove in ("right", "left"):
+                try:
+                    yield Destabilization(t, genus, remove)
+                except InvalidMove as exc:
+                    yield str(exc)
+        for d in _descriptors(f_t, "down"):
+            f_d = compress(f_t, d)
+            for e in _descriptors(f_t, "up"):
+                f_e = compress(f_t, e)
+                for f_de in sorted(_one_step_compressions(f_d)
+                                   | _one_step_compressions(f_e)
+                                   | {f_d, f_e}):
+                    yield WeakReduction(t, d, e, f_de)
+
+
+def candidate_outcomes():
+    rng = random.Random(5)
+    ghss = ([random_ghs(rng) for _ in range(400)]
+            + [GHS.of(levels) for levels in BOUNDARY_GHSS])
+    for g in ghss:
+        for m in candidate_moves(g):
+            if isinstance(m, str):
+                yield f"{g}: {m}"
+                continue
+            got = outcome(g, m)
+            if not isinstance(got, str):
+                got = (f"{got.result} {got.case} {got.merged} "
+                       f"{got.level_delta}")
+            yield f"{g} {m}: {got}"
+
+
+REFUSALS = (
+    "case 1b would rewrite the lower boundary",
+    "case 1c would rewrite the upper boundary",
+    "case 1d would rewrite a boundary collection",
+    "case 2b would delete the lower boundary",
+    "case 2c would delete the upper boundary",
+    "case 2d (right) would delete the upper boundary",
+    "case 2d (left) would delete the lower boundary",
+)
+
+
+def test_every_candidate_move_outcome_is_pinned():
+    # Pins every result, case and refusal message.  The lines are hashed as
+    # they come, so the suite's memory stays small.
+    digest, count, refusals = hashlib.sha256(), 0, set()
+    for line in candidate_outcomes():
+        digest.update((("\n" if count else "") + line).encode())
+        count += 1
+        refusals.update(r for r in REFUSALS if line.endswith(": " + r))
+    assert refusals == set(REFUSALS)
+    assert (count, digest.hexdigest()) == GOLDEN_CANDIDATES
+
+
+GOLDEN_CANDIDATES = (
+    32198, "5839dd7be1519875a419335935027327861952496863c9ad3dfe1d2f7f1dca4d")
