@@ -166,12 +166,12 @@ class Arrangement:
         """link key -> (triangle, start, end), where an end is (m, p): side m
         of the triangle and the token's place along it, counterclockwise."""
         pos = self._positions()
-        triangles = self.tri.triangles
+        tri = self.tri
 
         def coord(t: int, tok: int) -> tuple[int, int]:
             e = self.tok_edge[tok]
-            m = self.tri.side_of[t, e]
-            if triangles[t][m][1] == 1:
+            m = tri.side_of[t, e]
+            if tri.plus_triangle[e] == t:
                 return (m, pos[tok])
             return (m, len(self.edge_pts[e]) - 1 - pos[tok])
 
@@ -277,7 +277,7 @@ class Arrangement:
 
         def chord_slot(t: int, tok: int) -> int:
             e = self.tok_edge[tok]
-            return 1 if tri.triangles[t][tri.side_of[t, e]][1] == 1 else 3
+            return 1 if tri.plus_triangle[e] == t else 3
 
         node_of = {x: ~i for i, x in enumerate(crossings)}
         x_darts = [[0, 0, 0, 0] for _ in crossings]  # A, B fore; A, B back
@@ -463,7 +463,7 @@ def _slide(arr: Arrangement, x: Crossing, y: Crossing, alpha: list,
     for u in beta:
         tok, t = b.tokens[u], b.link_tris[u - 1]
         e = arr.tok_edge[tok]
-        left_after = tri.triangles[t][tri.side_of[t, e]][1] == 1
+        left_after = tri.plus_triangle[e] == t
         beside[tok] = (arr._new_token(e), left_after == (x.sign == -1))
     new_tokens = [new for new, _ in beside.values()]
     dropped = {a.tokens[u] for u in alpha}
@@ -524,27 +524,14 @@ def minimize(arr: Arrangement) -> list[Crossing]:
     """Remove bigons until the arrangement is in minimal position, and
     return its crossings.
 
-    Components of the B side that lose all their crossings are dropped:
-    they carry no letters, and no bigon has a corner on them.  Minimization
-    stops without looking for bigons once the crossing signs certify that
-    every B component already meets A minimally.  Each slide removes two
-    crossings, so there are at most half as many slides as starting
-    crossings."""
+    Minimization stops without looking for bigons once the crossing signs
+    certify that every B component already meets A minimally, as they do
+    when none is left.  Each slide removes two crossings, so there are at
+    most half as many slides as starting crossings.  A B component left
+    without crossings stays: A slides only across bigon disks, and no
+    essential curve fits inside one."""
     xs = arr.crossings()
     for _ in range(len(xs) // 2 + 1):
-        if not xs:
-            return xs
-        # Dropped components carry no crossings, so xs stays valid: the
-        # places of the tokens left on an edge shift but keep their order.
-        busy = {x.b_key[0] for x in xs}
-        free = [c for c in arr.curves[1:] if c.tokens and c.cid not in busy]
-        gone = {tok for c in free for tok in c.tokens}
-        if gone:
-            arr.edge_pts = [[tok for tok in pts if tok not in gone]
-                            for pts in arr.edge_pts]
-        for c in free:
-            c.tokens = []
-            c.link_tris = []
         if _algebraically_minimal(xs):
             return xs
         bigon = _least_bigon(arr, xs)
@@ -581,8 +568,8 @@ def isotopic(tri: Triangulation, a_vec, b_vec) -> bool:
       * its two circles cannot both be sides of one curve: that curve and
         the annulus would close up into the whole surface, a torus, and
         leave nowhere for the other curve.
-    B is connected, so `minimize` never drops it: it returns as soon as no
-    crossing is left."""
+    `minimize` returns as soon as no crossing is left, and it moves only A,
+    so B is still in the arrangement."""
     arr = Arrangement(tri, [a_vec, b_vec])
     xs = minimize(arr)
     return not xs and any(r.chi == 0 for r in arr.analyze(xs))

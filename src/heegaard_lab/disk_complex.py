@@ -257,12 +257,7 @@ def build_gamma(diagram: HeegaardDiagram, cap: int,
     On budget exhaustion the partial graph is returned flagged non-certified.
     """
     table = _table_for(diagram, table)
-    return _gamma_of(table, diagram, cap,
-                     *table.capped_curves(diagram, cap, budget))
-
-
-def _gamma_of(table: CurveTable, diagram: HeegaardDiagram, cap: int,
-              curves: list[CurveClass], certified: bool) -> DiskComplexGraph:
+    curves, certified = table.capped_curves(diagram, cap, budget)
     graph = DiskComplexGraph(diagram, cap, certified)
     for c in curves:
         sides = {side for side in ("red", "blue")
@@ -284,12 +279,7 @@ def build_lambda(diagram: HeegaardDiagram, cap: int,
     """All essential classes within the cap; edges where curves meet in at
     most one point."""
     table = _table_for(diagram, table)
-    return _lambda_of(table, diagram, cap,
-                      *table.capped_curves(diagram, cap, budget))
-
-
-def _lambda_of(table: CurveTable, diagram: HeegaardDiagram, cap: int,
-               curves: list[CurveClass], certified: bool) -> LambdaGraph:
+    curves, certified = table.capped_curves(diagram, cap, budget)
     graph = LambdaGraph(diagram.genus, cap, certified)
     for c in curves:
         graph.add_vertex(c)
@@ -549,8 +539,7 @@ def splitting_distance(diagram: HeegaardDiagram, e1, e2, cap: int,
     does not distinguish the splittings).
     """
     table = CurveTable(diagram.genus)
-    curves, certified = table.capped_curves(diagram, cap, budget)
-    gamma = _gamma_of(table, diagram, cap, curves, certified)
+    gamma = build_gamma(diagram, cap, budget, table)
     e1 = tuple(sorted(tuple(map(tuple, e1))))
     e2 = tuple(sorted(tuple(map(tuple, e2))))
     for e in (e1, e2):
@@ -560,7 +549,7 @@ def splitting_distance(diagram: HeegaardDiagram, e1, e2, cap: int,
     c1, c2 = comp_of[e1[0]], comp_of[e2[0]]
     if c1 == c2:
         return DistanceResult(True, 0, cap)
-    lam = _lambda_of(table, diagram, cap, curves, certified)
+    lam = build_lambda(diagram, cap, budget, table)
     edges1 = [e for e in gamma.edge_keys() if comp_of[e[0]] == c1]
     edges2 = [e for e in gamma.edge_keys() if comp_of[e[0]] == c2]
     return component_distance(lam, edges1, edges2)

@@ -1,0 +1,205 @@
+"""Seeded mutants of the program, each with the tests that must kill it.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # only the named ones
+
+Each mutant replaces one text, which must occur exactly once, in one file of
+a fresh copy of `src/`, and runs its test selection against that copy.  The
+run fails when a selection fails on the unmutated copy, or passes on its
+mutant: a surviving mutant is a blind spot of the tests.  Answer one with a
+new test, never by changing a test's data or bounds.
+
+Pytest does not collect this file, since its name does not start with
+`test_`.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str               # under src/heegaard_lab
+    old: str
+    new: str
+    selection: tuple        # pytest node ids, relative to the repo root
+    breaks: str             # what the mutant gets wrong
+
+
+ARR = "tests/test_arrangement.py::"
+CLI = "tests/test_cli.py::"
+DC = "tests/test_disk_complex.py::"
+HB = "tests/test_handlebody.py::"
+SOG = "tests/test_sog.py::"
+SURF = "tests/test_surface.py::"
+
+MUTANTS = [
+    Mutant("link-coords-orientation", "arrangement.py",
+           "            if tri.plus_triangle[e] == t:\n",
+           "            if tri.plus_triangle[e] != t:\n",
+           (ARR + "test_engine_handles_swept_representatives",),
+           "places along an edge are read against the triangle's "
+           "orientation"),
+    Mutant("chord-slot-orientation", "arrangement.py",
+           "return 1 if tri.plus_triangle[e] == t else 3",
+           "return 1 if tri.plus_triangle[e] != t else 3",
+           (ARR + "test_isotopic_on_torus",),
+           "a token's chords swap places in the planar map's rotation"),
+    Mutant("slide-orientation", "arrangement.py",
+           "left_after = tri.plus_triangle[e] == t",
+           "left_after = tri.plus_triangle[e] != t",
+           (ARR + "test_engine_matches_determinant_on_torus",),
+           "a slide puts the new A tokens on the bigon's side of B"),
+    Mutant("greatest-bigon", "arrangement.py",
+           "if best is None or key < best[0]:",
+           "if best is None or key > best[0]:",
+           (ARR + "test_minimize_matches_planar_map_reference",),
+           "minimization slides the bigon with the greatest corner keys"),
+    Mutant("algebraic-minimality-slack", "arrangement.py",
+           "return all(n == abs(total[cid]) for cid, n in count.items())",
+           "return all(n <= abs(total[cid]) + 2 for cid, n in count.items())",
+           (ARR + "test_genus2_intersections_certified_by_homology",),
+           "minimization stops two crossings above the algebraic count"),
+    Mutant("no-vertex-link-bigon", "arrangement.py",
+           "    return any(w[k:] + w[:k] in (link, link[::-1]) "
+           "for k in range(len(w)))\n",
+           "    return False\n",
+           (ARR + "test_vertex_link_bigons_reach_minimal_position",
+            ARR + "test_bigon_around_the_vertex"),
+           "a bigon that swallows the vertex is never slid"),
+    Mutant("free-reduce-no-wrap", "arrangement.py",
+           "while i < j and w[i] == inverse(w[j]):",
+           "while False and w[i] == inverse(w[j]):",
+           (HB + "test_signed_word_reduction_matches_oracle",),
+           "cyclic reduction leaves inverse pairs across the wrap"),
+    Mutant("prefilter-off-by-one", "surface.py",
+           "if a.genus > 1 and algebraic_intersection(a, b) > k:",
+           "if a.genus > 1 and algebraic_intersection(a, b) >= k:",
+           (ARR + "test_minimize_certificate_leaves_no_bigon",),
+           "pairs with |a . b| = k are answered as meeting more than k "
+           "times"),
+    Mutant("no-parity-return", "surface.py",
+           "            if step == 2 and (t_lo - lo) % 2:\n"
+           "                return range(0)\n",
+           "",
+           (SURF + "test_admissible_vectors_match_reference_dfs",),
+           "an edge closing two triangles of different parities gets "
+           "weights"),
+    Mutant("normal-sum-never-fires", "surface.py",
+           "if _component_counts(tri, total) == {a.coords: 1, b.coords: 1}:",
+           "if _component_counts(tri, total) == {}:",
+           (SURF + "test_disjointness_certificate_sound_and_complete",),
+           "disjoint pairs always run the arrangement"),
+    Mutant("normal-sum-any-two", "surface.py",
+           "if _component_counts(tri, total) == {a.coords: 1, b.coords: 1}:",
+           "if sum(_component_counts(tri, total).values()) == 2:",
+           (SURF + "test_disjointness_certificate_sound_and_complete",),
+           "any sum of two components is taken for a disjoint pair"),
+    Mutant("table-filter-off-by-one", "disk_complex.py",
+           "curves = [c for c in self._classes if c.weight <= cap]",
+           "curves = [c for c in self._classes if c.weight < cap]",
+           (DC + "test_shared_table_matches_fresh_calls",),
+           "a smaller cap loses the classes of its own weight"),
+    Mutant("table-serves-budgets", "disk_complex.py",
+           "if budget is None and cap <= self._cap:",
+           "if cap <= self._cap:",
+           (CLI + "test_session_table_outputs_match_fresh_tables",),
+           "a budgeted call is served from the stored list"),
+    Mutant("table-stores-partial", "disk_complex.py",
+           "if budget is None and len(curves) <= MAX_STORED_CLASSES:",
+           "if len(curves) <= MAX_STORED_CLASSES:",
+           (CLI + "test_session_table_outputs_match_fresh_tables",),
+           "a list cut short by its budget is stored as complete"),
+    Mutant("disk-test-without-cut", "disk_complex.py",
+           "(cut, c.coords),",
+           "(side, c.coords),",
+           (CLI + "test_session_table_outputs_match_fresh_tables",),
+           "disk tests of one class on two cut systems share an answer"),
+    # A separator below every label character orders the serials as tuples
+    # of labels would be ordered.
+    Mutant("flatten-tuple-serial", "sog.py",
+           'serial + "/" + labels[j]',
+           'serial + "\\0" + labels[j]',
+           (SOG + "test_flatten_matches_brute_force",),
+           "the tiebreak orders zigzags by label tuples, not by '/'-joined "
+           "labels"),
+]
+
+
+def _pytest(src: Path, selection, *flags) -> int:
+    """Exit status of pytest on the selection, importing the program from
+    src; a run past the timeout counts as a failure."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             *flags, *selection],
+            cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return -1
+
+
+def _copy_src(into: Path, mutant: Mutant | None = None) -> Path:
+    src = into / "src"
+    shutil.copytree(ROOT / "src", src,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    if mutant is not None:
+        path = src / "heegaard_lab" / mutant.file
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"{mutant.name}: the text to replace occurs "
+                             f"{text.count(mutant.old)} times in "
+                             f"{mutant.file}")
+        path.write_text(text.replace(mutant.old, mutant.new))
+    return src
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in chosen}
+    if unknown:
+        raise SystemExit(f"unknown mutants: {sorted(unknown)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        src = _copy_src(Path(tmp))
+        probe = subprocess.run(
+            [sys.executable, "-c", "import heegaard_lab; "
+             "print(heegaard_lab.__file__)"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, check=True)
+        if not Path(probe.stdout.strip()).resolve().is_relative_to(
+                src.resolve()):
+            raise SystemExit(f"heegaard_lab imports from {probe.stdout}")
+        every = sorted({t for m in chosen for t in m.selection})
+        if _pytest(src, every) != 0:
+            print("the selections fail on the unmutated program")
+            return 1
+    survivors = []
+    for m in chosen:
+        t0 = time.perf_counter()
+        with tempfile.TemporaryDirectory() as tmp:
+            status = _pytest(_copy_src(Path(tmp), m), m.selection, "-x")
+        verdict = {0: "SURVIVED", -1: "timed out"}.get(status, "killed")
+        if status == 0:
+            survivors.append(m.name)
+        print(f"{verdict:9} {m.name:30} {time.perf_counter() - t0:6.1f} s  "
+              f"{m.breaks}", flush=True)
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

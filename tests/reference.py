@@ -220,15 +220,6 @@ def reference_minimize(arr):
     for _ in range(len(xs) // 2 + 1):
         if not xs:
             return xs
-        busy = {x.b_key[0] for x in xs}
-        free = [c for c in arr.curves[1:] if c.tokens and c.cid not in busy]
-        gone = {tok for c in free for tok in c.tokens}
-        if gone:
-            arr.edge_pts = [[tok for tok in pts if tok not in gone]
-                            for pts in arr.edge_pts]
-        for c in free:
-            c.tokens = []
-            c.link_tris = []
         if arrangement._algebraically_minimal(xs):
             return xs
         bigons = [r for r in arr.analyze(xs)

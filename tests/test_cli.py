@@ -351,6 +351,19 @@ def test_wrong_json_shapes_exit_1_with_one_line(capsys, argv):
     assert err.count("\n") == 1 and err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("stabilize, budget, verdict", [
+    ({"P": "R"}, (), "the endpoints are not joined within the oracle's space"),
+    ({"P": "R", "Q": "R"}, ("--budget", "1"),
+     "flattening budget of 1 expansions exhausted"),
+])
+def test_sog_flatten_scoped_verdicts_exit_2(capsys, stabilize, budget,
+                                            verdict):
+    oracle = json.dumps({"splittings": {"2": ["P", "Q"], "3": ["R"]},
+                         "stabilize": stabilize})
+    assert run(capsys, *flatten_with(oracle), *budget) == \
+        (2, f'{{"error":"unknown: {verdict}"}}\n', "")
+
+
 def test_oracle_edge_that_is_not_a_move_exits_1(capsys):
     bad = json.dumps({"splittings": {"1": ["a"], "2": ["b"]},
                       "stabilize": {"a": "b"}, "boundary": [[1], []]})
@@ -601,6 +614,41 @@ def test_classify_payload_golden(capsys, name):
     assert run(capsys, *argv) == (0, CLASSIFY_JSON[name], "")
     text = "".join(line + "\n" for line in CLASSIFY_TEXT[name])
     assert run(capsys, "--format", "text", *argv) == (0, text, "")
+
+
+WR1A_SIDEWAYS = json.dumps(dict(
+    json.loads(WR1A), D=dict(json.loads(WR1A)["D"], side="sideways")))
+BAD_STEP_SOG = json.dumps({
+    "ghss": [json.loads(G3), {"levels": [[], [2], []]}],
+    "steps": [{"src": 5, "move": {"type": "destabilization",
+                                  "thick_index": 1, "target_genus": 2}}]})
+# Γ of the standard genus-2 diagram at cap 6 has four vertices, two red and
+# two blue.  Swapping a red one with a blue one maps the red one's edge to
+# the other blue vertex onto a pair that is not an edge.
+RED, BLUE = (0, 0, 0, 1, 0, 0, 0, 0, 1), (0, 0, 1, 0, 0, 0, 0, 1, 1)
+SWAP_RED_BLUE = json.dumps([
+    [{"genus": 2, "coords": list(u)},
+     {"genus": 2, "coords": list({RED: BLUE, BLUE: RED}.get(u, u))}]
+    for u in (RED, BLUE, (0, 1, 0, 0, 1, 1, 0, 0, 0),
+              (1, 0, 0, 0, 1, 0, 0, 0, 0))])
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["ghs", "reduce", "--in", G3, "--move", WR1A_SIDEWAYS],
+     "descriptor side 'sideways'"),
+    (["ghs", "reduce", "--in", G3, "--move", '{"type": "flip"}'],
+     "unknown move type 'flip'"),
+    (["sog", "verify", "--in", BAD_STEP_SOG], "step 0 names source 5"),
+    (["intersect", "--a", '{"genus": 2, "coords": [0,0,0,2,0,0,0,0,2]}',
+      "--b", CURVE], "coords carry a multicurve, not a single curve"),
+    (["diagram", "quotient", "--diagram", CLASSIFY_DIAGRAMS["standard"],
+      "--cap", "6", "--bijection", SWAP_RED_BLUE],
+     "bijection does not preserve edge ((0, 0, 0, 1, 0, 0, 0, 0, 1), "
+     "(1, 0, 0, 0, 1, 0, 0, 0, 0)) (-> ((0, 0, 1, 0, 0, 0, 0, 1, 1), "
+     "(1, 0, 0, 0, 1, 0, 0, 0, 0)))"),
+])
+def test_input_errors_print_their_line(capsys, argv, line):
+    assert run(capsys, *argv) == (1, "", f"input error: {line}\n")
 
 
 # One curve table per genus serves every job of a process.  Each job's

@@ -73,6 +73,11 @@ def test_signed_word_reduction_matches_oracle():
             == SignedWord.of(theirs).min_rotation()
 
 
+def test_signed_word_repr():
+    assert repr(SignedWord.of([])) == "SignedWord(1)"
+    assert repr(SignedWord.of([(1, 1), (2, -1)])) == "SignedWord(x1 x2^-1)"
+
+
 def test_cut_system_examples():
     torus = ModelSurface(1)
     assert validate_cut_system(torus, [CurveClass.from_slope(1, 0)])
@@ -278,9 +283,9 @@ def test_torus_bounds_disk_matches_word_reduction():
 # sha256 of the boundary word of every class of
 # enumerate_essential_curves(2, 10) against both sides of the standard
 # genus-2 diagram and of the twisted diagram of demos/05.  A two-curve cut
-# system is a B side with two components: minimization drops the ones that
-# lose all their crossings, and the order of crossings along each link
-# decides the letters.
+# system is a B side with two components: one that loses all its crossings
+# in minimization gives no letters, and the order of crossings along each
+# link decides the letters.
 GOLDEN_BOUNDARY_WORDS_SHA256 = (
     "fd0d6c02e7c397451fcb92e592c5b3f75a6bb82395e8369a83bfa343a234d9e5")
 

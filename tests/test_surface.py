@@ -434,11 +434,28 @@ def test_torus_never_traces(monkeypatch):
     assert not same_class(a, b) and same_class(a, a)
 
 
+# Defines peak_rss_mb() in a child script: the child's own peak RSS in MB.
+# On Linux a child's ru_maxrss starts at its parent's peak, carried across
+# fork and exec, so it reads VmHWM instead where /proc is present.
+PEAK_RSS_MB = textwrap.dedent("""
+    def peak_rss_mb():
+        try:
+            with open("/proc/self/status") as status:
+                for line in status:
+                    if line.startswith("VmHWM:"):
+                        return int(line.split()[1]) / 1024
+        except OSError:
+            pass
+        import resource
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+""")
+
+
 def test_huge_torus_slope_costs_no_weight():
     # A weight-4e8 curve: the closed form must not allocate per unit of
     # weight.  The child caps its own address space, so a regression to
     # tracing fails there instead of exhausting the machine.
-    script = textwrap.dedent("""
+    script = PEAK_RSS_MB + textwrap.dedent("""
         import contextlib, io, resource, time
         resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
         from heegaard_lab.cli import main
@@ -450,7 +467,7 @@ def test_huge_torus_slope_costs_no_weight():
                          "--b", '{"slope": [1, 0]}'])
         c = normalize(1, Slope.of(10**8 + 1, 10**8).coords())
         elapsed = time.perf_counter() - t0
-        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        rss_mb = peak_rss_mb()
         print(code, out.getvalue().strip(), type(c).__name__, elapsed, rss_mb)
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -631,7 +648,7 @@ def test_trace_allocates_no_per_token_table():
     # Tracing a connected genus-2 curve of weight 400,003 keeps one byte per
     # token for its visited marks; a table of tokens would take hundreds of
     # megabytes.  The child caps its own address space, as above.
-    script = textwrap.dedent("""
+    script = PEAK_RSS_MB + textwrap.dedent("""
         import resource
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
         from heegaard_lab.surface import canonical_triangulation
@@ -639,7 +656,7 @@ def test_trace_allocates_no_per_token_table():
         b = (0, 0, 1, 0, 0, 0, 0, 1, 1)
         vec = tuple(200000 * x + y for x, y in zip(a, b))
         comps = canonical_triangulation(2).trace(vec)
-        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        rss_mb = peak_rss_mb()
         print(sum(vec), len(comps), comps[0].vector == vec, rss_mb)
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
