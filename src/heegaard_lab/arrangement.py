@@ -221,15 +221,6 @@ class Arrangement:
                 out.append(x)
         return out
 
-    def _crossings_by_link(self, crossings: Sequence[Crossing]) -> dict:
-        """Crossings on each link, ordered by their places along it."""
-        out: dict = {}
-        for x in crossings:
-            out.setdefault(x.a_key, []).append((x.a_place, x))
-            out.setdefault(x.b_key, []).append((x.b_place, x))
-        return {key: [x for _, x in sorted(mine, key=lambda px: px[0])]
-                for key, mine in out.items()}
-
     # -- regions ----------------------------------------------------------------
 
     def analyze(self, crossings: Optional[list] = None) -> list[Region]:
@@ -281,14 +272,16 @@ class Arrangement:
 
         node_of = {x: ~i for i, x in enumerate(crossings)}
         x_darts = [[0, 0, 0, 0] for _ in crossings]  # A, B fore; A, B back
-        by_link = self._crossings_by_link(crossings)
+        on_link: dict = {}      # link key -> its crossing nodes in order
+        for cid, run in _runs(crossings).items():
+            for i, _, x in run:
+                on_link.setdefault((cid, i), []).append(node_of[x])
         for c in self.curves:
             side = 0 if c.cid == 0 else 1
             for i, t in enumerate(c.link_tris):
                 key = (c.cid, i)
-                on = by_link.get(key, [])
                 u, v = c.tokens[i], c.tokens[(i + 1) % len(c)]
-                nodes = [u] + [node_of[x] for x in on] + [v]
+                nodes = [u] + on_link.get(key, []) + [v]
                 segs = [add_edge(nodes[j], nodes[j + 1], (key, t))
                         for j in range(len(nodes) - 1)]
                 rot[u][chord_slot(t, u)] = segs[0]
@@ -392,6 +385,18 @@ def _loop_is_trivial(tri: Triangulation, word: Sequence[int]) -> bool:
     return any(w[k:] + w[:k] in (link, link[::-1]) for k in range(len(w)))
 
 
+def _runs(xs: Sequence[Crossing]) -> dict[int, list]:
+    """Each curve's crossings in order along it, as (link index, place,
+    crossing), keyed by curve id; A's run is there even when empty."""
+    runs: dict[int, list] = {0: []}
+    for x in xs:
+        runs[0].append((x.a_key[1], x.a_place, x))
+        runs.setdefault(x.b_key[0], []).append((x.b_key[1], x.b_place, x))
+    for run in runs.values():
+        run.sort()
+    return runs
+
+
 def _arc(n: int, run: list, k: int) -> list[int]:
     """Indices of the tokens a curve of n tokens passes from its k-th
     crossing to the next, where run lists its crossings in order along it
@@ -401,17 +406,11 @@ def _arc(n: int, run: list, k: int) -> list[int]:
     return [(i + 1 + m) % n for m in range(count)]
 
 
-def _least_bigon(arr: Arrangement, xs: Sequence[Crossing]):
+def _least_bigon(arr: Arrangement, runs: dict[int, list]):
     """The bigon whose corner keys sort least, as (x, y, alpha, beta,
     forward), or None.  alpha lists the indices of the tokens A passes from
     corner x to corner y, and beta those its B component passes between
     them, in order from x to y, which runs forward along it when `forward`."""
-    runs: dict[int, list] = {0: []}
-    for x in xs:
-        runs[0].append((x.a_key[1], x.a_place, x))
-        runs.setdefault(x.b_key[0], []).append((x.b_key[1], x.b_place, x))
-    for run in runs.values():
-        run.sort()
     place = {x: k for cid, run in runs.items() if cid
              for k, (_, _, x) in enumerate(run)}
     a, a_run, edge = arr.curves[0], runs[0], arr.tok_edge
@@ -508,16 +507,11 @@ def _slide(arr: Arrangement, x: Crossing, y: Crossing, alpha: list,
     a.link_tris = [t for _, t in pairs]
 
 
-def _algebraically_minimal(xs: Sequence[Crossing]) -> bool:
-    """Does every B component meet A exactly |sum of its crossing signs|
+def _algebraically_minimal(runs: dict[int, list]) -> bool:
+    """Does every B component's run meet A exactly |sum of its signs|
     times?  Then no bigon exists (see the module docstring)."""
-    count: dict[int, int] = {}
-    total: dict[int, int] = {}
-    for x in xs:
-        cid = x.b_key[0]
-        count[cid] = count.get(cid, 0) + 1
-        total[cid] = total.get(cid, 0) + x.sign
-    return all(n == abs(total[cid]) for cid, n in count.items())
+    return all(len(run) == abs(sum(x.sign for _, _, x in run))
+               for cid, run in runs.items() if cid)
 
 
 def minimize(arr: Arrangement) -> list[Crossing]:
@@ -532,9 +526,10 @@ def minimize(arr: Arrangement) -> list[Crossing]:
     essential curve fits inside one."""
     xs = arr.crossings()
     for _ in range(len(xs) // 2 + 1):
-        if _algebraically_minimal(xs):
+        runs = _runs(xs)
+        if _algebraically_minimal(runs):
             return xs
-        bigon = _least_bigon(arr, xs)
+        bigon = _least_bigon(arr, runs)
         if bigon is None:
             return xs
         _slide(arr, *bigon)
@@ -593,13 +588,8 @@ def crossing_word(tri: Triangulation, curve_vec, system_vecs):
                 "system components do not match the given curve vectors; "
                 "the system is not realizable disjointly as given")
         index_of[c.cid] = matches[0]
-    by_link = arr._crossings_by_link(minimize(arr))
-    letters = []
-    counts = [0] * len(system_vecs)
-    for i in range(len(arr.curves[0])):
-        for x in by_link.get((0, i), []):
-            cid = x.b_key[0]
-            letters.append((index_of[cid], x.sign))
-            counts[index_of[cid]] += 1
-    return letters, counts
+    letters = [(index_of[x.b_key[0]], x.sign)
+               for _, _, x in _runs(minimize(arr))[0]]
+    return letters, [sum(j == i for j, _ in letters)
+                     for i in range(len(system_vecs))]
 

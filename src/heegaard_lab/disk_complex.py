@@ -337,7 +337,8 @@ def _add_farey_edges(graph: LambdaGraph, keys: list[VertexKey]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Classification (incompressible / reducible / strongly irreducible / critical)
+# Classification.  A Heegaard surface compresses on both sides: each meridian
+# is on the class list, with or without a budget, and bounds on its own side.
 # ---------------------------------------------------------------------------
 
 
@@ -356,20 +357,18 @@ class ClassificationVerdict:
     certified: bool
 
     def summary(self) -> str:
-        if not (self.has_red_disk or self.has_blue_disk):
-            return f"incompressible within cap {self.negative_claims_cap}"
+        """Reducible, critical, strongly irreducible or edge present; never
+        incompressible on a side: each meridian's word there is empty."""
         if self.reducing_class is not None:
             return f"reducible: {self.reducing_class.coords} bounds on both sides"
         if self.critical_witness is not None:
             e1, e2, c1, c2 = self.critical_witness
             return (f"critical within cap {self.negative_claims_cap}: edges "
                     f"{e1} and {e2} lie in components {c1} and {c2}")
-        if self.has_red_disk and self.has_blue_disk and self.edge_witness is None:
+        if self.edge_witness is None:
             return (f"strongly irreducible within cap "
                     f"{self.negative_claims_cap}: disks on both sides, no edges")
-        if self.edge_witness is not None:
-            return f"edge present: {self.edge_witness}"
-        return f"compressible on one side only within cap {self.negative_claims_cap}"
+        return f"edge present: {self.edge_witness}"
 
 
 def classify(diagram: HeegaardDiagram, cap: int,
@@ -391,8 +390,8 @@ def classify(diagram: HeegaardDiagram, cap: int,
     return ClassificationVerdict(
         has_red_disk=bool(reds),
         has_blue_disk=bool(blues),
-        red_witness=graph.classes[reds[0]] if reds else None,
-        blue_witness=graph.classes[blues[0]] if blues else None,
+        red_witness=graph.classes[reds[0]],
+        blue_witness=graph.classes[blues[0]],
         reducing_class=graph.classes[both[0]] if both else None,
         edge_witness=edges[0] if edges else None,
         critical_witness=critical,

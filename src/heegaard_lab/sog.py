@@ -219,11 +219,11 @@ class InventoryOracle(MoveGraph):
             move = Destabilization(1, genus_of[hi])
             try:
                 report = apply_move_report(ghs_of[hi], move)
-                if report.result != ghs_of[lo]:
-                    raise InvalidMove(f"it gives {report.result}")
             except InvalidMove as exc:
                 raise InputError(
                     f"stabilize({lo}) = {hi} is not a move: {exc}") from None
+            if report.result != ghs_of[lo]:
+                raise AssertionError(f"{hi} destabilizes to {report.result}")
             edges.append(OracleEdge(hi, lo, _carrying(move, ghs_of[hi],
                                                       report)))
         super().__init__(labels, list(ghs_of.values()), labels, edges)

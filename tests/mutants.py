@@ -69,10 +69,15 @@ MUTANTS = [
            (ARR + "test_minimize_matches_planar_map_reference",),
            "minimization slides the bigon with the greatest corner keys"),
     Mutant("algebraic-minimality-slack", "arrangement.py",
-           "return all(n == abs(total[cid]) for cid, n in count.items())",
-           "return all(n <= abs(total[cid]) + 2 for cid, n in count.items())",
+           "return all(len(run) == abs(sum(x.sign for _, _, x in run))",
+           "return all(len(run) <= abs(sum(x.sign for _, _, x in run)) + 2",
            (ARR + "test_genus2_intersections_certified_by_homology",),
            "minimization stops two crossings above the algebraic count"),
+    Mutant("runs-by-place-only", "arrangement.py",
+           "        run.sort()\n",
+           "        run.sort(key=lambda r: r[1])\n",
+           (HB + "test_boundary_words_golden",),
+           "crossings along a curve are ordered by place, ignoring the link"),
     Mutant("no-vertex-link-bigon", "arrangement.py",
            "    return any(w[k:] + w[:k] in (link, link[::-1]) "
            "for k in range(len(w)))\n",
@@ -98,6 +103,11 @@ MUTANTS = [
            (SURF + "test_admissible_vectors_match_reference_dfs",),
            "an edge closing two triangles of different parities gets "
            "weights"),
+    Mutant("same-class-bucket-inverted", "surface.py",
+           "    if a._bucket != b._bucket:\n",
+           "    if a._bucket == b._bucket:\n",
+           (SURF + "test_same_class_between_pushoff_sides",),
+           "classes in one homology bucket are never isotopic"),
     Mutant("normal-sum-never-fires", "surface.py",
            "if _component_counts(tri, total) == {a.coords: 1, b.coords: 1}:",
            "if _component_counts(tri, total) == {}:",
@@ -128,6 +138,11 @@ MUTANTS = [
            "(side, c.coords),",
            (CLI + "test_session_table_outputs_match_fresh_tables",),
            "disk tests of one class on two cut systems share an answer"),
+    Mutant("summary-edge-test-flipped", "disk_complex.py",
+           "        if self.edge_witness is None:\n",
+           "        if self.edge_witness is not None:\n",
+           (DC + "test_classification_table",),
+           "a diagram with an edge is summarized as strongly irreducible"),
     # A separator below every label character orders the serials as tuples
     # of labels would be ordered.
     Mutant("flatten-tuple-serial", "sog.py",

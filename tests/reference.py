@@ -220,7 +220,7 @@ def reference_minimize(arr):
     for _ in range(len(xs) // 2 + 1):
         if not xs:
             return xs
-        if arrangement._algebraically_minimal(xs):
+        if arrangement._algebraically_minimal(arrangement._runs(xs)):
             return xs
         bigons = [r for r in arr.analyze(xs)
                   if r.chi == 1 and len(r.crossing_keys) == 2]

@@ -42,6 +42,18 @@ def test_engine_matches_determinant_on_torus():
         assert got == abs(a.p * b.q - a.q * b.p), (a, b)
 
 
+def test_torus_oracle_property_runs_the_engine(monkeypatch):
+    # The property draws a second pair of small slopes every iteration, so
+    # an engine one off the determinant fails it in a short run.
+    from heegaard_lab.proptools import check_torus_oracle
+    assert check_torus_oracle(random.Random(0), 20).passed
+    exact = arrangement.intersection_number
+    monkeypatch.setattr(arrangement, "intersection_number",
+                        lambda tri, a, b: exact(tri, a, b) + 1)
+    report = check_torus_oracle(random.Random(0), 20)
+    assert report.failures and all(f[0] == "engine" for f in report.failures)
+
+
 def test_engine_handles_swept_representatives():
     # The two pushoff sides of a genus-2 handle loop are isotopic curves
     # with different vectors; intersections must not depend on the choice.

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -373,6 +374,20 @@ def test_oracle_edge_that_is_not_a_move_exits_1(capsys):
                 "case 2b would delete the lower boundary\n")
 
 
+def test_oracle_edge_to_another_ghs_is_an_internal_error(capsys, monkeypatch):
+    # A destabilization of [g] that is a move gives [g - 1]; were it to give
+    # another GHS, the oracle reports a bug (exit 3) and does not blame the
+    # input.
+    from heegaard_lab import sog
+    checked = sog.apply_move_report
+
+    def gives_its_source(g, move):
+        return dataclasses.replace(checked(g, move), result=g)
+    monkeypatch.setattr(sog, "apply_move_report", gives_its_source)
+    assert run(capsys, *flatten_with(ORACLE1)) == \
+        (3, "", "internal error: R destabilizes to GHS (-) [3] (-)\n")
+
+
 def test_oracle_label_with_a_line_break_gives_one_line(capsys):
     bad = json.dumps({"splittings": {"2": ["P", "Q"]},
                       "stabilize": {"a\nb": "P"}})
@@ -622,6 +637,12 @@ BAD_STEP_SOG = json.dumps({
     "ghss": [json.loads(G3), {"levels": [[], [2], []]}],
     "steps": [{"src": 5, "move": {"type": "destabilization",
                                   "thick_index": 1, "target_genus": 2}}]})
+# A sound two-GHS SOG with one label.
+ONE_LABEL_SOG = json.dumps({
+    "ghss": [json.loads(G3), {"levels": [[], [2], []]}],
+    "steps": [{"src": 0, "move": {"type": "destabilization",
+                                  "thick_index": 1, "target_genus": 3}}],
+    "labels": ["A"]})
 # Γ of the standard genus-2 diagram at cap 6 has four vertices, two red and
 # two blue.  Swapping a red one with a blue one maps the red one's edge to
 # the other blue vertex onto a pair that is not an edge.
@@ -646,6 +667,7 @@ SWAP_RED_BLUE = json.dumps([
      "bijection does not preserve edge ((0, 0, 0, 1, 0, 0, 0, 0, 1), "
      "(1, 0, 0, 0, 1, 0, 0, 0, 0)) (-> ((0, 0, 1, 0, 0, 0, 0, 1, 1), "
      "(1, 0, 0, 0, 1, 0, 0, 0, 0)))"),
+    (["sog", "verify", "--in", ONE_LABEL_SOG], "labels must match the GHS list"),
 ])
 def test_input_errors_print_their_line(capsys, argv, line):
     assert run(capsys, *argv) == (1, "", f"input error: {line}\n")

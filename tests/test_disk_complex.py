@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -22,16 +23,21 @@ from heegaard_lab.disk_complex import (
     vertex_distance,
 )
 from heegaard_lab.handlebody import (
+    HeegaardDiagram,
+    InvalidCutSystem,
     lens_space,
     s2_x_s1,
     s3_genus1,
     standard_diagram,
+    validate_cut_system,
 )
 from heegaard_lab.surface import (
     BudgetExhausted,
     CurveClass,
+    ModelSurface,
     SurfaceMismatch,
     enumerate_essential_curves,
+    geometric_intersection,
 )
 
 K10 = CurveClass.from_slope(1, 0).coords
@@ -107,6 +113,40 @@ def test_gamma_embeds_in_lambda():
             assert lam.contains_edge(u, v)
             if u != v:
                 assert lam.edges[(u, v) if (u, v) in lam.edges else (v, u)] == i
+
+
+def seeded_genus2_diagrams(n: int, seed: int) -> list[HeegaardDiagram]:
+    """n diagrams whose sides are drawn from the cut systems of two disjoint
+    genus-2 classes of weight at most 8."""
+    systems = []
+    for a, b in itertools.combinations(enumerate_essential_curves(2, 8), 2):
+        if geometric_intersection(a, b) == 0:
+            try:
+                systems.append(validate_cut_system(2, [a, b]))
+            except InvalidCutSystem:
+                pass
+    rng = random.Random(seed)
+    return [HeegaardDiagram(ModelSurface(2), rng.choice(systems),
+                            rng.choice(systems)) for _ in range(n)]
+
+
+def test_classify_finds_disks_on_both_sides():
+    # Both sides of a Heegaard surface are handlebodies: each meridian is on
+    # the class list, budget or not, and bounds on its own side.  So no cap
+    # or budget leaves a side without a disk, and every summary is one of
+    # the four outcomes that allow for that.
+    outcomes = ("reducible: ", "critical within cap ",
+                "strongly irreducible within cap ", "edge present: ")
+    table = CurveTable(2)
+    runs = [(d, cap, budget, table) for d in seeded_genus2_diagrams(30, 0)
+            for cap in (1, 3, 8) for budget in (None, 1, 5)]
+    runs += [(d, 4, None, None)
+             for d in (lens_space(5, 2), s2_x_s1(), standard_diagram(3))]
+    for diagram, cap, budget, shared in runs:
+        v = classify(diagram, cap, budget, shared)
+        assert v.has_red_disk and v.has_blue_disk, (diagram, cap, budget)
+        assert v.red_witness is not None and v.blue_witness is not None
+        assert v.summary().startswith(outcomes), v.summary()
 
 
 def test_classification_table():

@@ -91,6 +91,12 @@ def test_compress_examples():
         CompressionDescriptor("down", 3, ("sep", 1, 1))
 
 
+def test_descriptor_of_an_unknown_kind_is_refused():
+    with pytest.raises(InvalidMove) as exc:
+        CompressionDescriptor("down", 2, ("weird",))
+    assert str(exc.value) == "descriptor kind ('weird',)"
+
+
 def test_separating_zero_part_allowed_in_type_rejected_in_moves():
     d = CompressionDescriptor("down", 2, ("sep", 0, 2))
     assert compress([2], d) == (2, 0)

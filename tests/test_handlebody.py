@@ -7,6 +7,7 @@ import pytest
 from heegaard_lab.disk_complex import enumerate_disk_boundaries
 from heegaard_lab.handlebody import (
     CutSystem,
+    HeegaardDiagram,
     InvalidCutSystem,
     SignedWord,
     boundary_word,
@@ -20,11 +21,14 @@ from heegaard_lab.handlebody import (
 from heegaard_lab.surface import (
     CurveClass,
     ModelSurface,
+    SurfaceMismatch,
     admissible_vectors,
     algebraic_intersection,
     canonical_triangulation,
     enumerate_essential_curves,
     geometric_intersection,
+    intersection_at_most,
+    same_class,
 )
 
 from reference import NOT_DISJOINT, reference_validate_cut_system
@@ -100,6 +104,29 @@ def test_torus_cut_system_rejects_non_curves(coords, message):
     with pytest.raises(InvalidCutSystem) as info:
         validate_cut_system(1, [CurveClass(1, coords)])
     assert str(info.value) == message
+
+
+def test_standard_diagram_of_genus_1_is_s3():
+    assert standard_diagram(1) == s3_genus1()
+
+
+# Calls that each mix the standard genus-2 and genus-3 diagrams, or their
+# first red meridians a and b.
+@pytest.mark.parametrize("call, message", [
+    (lambda g2, g3, a, b: same_class(a, b), "genus 2 vs 3"),
+    (lambda g2, g3, a, b: intersection_at_most(a, b, 1), "genus 2 vs 3"),
+    (lambda g2, g3, a, b: validate_cut_system(2, [a, b]),
+     "cut curve lives on a different surface"),
+    (lambda g2, g3, a, b: HeegaardDiagram(ModelSurface(2), g2.red, g3.blue),
+     "cut systems live on different surfaces"),
+    (lambda g2, g3, a, b: boundary_word(b, g2.red),
+     "curve and cut system on different surfaces"),
+])
+def test_genus_mismatches_are_refused(call, message):
+    g2, g3 = standard_diagram(2), standard_diagram(3)
+    with pytest.raises(SurfaceMismatch) as exc:
+        call(g2, g3, g2.red.curves[0], g3.red.curves[0])
+    assert str(exc.value) == message
 
 
 def test_torus_cut_system_check_is_closed_form():

@@ -61,6 +61,15 @@ def test_replay_soundness():
         SOG.of([P, R, Q], [SOGStep(1, destab(3))])
 
 
+def test_sog_rejects_a_ghs_built_without_validation():
+    # The bare constructor skips the checks `GHS.of` makes; `SOG.of` makes
+    # them again.
+    with pytest.raises(InvalidSOG) as exc:
+        SOG.of([GHS(((), (0,), ()))], [])
+    assert str(exc.value) == \
+        "invalid GHS in sequence: interior level 1 has a 2-sphere component"
+
+
 def test_positions_shapes():
     P, R, Q = (GHS.closed_splitting(g) for g in (2, 3, 2))
     lam = SOG.of([P, R, Q], [SOGStep(1, destab(3)), SOGStep(1, destab(3))])

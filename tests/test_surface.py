@@ -134,6 +134,15 @@ def test_normalize_rejects_bad_input():
         normalize(1, (2, 2, 2))           # vertex link
 
 
+def test_slope_needs_canonical_form_and_the_torus():
+    with pytest.raises(ValueError) as exc:
+        Slope(-1, 0)
+    assert str(exc.value) == "slope not in canonical form; use Slope.of"
+    with pytest.raises(ValueError) as exc:
+        CurveClass(2, (0, 1, 0, 0, 1, 1, 0, 0, 0)).slope()
+    assert str(exc.value) == "slopes only exist on the torus"
+
+
 def test_connected_torus_vectors_are_canonical():
     # On the torus there are no "swept" duplicates: every connected
     # essential admissible vector is already a canonical slope vector.
