@@ -147,9 +147,11 @@ class MoveGraph:
     `nodes` are distinct hashable values in the order `nodes()` lists them,
     `ghss` and `labels` their GHSs and labels, and each edge joins two
     nodes.  Each node's edges are sorted by (parent label, child label,
-    repr(move)), so flattening reads every oracle alike.  A subclass builds
-    the nodes and edges and supplies `resolve`, which names a node from what
-    a caller passes.
+    repr(move)), so flattening reads every oracle alike.  Each key's rank
+    among the distinct keys, each node's component, and how many search
+    states each component offers are numbered here too, once per graph.  A
+    subclass builds the nodes and edges and supplies `resolve`, which names
+    a node from what a caller passes.
     """
 
     def __init__(self, nodes: Sequence, ghss: Sequence[GHS],
@@ -158,7 +160,6 @@ class MoveGraph:
         self._number = {node: i for i, node in enumerate(self._nodes)}
         self._ghss = list(ghss)
         self._labels = list(labels)
-        self._keys = [g._key for g in self._ghss]
         arcs: list[list] = [[] for _ in self._nodes]
         for edge in edges:
             p, c = self._number[edge.parent], self._number[edge.child]
@@ -169,6 +170,31 @@ class MoveGraph:
         # descends from this node, the edge); the sort is stable.
         self._arcs = [[arc[1:] for arc in sorted(a, key=itemgetter(0))]
                       for a in arcs]
+        # A key's rank is its place among the distinct keys, so tuples of
+        # ranks compare as the tuples of keys they stand for.
+        keys = [g._key for g in self._ghss]
+        self._rank_keys = sorted(set(keys))
+        rank = {key: r for r, key in enumerate(self._rank_keys)}
+        self._ranks = [rank[key] for key in keys]
+        # Components, numbered once.  A search from (s, ascending) pops
+        # (j, descending) for each j of the component that has a parent and
+        # (j, ascending) for each j that has a child; `_reach` counts them.
+        self._component = component = [-1] * len(self._nodes)
+        self._reach: list[int] = []
+        for root in range(len(self._nodes)):
+            if component[root] >= 0:
+                continue
+            c = component[root] = len(self._reach)
+            stack, reach = [root], 0
+            while stack:
+                arcs_i = self._arcs[stack.pop()]
+                # One state if the node has a parent, one if it has a child.
+                reach += len({descending for _, descending, _ in arcs_i})
+                for j, _, _ in arcs_i:
+                    if component[j] < 0:
+                        component[j] = c
+                        stack.append(j)
+            self._reach.append(reach)
 
     def nodes(self) -> list:
         return list(self._nodes)
@@ -324,73 +350,101 @@ class SymbolicOracle(MoveGraph):
 _TERMINAL = -1       # flatten's sentinel state, reached from the end node
 
 
+def _budget_spent(budget: int) -> FlattenBudgetExhausted:
+    return FlattenBudgetExhausted(
+        f"unknown: flattening budget of {budget} expansions exhausted")
+
+
 def flatten(start, end, oracle: MoveGraph, budget: int = 100000) -> SOG:
     """A SOG from start to end that minimizes (MaxKey, length, labels
     joined by "/"), compared in that order, over every zigzag between them
     in the oracle's move graph.  Exact within the oracle's space.
 
     The oracle resolves both endpoints to nodes; the search then reads the
-    graph's node numbers, labels, keys and sorted edges.  It is a Dijkstra
-    over (node, arrived ascending) states, sound because every part of the
-    priority only grows along a zigzag and keeps its order under a common
-    extension.  For the joined labels that needs no label to contain "/":
-    two zigzags of one length to one node then never have joined labels of
-    which one is a proper prefix of the other.
+    graph's node numbers, labels, key ranks and sorted edges.  It is a
+    Dijkstra over (node, arrived ascending) states, sound because every part
+    of the priority only grows along a zigzag and keeps its order under a
+    common extension.  For the joined labels that needs no label to contain
+    "/": two zigzags of one length to one node then never have joined labels
+    of which one is a proper prefix of the other.
 
-    Raises FlattenBudgetExhausted when the endpoints cannot be joined within
-    the budgeted search.
+    Raises FlattenBudgetExhausted when the search pops more than `budget`
+    states before it reaches the end.  Endpoints in two components of the
+    move graph are answered without a search: the search would pop every
+    state its component offers, one at a time, and then say they are not
+    joined.  So they get the budget verdict exactly when the component
+    offers more states than the budget.
     """
     s = oracle._number[oracle.resolve(start)]
     t = oracle._number[oracle.resolve(end)]
-    labels, keys, arcs = oracle._labels, oracle._keys, oracle._arcs
+    labels, ranks, arcs = oracle._labels, oracle._ranks, oracle._arcs
     if s == t:
         return SOG.of([oracle._ghss[s]], [], labels=[labels[s]])
+    if oracle._component[s] != oracle._component[t]:
+        # `_reach` counts the start state (s, ascending) only if s has a
+        # child to come up from.
+        reach = oracle._reach[oracle._component[s]] + \
+            (not any(d for _, d, _ in arcs[s]))
+        if reach > budget:
+            raise _budget_spent(budget)
+        raise FlattenBudgetExhausted(
+            "unknown: the endpoints are not joined within the oracle's space")
 
     # State 2*i + 1 means node i arrived at ascending, 2*i descending.  The
     # start counts as arrived ascending, so leaving it downward records it
     # as a peak; reaching the end ascending records the end.  A terminal
-    # sentinel carries the end node's own contribution so the heap order
-    # reflects final objectives.
+    # sentinel, the last slot of each list, carries the end node's own
+    # contribution so the heap order reflects final objectives.  A
+    # priority is (multiset of key ranks, length, serial), and a heap entry
+    # is (priority, push count, state).
+    size = 2 * len(labels) + 1
+    done = [False] * size
+    best: list = [None] * size
+    parent: list = [None] * size
     start_state = 2 * s + 1
-    counter = itertools.count()
-    best_push: dict = {start_state: ((), 0, "")}
-    parent: dict = {start_state: None}
-    heap = [((), 0, "", next(counter), start_state)]
-    done: set = set()
-    pops = 0
-
-    def relax(new_state, priority, origin):
-        if new_state in done:
-            return
-        if new_state not in best_push or priority < best_push[new_state]:
-            best_push[new_state] = priority
-            parent[new_state] = origin
-            heapq.heappush(heap, (*priority, next(counter), new_state))
-
+    best[start_state] = start = ((), 0, "")
+    heap = [(start, 0, start_state)]
+    pushes = pops = 0
     while heap:
-        multiset, length, serial, _, state = heapq.heappop(heap)
-        if state in done:
+        priority, _, state = heapq.heappop(heap)
+        if done[state]:
             continue
-        done.add(state)
+        done[state] = True
         pops += 1
         if pops > budget:
-            raise FlattenBudgetExhausted(
-                f"unknown: flattening budget of {budget} expansions exhausted")
+            raise _budget_spent(budget)
+        multiset, length, serial = priority
         if state == _TERMINAL:
-            return _reconstruct(oracle, parent, multiset)
+            return _reconstruct(oracle, parent, tuple(
+                oracle._rank_keys[r] for r in multiset))
         i, arrived_asc = divmod(state, 2)
         # The multiset after leaving downward: a peak if we came up.
-        peaked = tuple(sorted(multiset + (keys[i],), reverse=True)) \
+        peaked = tuple(sorted(multiset + (ranks[i],), reverse=True)) \
             if arrived_asc else multiset
         if i == t:
-            relax(_TERMINAL, (peaked, length, serial), (state, None, None))
+            priority = (peaked, length, serial)
+            if best[_TERMINAL] is None or priority < best[_TERMINAL]:
+                pushes += 1
+                best[_TERMINAL] = priority
+                parent[_TERMINAL] = (state, None, None)
+                heapq.heappush(heap, (priority, pushes, _TERMINAL))
+        length += 1
         for j, descending, edge in arcs[i]:
-            relax(2 * j + (not descending),
-                  (peaked if descending else multiset, length + 1,
-                   serial + "/" + labels[j]),
-                  (state, edge, descending))
-    raise FlattenBudgetExhausted(
-        "unknown: the endpoints are not joined within the oracle's space")
+            new = 2 * j + (not descending)
+            if done[new]:
+                continue
+            multiset_j = peaked if descending else multiset
+            old = best[new]
+            # Only a zigzag that does not lose on (multiset, length) needs
+            # its serial.
+            if old is not None and (multiset_j, length) > old[:2]:
+                continue
+            priority = (multiset_j, length, serial + "/" + labels[j])
+            if old is None or priority < old:
+                pushes += 1
+                best[new], parent[new] = priority, (state, edge, descending)
+                heapq.heappush(heap, (priority, pushes, new))
+    raise AssertionError("flatten missed an end in its start's component")
 
 
 def _reconstruct(oracle: MoveGraph, parent, final_multiset) -> SOG:

@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 ARR = "tests/test_arrangement.py::"
 CLI = "tests/test_cli.py::"
 DC = "tests/test_disk_complex.py::"
+GHS = "tests/test_ghs.py::"
 HB = "tests/test_handlebody.py::"
 SOG = "tests/test_sog.py::"
 SURF = "tests/test_surface.py::"
@@ -151,6 +152,34 @@ MUTANTS = [
            (SOG + "test_flatten_matches_brute_force",),
            "the tiebreak orders zigzags by label tuples, not by '/'-joined "
            "labels"),
+    Mutant("flatten-unjoined-never-spent", "sog.py",
+           "        if reach > budget:\n"
+           "            raise _budget_spent(budget)\n",
+           "",
+           (SOG + "test_flatten_unjoined_verdicts_match_reference",),
+           "unjoined endpoints are called not joined whatever the budget"),
+    Mutant("flatten-reach-off-by-one", "sog.py",
+           "reach = oracle._reach[",
+           "reach = 1 + oracle._reach[",
+           (SOG + "test_flatten_unjoined_verdicts_match_reference",),
+           "unjoined endpoints are counted one state more than the search "
+           "pops"),
+    Mutant("flatten-ranks-reversed", "sog.py",
+           "self._rank_keys = sorted(set(keys))",
+           "self._rank_keys = sorted(set(keys), reverse=True)",
+           (SOG + "test_flatten_joined_pairs_match_reference",),
+           "a greater key gets a smaller rank"),
+    Mutant("cancel-remove-sides-swapped", "ghs.py",
+           'lower, upper = remove == "left", remove == "right"',
+           'lower, upper = remove == "right", remove == "left"',
+           (GHS + "test_every_candidate_move_outcome_is_pinned",),
+           "a one-level zigzag matching both sides cancels on the side "
+           "not asked for"),
+    Mutant("cancel-slice-sides-swapped", "ghs.py",
+           "levels[t - lower:t + 1 + upper]",
+           "levels[t - upper:t + 1 + lower]",
+           (GHS + "test_every_candidate_move_outcome_is_pinned",),
+           "a zigzag end cancels with the thin level on the other side"),
 ]
 
 

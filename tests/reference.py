@@ -17,17 +17,25 @@ pass.
   ghs.validate_ghs                    reference_validate_ghs
   sog.SymbolicOracle                  reference_symbolic_states,
                                       reference_symbolic_edges
+  sog.flatten                         reference_flatten
 
 `complement_regions` reads a multicurve's complement off the planar map;
 the cut-system reference and the arrangement goldens use it.
 """
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
 from heegaard_lab import arrangement
 from heegaard_lab.ghs import GHS, _moves_with_reports, collection, ghs_key
 from heegaard_lab.handlebody import CutSystem, InvalidCutSystem
+from heegaard_lab.sog import (
+    _TERMINAL,
+    SOG,
+    FlattenBudgetExhausted,
+    _reconstruct,
+)
 from heegaard_lab.surface import (
     ModelSurface,
     SurfaceMismatch,
@@ -474,3 +482,56 @@ def reference_symbolic_edges(budget, boundary):
                          if report.result in inside),
                         key=lambda e: (repr(e[1]), repr(e[2])))
     return edges
+
+
+def reference_flatten(start, end, oracle, budget=100000):
+    """`sog.flatten` as it searched before it numbered components and key
+    ranks: a Dijkstra over (node, arrived ascending) states, with the
+    multisets of keys themselves in each priority, run to the end also for
+    endpoints the move graph does not join."""
+    s = oracle._number[oracle.resolve(start)]
+    t = oracle._number[oracle.resolve(end)]
+    labels, arcs = oracle._labels, oracle._arcs
+    keys = [g._key for g in oracle._ghss]
+    if s == t:
+        return SOG.of([oracle._ghss[s]], [], labels=[labels[s]])
+
+    start_state = 2 * s + 1
+    counter = itertools.count()
+    best_push = {start_state: ((), 0, "")}
+    parent = {start_state: None}
+    heap = [((), 0, "", next(counter), start_state)]
+    done = set()
+    pops = 0
+
+    def relax(new_state, priority, origin):
+        if new_state in done:
+            return
+        if new_state not in best_push or priority < best_push[new_state]:
+            best_push[new_state] = priority
+            parent[new_state] = origin
+            heapq.heappush(heap, (*priority, next(counter), new_state))
+
+    while heap:
+        multiset, length, serial, _, state = heapq.heappop(heap)
+        if state in done:
+            continue
+        done.add(state)
+        pops += 1
+        if pops > budget:
+            raise FlattenBudgetExhausted(
+                f"unknown: flattening budget of {budget} expansions exhausted")
+        if state == _TERMINAL:
+            return _reconstruct(oracle, parent, multiset)
+        i, arrived_asc = divmod(state, 2)
+        peaked = tuple(sorted(multiset + (keys[i],), reverse=True)) \
+            if arrived_asc else multiset
+        if i == t:
+            relax(_TERMINAL, (peaked, length, serial), (state, None, None))
+        for j, descending, edge in arcs[i]:
+            relax(2 * j + (not descending),
+                  (peaked if descending else multiset, length + 1,
+                   serial + "/" + labels[j]),
+                  (state, edge, descending))
+    raise FlattenBudgetExhausted(
+        "unknown: the endpoints are not joined within the oracle's space")

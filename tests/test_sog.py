@@ -42,7 +42,11 @@ from heegaard_lab.sog import (
 )
 from heegaard_lab.surface import CurveClass
 
-from reference import reference_symbolic_edges, reference_symbolic_states
+from reference import (
+    reference_flatten,
+    reference_symbolic_edges,
+    reference_symbolic_states,
+)
 
 
 def destab(g):
@@ -561,6 +565,86 @@ def test_flatten_matches_brute_force(make_oracle, seed):
         got = (max_key(sog), len(sog.steps), "/".join(sog.labels))
         assert got == best, (pairs, s, t)
     assert reachable >= 100, reachable
+
+
+# ---------------------------------------------------------------------------
+# Flatten against the search it replaced
+# ---------------------------------------------------------------------------
+
+
+def search_states(oracle, s):
+    """The (node, arrived ascending) states a search from (s, ascending)
+    reaches, read from the public edges: down an edge to its child, or up
+    an edge to its parent."""
+    seen, frontier = {(s, True)}, [(s, True)]
+    for node, _ in frontier:
+        for e in oracle.edges_at(node):
+            state = (e.child, False) if e.parent == node else (e.parent, True)
+            if state not in seen:
+                seen.add(state)
+                frontier.append(state)
+    return seen
+
+
+def flatten_outcome(search, s, t, oracle, budget):
+    try:
+        sog = search(s, t, oracle, budget)
+    except FlattenBudgetExhausted as exc:
+        return str(exc)
+    return serialize.dumps(serialize.sog_to_jsonable(sog))
+
+
+@pytest.mark.parametrize("name", ["closed4", "bounded6"])
+def test_flatten_unjoined_verdicts_match_reference(golden_oracles, name):
+    # Endpoints the move graph does not join are answered without a search.
+    # The search pops each state it reaches once, so a budget of one less
+    # than that count is spent and that count itself is not.
+    oracle = golden_oracles.get(name) or SymbolicOracle(SymbolicBudget(4))
+    nodes = oracle.nodes()
+    pairs = 0
+    for s in nodes:
+        states = search_states(oracle, s)
+        reach = len(states)
+        joined = {node for node, _ in states}
+        for t in nodes:
+            if t in joined:
+                continue
+            pairs += 1
+            got = [flatten_outcome(flatten, s, t, oracle, budget)
+                   for budget in (reach - 1, reach, reach + 1)]
+            assert got == [flatten_outcome(reference_flatten, s, t, oracle,
+                                           budget)
+                           for budget in (reach - 1, reach, reach + 1)]
+            assert got == [f"unknown: flattening budget of {reach - 1} "
+                           "expansions exhausted"] + 2 * [
+                "unknown: the endpoints are not joined within the "
+                "oracle's space"], (s, t)
+    assert pairs >= 100, pairs
+
+
+def test_flatten_joined_pairs_match_reference(golden_oracles):
+    rng = random.Random(59)
+    names = sorted(golden_oracles)
+    joined: dict = {}
+    outcomes = set()
+    for _ in range(200):
+        oracle = golden_oracles[rng.choice(names)]
+        nodes = oracle.nodes()
+        while True:
+            s = rng.choice(nodes)
+            if (oracle, s) not in joined:
+                joined[oracle, s] = sorted(
+                    {node for node, _ in search_states(oracle, s)} - {s},
+                    key=repr)
+            if joined[oracle, s]:
+                break
+        t = rng.choice(joined[oracle, s])
+        budget = rng.randint(1, 2 * len(nodes))
+        got = flatten_outcome(flatten, s, t, oracle, budget)
+        assert got == flatten_outcome(reference_flatten, s, t, oracle,
+                                      budget), (s, t, budget)
+        outcomes.add(got.startswith("unknown:"))
+    assert outcomes == {False, True}
 
 
 @pytest.mark.parametrize("oracle", [
