@@ -570,12 +570,17 @@ def isotopic(tri: Triangulation, a_vec, b_vec) -> bool:
     return not xs and any(r.chi == 0 for r in arr.analyze(xs))
 
 
-def crossing_word(tri: Triangulation, curve_vec, system_vecs):
+def crossing_word(tri: Triangulation, curve_vec, system_vecs,
+                  minimal: bool = True):
     """Signed crossing sequence of a curve against a disjoint curve system.
 
     Returns (letters, counts): letters is the cyclic list of
-    (system index, sign) met along the curve in minimal position; counts[i]
-    is the exact geometric intersection number with system curve i.
+    (system index, sign) met along the curve, and counts[i] the number of
+    letters of system curve i.  In minimal position, the default, counts[i]
+    is the exact geometric intersection number with system curve i.  With
+    `minimal=False` the letters are read off the curve as first drawn: a
+    bigon slide deletes an inverse pair x, x^-1 of adjacent letters, so the
+    word is the minimal one up to free and cyclic reduction.
     """
     union = tuple(sum(v[e] for v in system_vecs) for e in range(tri.n_edges))
     arr = Arrangement(tri, [curve_vec, union])
@@ -589,7 +594,8 @@ def crossing_word(tri: Triangulation, curve_vec, system_vecs):
                 "the system is not realizable disjointly as given")
         index_of[c.cid] = matches[0]
     letters = [(index_of[x.b_key[0]], x.sign)
-               for _, _, x in _runs(minimize(arr))[0]]
+               for _, _, x in _runs(minimize(arr) if minimal
+                                    else arr.crossings())[0]]
     return letters, [sum(j == i for j, _ in letters)
                      for i in range(len(system_vecs))]
 

@@ -19,6 +19,7 @@ from pathlib import Path
 from . import proptools, serialize, sog
 from .disk_complex import (
     CurveTable,
+    _stored,
     build_gamma,
     build_lambda,
     classify,
@@ -78,6 +79,19 @@ def _load_json(path: str):
         raise InputError(str(exc)) from None
 
 
+def _load_diagram(path: str):
+    """The diagram the JSON describes, parsed and validated once per
+    process.  The store is keyed by the loaded data, so a file rewritten
+    between calls is read again, and holds no failure, so an invalid
+    diagram fails again with the same message."""
+    data = _load_json(path)
+    # Encoding recurses once per level, as decoding did, from a shallower
+    # frame, so whatever json.loads took encodes.
+    return _stored(_session_diagrams, MAX_SESSION_DIAGRAMS,
+                   json.dumps(data, sort_keys=True),
+                   lambda: serialize.diagram_from_jsonable(data))
+
+
 def _emit(args, payload: dict) -> None:
     # Inputs keep the interpreter's digit limit, but a result may print a
     # longer integer, such as the key (2g)^2 of a GHS of a long genus.
@@ -122,7 +136,7 @@ def cmd_intersect(args) -> int:
 def cmd_diagram(args) -> int:
     if args.action == "quotient" and args.bijection is None:
         raise InputError("diagram quotient needs --bijection")
-    diagram = serialize.diagram_from_jsonable(_load_json(args.diagram))
+    diagram = _load_diagram(args.diagram)
     table = _session_table(diagram.genus)
     if args.action == "classify":
         verdict = classify(diagram, args.cap, args.budget, table)
@@ -191,11 +205,11 @@ def cmd_sog(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    diagram = serialize.diagram_from_jsonable(_load_json(args.diagram))
+    diagram = _load_diagram(args.diagram)
     e1, e2 = (serialize.edge_from_jsonable(_load_json(text))
               for text in (args.edge1, args.edge2))
-    # A fresh table per job, not the session's: ROADMAP item 6 says why.
-    result = splitting_distance(diagram, e1, e2, args.cap, args.budget)
+    result = splitting_distance(diagram, e1, e2, args.cap, args.budget,
+                                _session_table(diagram.genus))
     payload = {"connected_within_cap": result.connected,
                "distance": result.value, "cap": result.cap}
     _emit(args, payload)
@@ -292,10 +306,17 @@ _parser = functools.cache(build_parser)
 
 # One curve table per genus for the life of the process, so that the jobs
 # of a session enumerate, intersect and disk-test each class once.  Each
-# table bounds its own stores (about 41 MB when full, see disk_complex);
+# table bounds its own stores (about 44 MB when full, see disk_complex);
 # this bounds the number of tables.
 MAX_SESSION_TABLES = 4
 _session_table = functools.lru_cache(maxsize=MAX_SESSION_TABLES)(CurveTable)
+
+# The validated diagrams of the session, keyed by their JSON in canonical
+# form; a full store keeps what it holds and validates new diagrams afresh.
+# Measured with tracemalloc, a stored diagram takes about 5.5 kB at genus 2
+# and 77 kB at genus 10.
+MAX_SESSION_DIAGRAMS = 64
+_session_diagrams: dict = {}
 
 
 def main(argv=None) -> int:

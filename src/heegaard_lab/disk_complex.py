@@ -123,14 +123,16 @@ def isolated_vertices(graph: _GraphCore) -> list[VertexKey]:
 # same either way.  Measured with tracemalloc on 64-bit CPython 3.11, a
 # class with its cached corners and bucket takes 0.5-0.95 kB at genus 2-6
 # (it has 6g - 3 coordinates, so it grows with the genus), a pair entry
-# about 0.1 kB and a disk-test entry about 0.2 kB.  A full table then holds
-# about 5 MB of classes, 26 MB of pairs and 10 MB of disk tests, and a CLI
-# process, which keeps up to `cli.MAX_SESSION_TABLES` tables, at most four
-# times that.  The pair bound covers genus-2 Λ at cap 18: 657 classes,
-# 215,496 pairs.
+# about 0.1 kB, a disk-test entry about 0.2 kB, and a placed list, which
+# refers to stored classes, about 0.5 kB plus 10 bytes per class.  A full
+# table then holds about 5 MB of classes, 26 MB of pairs, 10 MB of disk
+# tests and 3 MB of placed lists, 44 MB in all, and a CLI process, which
+# keeps up to `cli.MAX_SESSION_TABLES` tables, at most four times that.
+# The pair bound covers genus-2 Λ at cap 18: 657 classes, 215,496 pairs.
 MAX_STORED_CLASSES = 5_000
 MAX_STORED_PAIRS = 250_000
 MAX_STORED_DISK_TESTS = 50_000
+MAX_STORED_PLACED_LISTS = 64
 
 
 def _stored(store: dict, bound: int, key, compute):
@@ -150,7 +152,8 @@ class CurveTable:
 
     It stores the complete class list of the largest cap enumerated without
     a budget, `intersection_at_most(a, b, 1)` per unordered pair of
-    coordinate vectors, and `bounds_disk` per cut system and class.  Stored
+    coordinate vectors, `bounds_disk` per cut system and class, and the
+    lists it served with meridians placed, per meridian pair and cap.  Stored
     classes keep their cached homology buckets, so the `same_class` tests
     that place the meridians are mostly a tuple comparison already.
     Every stored answer is exact, so an output never depends on what the
@@ -172,27 +175,31 @@ class CurveTable:
         self._classes: list[CurveClass] = []
         self._meets: dict[EdgeKey, Optional[int]] = {}
         self._disks: dict[tuple, bool] = {}
+        self._placed: dict[tuple, list[CurveClass]] = {}
 
     def capped_curves(self, diagram: HeegaardDiagram, cap: int,
                       budget: Optional[int]) -> tuple[list[CurveClass], bool]:
         """The essential classes within the cap, plus the diagram's
         meridians (they bound whatever they weigh, so Γ always embeds), and
         whether the list is complete: on budget exhaustion it is partial,
-        not certified."""
-        certified = True
+        not certified.  A list served from the table is placed once per
+        meridian pair and cap, and each caller gets its own copy."""
         if budget is None and cap <= self._cap:
+            key = (tuple(z.coords for z in diagram.red.curves),
+                   tuple(z.coords for z in diagram.blue.curves), cap)
             curves = [c for c in self._classes if c.weight <= cap]
-        else:
-            try:
-                curves = enumerate_essential_curves(self.genus, cap, budget)
-            except BudgetExhausted as exc:
-                curves, certified = exc.partial, False
-            if budget is None and len(curves) <= MAX_STORED_CLASSES:
-                self._cap, self._classes = cap, list(curves)
-        for z in diagram.red.curves + diagram.blue.curves:
-            if not any(same_class(z, c) for c in curves):
-                curves.append(z)
-        return curves, certified
+            placed = _stored(self._placed, MAX_STORED_PLACED_LISTS, key,
+                             lambda: _with_meridians(diagram, curves))
+            return list(placed), True
+        certified = True
+        try:
+            curves = enumerate_essential_curves(self.genus, cap, budget)
+        except BudgetExhausted as exc:
+            curves, certified = exc.partial, False
+        if budget is None and len(curves) <= MAX_STORED_CLASSES:
+            self._cap, self._classes = cap, list(curves)
+            self._placed.clear()
+        return _with_meridians(diagram, curves), certified
 
     def meets(self, a: CurveClass, b: CurveClass) -> Optional[int]:
         """i(a, b) when the curves meet in at most one point, else None."""
@@ -213,6 +220,15 @@ class CurveTable:
             n = self.meets(graph.classes[u], graph.classes[v])
             if n is not None:
                 graph.add_edge(u, v, n)
+
+
+def _with_meridians(diagram: HeegaardDiagram,
+                    curves: list[CurveClass]) -> list[CurveClass]:
+    """The list with each meridian not already on it by class appended."""
+    for z in diagram.red.curves + diagram.blue.curves:
+        if not any(same_class(z, c) for c in curves):
+            curves.append(z)
+    return curves
 
 
 def _table_for(diagram: HeegaardDiagram,
@@ -528,7 +544,8 @@ def component_distance(graph: LambdaGraph, c1: Sequence[EdgeKey],
 
 
 def splitting_distance(diagram: HeegaardDiagram, e1, e2, cap: int,
-                       budget: Optional[int] = None) -> DistanceResult:
+                       budget: Optional[int] = None,
+                       table: Optional[CurveTable] = None) -> DistanceResult:
     """Distance between the two splittings destabilized by the given edges
     of the diagram's disk complex.
 
@@ -537,7 +554,7 @@ def splitting_distance(diagram: HeegaardDiagram, e1, e2, cap: int,
     capped curve complex, and 0 when one component contains both (the cap
     does not distinguish the splittings).
     """
-    table = CurveTable(diagram.genus)
+    table = _table_for(diagram, table)
     gamma = build_gamma(diagram, cap, budget, table)
     e1 = tuple(sorted(tuple(map(tuple, e1))))
     e2 = tuple(sorted(tuple(map(tuple, e2))))

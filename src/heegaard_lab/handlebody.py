@@ -1,9 +1,13 @@
 """Heegaard diagrams: cut systems, boundary words, and the disk test.
 
-A side of a diagram is a handlebody with the given cut system as meridians.
-A curve bounds a disk in that handlebody iff its cyclic word of signed
-crossings with the meridians reduces (freely and cyclically) to the empty
-word; the unreduced word is read from a minimal-position arrangement, so its
+A side of a diagram is a handlebody H with the given cut system as
+meridians.  The cyclic word of signed crossings of a curve with the
+meridians spells its free homotopy class in pi_1(H), the free group on the
+meridians' dual loops.  By Dehn's lemma the curve bounds a disk in H iff that
+class is trivial, that is iff the word reduces (freely and cyclically) to
+the empty word.  Any representative transverse to the meridians gives the
+word up to that reduction, so the disk test reads it off the curve as first
+drawn.  `boundary_word` reads it from a minimal-position arrangement, so its
 length equals the total geometric intersection with the system.
 """
 
@@ -156,21 +160,25 @@ class HeegaardDiagram:
         raise ValueError(f"side must be 'red' or 'blue', not {name!r}")
 
 
-def boundary_word(c: CurveClass, cut: CutSystem) -> SignedWord:
+def boundary_word(c: CurveClass, cut: CutSystem,
+                  minimal: bool = True) -> SignedWord:
     """Cyclic signed crossing sequence of the curve with the cut system, read
     from a minimal-position representative.  Its length is the sum of the
-    geometric intersection numbers with the cut curves."""
+    geometric intersection numbers with the cut curves.  `minimal=False`
+    reads it off the curve as first drawn (see the module docstring)."""
     if c.genus != cut.genus:
         raise SurfaceMismatch("curve and cut system on different surfaces")
     tri = canonical_triangulation(c.genus)
     letters, _counts = arrangement.crossing_word(
-        tri, c.coords, [z.coords for z in cut.curves])
+        tri, c.coords, [z.coords for z in cut.curves], minimal)
     return SignedWord.of((g + 1, s) for g, s in letters)
 
 
 def bounds_disk(c: CurveClass, side: str, diagram: HeegaardDiagram) -> bool:
-    """Does the curve bound a disk in the named handlebody?  True iff its
-    boundary word freely and cyclically reduces to the empty word.
+    """Does the curve bound a disk in the named handlebody?  By Dehn's
+    lemma, iff its boundary word freely and cyclically reduces to the empty
+    word.  Any representative transverse to the meridians spells that word
+    up to reduction, so it is read off the curve as first drawn.
 
     The exponent sum of generator j in that word is the algebraic
     intersection with meridian j, and reduction preserves exponent sums, so
@@ -180,7 +188,7 @@ def bounds_disk(c: CurveClass, side: str, diagram: HeegaardDiagram) -> bool:
     cut = diagram.side(side)
     if any(algebraic_intersection(c, z) for z in cut.curves):
         return False
-    return c.genus == 1 or boundary_word(c, cut).is_trivial()
+    return c.genus == 1 or boundary_word(c, cut, minimal=False).is_trivial()
 
 
 # ---------------------------------------------------------------------------

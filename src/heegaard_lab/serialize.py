@@ -7,6 +7,7 @@ unknown fields and values of the wrong JSON type with an InputError.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from typing import Any
 
@@ -37,7 +38,12 @@ def _expect(value, shape, what: str):
         for item in _expect(value, list, what):
             _expect(item, shape[0], f"each entry of {what}")
     elif not isinstance(value, shape) or isinstance(value, bool):
-        echo = json.dumps(value)     # clipped: an error is one short line
+        # Clipped, since an error is one short line.  The encoder's lazy
+        # chunks, one character or more each, are read only as far as the
+        # clip, so a value nested as deeply as json.loads allows is echoed
+        # without recursing to its bottom.
+        echo = "".join(itertools.islice(
+            json.JSONEncoder().iterencode(value), 81))
         raise InputError(f"{what} must be {_SHAPE_NAMES[shape]}, got "
                           + (echo if len(echo) <= 80 else echo[:80] + "..."))
     return value

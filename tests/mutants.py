@@ -139,11 +139,35 @@ MUTANTS = [
            "(side, c.coords),",
            (CLI + "test_session_table_outputs_match_fresh_tables",),
            "disk tests of one class on two cut systems share an answer"),
+    Mutant("placed-lists-ignore-cap", "disk_complex.py",
+           "tuple(z.coords for z in diagram.blue.curves), cap)",
+           "tuple(z.coords for z in diagram.blue.curves))",
+           (CLI + "test_session_table_outputs_match_fresh_tables",),
+           "a list placed for one cap is served for every cap"),
     Mutant("summary-edge-test-flipped", "disk_complex.py",
            "        if self.edge_witness is None:\n",
            "        if self.edge_witness is not None:\n",
            (DC + "test_classification_table",),
            "a diagram with an edge is summarized as strongly irreducible"),
+    Mutant("disk-test-without-free-reduction", "handlebody.py",
+           "boundary_word(c, cut, minimal=False).is_trivial()",
+           "not boundary_word(c, cut, minimal=False).letters",
+           (HB + "test_bounds_disk_without_minimal_position_matches_"
+                 "minimal_word",),
+           "a disk whose first-drawn word is not yet reduced is missed"),
+    Mutant("exponent-sum-rule-inverted", "handlebody.py",
+           "    if any(algebraic_intersection(c, z) for z in cut.curves):\n",
+           "    if not any(algebraic_intersection(c, z) "
+           "for z in cut.curves):\n",
+           (HB + "test_bounds_disk_certificate_matches_word_reduction",),
+           "the disk test rejects the classes whose exponent sums vanish"),
+    Mutant("diagram-store-drops-blue", "cli.py",
+           "json.dumps(data, sort_keys=True),",
+           "json.dumps({**data, 'blue': None} if isinstance(data, dict) "
+           "else data, sort_keys=True),",
+           (CLI + "test_rewritten_diagram_file_is_read_again",),
+           "diagrams that differ only in their blue side share a stored "
+           "diagram"),
     # A separator below every label character orders the serials as tuples
     # of labels would be ordered.
     Mutant("flatten-tuple-serial", "sog.py",

@@ -288,6 +288,25 @@ def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
     assert err == "input error: JSON is nested too deeply\n"
 
 
+def test_json_nested_near_the_limit_is_an_input_error(capsys):
+    # Around the recursion limit json.loads takes some depths and refuses
+    # others; the wrong-shape message echoes a value from the bottom of the
+    # stack, and the diagram store encodes the whole document.
+    limit = sys.getrecursionlimit()
+    for n in range(limit - 250, limit + 10):
+        deep = "[" * n + "]" * n
+        for argv in (
+                ["intersect", "--a", deep, "--b", CURVE],
+                ["diagram", "gamma", "--cap", "4", "--diagram",
+                 '{"genus":2,"red":%s,"blue":[]}' % deep],
+                ["diagram", "gamma", "--cap", "4", "--diagram",
+                 '{"genus":2,"red":[{"genus":2,"coords":%s}],"blue":[]}'
+                 % deep]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err[:13]) == (1, "", "input error: "), \
+                (n, argv[0], err)
+
+
 @pytest.mark.parametrize("argv", [
     ["surface", "curves", "--genus", "1", "--cap", "x"],
     ["diagram", "gamma", "--diagram", S3, "--cap", "0"],
@@ -694,6 +713,9 @@ def _diagram_job(action, diagram, cap, *extra):
             *extra)
 
 
+TWISTED_DISTANCE = ("distance", "--diagram", TWISTED, "--edge1",
+                    TWISTED_EDGES[0], "--edge2", TWISTED_EDGES[1], "--cap",
+                    "8")
 SESSION = [
     (_diagram_job("gamma", TWISTED, 8, "--budget", "40"), 2),
     (_diagram_job("lambda", TWISTED, 10), 0),
@@ -702,8 +724,7 @@ SESSION = [
     (_diagram_job("lambda", TWISTED, 8), 0),
     (_diagram_job("classify", TWISTED, 8, "--budget", "40"), 2),
     (_diagram_job("lambda", TWISTED, 10, "--budget", "40"), 2),
-    (("distance", "--diagram", TWISTED, "--edge1", TWISTED_EDGES[0],
-      "--edge2", TWISTED_EDGES[1], "--cap", "8"), 0),
+    (TWISTED_DISTANCE, 0),
     (_diagram_job("gamma", CLASSIFY_DIAGRAMS["standard"], 8), 0),
     (_diagram_job("classify", CLASSIFY_DIAGRAMS["standard"], 8), 0),
     (_diagram_job("lambda", CLASSIFY_DIAGRAMS["standard"], 6), 0),
@@ -716,9 +737,15 @@ SESSION = [
 ]
 
 
+def _fresh_session():
+    """Empty the CLI's session stores: curve tables and diagrams."""
+    cli._session_table.cache_clear()
+    cli._session_diagrams.clear()
+
+
 def _run_session(capsys):
     """Each SESSION job, in order, on one warm table per genus."""
-    cli._session_table.cache_clear()
+    _fresh_session()
     return [run(capsys, *argv) for argv, _ in SESSION]
 
 
@@ -726,12 +753,12 @@ def test_session_table_outputs_match_fresh_tables(capsys):
     in_session = _run_session(capsys)
     assert [code for code, _, _ in in_session] == [c for _, c in SESSION]
     for (argv, _), got in zip(SESSION, in_session):
-        cli._session_table.cache_clear()
+        _fresh_session()
         assert run(capsys, *argv) == got, argv
 
 
 def test_session_table_removes_repeated_work(capsys, monkeypatch):
-    from heegaard_lab import arrangement, disk_complex
+    from heegaard_lab import arrangement, disk_complex, serialize
     enumerated, built = [], []
     enumerate_curves = disk_complex.enumerate_essential_curves
     init = arrangement.Arrangement.__init__
@@ -764,27 +791,74 @@ def test_session_table_removes_repeated_work(capsys, monkeypatch):
     assert run(capsys, *_diagram_job("lambda", TWISTED, 8)) == first
     assert built == []
 
+    # A distance job after Γ and Λ at its cap is served by the session: no
+    # enumeration, no arrangement, and the diagram parsed and validated
+    # once for all three jobs.
+    parse = serialize.diagram_from_jsonable
+    parsed = []
+
+    def counting_parse(data):
+        parsed.append(data)
+        return parse(data)
+    monkeypatch.setattr(serialize, "diagram_from_jsonable", counting_parse)
+    _fresh_session()
+    for action in ("gamma", "lambda"):
+        assert run(capsys, *_diagram_job(action, TWISTED, 8))[0] == 0
+    enumerated.clear()
+    built.clear()
+    assert run(capsys, *TWISTED_DISTANCE) == (
+        0, '{"cap":8,"connected_within_cap":true,"distance":1}\n', "")
+    assert (enumerated, built, len(parsed)) == ([], [], 1)
+
+
+def test_invalid_diagram_fails_alike_every_time(capsys):
+    # Red pairs a1 with the standard diagram's b1, which it meets once.
+    crossing = CLASSIFY_DIAGRAMS["standard"].replace(
+        "[0,0,0,1,0,0,0,0,1]", "[1,0,0,0,1,0,0,0,0]", 1)
+    _fresh_session()
+    for _ in range(2):
+        assert run(capsys, *_diagram_job("gamma", crossing, 8)) == (
+            1, "", "input error: curves 0 and 1 intersect in 1 points\n")
+    assert cli._session_diagrams == {}
+
+
+def test_rewritten_diagram_file_is_read_again(capsys, tmp_path):
+    # The two diagrams share their red side.
+    path = tmp_path / "diagram.json"
+    answers = []
+    for text in (CLASSIFY_DIAGRAMS["standard"], TWISTED):
+        path.write_text(text)
+        answers.append(run(capsys, *_diagram_job("classify", str(path), 8)))
+    _fresh_session()
+    assert answers[1] == run(capsys, *_diagram_job("classify", TWISTED, 8))
+    assert answers[0] != answers[1]
+
 
 def test_session_table_stores_stay_within_bounds(capsys, monkeypatch):
     from heegaard_lab import disk_complex
     unbounded = _run_session(capsys)
     bounds = {"MAX_STORED_CLASSES": (30, "_classes"),
               "MAX_STORED_PAIRS": (50, "_meets"),
-              "MAX_STORED_DISK_TESTS": (10, "_disks")}
+              "MAX_STORED_DISK_TESTS": (10, "_disks"),
+              "MAX_STORED_PLACED_LISTS": (1, "_placed")}
     for name, (bound, *_) in bounds.items():
         monkeypatch.setattr(disk_complex, name, bound)
-    cli._session_table.cache_clear()
+    monkeypatch.setattr(cli, "MAX_SESSION_DIAGRAMS", 2)
+    _fresh_session()
     for (argv, _), want in zip(SESSION, unbounded):
         assert run(capsys, *argv) == want, argv
+        assert len(cli._session_diagrams) <= 2
         for genus in (1, 2):
             table = cli._session_table(genus)
             for bound, *stores in bounds.values():
                 for store in stores:
                     assert len(getattr(table, store)) <= bound, store
-    # The genus-2 pair and disk stores filled up.  The cap-10 list of 52
+    # The genus-2 pair, disk and placed-list stores filled up, and so did
+    # the diagram store, which saw three diagrams.  The cap-10 list of 52
     # classes was never stored; the cap-8 list of 25 was.
     table = cli._session_table(2)
-    assert [len(table._meets), len(table._disks)] == [50, 10]
+    assert [len(table._meets), len(table._disks), len(table._placed),
+            len(cli._session_diagrams)] == [50, 10, 1, 2]
     assert table._cap == 8 and len(table._classes) == 25
 
 

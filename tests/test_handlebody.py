@@ -294,6 +294,29 @@ def test_bounds_disk_certificate_matches_word_reduction():
     assert rejected > 0
 
 
+@pytest.mark.parametrize("genus, cap, checks, disks", [
+    (2, 16, 1460, 33),
+    (3, 10, 144, 26),
+])
+def test_bounds_disk_without_minimal_position_matches_minimal_word(
+        genus, cap, checks, disks):
+    # bounds_disk reads its word off the curve as first drawn; the word read
+    # in minimal position is the reference.
+    from test_disk_complex import critical_witness_diagram
+    curves = enumerate_essential_curves(genus, cap)
+    diagrams = ([standard_diagram(2), critical_witness_diagram()]
+                if genus == 2 else [standard_diagram(3)])
+    verdicts = []
+    for d in diagrams:
+        for side in ("red", "blue"):
+            cut = d.side(side)
+            for c in curves + list(cut.curves):
+                want = boundary_word(c, cut).is_trivial()
+                assert bounds_disk(c, side, d) == want, (c.coords, side)
+                verdicts.append(want)
+    assert (len(verdicts), sum(verdicts)) == (checks, disks)
+
+
 def test_torus_bounds_disk_matches_word_reduction():
     # At genus 1 a zero exponent sum decides the disk test outright; the
     # boundary word is the reference.
