@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -25,10 +26,10 @@ from .surface import (
     BudgetExhausted,
     CurveClass,
     SurfaceMismatch,
+    _intersection,
     _partition,
     _slope_of_vector,
     enumerate_essential_curves,
-    intersection_at_most,
     same_class,
 )
 
@@ -123,12 +124,14 @@ def isolated_vertices(graph: _GraphCore) -> list[VertexKey]:
 # same either way.  Measured with tracemalloc on 64-bit CPython 3.11, a
 # class with its cached corners and bucket takes 0.5-0.95 kB at genus 2-6
 # (it has 6g - 3 coordinates, so it grows with the genus), a pair entry
-# about 0.1 kB, a disk-test entry about 0.2 kB, and a placed list, which
+# about 0.1 kB, an orbit entry 0.24-0.62 kB at genus 2-6 (its key holds
+# two vectors), a disk-test entry about 0.2 kB, and a placed list, which
 # refers to stored classes, about 0.5 kB plus 10 bytes per class.  A full
-# table then holds about 5 MB of classes, 26 MB of pairs, 10 MB of disk
-# tests and 3 MB of placed lists, 44 MB in all, and a CLI process, which
-# keeps up to `cli.MAX_SESSION_TABLES` tables, at most four times that.
-# The pair bound covers genus-2 Λ at cap 18: 657 classes, 215,496 pairs.
+# table then holds about 5 MB of classes, 26 MB of pairs, 60-155 MB of
+# orbits, 10 MB of disk tests and 3 MB of placed lists, 104-199 MB in all,
+# and a CLI process, which keeps up to `cli.MAX_SESSION_TABLES` tables, at
+# most four times that.  The pair bound, which also bounds the orbits,
+# covers genus-2 Λ at cap 18: 657 classes, 215,496 pairs.
 MAX_STORED_CLASSES = 5_000
 MAX_STORED_PAIRS = 250_000
 MAX_STORED_DISK_TESTS = 50_000
@@ -156,8 +159,11 @@ class CurveTable:
     lists it served with meridians placed, per meridian pair and cap.  Stored
     classes keep their cached homology buckets, so the `same_class` tests
     that place the meridians are mostly a tuple comparison already.
-    Every stored answer is exact, so an output never depends on what the
-    table held beforehand.
+    Behind the pair store, a pair that reaches the arrangement keeps its
+    exact intersection number per orbit of pairs under the triangulation's
+    automorphisms, which serves every pair of the orbit; only those pairs
+    pay for the orbit key.  Every stored answer is exact, so an output never
+    depends on what the table held beforehand.
 
     A smaller cap is served by filtering the stored list by weight.  A
     class's listed representative is its least by (weight, coords), and
@@ -174,6 +180,7 @@ class CurveTable:
         self._cap = 0                  # cap of the stored list; 0 for none
         self._classes: list[CurveClass] = []
         self._meets: dict[EdgeKey, Optional[int]] = {}
+        self._orbits: dict[tuple, int] = {}
         self._disks: dict[tuple, bool] = {}
         self._placed: dict[tuple, list[CurveClass]] = {}
 
@@ -205,7 +212,8 @@ class CurveTable:
         """i(a, b) when the curves meet in at most one point, else None."""
         return _stored(self._meets, MAX_STORED_PAIRS,
                        _edge_key(a.coords, b.coords),
-                       lambda: intersection_at_most(a, b, 1))
+                       lambda: _intersection(a, b, 1, partial(
+                           _stored, self._orbits, MAX_STORED_PAIRS)))
 
     def bounds_disk(self, c: CurveClass, side: str,
                     diagram: HeegaardDiagram) -> bool:

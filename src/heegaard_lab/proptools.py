@@ -273,6 +273,32 @@ def check_session_table(rng: random.Random,
     return PropertyReport("session-table", iterations, failures)
 
 
+def check_automorphism_invariance(rng: random.Random,
+                                  iterations: int) -> PropertyReport:
+    """On random pairs of connected essential vectors, of weight <= 12 at
+    genus 2 and <= 8 at genus 3, every automorphism σ of the triangulation
+    keeps the intersection number: i(σa, σb) = i(a, b)."""
+    failures = []
+    pools = []
+    for genus, cap in ((2, 12), (3, 8)):
+        tri = canonical_triangulation(genus)
+        pools.append((tri, [v for v in admissible_vectors(tri, cap)
+                            if len(tri.trace(v)) == 1
+                            and v != tri.vertex_link_vector()]))
+    for _ in range(iterations):
+        tri, vecs = rng.choice(pools)
+        a, b = rng.choice(vecs), rng.choice(vecs)
+        want = geometric_intersection(CurveClass(tri.genus, a),
+                                      CurveClass(tri.genus, b))
+        for perm in tri.automorphisms[1:]:      # the identity comes first
+            got = geometric_intersection(
+                CurveClass(tri.genus, tuple(a[e] for e in perm)),
+                CurveClass(tri.genus, tuple(b[e] for e in perm)))
+            if got != want:
+                failures.append((a, b, perm, got, want))
+    return PropertyReport("automorphism-invariance", iterations, failures)
+
+
 def property_suite(seed: int, iterations: int) -> list[PropertyReport]:
     """The randomized invariants behind the `proptest` command, each run
     `iterations // divisor` times on its own seed.  Seeds are drawn in the
@@ -282,6 +308,7 @@ def property_suite(seed: int, iterations: int) -> list[PropertyReport]:
     checks = ((check_torus_oracle, 1), (check_move_monotonicity, 1),
               (check_commutation, 2), (check_genus2_intersection, 1),
               (check_genus2_minimal_position, 1),
-              (check_genus2_block_certificate, 1), (check_session_table, 2))
+              (check_genus2_block_certificate, 1), (check_session_table, 2),
+              (check_automorphism_invariance, 1))
     return [check(random.Random(rng.randrange(2 ** 32)), iterations // divisor)
             for check, divisor in checks]

@@ -18,9 +18,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
@@ -164,6 +165,45 @@ class Triangulation:
 
     def edge_index(self, name: str) -> int:
         return self.edge_names.index(name)
+
+    @cached_property
+    def automorphisms(self) -> list[tuple[int, ...]]:
+        """The combinatorial automorphisms as edge maps perm[e], sorted, so
+        the identity is first.  Each is a homeomorphism of the surface, so
+        permuting weights by it keeps intersection numbers, also when it
+        reverses orientation.  Triangle 0 goes to each (triangle, rotation,
+        orientation) flag in turn, side m to side rotation + orientation *
+        m, and the flags spread across the edges: the other side of e goes
+        to the other side of e's image.  A map is kept when no triangle
+        gets two flags and no two triangles one image."""
+        tris = self.triangles
+
+        def other_side(e, t, m):
+            (t1, m1), (t2, m2) = self.edge_sides[e]
+            return (t2, m2) if (t1, m1) == (t, m) else (t1, m1)
+
+        def spread(flag) -> Optional[tuple[int, ...]]:
+            image, todo, perm = {0: flag}, [0], [0] * self.n_edges
+            while todo:
+                t = todo.pop()
+                ti, r, o = image[t]
+                for m in range(3):
+                    e, mi = tris[t][m][0], (r + o * m) % 3
+                    perm[e] = tris[ti][mi][0]
+                    t2, m2 = other_side(e, t, m)
+                    u2, n2 = other_side(perm[e], ti, mi)
+                    want = (u2, (n2 - o * m2) % 3, o)
+                    if t2 not in image:
+                        image[t2] = want
+                        todo.append(t2)
+                    elif image[t2] != want:
+                        return None
+            if len({ti for ti, _, _ in image.values()}) < len(tris):
+                return None
+            return tuple(perm)
+
+        flags = itertools.product(range(len(tris)), range(3), (1, -1))
+        return sorted(filter(None, map(spread, flags)))
 
     # -- matching conditions -------------------------------------------------
 
@@ -642,34 +682,68 @@ def _blocks_meet(tri: Triangulation, c, d, k: int) -> bool:
                for drop in (units or [None] if drops is None else drops))
 
 
-def geometric_intersection(a: CurveClass, b: CurveClass) -> int:
-    """Minimal-position (bigon-free) intersection number, exact.
+def _orbit_key(tri: Triangulation, a: Sequence[int],
+               b: Sequence[int]) -> tuple[int, ...]:
+    """The least, over the automorphisms of `tri`, of the sorted pair of
+    permuted vectors, as one flat tuple: one key per orbit of unordered
+    pairs, whose members all have one intersection number."""
+    keys = []
+    for perm in tri.automorphisms:
+        x, y = tuple(a[e] for e in perm), tuple(b[e] for e in perm)
+        keys.append(x + y if x <= y else y + x)
+    return min(keys)
 
-    Torus pairs use the determinant |ps - qr|.  At higher genus |a . b|
-    bounds i(a, b) from below and any realization bounds it from above, so
-    a pair with |a . b| <= 1 that `_blocks_meet` lays out meeting only
-    |a . b| times has i(a, b) = |a . b|.  A pair with a . b = 0 whose normal
-    sum a + b traces to two components, with vectors a and b, is disjoint:
-    a normal curve is determined up to normal isotopy by its vector.  Every
-    other pair runs the traced arrangement with bigon elimination.
+
+def _intersection(a: CurveClass, b: CurveClass, k: Optional[int] = None,
+                  store=None) -> Optional[int]:
+    """i(a, b) when it is at most k, else None; with k None, i(a, b).
+
+    The rungs run in order, and the first that settles the pair answers.
+    * Equal coordinates: 0.
+    * The torus: the determinant |ps - qr| of the two slopes.
+    * The homology prefilter: |a . b| bounds i(a, b) from below with the
+      same parity, so |a . b| > k answers None.
+    * The block certificate: any realization bounds i(a, b) from above, so
+      a pair with |a . b| <= 1 that `_blocks_meet` lays out meeting only
+      |a . b| times has i(a, b) = |a . b|.
+    * The normal sum: a pair with a . b = 0 whose sum a + b traces to two
+      components, with vectors a and b, is disjoint, since a normal curve
+      is determined up to normal isotopy by its vector.
+    * The arrangement: the traced overlay with bigon elimination, exact.
+      A `store(key, compute)` given here keeps its answer under the pair's
+      `_orbit_key`, so it serves every pair of the orbit and every k.
     """
     if a.genus != b.genus:
         raise SurfaceMismatch(f"genus {a.genus} vs {b.genus}")
     if a.coords == b.coords:
-        return 0
-    if a.genus == 1:
-        return slope_intersection(coords_to_slope(a.coords),
-                                  coords_to_slope(b.coords))
-    tri = canonical_triangulation(a.genus)
-    alg = algebraic_intersection(a, b)
-    if alg <= 1 and _blocks_meet(tri, a._corners, b._corners, alg):
-        return alg
-    if alg == 0:
-        total = tuple(x + y for x, y in zip(a.coords, b.coords))
-        if _component_counts(tri, total) == {a.coords: 1, b.coords: 1}:
-            return 0
-    from . import arrangement
-    return arrangement.intersection_number(tri, a.coords, b.coords)
+        n = 0
+    elif a.genus == 1:
+        n = slope_intersection(coords_to_slope(a.coords),
+                               coords_to_slope(b.coords))
+    else:
+        n = algebraic_intersection(a, b)
+        if k is not None and n > k:
+            return None
+        tri = canonical_triangulation(a.genus)
+        settled = n <= 1 and _blocks_meet(tri, a._corners, b._corners, n)
+        if not settled and n == 0:
+            total = tuple(x + y for x, y in zip(a.coords, b.coords))
+            counts = _component_counts(tri, total)
+            settled = counts == {a.coords: 1, b.coords: 1}
+        if not settled:
+            from . import arrangement
+            arranged = partial(arrangement.intersection_number, tri,
+                               a.coords, b.coords)
+            n = arranged() if store is None else store(
+                _orbit_key(tri, a.coords, b.coords), arranged)
+    return n if k is None or n <= k else None
+
+
+def geometric_intersection(a: CurveClass, b: CurveClass) -> int:
+    """Minimal-position (bigon-free) intersection number, exact: the
+    determinant on the torus, else a certificate or the traced arrangement
+    with bigon elimination, by the rungs of `_intersection`."""
+    return _intersection(a, b)
 
 
 def intersection_at_most(a: CurveClass, b: CurveClass, k: int) -> Optional[int]:
@@ -679,10 +753,7 @@ def intersection_at_most(a: CurveClass, b: CurveClass, k: int) -> Optional[int]:
     pair to more than k is answered without building an arrangement, and so
     is every pair that a certificate of `geometric_intersection` settles.
     """
-    if a.genus > 1 and algebraic_intersection(a, b) > k:
-        return None
-    n = geometric_intersection(a, b)
-    return n if n <= k else None
+    return _intersection(a, b, k)
 
 
 def same_class(a: CurveClass, b: CurveClass) -> bool:

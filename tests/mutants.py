@@ -92,8 +92,8 @@ MUTANTS = [
            (HB + "test_signed_word_reduction_matches_oracle",),
            "cyclic reduction leaves inverse pairs across the wrap"),
     Mutant("prefilter-off-by-one", "surface.py",
-           "if a.genus > 1 and algebraic_intersection(a, b) > k:",
-           "if a.genus > 1 and algebraic_intersection(a, b) >= k:",
+           "        if k is not None and n > k:\n",
+           "        if k is not None and n >= k:\n",
            (ARR + "test_minimize_certificate_leaves_no_bigon",),
            "pairs with |a . b| = k are answered as meeting more than k "
            "times"),
@@ -110,15 +110,46 @@ MUTANTS = [
            (SURF + "test_same_class_between_pushoff_sides",),
            "classes in one homology bucket are never isotopic"),
     Mutant("normal-sum-never-fires", "surface.py",
-           "if _component_counts(tri, total) == {a.coords: 1, b.coords: 1}:",
-           "if _component_counts(tri, total) == {}:",
+           "settled = counts == {a.coords: 1, b.coords: 1}",
+           "settled = counts == {}",
            (SURF + "test_disjointness_certificate_sound_and_complete",),
            "disjoint pairs always run the arrangement"),
     Mutant("normal-sum-any-two", "surface.py",
-           "if _component_counts(tri, total) == {a.coords: 1, b.coords: 1}:",
-           "if sum(_component_counts(tri, total).values()) == 2:",
+           "settled = counts == {a.coords: 1, b.coords: 1}",
+           "settled = sum(counts.values()) == 2",
            (SURF + "test_disjointness_certificate_sound_and_complete",),
            "any sum of two components is taken for a disjoint pair"),
+    Mutant("blocks-always-fire", "surface.py",
+           "    return any(solvable(hard + [u for u in units if u is not drop])",
+           "    return True or any(solvable(hard + [u for u in units "
+           "if u is not drop])",
+           (SURF + "test_block_certificate_matches_exhaustive_minimum",),
+           "every pair with |a . b| <= 1 is taken to meet |a . b| times"),
+    # The certificate only saves work, so the arrangement counts catch it.
+    Mutant("blocks-never-fire", "surface.py",
+           "    return any(solvable(hard + [u for u in units if u is not drop])",
+           "    return False and any(solvable(hard + [u for u in units "
+           "if u is not drop])",
+           (DC + "test_twisted_lambda_arrangement_counts",),
+           "every pair the block layout settles runs the arrangement"),
+    Mutant("blocks-off-by-one", "surface.py",
+           "(hard if w > k else units).append(cond)",
+           "(hard if w > k + 1 else units).append(cond)",
+           (SURF + "test_block_certificate_matches_exhaustive_minimum",),
+           "a corner crossing twice may be dropped as if it crossed once"),
+    Mutant("automorphism-entries-swapped", "surface.py",
+           "        return sorted(filter(None, map(spread, flags)))\n",
+           "        found = sorted(filter(None, map(spread, flags)))\n"
+           "        p = list(found[-1])\n"
+           "        p[0], p[1] = p[1], p[0]\n"
+           "        return found[:-1] + [tuple(p)]\n",
+           (SURF + "test_automorphisms_keep_intersection_numbers",),
+           "the last automorphism has two edges' images swapped"),
+    Mutant("farey-scan-short", "disk_complex.py",
+           "(top - o) // c + 1):",
+           "(top - o) // c):",
+           (DC + "test_farey_edges_match_pair_loop",),
+           "the last neighbour in a slope's scan window is never joined"),
     Mutant("table-filter-off-by-one", "disk_complex.py",
            "curves = [c for c in self._classes if c.weight <= cap]",
            "curves = [c for c in self._classes if c.weight < cap]",

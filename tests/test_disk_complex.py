@@ -567,8 +567,10 @@ def test_disk_boundaries_exported_from_package_root():
 def test_twisted_lambda_arrangement_counts(monkeypatch):
     """Arrangements built for Λ of the twisted diagram of demos/05.  The
     block certificate settles most pairs with |a . b| <= 1 first; without
-    it, caps 8 and 12 built 104 and 1,786.  A change here is a change in
-    the work done, and should be explained."""
+    it, caps 8 and 12 built 104 and 1,786.  The table's orbit store then
+    builds one arrangement per orbit of pairs under the triangulation's
+    automorphisms; without it, caps 8 and 12 built 23 and 970.  A change
+    here is a change in the work done, and should be explained."""
     from heegaard_lab import arrangement
     built = []
     init = arrangement.Arrangement.__init__
@@ -579,7 +581,7 @@ def test_twisted_lambda_arrangement_counts(monkeypatch):
 
     d = critical_witness_diagram()
     monkeypatch.setattr(arrangement.Arrangement, "__init__", counting)
-    for cap, n_built in [(8, 23), (12, 970)]:
+    for cap, n_built in [(8, 12), (12, 292)]:
         built.clear()
         build_lambda(d, cap)
         assert len(built) == n_built, cap
@@ -605,3 +607,66 @@ def test_shared_table_matches_fresh_calls():
             assert classify(d, cap, table=table) == classify(d, cap)
     with pytest.raises(SurfaceMismatch, match="genus 2 table"):
         build_gamma(s3_genus1(), 8, table=table)
+
+
+def pair_loop_graph(graph, known):
+    """The graph's vertices, joined pair by pair where
+    `geometric_intersection` is at most 1: no table, no orbit store.
+    `known` keeps each pair's number, by coordinates, across calls."""
+    ref = LambdaGraph(graph.genus, graph.cap, graph.certified)
+    for c in graph.classes.values():
+        ref.add_vertex(c)
+    for u, v in itertools.combinations(ref.vertex_keys(), 2):
+        if (u, v) not in known:
+            known[u, v] = geometric_intersection(ref.classes[u],
+                                                 ref.classes[v])
+        n = known[u, v]
+        if n <= 1:
+            ref.add_edge(u, v, n)
+    return ref
+
+
+def test_orbit_store_matches_pair_loop():
+    # One table serves the rising caps, so later caps read orbit answers
+    # stored by earlier ones.
+    table, known = CurveTable(2), {}
+    for cap in range(8, 13):
+        graph = build_lambda(critical_witness_diagram(), cap, table=table)
+        want = emit_graph(pair_loop_graph(graph, known))
+        assert emit_graph(graph) == want, cap
+    assert table._orbits
+    graph = build_lambda(standard_diagram(3), 8, table=CurveTable(3))
+    assert emit_graph(graph) == emit_graph(pair_loop_graph(graph, {}))
+
+
+def test_fresh_tables_share_no_stored_answer(monkeypatch):
+    # A memo kept outside the table would let the second table build
+    # fewer arrangements than the first.
+    from heegaard_lab import arrangement
+    built = []
+    init = arrangement.Arrangement.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(arrangement.Arrangement, "__init__", counting)
+    d = critical_witness_diagram()
+    counts, tables = [], [CurveTable(2), CurveTable(2)]
+    for table in tables:
+        built.clear()
+        build_lambda(d, 8, table=table)
+        counts.append(len(built))
+    assert counts == [12, 12]
+    assert tables[0]._orbits == tables[1]._orbits
+    assert tables[0]._orbits is not tables[1]._orbits
+
+
+def test_orbit_store_stays_within_pair_bound(monkeypatch):
+    from heegaard_lab import disk_complex
+    d = critical_witness_diagram()
+    want = emit_graph(build_lambda(d, 10))
+    monkeypatch.setattr(disk_complex, "MAX_STORED_PAIRS", 5)
+    table = CurveTable(2)
+    assert emit_graph(build_lambda(d, 10, table=table)) == want
+    assert len(table._orbits) == len(table._meets) == 5

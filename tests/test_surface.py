@@ -617,6 +617,38 @@ def test_block_certificate_sound(monkeypatch):
     assert not built
 
 
+def test_triangulation_automorphisms():
+    """The combinatorial automorphisms of the canonical triangulation: order
+    4 at genus 2 and order 2 at genus 3-5.  Each maps every triangle's edge
+    set onto a triangle's, and together they are closed under composition."""
+    assert canonical_triangulation(2).automorphisms == [
+        (0, 1, 2, 3, 4, 5, 6, 7, 8), (3, 2, 1, 0, 8, 7, 6, 5, 4),
+        (4, 5, 7, 8, 0, 1, 6, 2, 3), (8, 7, 5, 4, 3, 2, 6, 1, 0)]
+    for genus, order in [(2, 4), (3, 2), (4, 2), (5, 2)]:
+        tri = canonical_triangulation(genus)
+        group = tri.automorphisms
+        assert len(set(group)) == len(group) == order, genus
+        assert group[0] == tuple(range(tri.n_edges))
+        sets = {frozenset(e for e, _ in t) for t in tri.triangles}
+        for perm in group:
+            assert {frozenset(perm[e] for e in s) for s in sets} == sets
+        for p, q in itertools.product(group, repeat=2):
+            assert tuple(p[e] for e in q) in group, (genus, p, q)
+
+
+def test_automorphisms_keep_intersection_numbers():
+    """i(σa, σb) = i(a, b) for every automorphism σ and every pair of
+    genus-2 classes up to cap 8; σ reverses orientation or not."""
+    tri = canonical_triangulation(2)
+    curves = enumerate_essential_curves(2, 8)
+    for a, b in itertools.combinations(curves, 2):
+        n = geometric_intersection(a, b)
+        for perm in tri.automorphisms[1:]:
+            sa = CurveClass(2, tuple(a.coords[e] for e in perm))
+            sb = CurveClass(2, tuple(b.coords[e] for e in perm))
+            assert geometric_intersection(sa, sb) == n, (a, b, perm)
+
+
 def trace_outcome(trace, tri, vec):
     try:
         return [(c.vector, c.cycle, c.triangles) for c in trace(tri, vec)]
