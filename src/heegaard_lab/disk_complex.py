@@ -126,12 +126,14 @@ def isolated_vertices(graph: _GraphCore) -> list[VertexKey]:
 # (it has 6g - 3 coordinates, so it grows with the genus), a pair entry
 # about 0.1 kB, an orbit entry 0.24-0.62 kB at genus 2-6 (its key holds
 # two vectors), a disk-test entry about 0.2 kB, and a placed list, which
-# refers to stored classes, about 0.5 kB plus 10 bytes per class.  A full
-# table then holds about 5 MB of classes, 26 MB of pairs, 60-155 MB of
-# orbits, 10 MB of disk tests and 3 MB of placed lists, 104-199 MB in all,
-# and a CLI process, which keeps up to `cli.MAX_SESSION_TABLES` tables, at
-# most four times that.  The pair bound, which also bounds the orbits,
-# covers genus-2 Λ at cap 18: 657 classes, 215,496 pairs.
+# refers to stored classes, about 0.5 kB plus 10 bytes per class.  So the
+# orbit store holds an eighth of the pair bound.  A full table then holds
+# about 5 MB of classes, 26 MB of pairs, 7.5-19 MB of orbits, 10 MB of
+# disk tests and 3 MB of placed lists, 52-63 MB in all, and a CLI process,
+# which keeps up to `cli.MAX_SESSION_TABLES` tables, at most four times
+# that.  The pair bound covers genus-2 Λ at cap 18: 657 classes, 215,496
+# pairs.  For the twisted diagram of demos/05, the pairs among them that
+# run the arrangement fall in 10,667 orbits, a third of the orbit bound.
 MAX_STORED_CLASSES = 5_000
 MAX_STORED_PAIRS = 250_000
 MAX_STORED_DISK_TESTS = 50_000
@@ -158,7 +160,8 @@ class CurveTable:
     coordinate vectors, `bounds_disk` per cut system and class, and the
     lists it served with meridians placed, per meridian pair and cap.  Stored
     classes keep their cached homology buckets, so the `same_class` tests
-    that place the meridians are mostly a tuple comparison already.
+    that place the meridians are mostly a tuple comparison already; at
+    genus 2 the rest ask the pair ladder whether two curves are disjoint.
     Behind the pair store, a pair that reaches the arrangement keeps its
     exact intersection number per orbit of pairs under the triangulation's
     automorphisms, which serves every pair of the orbit; only those pairs
@@ -213,7 +216,7 @@ class CurveTable:
         return _stored(self._meets, MAX_STORED_PAIRS,
                        _edge_key(a.coords, b.coords),
                        lambda: _intersection(a, b, 1, partial(
-                           _stored, self._orbits, MAX_STORED_PAIRS)))
+                           _stored, self._orbits, MAX_STORED_PAIRS // 8)))
 
     def bounds_disk(self, c: CurveClass, side: str,
                     diagram: HeegaardDiagram) -> bool:

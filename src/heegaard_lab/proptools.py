@@ -299,6 +299,28 @@ def check_automorphism_invariance(rng: random.Random,
     return PropertyReport("automorphism-invariance", iterations, failures)
 
 
+def check_genus2_isotopy_lemma(rng: random.Random,
+                               iterations: int) -> PropertyReport:
+    """On random pairs of distinct connected essential genus-2 vectors of
+    weight <= 16 in one homology bucket, the arrangement finds the curves
+    isotopic exactly when they are disjoint, as `same_class` assumes."""
+    failures = []
+    tri = canonical_triangulation(2)
+    buckets: dict = {}
+    for v in admissible_vectors(tri, 16):
+        if len(tri.trace(v)) == 1 and v != tri.vertex_link_vector():
+            c = CurveClass(2, v)
+            buckets.setdefault(c._bucket, []).append(c)
+    pool = [c for group in buckets.values() if len(group) > 1 for c in group]
+    for _ in range(iterations):
+        a = rng.choice(pool)
+        b = rng.choice([c for c in buckets[a._bucket] if c is not a])
+        want = geometric_intersection(a, b) == 0
+        if arrangement.isotopic(tri, a.coords, b.coords) != want:
+            failures.append((a, b, want))
+    return PropertyReport("genus2-isotopy-lemma", iterations, failures)
+
+
 def property_suite(seed: int, iterations: int) -> list[PropertyReport]:
     """The randomized invariants behind the `proptest` command, each run
     `iterations // divisor` times on its own seed.  Seeds are drawn in the
@@ -309,6 +331,7 @@ def property_suite(seed: int, iterations: int) -> list[PropertyReport]:
               (check_commutation, 2), (check_genus2_intersection, 1),
               (check_genus2_minimal_position, 1),
               (check_genus2_block_certificate, 1), (check_session_table, 2),
-              (check_automorphism_invariance, 1))
+              (check_automorphism_invariance, 1),
+              (check_genus2_isotopy_lemma, 1))
     return [check(random.Random(rng.randrange(2 ** 32)), iterations // divisor)
             for check, divisor in checks]

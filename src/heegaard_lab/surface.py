@@ -390,7 +390,8 @@ class CurveClass:
     On the torus the stored coords are the unique canonical form of the
     isotopy class.  At genus >= 2 the vector pins the class up to slides
     across the triangulation vertex; `same_class` decides surface isotopy
-    exactly, and enumerations deduplicate with it.
+    exactly, at genus 2 as "same homology bucket and disjoint", and
+    enumerations deduplicate with it.
     """
 
     genus: int
@@ -759,20 +760,41 @@ def intersection_at_most(a: CurveClass, b: CurveClass, k: int) -> Optional[int]:
 def same_class(a: CurveClass, b: CurveClass) -> bool:
     """Exact surface-isotopy test for two essential curve classes.
 
-    Isotopic curves are homologous up to orientation, so at genus >= 2 the
-    arrangement runs only for pairs in one homology bucket.
+    Isotopic curves are homologous up to orientation, so classes in
+    different homology buckets are not isotopic.  On the torus the bucket is
+    the slope up to sign, so equal buckets decide.  At genus 2, curves in one
+    bucket are isotopic exactly when they are disjoint, which the ladder
+    answers as `_intersection(a, b, 0)`.  Let a and b be disjoint essential
+    curves with [a] = ±[b] in H_1.
+    * If [a] = 0, both separate, and b lies in one of the two one-holed
+      tori that a cuts off.  b cuts that torus in two; the piece away from
+      a is no disk, since b is essential, so it holds the torus's genus,
+      and the piece between b and a is an annulus.
+    * Else neither separates, but a ∓ b bounds, so a ∪ b cuts the surface
+      into two pieces, each bounded by both curves.  A piece of genus h with
+      two boundary circles has Euler characteristic -2h, and the two sum to
+      -2, so one piece has genus 0: an annulus between a and b.
+    The lemma needs both curves essential.  The only connected normal curve
+    that is not is the vertex link, which is disjoint from every curve and
+    null-homologous, so it is isotopic only to itself.  At genus >= 3 the
+    lemma fails (two disjoint homologous curves may cobound a holed torus),
+    and the arrangement looks for the annulus.
     """
     if a.genus != b.genus:
         raise SurfaceMismatch(f"genus {a.genus} vs {b.genus}")
     if a.coords == b.coords:
         return True
-    if a.genus == 1:
-        return coords_to_slope(a.coords) == coords_to_slope(b.coords)
     if a._bucket != b._bucket:
         return False
+    if a.genus == 1:
+        return True
+    tri = canonical_triangulation(a.genus)
+    if a.genus == 2:
+        link = tri.vertex_link_vector()
+        return link not in (a.coords, b.coords) and \
+            _intersection(a, b, 0) is not None
     from . import arrangement
-    return arrangement.isotopic(
-        canonical_triangulation(a.genus), a.coords, b.coords)
+    return arrangement.isotopic(tri, a.coords, b.coords)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,27 @@ MUTANTS = [
            "    if a._bucket == b._bucket:\n",
            (SURF + "test_same_class_between_pushoff_sides",),
            "classes in one homology bucket are never isotopic"),
+    Mutant("isotopy-lemma-at-genus-3", "surface.py",
+           "    if a.genus == 2:\n",
+           "    if a.genus in (2, 3):\n",
+           (ARR + "test_same_class_matches_isotopic_inside_and_across_"
+                  "buckets",),
+           "disjoint genus-3 curves in one bucket are taken for isotopic"),
+    Mutant("isotopy-lemma-link-unguarded", "surface.py",
+           "        return link not in (a.coords, b.coords) and \\\n"
+           "            _intersection(a, b, 0) is not None\n",
+           "        return _intersection(a, b, 0) is not None\n",
+           (HB + "test_vertex_link_is_no_copy_of_a_separating_curve",),
+           "the vertex link is isotopic to every separating curve"),
+    # k = 1, 2 or 3 would be equivalent mutants: the genus-2 classes of one
+    # bucket up to cap 20 meet 0, 4 or 8 times, never 1, 2 or 3.
+    Mutant("isotopy-lemma-k4", "surface.py",
+           "_intersection(a, b, 0) is not None",
+           "_intersection(a, b, 4) is not None",
+           (ARR + "test_same_class_matches_isotopic_inside_and_across_"
+                  "buckets",),
+           "curves of one bucket meeting four times are taken for "
+           "isotopic"),
     Mutant("normal-sum-never-fires", "surface.py",
            "settled = counts == {a.coords: 1, b.coords: 1}",
            "settled = counts == {}",

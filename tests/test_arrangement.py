@@ -254,24 +254,37 @@ def test_minimize_certificate_leaves_no_bigon():
 
 
 def test_same_class_matches_isotopic_inside_and_across_buckets():
+    # At genus 2 same_class asks only whether a same-bucket pair is
+    # disjoint.  At genus 3 that is not enough: 9 same-bucket pairs up to
+    # weight 13 are disjoint but not isotopic.
     from heegaard_lab.surface import CurveClass, same_class
-    tri = canonical_triangulation(2)
     curves = [CurveClass(2, v) for v in connected_essential_vectors(2, 8)]
     pairs = list(itertools.combinations(curves, 2))
-    # Same-bucket pairs up to weight 12, isotopic or not.
-    by_bucket = {}
-    for v in connected_essential_vectors(2, 12):
-        c = CurveClass(2, v)
-        by_bucket.setdefault(c._bucket, []).append(c)
-    for group in by_bucket.values():
-        pairs += itertools.combinations(group, 2)
-    inside = set()
+    # Same-bucket pairs up to weight 12 at genus 2 and 13 at genus 3,
+    # isotopic or not, and the two pushoff sides of each genus-3 edge loop.
+    for genus, cap in ((2, 12), (3, 13)):
+        by_bucket = {}
+        for v in connected_essential_vectors(genus, cap):
+            c = CurveClass(genus, v)
+            by_bucket.setdefault(c._bucket, []).append(c)
+        for group in by_bucket.values():
+            pairs += itertools.combinations(group, 2)
+    tri = canonical_triangulation(3)
+    pairs += [(CurveClass(3, tri.edge_loop_pushoff(e, 0)),
+               CurveClass(3, tri.edge_loop_pushoff(e, 1)))
+              for e in range(tri.n_edges)]
+    inside = {2: set(), 3: set()}
+    disjoint_apart = 0
     for a, b in pairs:
+        tri = canonical_triangulation(a.genus)
         want = arrangement.isotopic(tri, a.coords, b.coords)
         assert same_class(a, b) == want, (a, b)
         if a._bucket == b._bucket:
-            inside.add(want)
-    assert inside == {True, False}
+            inside[a.genus].add(want)
+            disjoint_apart += not want and not \
+                arrangement.intersection_number(tri, a.coords, b.coords)
+    assert inside == {2: {True, False}, 3: {True, False}}
+    assert disjoint_apart == 9
 
 
 def _minimized(minimize, tri, vectors):

@@ -811,6 +811,32 @@ def test_session_table_removes_repeated_work(capsys, monkeypatch):
     assert (enumerated, built, len(parsed)) == ([], [], 1)
 
 
+def test_genus2_session_jobs_build_no_planar_map(monkeypatch):
+    # Every job of the benchmark's genus2-session batch at seed 1, replayed
+    # on fresh session stores, passes the benchmark's own check without a
+    # planar map: genus-2 isotopy is decided by disjointness.
+    from heegaard_lab import arrangement
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    analyze, mapped = arrangement.Arrangement.analyze, []
+
+    def counting(self, *args):
+        mapped.append(args)
+        return analyze(self, *args)
+    monkeypatch.setattr(arrangement.Arrangement, "analyze", counting)
+    _fresh_session()
+    session = workloads.WORKLOADS["genus2-session"](1, 1.0)
+    session.setup()
+    assert not mapped
+    kinds = set()
+    for job in session.jobs():
+        assert job.finish(job.call()).problem is None, job.kind
+        assert not mapped, job.kind
+        kinds.add(job.kind.split()[0])
+    assert kinds == {"gamma", "classify", "lambda", "distance"}
+
+
 def test_invalid_diagram_fails_alike_every_time(capsys):
     # Red pairs a1 with the standard diagram's b1, which it meets once.
     crossing = CLASSIFY_DIAGRAMS["standard"].replace(

@@ -106,6 +106,20 @@ def test_torus_cut_system_rejects_non_curves(coords, message):
     assert str(info.value) == message
 
 
+def test_vertex_link_is_no_copy_of_a_separating_curve():
+    # The vertex link is null-homologous and disjoint from every curve, like
+    # a second copy of the separating curve s, but it bounds a disk: beside
+    # s it leaves three pieces, whichever comes first.
+    link = CurveClass(2, canonical_triangulation(2).vertex_link_vector())
+    s = CurveClass(2, (0, 0, 2, 2, 0, 0, 0, 2, 2))
+    assert link._bucket == s._bucket
+    assert not same_class(link, s) and not same_class(s, link)
+    for curves in ([link, s], [s, link]):
+        with pytest.raises(InvalidCutSystem) as info:
+            validate_cut_system(2, curves)
+        assert str(info.value) == "cut complement has 3 pieces, expected 1"
+
+
 def test_standard_diagram_of_genus_1_is_s3():
     assert standard_diagram(1) == s3_genus1()
 

@@ -315,6 +315,101 @@ def test_enumeration_genus2_dedups_classes():
             assert not same_class(a, b)
 
 
+# Class counts, per cap from 0, and sha256 of the classes' coordinate
+# tuples, one str(coords) a line, of enumerate_essential_curves(genus, cap),
+# recorded before same_class decided genus-2 isotopy by disjointness.
+GOLDEN_ENUMERATION_COUNTS = {
+    2: [0, 0, 2, 6, 6, 10, 12, 16, 25, 41, 52, 72, 110, 146, 203, 271, 363,
+        471, 657],
+    3: [0, 0, 2, 8, 9, 13, 16, 22, 32, 50, 69],
+}
+GOLDEN_ENUMERATION_SHA256 = {
+    (2, 0):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (2, 1):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (2, 2):
+        "59ee87db3356abf5f6171c42eca0f6a0750a738aa8846154ce80f711f0db2d78",
+    (2, 3):
+        "ec2936df46baea79aa8505b4af9e1e6aaa25576f5ac109d5a758ee32c7ce318c",
+    (2, 4):
+        "ec2936df46baea79aa8505b4af9e1e6aaa25576f5ac109d5a758ee32c7ce318c",
+    (2, 5):
+        "a4286fc18224e6066f8bdd292745158944b7d12c914246be717cde67af6ba487",
+    (2, 6):
+        "ad465f1bc2c71dc05bd7110947dacc98c72bbd859dd11f608b91f71b70581a28",
+    (2, 7):
+        "462c7bd221e2ace18bf06136ea883f230c4aba2e423c30e6456552a3773c2cc5",
+    (2, 8):
+        "eb102a4adb66bf31ddef3240b55ee1be242c2cd14f6ebbbd77f80aa88ba3f081",
+    (2, 9):
+        "171c8369c5e5525c5220672ce1fed5b251f1475345449a829d49e81d8c28e505",
+    (2, 10):
+        "a0a03310d71f7574467be9fb0e738814b6fdab82ed64ed16a9a78b63b935a6e5",
+    (2, 11):
+        "b384421c993bb966f6348865fcd0fea3378ad784613db8af39b35bf2f1ce83dd",
+    (2, 12):
+        "675c65a1d28e1d5d1df3ba8ab946f94812c41885899b4bc8fd7183fdaddf8aa6",
+    (2, 13):
+        "d7757ec90bb1623f4083b98fb416be1b506075a696d9b83ef9099400e1989655",
+    (2, 14):
+        "418cc9de88a6141d387550f1dc1c07ec9d87be878fffa087be303579d329a07c",
+    (2, 15):
+        "c9a6e37d44bb126885d0bbbb9692d7719b346e9e92c5bf29646dd1e14f7f81e9",
+    (2, 16):
+        "b915dd06600c340e45a2a68f9a751f8cce0ea6556ca91e68a34fa38bdc49f83f",
+    (2, 17):
+        "be9375edce9a32132a7bea46b60c962e2936cedd7dd79828f488802a082cf5f2",
+    (2, 18):
+        "3df1951ffde7bad009dd3405732bb1f9eeb6f89bed9e1bdf55e05e4f78936134",
+    (3, 0):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (3, 1):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (3, 2):
+        "3aed70a984d012da750f9e379cfc0edf9ad79eee1aa88189dbde02fdb9fc6caf",
+    (3, 3):
+        "35fcf54d083c97d7316f53852708d98a46d58d1ae10b45219f7fd4a1fe4b7521",
+    (3, 4):
+        "4fddfaad257246b42f2bfccf5c5e37161f60c8f73808cbb3dcb3737bb6efcf2f",
+    (3, 5):
+        "7ea4972d2d0b1e91cecec87b59cf59e1ce83e510370b81f6478fc428f6b79a4e",
+    (3, 6):
+        "d6157064ca6c3ddcee11617465c2164136395b36808b9133297d39b6efd93ddf",
+    (3, 7):
+        "5bda8fadf545164515424e5c53c6e7e9155e9ed66697fc87f2c3313d9f4be0b9",
+    (3, 8):
+        "8b8b9d39701d033b25bcb0bda6d087e294320a65aa50537fb4d0f159f9bc03a9",
+    (3, 9):
+        "e0e33c7f931a0bed2a65e9ed8c7010892b01f4af8126036c419689c594cb0b03",
+    (3, 10):
+        "f6a7feb727b2b9c77214c29c3c47cd465191bb9cb6c6d30acd8f40124f363528",
+}
+
+
+def test_enumeration_golden(monkeypatch):
+    # Genus-2 enumeration decides isotopy without a planar map, since
+    # same_class there asks the pair ladder only whether two classes of one
+    # bucket are disjoint.
+    import hashlib
+    from heegaard_lab import arrangement
+    analyze, mapped = arrangement.Arrangement.analyze, []
+
+    def counting(self, *args):
+        mapped.append(args)
+        return analyze(self, *args)
+    monkeypatch.setattr(arrangement.Arrangement, "analyze", counting)
+    for genus, counts in GOLDEN_ENUMERATION_COUNTS.items():
+        for cap, count in enumerate(counts):
+            mapped.clear()
+            curves = enumerate_essential_curves(genus, cap)
+            text = "\n".join(str(c.coords) for c in curves)
+            assert len(curves) == count, (genus, cap)
+            assert hashlib.sha256(text.encode()).hexdigest() \
+                == GOLDEN_ENUMERATION_SHA256[genus, cap], (genus, cap)
+            assert genus > 2 or not mapped, cap
+
+
 def test_enumeration_budget():
     with pytest.raises(BudgetExhausted) as info:
         enumerate_essential_curves(2, 8, budget=10)
@@ -597,13 +692,15 @@ def test_block_certificate_sound(monkeypatch):
     from heegaard_lab import arrangement
     from heegaard_lab.surface import _blocks_meet
     exact = arrangement.intersection_number
+    cases = [(genus, cap, n_pairs, n_fired,
+              enumerate_essential_curves(genus, cap))
+             for genus, cap, n_pairs, n_fired in [(2, 10, 1574, 1120),
+                                                  (3, 7, 390, 382)]]
     built = []
     monkeypatch.setattr(arrangement, "intersection_number",
                         lambda *args: built.append(args))
-    for genus, cap, n_pairs, n_fired in [(2, 10, 1574, 1120),
-                                         (3, 7, 390, 382)]:
+    for genus, cap, n_pairs, n_fired, curves in cases:
         tri = canonical_triangulation(genus)
-        curves = enumerate_essential_curves(genus, cap)
         fired = 0
         pairs = [(a, b) for a, b in itertools.permutations(curves, 2)
                  if algebraic_intersection(a, b) <= 1]
