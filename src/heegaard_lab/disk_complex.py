@@ -505,28 +505,57 @@ class DistanceResult:
 
 def _bfs_distance(graph: _GraphCore, sources: Iterable[VertexKey],
                   targets: Iterable[VertexKey]) -> DistanceResult:
-    """Least number of edges from any source to any target: one
-    multi-source BFS over the adjacency index."""
+    """Least number of edges from any source to any target, by one
+    breadth-first search that grows from both sets and stops where they
+    meet.
+
+    Each side keeps the vertices it has labelled and its frontier, the
+    vertices of its last level.  Each round the side with the smaller
+    frontier expands one whole level.  The search returns at the first
+    neighbour the other side has labelled, with d the number of levels
+    both sides have expanded, and ends unconnected once either frontier
+    is empty.
+
+    The first meeting is a shortest path.  Let the sources' side have
+    expanded a levels and the targets' side b.  Its labels are then the
+    vertices within a of a source, and its frontier those at exactly a;
+    likewise within and at b of a target.  While the two label sets are
+    disjoint, every source-target path is longer than a + b: on a path of
+    length L <= a + b, the vertex min(a, L) steps from its start is within
+    a of a source and within b of a target.  Say the sources' side
+    expands; the other case is symmetric.  A neighbour of its frontier
+    that it has not labelled lies at exactly a + 1 from the sources.  If
+    the targets' side has labelled it, it closes a path of at most
+    a + 1 + b = d edges, and every path is longer than d - 1, so the
+    distance is d.  If no neighbour meets, the new labels avoid the other
+    side's, and the invariant holds for a + 1 and b.  A side whose
+    frontier empties has labelled all it can reach and none of the other
+    side's labels, so the sets are not connected.  A self-loop lists its
+    vertex among its own neighbours, which its side has labelled already.
+    """
     sources, targets = set(sources), set(targets)
     if any(w not in graph.classes for w in sources | targets):
         raise KeyError("vertex not in the capped graph")
     if sources & targets:
         return DistanceResult(True, 0, graph.cap)
-    seen = set(sources)
-    frontier = list(sources)
+    adj = graph._adj
+    seen = (sources, targets)
+    frontiers = [list(sources), list(targets)]
     d = 0
-    while frontier:
+    while frontiers[0] and frontiers[1]:
+        side = len(frontiers[1]) < len(frontiers[0])
+        mine, other = seen[side], seen[not side]
         d += 1
         nxt = []
-        for w in frontier:
-            for z in graph._adj.get(w, ()):
-                if z in seen:
+        for w in frontiers[side]:
+            for z in adj.get(w, ()):
+                if z in mine:
                     continue
-                if z in targets:
+                if z in other:
                     return DistanceResult(True, d, graph.cap)
-                seen.add(z)
+                mine.add(z)
                 nxt.append(z)
-        frontier = nxt
+        frontiers[side] = nxt
     return DistanceResult(False, None, graph.cap)
 
 
@@ -544,7 +573,11 @@ def edge_distance(graph: LambdaGraph, e1: EdgeKey, e2: EdgeKey) -> DistanceResul
 def component_distance(graph: LambdaGraph, c1: Sequence[EdgeKey],
                        c2: Sequence[EdgeKey]) -> DistanceResult:
     """Minimum of edge_distance over pairs of edges from the two components,
-    found by one BFS from c1's endpoints to c2's endpoints."""
+    found by one search between c1's endpoints and c2's endpoints, which
+    grows from both sets and stops where they meet (`_bfs_distance`).
+    The first meeting is a shortest path: while the two sides' labels are
+    disjoint, the sets lie further apart than the levels expanded, and the
+    meeting vertex closes a path one edge longer than those levels."""
     if not c1 or not c2:
         raise ValueError("component distance needs nonempty edge sets")
     for e in [*c1, *c2]:

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import arrangement
-from .disk_complex import CurveTable, build_gamma, build_lambda, emit_graph
+from .disk_complex import (
+    CurveTable,
+    build_gamma,
+    build_lambda,
+    emit_graph,
+    vertex_distance,
+)
 from .ghs import (
     GHS,
     InvalidGHS,
@@ -26,7 +32,13 @@ from .ghs import (
     enumerate_moves,
     validate_ghs,
 )
-from .handlebody import HeegaardDiagram, InvalidCutSystem, validate_cut_system
+from .handlebody import (
+    HeegaardDiagram,
+    InvalidCutSystem,
+    lens_space,
+    standard_diagram,
+    validate_cut_system,
+)
 from .surface import (
     CurveClass,
     ModelSurface,
@@ -321,6 +333,37 @@ def check_genus2_isotopy_lemma(rng: random.Random,
     return PropertyReport("genus2-isotopy-lemma", iterations, failures)
 
 
+def check_capped_distance_metric(rng: random.Random,
+                                 iterations: int) -> PropertyReport:
+    """On Λ of a random lens space at a random cap <= 40, and on Λ of the
+    standard genus-2 diagram at cap 8, each built once, `vertex_distance`
+    on random triples of vertices is symmetric, is 0 only on equal
+    vertices and 1 exactly on edges, and meets the triangle inequality,
+    where a pair that is not connected is infinitely far apart."""
+    failures = []
+    p = rng.randint(2, 30)
+    q = rng.choice([q for q in range(1, p) if math.gcd(p, q) == 1])
+    graphs = [build_lambda(lens_space(p, q), rng.randint(2, 40)),
+              build_lambda(standard_diagram(2), 8)]
+    keys = [graph.vertex_keys() for graph in graphs]
+
+    def dist(graph, u, v) -> float:
+        d = vertex_distance(graph, u, v)
+        return d.value if d.connected else math.inf
+
+    for _ in range(iterations):
+        k = rng.randrange(2)
+        graph, triple = graphs[k], [rng.choice(keys[k]) for _ in range(3)]
+        for u, v, w in itertools.permutations(triple):
+            uv = dist(graph, u, v)
+            if uv != dist(graph, v, u) or (uv == 0) != (u == v) or \
+                    (uv == 1) != (u != v and graph.contains_edge(u, v)) or \
+                    dist(graph, u, w) > uv + dist(graph, v, w):
+                failures.append((graph.genus, graph.cap, u, v, w))
+                break
+    return PropertyReport("capped-distance-metric", iterations, failures)
+
+
 def property_suite(seed: int, iterations: int) -> list[PropertyReport]:
     """The randomized invariants behind the `proptest` command, each run
     `iterations // divisor` times on its own seed.  Seeds are drawn in the
@@ -332,6 +375,7 @@ def property_suite(seed: int, iterations: int) -> list[PropertyReport]:
               (check_genus2_minimal_position, 1),
               (check_genus2_block_certificate, 1), (check_session_table, 2),
               (check_automorphism_invariance, 1),
-              (check_genus2_isotopy_lemma, 1))
+              (check_genus2_isotopy_lemma, 1),
+              (check_capped_distance_metric, 1))
     return [check(random.Random(rng.randrange(2 ** 32)), iterations // divisor)
             for check, divisor in checks]

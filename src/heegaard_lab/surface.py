@@ -119,6 +119,8 @@ class Triangulation:
             s = side_occ(k)
             d1 = diag_occ(k + 1)
             self.triangles.append((d0, s, (d1[0], -d1[1])))
+        self.edge_triples = [(e0, e1, e2) for (e0, _), (e1, _), (e2, _)
+                             in self.triangles]
 
         # Each edge appears exactly twice, once with each sign, and (in the
         # fan model) in two distinct triangles.
@@ -210,16 +212,16 @@ class Triangulation:
     def corner_counts(self, weights: Sequence[int], t: int) -> tuple[int, int, int]:
         """Corner arc counts (c0, c1, c2) of triangle t; corner m sits between
         side m-1 and side m.  Raises InvalidCoordinates when infeasible."""
-        w = [weights[e] for e, _ in self.triangles[t]]
-        if sum(w) % 2 != 0:
-            raise InvalidCoordinates(f"odd weight sum {w} in triangle {t}")
-        c = [0, 0, 0]
-        for m in range(3):
-            c[m] = (w[m] + w[m - 1] - w[(m + 1) % 3]) // 2
-            if c[m] < 0:
-                raise InvalidCoordinates(
-                    f"triangle inequality fails in triangle {t}: {w}")
-        return (c[0], c[1], c[2])
+        e0, e1, e2 = self.edge_triples[t]
+        x, y, z = weights[e0], weights[e1], weights[e2]
+        if (x + y + z) % 2 != 0:
+            raise InvalidCoordinates(
+                f"odd weight sum {[x, y, z]} in triangle {t}")
+        c0, c1, c2 = (z + x - y) // 2, (x + y - z) // 2, (y + z - x) // 2
+        if c0 < 0 or c1 < 0 or c2 < 0:
+            raise InvalidCoordinates(
+                f"triangle inequality fails in triangle {t}: {[x, y, z]}")
+        return (c0, c1, c2)
 
     def check_matching(self, weights: Sequence[int]) -> list[tuple[int, int, int]]:
         """Raise InvalidCoordinates unless `weights` is admissible: one
@@ -229,7 +231,7 @@ class Triangulation:
         if len(weights) != self.n_edges:
             raise InvalidCoordinates(
                 f"expected {self.n_edges} weights, got {len(weights)}")
-        if any(w < 0 for w in weights):
+        if min(weights) < 0:
             raise InvalidCoordinates("negative edge weight")
         return [self.corner_counts(weights, t)
                 for t in range(len(self.triangles))]
@@ -292,7 +294,7 @@ class Triangulation:
     # -- vertex link ---------------------------------------------------------
 
     def vertex_link_vector(self) -> tuple[int, ...]:
-        return tuple(2 for _ in range(self.n_edges))
+        return (2,) * self.n_edges
 
     def edge_loop_pushoff(self, edge: int, side: int = 0) -> tuple[int, ...]:
         """Weight vector of the loop formed by edge `edge`, pushed off the
@@ -571,10 +573,16 @@ def coords_to_slope(coords: Sequence[int]) -> Slope:
     slope (b, -a) when a and b are nonzero and d = a + b, else (b, a).  The
     cost is a few integer operations, whatever the weight.
     """
+    return Slope.of(*_torus_slope(coords))
+
+
+def _torus_slope(coords: Sequence[int]) -> tuple[int, int]:
+    """`_torus_class` of a connected essential torus vector; the vertex
+    link raises InessentialCurve."""
     p, q = _torus_class(coords)
     if p == 0 and q == 0:
         raise InessentialCurve("null-homologous torus curve is inessential")
-    return Slope.of(p, q)
+    return p, q
 
 
 @dataclass(frozen=True)
@@ -719,8 +727,8 @@ def _intersection(a: CurveClass, b: CurveClass, k: Optional[int] = None,
     if a.coords == b.coords:
         n = 0
     elif a.genus == 1:
-        n = slope_intersection(coords_to_slope(a.coords),
-                               coords_to_slope(b.coords))
+        (p, q), (r, s) = _torus_slope(a.coords), _torus_slope(b.coords)
+        n = abs(p * s - q * r)
     else:
         n = algebraic_intersection(a, b)
         if k is not None and n > k:

@@ -10,9 +10,13 @@ pass.
   arrangement.isotopic                reference_isotopic
   arrangement.minimize                reference_minimize
   Triangulation.trace                 reference_trace
+  Triangulation.check_matching        reference_check_matching
+  Triangulation.corner_counts         reference_corner_counts
   surface.admissible_vectors          reference_admissible_vectors
   surface.homology_class              reference_homology_class
   surface._blocks_meet                reference_block_crossings
+  surface._intersection, torus rung   reference_torus_intersection
+  disk_complex._bfs_distance          reference_bfs_distance
   handlebody.validate_cut_system      reference_validate_cut_system
   ghs.validate_ghs                    reference_validate_ghs
   sog.SymbolicOracle                  reference_symbolic_states,
@@ -28,6 +32,7 @@ import itertools
 from dataclasses import dataclass
 
 from heegaard_lab import arrangement
+from heegaard_lab.disk_complex import DistanceResult
 from heegaard_lab.ghs import GHS, _moves_with_reports, collection, ghs_key
 from heegaard_lab.handlebody import CutSystem, InvalidCutSystem
 from heegaard_lab.sog import (
@@ -37,14 +42,17 @@ from heegaard_lab.sog import (
     _reconstruct,
 )
 from heegaard_lab.surface import (
+    InvalidCoordinates,
     ModelSurface,
     SurfaceMismatch,
     TracedCurve,
     _component_counts,
     admissible_vectors,
     canonical_triangulation,
+    coords_to_slope,
     geometric_intersection,
     same_class,
+    slope_intersection,
 )
 
 NOT_DISJOINT = ("the stored coordinate vectors do not overlay disjointly; "
@@ -247,6 +255,41 @@ def reference_minimize(arr):
 # -- surface ------------------------------------------------------------------
 
 
+def reference_corner_counts(tri, weights, t):
+    """`Triangulation.corner_counts` as it read each weight through the
+    triangle's occurrences, and each corner in a loop."""
+    w = [weights[e] for e, _ in tri.triangles[t]]
+    if sum(w) % 2 != 0:
+        raise InvalidCoordinates(f"odd weight sum {w} in triangle {t}")
+    c = [0, 0, 0]
+    for m in range(3):
+        c[m] = (w[m] + w[m - 1] - w[(m + 1) % 3]) // 2
+        if c[m] < 0:
+            raise InvalidCoordinates(
+                f"triangle inequality fails in triangle {t}: {w}")
+    return (c[0], c[1], c[2])
+
+
+def reference_check_matching(tri, weights):
+    """`Triangulation.check_matching` over `reference_corner_counts`."""
+    if len(weights) != tri.n_edges:
+        raise InvalidCoordinates(
+            f"expected {tri.n_edges} weights, got {len(weights)}")
+    if any(w < 0 for w in weights):
+        raise InvalidCoordinates("negative edge weight")
+    return [reference_corner_counts(tri, weights, t)
+            for t in range(len(tri.triangles))]
+
+
+def reference_torus_intersection(a, b):
+    """The torus rung of `surface._intersection` as it went through `Slope`
+    objects, behind the equal-coordinates rung."""
+    if a.coords == b.coords:
+        return 0
+    return slope_intersection(coords_to_slope(a.coords),
+                              coords_to_slope(b.coords))
+
+
 def reference_trace(tri, weights):
     """The token-table trace the corner-arc walk replaced: every arc is
     entered in a dict keyed by its two end tokens, then the components are
@@ -369,6 +412,36 @@ def reference_block_crossings(tri, c, d, mask):
             if first[m - 1] == first[m]:
                 total += ct[m] * dt[m]
     return total
+
+
+# -- disk complexes -----------------------------------------------------------
+
+
+def reference_bfs_distance(graph, sources, targets):
+    """`disk_complex._bfs_distance` as it searched before it grew from both
+    ends: one breadth-first search from all the sources, level by level,
+    until it labels a target."""
+    sources, targets = set(sources), set(targets)
+    if any(w not in graph.classes for w in sources | targets):
+        raise KeyError("vertex not in the capped graph")
+    if sources & targets:
+        return DistanceResult(True, 0, graph.cap)
+    seen = set(sources)
+    frontier = list(sources)
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for w in frontier:
+            for z in graph._adj.get(w, ()):
+                if z in seen:
+                    continue
+                if z in targets:
+                    return DistanceResult(True, d, graph.cap)
+                seen.add(z)
+                nxt.append(z)
+        frontier = nxt
+    return DistanceResult(False, None, graph.cap)
 
 
 # -- handlebody ---------------------------------------------------------------

@@ -40,6 +40,8 @@ from heegaard_lab.surface import (
     geometric_intersection,
 )
 
+from reference import reference_bfs_distance
+
 K10 = CurveClass.from_slope(1, 0).coords
 K01 = CurveClass.from_slope(0, 1).coords
 
@@ -333,6 +335,71 @@ def test_distance_vs_bfs_oracle_seeded():
         assert got.connected == (want is not None)
         if want is not None:
             assert got.value == want
+
+
+def reducible_split_diagram():
+    """A genus-2 diagram whose cap-8 complex has a self-loop, at the class
+    bounding on both sides, and two components.  Found by seeded search
+    over pairs of cut systems of weight <= 8."""
+    red = validate_cut_system(2, [CurveClass(2, (0, 0, 1, 2, 0, 0, 0, 1, 3)),
+                                  CurveClass(2, (2, 1, 0, 0, 3, 1, 0, 0, 0))])
+    blue = validate_cut_system(2, [CurveClass(2, (0, 1, 0, 0, 1, 1, 0, 0, 0)),
+                                   CurveClass(2, (0, 1, 1, 1, 1, 1, 2, 1, 0))])
+    return HeegaardDiagram(ModelSurface(2), red, blue)
+
+
+def search_outcome(search, *args):
+    """A distance, or the message of the KeyError the search raised."""
+    try:
+        return search(*args)
+    except KeyError as exc:
+        return str(exc)
+
+
+def test_search_matches_one_sided_reference():
+    """The search from both ends gives the one-sided search's result on
+    every vertex pair of torus Λ at cap 24 for two lens spaces (the blue
+    meridian of L(89, 34) weighs 178 and has no neighbour within the cap),
+    of the twisted genus-2 Λ at cap 8, and of Γ at cap 8 for the twisted
+    diagram and for a reducible one (a self-loop, and two or three
+    components, so some pairs are not connected); then on seeded edge and
+    component queries on torus Λ at cap 134.  A vertex off the graph, on
+    either side, raises the same error."""
+    twisted, split = critical_witness_diagram(), reducible_split_diagram()
+    graphs = [build_lambda(lens_space(7, 2), 24),
+              build_lambda(lens_space(89, 34), 24),
+              build_lambda(twisted, 8), build_gamma(twisted, 8),
+              build_gamma(split, 8)]
+    assert any(u == v for u, v in graphs[-1].edges)
+    assert len(components(graphs[-1])) >= 2
+    values = set()
+    for graph in graphs:
+        keys = graph.vertex_keys()
+        for u, v in itertools.product(keys, repeat=2):
+            got = vertex_distance(graph, u, v)
+            assert got == reference_bfs_distance(graph, [u], [v]), (u, v)
+            values.add(got.value)
+        for args in (((9, 9, 9), keys[0]), (keys[0], (9, 9, 9))):
+            assert search_outcome(vertex_distance, graph, *args) == \
+                search_outcome(reference_bfs_distance, graph,
+                               [args[0]], [args[1]])
+    assert {None, 0, 1, 2, 3} <= values
+
+    lam = build_lambda(lens_space(7, 2), 134)
+    edges = lam.edge_keys()
+    rng = random.Random(37)
+    values = set()
+    for _ in range(100):
+        e1, e2 = rng.sample(edges, 2)
+        c1, c2 = rng.sample(edges, 3), rng.sample(edges, 3)
+        ends1, ends2 = [w for e in c1 for w in e], [w for e in c2 for w in e]
+        got = edge_distance(lam, e1, e2)
+        assert got == reference_bfs_distance(lam, e1, e2), (e1, e2)
+        values.add(got.value)
+        got = component_distance(lam, c1, c2)
+        assert got == reference_bfs_distance(lam, ends1, ends2), (c1, c2)
+        values.add(got.value)
+    assert set(range(8)) <= values
 
 
 def test_cap_monotonicity():

@@ -35,7 +35,10 @@ from heegaard_lab.surface import (
 from reference import (
     reference_admissible_vectors,
     reference_block_crossings,
+    reference_check_matching,
+    reference_corner_counts,
     reference_homology_class,
+    reference_torus_intersection,
     reference_trace,
 )
 
@@ -517,6 +520,56 @@ def test_torus_closed_form_matches_trace():
             assert outcome(lambda: CurveClass(1, vec)._bucket) \
                 == outcome(lambda: traced_bucket(vec)), vec
     assert kinds == {Slope, InvalidCoordinates, InessentialCurve, ValueError}
+
+
+def matching_outcome(check, *args):
+    """Corner counts, or the message of the InvalidCoordinates raised."""
+    try:
+        return check(*args)
+    except InvalidCoordinates as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_matching_check_matches_reference(genus):
+    """`check_matching` on every vector with entries -1..3, and on vectors
+    of every wrong length up to two edges off, and `corner_counts` on every
+    triangle and every triple of entries -1..3 there, give the corner
+    counts or the error message of the references."""
+    tri = canonical_triangulation(genus)
+    messages = set()
+    vectors = itertools.product(range(-1, 4), repeat=tri.n_edges)
+    wrong = [(1,) * n for n in range(tri.n_edges - 2, tri.n_edges + 3)
+             if n != tri.n_edges]
+    for vec in itertools.chain(vectors, wrong):
+        got = matching_outcome(tri.check_matching, vec)
+        assert got == matching_outcome(reference_check_matching, tri, vec), \
+            vec
+        if isinstance(got, str):
+            messages.add(got.split()[0])
+    for t, triple in enumerate(tri.edge_triples):
+        for x, y, z in itertools.product(range(-1, 4), repeat=3):
+            vec = [0] * tri.n_edges
+            vec[triple[0]], vec[triple[1]], vec[triple[2]] = x, y, z
+            assert matching_outcome(tri.corner_counts, vec, t) == \
+                matching_outcome(reference_corner_counts, tri, vec, t), \
+                (t, x, y, z)
+    assert messages == {"expected", "negative", "odd", "triangle"}
+
+
+def test_torus_rung_errors_match_reference():
+    """The torus rung on every pair of admissible torus vectors up to
+    weight 12, the vertex link and multicurves among them in either
+    position, gives the determinant or the error of the `Slope` path."""
+    tri = canonical_triangulation(1)
+    classes = [CurveClass(1, v) for v in admissible_vectors(tri, 12)]
+    kinds = set()
+    for a, b in itertools.product(classes, repeat=2):
+        got = outcome(lambda: geometric_intersection(a, b))
+        assert got == outcome(lambda: reference_torus_intersection(a, b)), \
+            (a.coords, b.coords)
+        kinds.add(got[0] if isinstance(got, tuple) else int)
+    assert kinds == {int, InessentialCurve, ValueError}
 
 
 def test_torus_never_traces(monkeypatch):
