@@ -2,9 +2,10 @@
 deterministic reports.
 
 Exit codes: 0 for certified results, 1 for input errors (usage errors
-included), 2 when a verdict is scoped by an exhausted cap or budget, 3 when
-an internal invariant check fails (a bug, not bad input).  JSON
-is the stable contract; text is for humans; DOT is for graph rendering.
+included) and for an output pipe its reader closed, 2 when a verdict is
+scoped by an exhausted cap or budget, 3 when an internal invariant check
+fails (a bug, not bad input).  JSON is the stable contract; text is for
+humans; DOT is for graph rendering.
 """
 
 from __future__ import annotations
@@ -306,7 +307,7 @@ _parser = functools.cache(build_parser)
 
 # One curve table per genus for the life of the process, so that the jobs
 # of a session enumerate, intersect and disk-test each class once.  Each
-# table bounds its own stores (52-63 MB when full, see disk_complex);
+# table bounds its own stores (39-44 MB when full, see disk_complex);
 # this bounds the number of tables.
 MAX_SESSION_TABLES = 4
 _session_table = functools.lru_cache(maxsize=MAX_SESSION_TABLES)(CurveTable)
@@ -322,9 +323,16 @@ _session_diagrams: dict = {}
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()          # a closed pipe fails here, not at exit
+        return code
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except BrokenPipeError:
+        # The reader stopped reading, which is no bug.  What is still
+        # buffered goes to devnull, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INPUT
     except Exception as exc:        # any other failure is a bug, not bad input
         print(f"internal error: {exc}", file=sys.stderr)

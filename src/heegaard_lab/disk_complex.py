@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import partial
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -29,6 +29,7 @@ from .surface import (
     _intersection,
     _partition,
     _slope_of_vector,
+    canonical_triangulation,
     enumerate_essential_curves,
     same_class,
 )
@@ -122,18 +123,13 @@ def isolated_vertices(graph: _GraphCore) -> list[VertexKey]:
 # Entry bounds of a CurveTable's stores.  A store that holds its bound
 # stops growing; what it does not hold is computed again, so answers are the
 # same either way.  Measured with tracemalloc on 64-bit CPython 3.11, a
-# class with its cached corners and bucket takes 0.5-0.95 kB at genus 2-6
-# (it has 6g - 3 coordinates, so it grows with the genus), a pair entry
-# about 0.1 kB, an orbit entry 0.24-0.62 kB at genus 2-6 (its key holds
-# two vectors), a disk-test entry about 0.2 kB, and a placed list, which
-# refers to stored classes, about 0.5 kB plus 10 bytes per class.  So the
-# orbit store holds an eighth of the pair bound.  A full table then holds
-# about 5 MB of classes, 26 MB of pairs, 7.5-19 MB of orbits, 10 MB of
-# disk tests and 3 MB of placed lists, 52-63 MB in all, and a CLI process,
-# which keeps up to `cli.MAX_SESSION_TABLES` tables, at most four times
-# that.  The pair bound covers genus-2 Λ at cap 18: 657 classes, 215,496
-# pairs.  For the twisted diagram of demos/05, the pairs among them that
-# run the arrangement fall in 10,667 orbits, a third of the orbit bound.
+# class with its cached corners and bucket takes 0.8 kB at genus 2 and 1.4
+# kB at genus 6 (it has 6g - 3 coordinates), and the full stores take 24 MB
+# of pairs (their keys refer to the classes' own vectors), 8.2-9.7 MB of
+# disk tests at genus 2-6 and 2.6 MB of placed lists, which refer to stored
+# classes.  So a full table holds 39-44 MB, and a CLI process, which keeps
+# up to `cli.MAX_SESSION_TABLES` tables, at most four times that.  The pair
+# bound covers genus-2 Λ at cap 18: 657 classes, 215,496 pairs.
 MAX_STORED_CLASSES = 5_000
 MAX_STORED_PAIRS = 250_000
 MAX_STORED_DISK_TESTS = 50_000
@@ -162,11 +158,10 @@ class CurveTable:
     classes keep their cached homology buckets, so the `same_class` tests
     that place the meridians are mostly a tuple comparison already; at
     genus 2 the rest ask the pair ladder whether two curves are disjoint.
-    Behind the pair store, a pair that reaches the arrangement keeps its
-    exact intersection number per orbit of pairs under the triangulation's
-    automorphisms, which serves every pair of the orbit; only those pairs
-    pay for the orbit key.  Every stored answer is exact, so an output never
-    depends on what the table held beforehand.
+    A pair not yet stored reads a stored image's answer (see `meets`), so
+    the pair ladder runs once per orbit of the pairs asked.  Every stored
+    answer is exact, so an output never depends on what the table held
+    beforehand.
 
     A smaller cap is served by filtering the stored list by weight.  A
     class's listed representative is its least by (weight, coords), and
@@ -183,7 +178,6 @@ class CurveTable:
         self._cap = 0                  # cap of the stored list; 0 for none
         self._classes: list[CurveClass] = []
         self._meets: dict[EdgeKey, Optional[int]] = {}
-        self._orbits: dict[tuple, int] = {}
         self._disks: dict[tuple, bool] = {}
         self._placed: dict[tuple, list[CurveClass]] = {}
 
@@ -212,11 +206,22 @@ class CurveTable:
         return _with_meridians(diagram, curves), certified
 
     def meets(self, a: CurveClass, b: CurveClass) -> Optional[int]:
-        """i(a, b) when the curves meet in at most one point, else None."""
+        """i(a, b) when the curves meet in at most one point, else None.
+
+        A pair missing from the store reads the answer stored for an image
+        (σa, σb) under an automorphism σ of the triangulation: σ is a
+        homeomorphism, so i(σa, σb) = i(a, b).  Only a pair with no stored
+        image runs the ladder.  Either way the answer is stored under the
+        pair's own key."""
+        def afresh() -> Optional[int]:
+            for perm in canonical_triangulation(self.genus).automorphisms[1:]:
+                sigma = itemgetter(*perm)
+                image = _edge_key(sigma(a.coords), sigma(b.coords))
+                if image in self._meets:
+                    return self._meets[image]
+            return _intersection(a, b, 1)
         return _stored(self._meets, MAX_STORED_PAIRS,
-                       _edge_key(a.coords, b.coords),
-                       lambda: _intersection(a, b, 1, partial(
-                           _stored, self._orbits, MAX_STORED_PAIRS // 8)))
+                       _edge_key(a.coords, b.coords), afresh)
 
     def bounds_disk(self, c: CurveClass, side: str,
                     diagram: HeegaardDiagram) -> bool:

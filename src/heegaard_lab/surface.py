@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
@@ -691,20 +691,8 @@ def _blocks_meet(tri: Triangulation, c, d, k: int) -> bool:
                for drop in (units or [None] if drops is None else drops))
 
 
-def _orbit_key(tri: Triangulation, a: Sequence[int],
-               b: Sequence[int]) -> tuple[int, ...]:
-    """The least, over the automorphisms of `tri`, of the sorted pair of
-    permuted vectors, as one flat tuple: one key per orbit of unordered
-    pairs, whose members all have one intersection number."""
-    keys = []
-    for perm in tri.automorphisms:
-        x, y = tuple(a[e] for e in perm), tuple(b[e] for e in perm)
-        keys.append(x + y if x <= y else y + x)
-    return min(keys)
-
-
-def _intersection(a: CurveClass, b: CurveClass, k: Optional[int] = None,
-                  store=None) -> Optional[int]:
+def _intersection(a: CurveClass, b: CurveClass,
+                  k: Optional[int] = None) -> Optional[int]:
     """i(a, b) when it is at most k, else None; with k None, i(a, b).
 
     The rungs run in order, and the first that settles the pair answers.
@@ -719,8 +707,6 @@ def _intersection(a: CurveClass, b: CurveClass, k: Optional[int] = None,
       components, with vectors a and b, is disjoint, since a normal curve
       is determined up to normal isotopy by its vector.
     * The arrangement: the traced overlay with bigon elimination, exact.
-      A `store(key, compute)` given here keeps its answer under the pair's
-      `_orbit_key`, so it serves every pair of the orbit and every k.
     """
     if a.genus != b.genus:
         raise SurfaceMismatch(f"genus {a.genus} vs {b.genus}")
@@ -741,10 +727,7 @@ def _intersection(a: CurveClass, b: CurveClass, k: Optional[int] = None,
             settled = counts == {a.coords: 1, b.coords: 1}
         if not settled:
             from . import arrangement
-            arranged = partial(arrangement.intersection_number, tri,
-                               a.coords, b.coords)
-            n = arranged() if store is None else store(
-                _orbit_key(tri, a.coords, b.coords), arranged)
+            n = arrangement.intersection_number(tri, a.coords, b.coords)
     return n if k is None or n <= k else None
 
 

@@ -229,8 +229,21 @@ MUTANTS = [
     Mutant("placed-lists-ignore-cap", "disk_complex.py",
            "tuple(z.coords for z in diagram.blue.curves), cap)",
            "tuple(z.coords for z in diagram.blue.curves))",
-           (CLI + "test_session_table_outputs_match_fresh_tables",),
+           (CLI + "test_session_table_outputs_match_fresh_tables",
+            CLI + "test_session_outputs_match_fresh_sessions"),
            "a list placed for one cap is served for every cap"),
+    Mutant("image-permutes-a-only", "disk_complex.py",
+           "sigma(b.coords))",
+           "b.coords)",
+           (DC + "test_pair_store_matches_pair_loop",),
+           "a pair reads the answer of (σa, b), which need not be its "
+           "image"),
+    # Images only save work, so the count of ladder runs catches it.
+    Mutant("images-never-read", "disk_complex.py",
+           "                if image in self._meets:\n",
+           "                if False:\n",
+           (DC + "test_pair_store_matches_pair_loop",),
+           "every pair missing from the store runs the ladder"),
     Mutant("summary-edge-test-flipped", "disk_complex.py",
            "        if self.edge_witness is None:\n",
            "        if self.edge_witness is not None:\n",
@@ -252,7 +265,8 @@ MUTANTS = [
            "json.dumps(data, sort_keys=True),",
            "json.dumps({**data, 'blue': None} if isinstance(data, dict) "
            "else data, sort_keys=True),",
-           (CLI + "test_rewritten_diagram_file_is_read_again",),
+           (CLI + "test_rewritten_diagram_file_is_read_again",
+            CLI + "test_session_outputs_match_fresh_sessions"),
            "diagrams that differ only in their blue side share a stored "
            "diagram"),
     # A separator below every label character orders the serials as tuples

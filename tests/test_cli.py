@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -9,10 +10,12 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant, rule,
+                                 run_state_machine_as_test)
 
-from heegaard_lab import cli
+from heegaard_lab import cli, disk_complex
 from heegaard_lab.cli import main
 
 S3 = '{"genus": 1, "red": [{"slope": [1, 0]}], "blue": [{"slope": [0, 1]}]}'
@@ -944,11 +947,16 @@ def test_engine_errors_are_internal_not_input(capsys, monkeypatch, error):
         (3, "", f"internal error: {error('boom')}\n")
 
 
+def _process_env(**variables):
+    """The environment of a `python -m heegaard_lab` run of this tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **variables)
+
+
 def test_exit_status_of_the_process():
     # The codes `main` returns are the process's exit status.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _process_env()
     for argv, status, stderr in [
         (["intersect", "--a", CURVE, "--b", '{"slope": [0, 1]}'], 0, ""),
         (["intersect", "--a", '{"slope": [2, 4]}', "--b", CURVE], 1,
@@ -960,6 +968,25 @@ def test_exit_status_of_the_process():
                               capture_output=True, text=True, env=env,
                               timeout=60)
         assert (done.returncode, done.stderr) == (status, stderr), argv
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_output_pipe_exits_1_quietly(unbuffered):
+    # A reader that stops early, as `| head -1` does, closes the pipe.  The
+    # write fails, or with buffered output the flush does; neither is a bug.
+    env = _process_env(PYTHONUNBUFFERED=unbuffered)
+    for argv in (["intersect", "--a", CURVE, "--b", CURVE],
+                 ["surface", "curves", "--genus", "2", "--cap", "3"],
+                 _diagram_job("lambda", CLASSIFY_DIAGRAMS["lens"], 8)):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "heegaard_lab", *argv], stdout=write,
+                stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, b""), argv
 
 
 # -- fuzzing every JSON argument ----------------------------------------------
@@ -1108,12 +1135,157 @@ JSON_SLOTS = [
 def test_fuzzed_json_ends_in_a_result_a_verdict_or_one_input_error(
         argv, argument, data):
     text = data.draw(argument)
+    code, out, err = _call([text if a is None else a for a in argv])
+    if code == 1:
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("input error: ")
+    else:
+        assert code in (0, 2) and err == "", err
+
+
+# -- the session, fuzzed --------------------------------------------------------
+#
+# A state machine runs a drawn sequence of commands in one CLI session, with
+# store bounds small enough that the stores fill and stop growing.  Each
+# command must print what it prints on empty session stores.
+
+G3_STANDARD = (
+    '{"genus":3,"red":[{"genus":3,"coords":[0,1,0,0,0,0,1,1,0,0,0,0,0,0,'
+    '0]},{"genus":3,"coords":[0,0,0,1,0,0,0,0,0,0,1,1,0,0,0]},{"genus":3,'
+    '"coords":[0,0,0,0,0,1,0,0,0,0,0,0,0,0,1]}],"blue":[{"genus":3,'
+    '"coords":[1,0,0,0,0,0,1,0,0,0,0,0,0,0,0]},{"genus":3,"coords":[0,0,1,'
+    '0,0,0,0,0,0,1,1,0,0,0,0]},{"genus":3,"coords":[0,0,0,0,1,0,0,0,0,0,0,'
+    '0,0,1,1]}]}')
+SESSION_DIAGRAMS = [
+    *CLASSIFY_DIAGRAMS.values(), HEAVY, S3, G3_STANDARD,
+    # Red meets red once; JSON cut short; no curves.
+    CLASSIFY_DIAGRAMS["standard"].replace("[0,0,0,1,0,0,0,0,1]",
+                                          "[1,0,0,0,1,0,0,0,0]", 1),
+    TWISTED[:40], '{"genus": 2, "red": [], "blue": []}']
+SESSION_CURVES = [
+    CURVE, '{"slope": [2, 5]}', '{"genus":2,"coords":[0,1,0,0,1,1,0,0,0]}',
+    '{"genus":2,"coords":[1,0,2,1,1,2,2,2,1]}',
+    '{"genus":3,"coords":[0,0,0,0,0,1,0,0,0,0,0,0,0,0,1]}',
+    '{"slope": [2, 4]}', '{"genus":2,"coords":[1,0,0,0,0,0,0,0,0]}']
+DIAGRAMS = st.sampled_from(SESSION_DIAGRAMS)
+STANDARD_EDGE = ('[{"genus":2,"coords":[0,0,0,1,0,0,0,0,1]},'
+                 '{"genus":2,"coords":[0,0,1,0,0,0,0,1,1]}]')
+# Distance jobs whose edges are edges of the diagram's Γ, and jobs drawn at
+# random.
+DISTANCE_JOBS = st.sampled_from([
+    (TWISTED, *TWISTED_EDGES), (TWISTED, *TWISTED_EDGES[::-1]),
+    (TWISTED, TWISTED_EDGES[0], TWISTED_EDGES[0]),
+    (CLASSIFY_DIAGRAMS["standard"], STANDARD_EDGE, STANDARD_EDGE),
+    (S3, EDGE, EDGE)]) | st.tuples(
+        DIAGRAMS, *[st.sampled_from([*TWISTED_EDGES, EDGE,
+                                     '[{"slope": [1, 0]}]'])] * 2)
+CAPS = st.integers(1, 9)
+BUDGETS = st.none() | st.integers(1, 60)
+FORMATS = st.sampled_from(["json", "text", "dot"])
+# The bound each of a curve table's stores is held to.
+SESSION_STORES = {"MAX_STORED_CLASSES": "_classes",
+                  "MAX_STORED_PAIRS": "_meets",
+                  "MAX_STORED_DISK_TESTS": "_disks",
+                  "MAX_STORED_PLACED_LISTS": "_placed"}
+
+
+def _call(argv):
+    """`main(argv)`'s exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([text if a is None else a for a in argv])
-    if code == 1:
-        assert out.getvalue() == ""
-        assert err.getvalue().count("\n") == 1
-        assert err.getvalue().startswith("input error: ")
-    else:
-        assert code in (0, 2) and err.getvalue() == "", err.getvalue()
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _budgeted(argv, budget):
+    return [*argv, "--budget", str(budget)] if budget else argv
+
+
+class CliSession(RuleBasedStateMachine):
+    """One CLI session; each rule runs one command in it, and the same argv
+    on empty session stores, and compares the two."""
+
+    def __init__(self):
+        super().__init__()
+        _fresh_session()
+
+    def check(self, fmt, *argv):
+        argv = ["--format", fmt, *argv]
+        got = _call(argv)
+        assert got[0] != 3, (argv, got)
+        warm = cli._session_table, cli._session_diagrams
+        cli._session_table = functools.lru_cache(
+            maxsize=cli.MAX_SESSION_TABLES)(cli.CurveTable)
+        cli._session_diagrams = {}
+        try:
+            assert got == _call(argv), argv
+        finally:
+            cli._session_table, cli._session_diagrams = warm
+
+    @rule(fmt=FORMATS, genus=st.integers(0, 3), cap=CAPS, budget=BUDGETS)
+    def curves(self, fmt, genus, cap, budget):
+        self.check(fmt, *_budgeted(["surface", "curves", "--genus",
+                                    str(genus), "--cap", str(cap)], budget))
+
+    @rule(fmt=FORMATS, a=st.sampled_from(SESSION_CURVES),
+          b=st.sampled_from(SESSION_CURVES))
+    def intersect(self, fmt, a, b):
+        self.check(fmt, "intersect", "--a", a, "--b", b)
+
+    def diagram_job(self, fmt, action, diagram, cap, budget):
+        self.check(fmt, *_budgeted(_diagram_job(action, diagram, cap),
+                                   budget))
+
+    @rule(fmt=FORMATS, diagram=DIAGRAMS, cap=CAPS, budget=BUDGETS)
+    def gamma(self, fmt, diagram, cap, budget):
+        self.diagram_job(fmt, "gamma", diagram, cap, budget)
+
+    @rule(fmt=FORMATS, diagram=DIAGRAMS, cap=CAPS, budget=BUDGETS)
+    def lambda_(self, fmt, diagram, cap, budget):
+        self.diagram_job(fmt, "lambda", diagram, cap, budget)
+
+    @rule(fmt=FORMATS, diagram=DIAGRAMS, cap=CAPS, budget=BUDGETS)
+    def classify(self, fmt, diagram, cap, budget):
+        self.diagram_job(fmt, "classify", diagram, cap, budget)
+
+    @rule(fmt=FORMATS, job=DISTANCE_JOBS, cap=CAPS, budget=BUDGETS)
+    def distance(self, fmt, job, cap, budget):
+        diagram, edge1, edge2 = job
+        self.check(fmt, *_budgeted(
+            ["distance", "--diagram", diagram, "--edge1", edge1,
+             "--edge2", edge2, "--cap", str(cap)], budget))
+
+    @rule(fmt=FORMATS, ghs=st.sampled_from([G3, '{"levels": [[], [2], []]}']),
+          move=st.sampled_from([WR1A, WR_SEP, WR1A_BAD_F]))
+    def ghs_reduce(self, fmt, ghs, move):
+        self.check(fmt, "ghs", "reduce", "--in", ghs, "--move", move)
+
+    @rule(fmt=FORMATS, ends=st.lists(LABEL, min_size=2, max_size=2),
+          budget=st.integers(1, 4))
+    def sog_flatten(self, fmt, ends, budget):
+        self.check(fmt, "sog", "flatten", "--start", ends[0], "--end",
+                   ends[1], "--oracle", ORACLE1, "--budget", str(budget))
+
+    @invariant()
+    def stores_within_bounds(self):
+        assert len(cli._session_diagrams) <= cli.MAX_SESSION_DIAGRAMS
+        for genus in (1, 2, 3):
+            table = cli._session_table(genus)
+            for name, store in SESSION_STORES.items():
+                assert len(getattr(table, store)) \
+                    <= getattr(disk_complex, name), store
+
+
+def test_session_outputs_match_fresh_sessions(monkeypatch):
+    for name, bound in zip(SESSION_STORES, (30, 200, 20, 2)):
+        monkeypatch.setattr(disk_complex, name, bound)
+    monkeypatch.setattr(cli, "MAX_SESSION_DIAGRAMS", 3)
+    try:
+        # No shrinking: each step runs real commands, so shrinking a
+        # failure takes minutes; the report still lists every step.
+        run_state_machine_as_test(CliSession, settings=settings(
+            max_examples=75, stateful_step_count=30, derandomize=True,
+            deadline=None, database=None, phases=[Phase.generate]))
+    finally:
+        _fresh_session()

@@ -634,9 +634,10 @@ def test_disk_boundaries_exported_from_package_root():
 def test_twisted_lambda_arrangement_counts(monkeypatch):
     """Arrangements built for Λ of the twisted diagram of demos/05.  The
     block certificate settles most pairs with |a . b| <= 1 first; without
-    it, caps 8 and 12 built 104 and 1,786.  The table's orbit store then
-    builds one arrangement per orbit of pairs under the triangulation's
-    automorphisms; without it, caps 8 and 12 built 23 and 970.  The counts
+    it, caps 8 and 12 built 104 and 1,786.  A pair the table has not
+    stored then reads the answer of a stored image under the
+    triangulation's automorphisms, so an arrangement is built once per
+    orbit of pairs; without that, caps 8 and 12 built 23 and 970.  The counts
     include enumeration's isotopy tests.  At genus 2 those ask the pair
     ladder whether two classes of one homology bucket are disjoint, so
     the block certificate and the normal sum settle some pairs that an
@@ -683,7 +684,7 @@ def test_shared_table_matches_fresh_calls():
 
 def pair_loop_graph(graph, known):
     """The graph's vertices, joined pair by pair where
-    `geometric_intersection` is at most 1: no table, no orbit store.
+    `geometric_intersection` is at most 1: no table, no symmetry.
     `known` keeps each pair's number, by coordinates, across calls."""
     ref = LambdaGraph(graph.genus, graph.cap, graph.certified)
     for c in graph.classes.values():
@@ -698,15 +699,24 @@ def pair_loop_graph(graph, known):
     return ref
 
 
-def test_orbit_store_matches_pair_loop():
-    # One table serves the rising caps, so later caps read orbit answers
-    # stored by earlier ones.
+def test_pair_store_matches_pair_loop(monkeypatch):
+    # One table serves the rising caps, so later caps read answers stored
+    # by earlier ones, under the pair's own key or an image's.  The ladder
+    # runs for fewer pairs than the store holds, so images answered some.
+    from heegaard_lab import disk_complex
+    laddered = []
+    ladder = disk_complex._intersection
+
+    def counting(*args):
+        laddered.append(args)
+        return ladder(*args)
+    monkeypatch.setattr(disk_complex, "_intersection", counting)
     table, known = CurveTable(2), {}
     for cap in range(8, 13):
         graph = build_lambda(critical_witness_diagram(), cap, table=table)
         want = emit_graph(pair_loop_graph(graph, known))
         assert emit_graph(graph) == want, cap
-    assert table._orbits
+    assert len(laddered) < len(table._meets)
     graph = build_lambda(standard_diagram(3), 8, table=CurveTable(3))
     assert emit_graph(graph) == emit_graph(pair_loop_graph(graph, {}))
 
@@ -730,17 +740,17 @@ def test_fresh_tables_share_no_stored_answer(monkeypatch):
         build_lambda(d, 8, table=table)
         counts.append(len(built))
     assert counts == [11, 11]
-    assert tables[0]._orbits == tables[1]._orbits
-    assert tables[0]._orbits is not tables[1]._orbits
+    assert tables[0]._meets == tables[1]._meets
+    assert tables[0]._meets is not tables[1]._meets
 
 
-def test_orbit_store_stays_within_pair_bound(monkeypatch):
-    # An orbit entry is 2.4-6 times a pair entry, so the orbit store holds
-    # an eighth of the pair bound.
+def test_pair_store_stays_within_bound(monkeypatch):
+    # A full store stops growing, and the pairs it does not hold run the
+    # ladder again, so the output is the same.
     from heegaard_lab import disk_complex
     d = critical_witness_diagram()
     want = emit_graph(build_lambda(d, 10))
     monkeypatch.setattr(disk_complex, "MAX_STORED_PAIRS", 40)
     table = CurveTable(2)
     assert emit_graph(build_lambda(d, 10, table=table)) == want
-    assert (len(table._meets), len(table._orbits)) == (40, 5)
+    assert len(table._meets) == 40
