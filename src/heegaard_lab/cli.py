@@ -307,7 +307,7 @@ _parser = functools.cache(build_parser)
 
 # One curve table per genus for the life of the process, so that the jobs
 # of a session enumerate, intersect and disk-test each class once.  Each
-# table bounds its own stores (39-44 MB when full, see disk_complex);
+# table bounds its own stores (34-37 MB when full, see disk_complex);
 # this bounds the number of tables.
 MAX_SESSION_TABLES = 4
 _session_table = functools.lru_cache(maxsize=MAX_SESSION_TABLES)(CurveTable)

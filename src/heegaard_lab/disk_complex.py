@@ -125,15 +125,14 @@ def isolated_vertices(graph: _GraphCore) -> list[VertexKey]:
 # same either way.  Measured with tracemalloc on 64-bit CPython 3.11, a
 # class with its cached corners and bucket takes 0.8 kB at genus 2 and 1.4
 # kB at genus 6 (it has 6g - 3 coordinates), and the full stores take 24 MB
-# of pairs (their keys refer to the classes' own vectors), 8.2-9.7 MB of
-# disk tests at genus 2-6 and 2.6 MB of placed lists, which refer to stored
-# classes.  So a full table holds 39-44 MB, and a CLI process, which keeps
-# up to `cli.MAX_SESSION_TABLES` tables, at most four times that.  The pair
-# bound covers genus-2 Λ at cap 18: 657 classes, 215,496 pairs.
+# of pairs and 5.4 MB of disk tests at genus 2-6 (their keys refer to the
+# classes' own vectors and to the cut vectors the diagrams keep).  So a full
+# table holds 34-37 MB, and a CLI process, which keeps up to
+# `cli.MAX_SESSION_TABLES` tables, at most four times that.  The pair bound
+# covers genus-2 Λ at cap 18: 657 classes, 215,496 pairs.
 MAX_STORED_CLASSES = 5_000
 MAX_STORED_PAIRS = 250_000
 MAX_STORED_DISK_TESTS = 50_000
-MAX_STORED_PLACED_LISTS = 64
 
 
 def _stored(store: dict, bound: int, key, compute):
@@ -151,13 +150,13 @@ class CurveTable:
     """The curves, intersections and disk tests of one genus, kept across
     the Γ, Λ, classification and distance calls that share the table.
 
-    It stores the complete class list of the largest cap enumerated without
-    a budget, `intersection_at_most(a, b, 1)` per unordered pair of
-    coordinate vectors, `bounds_disk` per cut system and class, and the
-    lists it served with meridians placed, per meridian pair and cap.  Stored
-    classes keep their cached homology buckets, so the `same_class` tests
-    that place the meridians are mostly a tuple comparison already; at
-    genus 2 the rest ask the pair ladder whether two curves are disjoint.
+    It stores answers only: the complete class list of the largest cap
+    enumerated without a budget, `intersection_at_most(a, b, 1)` per
+    unordered pair of coordinate vectors, and `bounds_disk` per class and
+    the tuple that the diagram's `CutSystem.vectors` keeps (the system's
+    own `__eq__` and `__hash__` would run in Python on every lookup).  The
+    meridians are placed afresh on each list served; most of the
+    `same_class` tests that place them compare cached homology buckets.
     A pair not yet stored reads a stored image's answer (see `meets`), so
     the pair ladder runs once per orbit of the pairs asked.  Every stored
     answer is exact, so an output never depends on what the table held
@@ -179,30 +178,23 @@ class CurveTable:
         self._classes: list[CurveClass] = []
         self._meets: dict[EdgeKey, Optional[int]] = {}
         self._disks: dict[tuple, bool] = {}
-        self._placed: dict[tuple, list[CurveClass]] = {}
 
     def capped_curves(self, diagram: HeegaardDiagram, cap: int,
                       budget: Optional[int]) -> tuple[list[CurveClass], bool]:
         """The essential classes within the cap, plus the diagram's
         meridians (they bound whatever they weigh, so Γ always embeds), and
         whether the list is complete: on budget exhaustion it is partial,
-        not certified.  A list served from the table is placed once per
-        meridian pair and cap, and each caller gets its own copy."""
-        if budget is None and cap <= self._cap:
-            key = (tuple(z.coords for z in diagram.red.curves),
-                   tuple(z.coords for z in diagram.blue.curves), cap)
-            curves = [c for c in self._classes if c.weight <= cap]
-            placed = _stored(self._placed, MAX_STORED_PLACED_LISTS, key,
-                             lambda: _with_meridians(diagram, curves))
-            return list(placed), True
+        not certified.  Each caller gets a list of its own."""
         certified = True
-        try:
-            curves = enumerate_essential_curves(self.genus, cap, budget)
-        except BudgetExhausted as exc:
-            curves, certified = exc.partial, False
-        if budget is None and len(curves) <= MAX_STORED_CLASSES:
-            self._cap, self._classes = cap, list(curves)
-            self._placed.clear()
+        if budget is None and cap <= self._cap:
+            curves = [c for c in self._classes if c.weight <= cap]
+        else:
+            try:
+                curves = enumerate_essential_curves(self.genus, cap, budget)
+            except BudgetExhausted as exc:
+                curves, certified = exc.partial, False
+            if budget is None and len(curves) <= MAX_STORED_CLASSES:
+                self._cap, self._classes = cap, list(curves)
         return _with_meridians(diagram, curves), certified
 
     def meets(self, a: CurveClass, b: CurveClass) -> Optional[int]:
@@ -225,7 +217,7 @@ class CurveTable:
 
     def bounds_disk(self, c: CurveClass, side: str,
                     diagram: HeegaardDiagram) -> bool:
-        cut = tuple(z.coords for z in diagram.side(side).curves)
+        cut = diagram.side(side).vectors
         return _stored(self._disks, MAX_STORED_DISK_TESTS, (cut, c.coords),
                        lambda: bounds_disk(c, side, diagram))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from . import arrangement
@@ -86,6 +87,11 @@ class CutSystem:
     @property
     def genus(self) -> int:
         return self.surface.genus
+
+    @cached_property
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
+        """The curves' coordinate vectors, one tuple per system."""
+        return tuple(c.coords for c in self.curves)
 
     def union_vector(self) -> tuple[int, ...]:
         n = canonical_triangulation(self.genus).n_edges
@@ -170,7 +176,7 @@ def boundary_word(c: CurveClass, cut: CutSystem,
         raise SurfaceMismatch("curve and cut system on different surfaces")
     tri = canonical_triangulation(c.genus)
     letters, _counts = arrangement.crossing_word(
-        tri, c.coords, [z.coords for z in cut.curves], minimal)
+        tri, c.coords, cut.vectors, minimal)
     return SignedWord.of((g + 1, s) for g, s in letters)
 
 

@@ -131,11 +131,12 @@ def edge_from_jsonable(data, what: str = "an edge") -> tuple:
 
 def _bijection_from_jsonable(data) -> dict:
     """A curve bijection given as [curve, curve] pairs, as a map between
-    coordinate vectors."""
+    coordinate vectors.  A curve may be listed twice only with one image."""
     sigma = {}
     for pair in _expect(data, [list], "the bijection"):
         a, b = edge_from_jsonable(pair, "each bijection pair")
-        sigma[a] = b
+        if sigma.setdefault(a, b) != b:
+            raise InputError(f"bijection maps {a} to both {sigma[a]} and {b}")
     return sigma
 
 

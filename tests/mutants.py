@@ -226,12 +226,11 @@ MUTANTS = [
            "(side, c.coords),",
            (CLI + "test_session_table_outputs_match_fresh_tables",),
            "disk tests of one class on two cut systems share an answer"),
-    Mutant("placed-lists-ignore-cap", "disk_complex.py",
-           "tuple(z.coords for z in diagram.blue.curves), cap)",
-           "tuple(z.coords for z in diagram.blue.curves))",
-           (CLI + "test_session_table_outputs_match_fresh_tables",
-            CLI + "test_session_outputs_match_fresh_sessions"),
-           "a list placed for one cap is served for every cap"),
+    Mutant("disk-test-key-copies-cut", "disk_complex.py",
+           "cut = diagram.side(side).vectors",
+           "cut = tuple(z.coords for z in diagram.side(side).curves)",
+           (DC + "test_disk_tests_are_keyed_by_the_diagrams_cut_vectors",),
+           "each disk-test key holds its own copy of the cut's vectors"),
     Mutant("image-permutes-a-only", "disk_complex.py",
            "sigma(b.coords))",
            "b.coords)",
@@ -269,6 +268,11 @@ MUTANTS = [
             CLI + "test_session_outputs_match_fresh_sessions"),
            "diagrams that differ only in their blue side share a stored "
            "diagram"),
+    Mutant("bijection-last-pair-wins", "serialize.py",
+           "        if sigma.setdefault(a, b) != b:\n",
+           "        sigma[a] = b\n        if False:\n",
+           (CLI + "test_input_errors_print_their_line",),
+           "a curve mapped to two images takes the last one"),
     # A separator below every label character orders the serials as tuples
     # of labels would be ordered.
     Mutant("flatten-tuple-serial", "sog.py",

@@ -674,6 +674,10 @@ SWAP_RED_BLUE = json.dumps([
      {"genus": 2, "coords": list({RED: BLUE, BLUE: RED}.get(u, u))}]
     for u in (RED, BLUE, (0, 1, 0, 0, 1, 1, 0, 0, 0),
               (1, 0, 0, 0, 1, 0, 0, 0, 0))])
+# The swap of S3's two meridians, after a pair mapping the red one to itself.
+SWAP_AFTER_IDENTITY = ('[[{"slope":[1,0]},{"slope":[1,0]}],'
+                       '[{"slope":[1,0]},{"slope":[0,1]}],'
+                       '[{"slope":[0,1]},{"slope":[1,0]}]]')
 
 
 @pytest.mark.parametrize("argv, line", [
@@ -690,6 +694,9 @@ SWAP_RED_BLUE = json.dumps([
      "(1, 0, 0, 0, 1, 0, 0, 0, 0)) (-> ((0, 0, 1, 0, 0, 0, 0, 1, 1), "
      "(1, 0, 0, 0, 1, 0, 0, 0, 0)))"),
     (["sog", "verify", "--in", ONE_LABEL_SOG], "labels must match the GHS list"),
+    (["diagram", "quotient", "--diagram", S3, "--cap", "4", "--bijection",
+      SWAP_AFTER_IDENTITY],
+     "bijection maps (0, 1, 1) to both (0, 1, 1) and (1, 0, 1)"),
 ])
 def test_input_errors_print_their_line(capsys, argv, line):
     assert run(capsys, *argv) == (1, "", f"input error: {line}\n")
@@ -868,8 +875,7 @@ def test_session_table_stores_stay_within_bounds(capsys, monkeypatch):
     unbounded = _run_session(capsys)
     bounds = {"MAX_STORED_CLASSES": (30, "_classes"),
               "MAX_STORED_PAIRS": (50, "_meets"),
-              "MAX_STORED_DISK_TESTS": (10, "_disks"),
-              "MAX_STORED_PLACED_LISTS": (1, "_placed")}
+              "MAX_STORED_DISK_TESTS": (10, "_disks")}
     for name, (bound, *_) in bounds.items():
         monkeypatch.setattr(disk_complex, name, bound)
     monkeypatch.setattr(cli, "MAX_SESSION_DIAGRAMS", 2)
@@ -882,12 +888,12 @@ def test_session_table_stores_stay_within_bounds(capsys, monkeypatch):
             for bound, *stores in bounds.values():
                 for store in stores:
                     assert len(getattr(table, store)) <= bound, store
-    # The genus-2 pair, disk and placed-list stores filled up, and so did
-    # the diagram store, which saw three diagrams.  The cap-10 list of 52
-    # classes was never stored; the cap-8 list of 25 was.
+    # The genus-2 pair and disk stores filled up, and so did the diagram
+    # store, which saw three diagrams.  The cap-10 list of 52 classes was
+    # never stored; the cap-8 list of 25 was.
     table = cli._session_table(2)
-    assert [len(table._meets), len(table._disks), len(table._placed),
-            len(cli._session_diagrams)] == [50, 10, 1, 2]
+    assert [len(table._meets), len(table._disks),
+            len(cli._session_diagrams)] == [50, 10, 2]
     assert table._cap == 8 and len(table._classes) == 25
 
 
@@ -1186,8 +1192,7 @@ FORMATS = st.sampled_from(["json", "text", "dot"])
 # The bound each of a curve table's stores is held to.
 SESSION_STORES = {"MAX_STORED_CLASSES": "_classes",
                   "MAX_STORED_PAIRS": "_meets",
-                  "MAX_STORED_DISK_TESTS": "_disks",
-                  "MAX_STORED_PLACED_LISTS": "_placed"}
+                  "MAX_STORED_DISK_TESTS": "_disks"}
 
 
 def _call(argv):
@@ -1278,7 +1283,7 @@ class CliSession(RuleBasedStateMachine):
 
 
 def test_session_outputs_match_fresh_sessions(monkeypatch):
-    for name, bound in zip(SESSION_STORES, (30, 200, 20, 2)):
+    for name, bound in zip(SESSION_STORES, (30, 200, 20)):
         monkeypatch.setattr(disk_complex, name, bound)
     monkeypatch.setattr(cli, "MAX_SESSION_DIAGRAMS", 3)
     try:

@@ -682,6 +682,15 @@ def test_shared_table_matches_fresh_calls():
         build_gamma(s3_genus1(), 8, table=table)
 
 
+def test_disk_tests_are_keyed_by_the_diagrams_cut_vectors():
+    # Every key refers to the cut vectors the diagram keeps, not to a copy.
+    d = critical_witness_diagram()
+    table = CurveTable(2)
+    build_gamma(d, 8, table=table)
+    assert {id(cut) for cut, _ in table._disks} \
+        == {id(d.red.vectors), id(d.blue.vectors)}
+
+
 def pair_loop_graph(graph, known):
     """The graph's vertices, joined pair by pair where
     `geometric_intersection` is at most 1: no table, no symmetry.
