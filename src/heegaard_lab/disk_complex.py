@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InputError
 from .handlebody import HeegaardDiagram, bounds_disk
@@ -162,12 +163,13 @@ class CurveTable:
     answer is exact, so an output never depends on what the table held
     beforehand.
 
-    A smaller cap is served by filtering the stored list by weight.  A
-    class's listed representative is its least by (weight, coords), and
-    weight orders first.  So a class has a representative within cap c
-    exactly when its least one weighs at most c, and that representative is
-    then its least within cap c too.  The filter keeps the list's
-    (weight, coords) order, which is the order enumeration returns.
+    A smaller cap is served by cutting the stored list after its last class
+    of weight at most c, found by bisecting the stored weights.  A class's
+    listed representative is its least by (weight, coords), and weight
+    orders first.  So a class has a representative within cap c exactly
+    when its least one weighs at most c, and that representative is then
+    its least within cap c too.  The list is in (weight, coords) order,
+    the order enumeration returns, so those classes are a prefix of it.
     A budgeted call always enumerates afresh: where a budget runs out
     depends on the candidates visited, not on the classes found.
     """
@@ -176,6 +178,7 @@ class CurveTable:
         self.genus = genus
         self._cap = 0                  # cap of the stored list; 0 for none
         self._classes: list[CurveClass] = []
+        self._weights: list[int] = []  # the stored classes' weights
         self._meets: dict[EdgeKey, Optional[int]] = {}
         self._disks: dict[tuple, bool] = {}
 
@@ -187,7 +190,7 @@ class CurveTable:
         not certified.  Each caller gets a list of its own."""
         certified = True
         if budget is None and cap <= self._cap:
-            curves = [c for c in self._classes if c.weight <= cap]
+            curves = self._classes[:bisect_right(self._weights, cap)]
         else:
             try:
                 curves = enumerate_essential_curves(self.genus, cap, budget)
@@ -195,6 +198,7 @@ class CurveTable:
                 curves, certified = exc.partial, False
             if budget is None and len(curves) <= MAX_STORED_CLASSES:
                 self._cap, self._classes = cap, list(curves)
+                self._weights = [c.weight for c in curves]
         return _with_meridians(diagram, curves), certified
 
     def meets(self, a: CurveClass, b: CurveClass) -> Optional[int]:
@@ -282,6 +286,12 @@ def build_gamma(diagram: HeegaardDiagram, cap: int,
     """
     table = _table_for(diagram, table)
     curves, certified = table.capped_curves(diagram, cap, budget)
+    return _gamma_on(diagram, cap, curves, certified, table)
+
+
+def _gamma_on(diagram: HeegaardDiagram, cap: int, curves: list[CurveClass],
+              certified: bool, table: CurveTable) -> DiskComplexGraph:
+    """Γ on the capped list `curves`."""
     graph = DiskComplexGraph(diagram, cap, certified)
     for c in curves:
         sides = {side for side in ("red", "blue")
@@ -483,9 +493,11 @@ def find_destab_edge(graph: _GraphCore,
 class DistanceResult:
     """A distance scoped by the enumeration cap.
 
-    connected=True carries the exact capped-graph distance (an upper bound
-    for the uncapped complex).  connected=False means no chain exists within
-    the cap; the uncapped distance is not bounded by capped data.
+    connected=True carries the exact distance in the graph on the class
+    list searched (an upper bound for the uncapped complex).
+    connected=False means no chain exists on that list; the uncapped
+    distance is not bounded by capped data.  Under a budget the list may be
+    partial, and then the value describes only the classes found.
     """
 
     connected: bool
@@ -500,11 +512,14 @@ class DistanceResult:
         return self.value
 
 
-def _bfs_distance(graph: _GraphCore, sources: Iterable[VertexKey],
-                  targets: Iterable[VertexKey]) -> DistanceResult:
+def _bfs_distance(neighbours: Callable[[VertexKey], Iterable[VertexKey]],
+                  sources: Iterable[VertexKey], targets: Iterable[VertexKey],
+                  cap: int) -> DistanceResult:
     """Least number of edges from any source to any target, by one
     breadth-first search that grows from both sets and stops where they
-    meet.
+    meet.  `neighbours(w)` lists the vertices adjacent to w, or is None
+    when there are none (as `graph._adj.get` gives); the search asks for it
+    once per vertex it expands, and expands each vertex at most once.
 
     Each side keeps the vertices it has labelled and its frontier, the
     vertices of its last level.  Each round the side with the smaller
@@ -531,11 +546,8 @@ def _bfs_distance(graph: _GraphCore, sources: Iterable[VertexKey],
     vertex among its own neighbours, which its side has labelled already.
     """
     sources, targets = set(sources), set(targets)
-    if any(w not in graph.classes for w in sources | targets):
-        raise KeyError("vertex not in the capped graph")
     if sources & targets:
-        return DistanceResult(True, 0, graph.cap)
-    adj = graph._adj
+        return DistanceResult(True, 0, cap)
     seen = (sources, targets)
     frontiers = [list(sources), list(targets)]
     d = 0
@@ -545,20 +557,28 @@ def _bfs_distance(graph: _GraphCore, sources: Iterable[VertexKey],
         d += 1
         nxt = []
         for w in frontiers[side]:
-            for z in adj.get(w, ()):
+            for z in neighbours(w) or ():
                 if z in mine:
                     continue
                 if z in other:
-                    return DistanceResult(True, d, graph.cap)
+                    return DistanceResult(True, d, cap)
                 mine.add(z)
                 nxt.append(z)
         frontiers[side] = nxt
-    return DistanceResult(False, None, graph.cap)
+    return DistanceResult(False, None, cap)
+
+
+def _graph_distance(graph: _GraphCore, sources: Sequence[VertexKey],
+                    targets: Sequence[VertexKey]) -> DistanceResult:
+    """`_bfs_distance` over the graph's edges, between vertices of it."""
+    if any(w not in graph.classes for w in (*sources, *targets)):
+        raise KeyError("vertex not in the capped graph")
+    return _bfs_distance(graph._adj.get, sources, targets, graph.cap)
 
 
 def vertex_distance(graph: LambdaGraph, u: VertexKey,
                     v: VertexKey) -> DistanceResult:
-    return _bfs_distance(graph, [u], [v])
+    return _graph_distance(graph, [u], [v])
 
 
 def edge_distance(graph: LambdaGraph, e1: EdgeKey, e2: EdgeKey) -> DistanceResult:
@@ -580,8 +600,24 @@ def component_distance(graph: LambdaGraph, c1: Sequence[EdgeKey],
     for e in [*c1, *c2]:
         if not graph.contains_edge(*e):
             raise KeyError(f"edge {e} not in the capped graph")
-    return _bfs_distance(graph, [w for e in c1 for w in e],
-                         [w for e in c2 for w in e])
+    return _graph_distance(graph, [w for e in c1 for w in e],
+                           [w for e in c2 for w in e])
+
+
+def _lambda_rows(curves: list[CurveClass], table: CurveTable
+                 ) -> Callable[[VertexKey], list[VertexKey]]:
+    """Λ's neighbours of a vertex of the capped list `curves`, computed when
+    asked: the row of w is every listed class u != w with
+    `table.meets(w, u)` not None, in list order, which are w's edges in
+    `build_lambda` on the same list.  (At genus 1 `build_lambda` joins the
+    slopes with |ps - qr| = 1, and distinct slopes meet |ps - qr| times.)"""
+    listed = {c.coords: c for c in curves}
+
+    def row(w: VertexKey) -> list[VertexKey]:
+        a = listed[w]
+        return [u.coords for u in curves
+                if u is not a and table.meets(a, u) is not None]
+    return row
 
 
 def splitting_distance(diagram: HeegaardDiagram, e1, e2, cap: int,
@@ -594,9 +630,14 @@ def splitting_distance(diagram: HeegaardDiagram, e1, e2, cap: int,
     the result is the distance between their components measured in the
     capped curve complex, and 0 when one component contains both (the cap
     does not distinguish the splittings).
+
+    One capped list serves Γ and the search, which runs over
+    `_lambda_rows`: Λ is never built whole, and only the pairs of the rows
+    the search expands go through the table.
     """
     table = _table_for(diagram, table)
-    gamma = build_gamma(diagram, cap, budget, table)
+    curves, certified = table.capped_curves(diagram, cap, budget)
+    gamma = _gamma_on(diagram, cap, curves, certified, table)
     e1 = tuple(sorted(tuple(map(tuple, e1))))
     e2 = tuple(sorted(tuple(map(tuple, e2))))
     for e in (e1, e2):
@@ -606,10 +647,9 @@ def splitting_distance(diagram: HeegaardDiagram, e1, e2, cap: int,
     c1, c2 = comp_of[e1[0]], comp_of[e2[0]]
     if c1 == c2:
         return DistanceResult(True, 0, cap)
-    lam = build_lambda(diagram, cap, budget, table)
-    edges1 = [e for e in gamma.edge_keys() if comp_of[e[0]] == c1]
-    edges2 = [e for e in gamma.edge_keys() if comp_of[e[0]] == c2]
-    return component_distance(lam, edges1, edges2)
+    ends1 = [w for e in gamma.edges if comp_of[e[0]] == c1 for w in e]
+    ends2 = [w for e in gamma.edges if comp_of[e[0]] == c2 for w in e]
+    return _bfs_distance(_lambda_rows(curves, table), ends1, ends2, cap)
 
 
 # ---------------------------------------------------------------------------

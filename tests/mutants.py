@@ -174,7 +174,7 @@ MUTANTS = [
     Mutant("corner-inequality-dropped", "surface.py",
            "if c0 < 0 or c1 < 0 or c2 < 0:",
            "if c0 < 0 or c1 < 0:",
-           (SURF + "test_matching_check_matches_reference",),
+           (SURF + "test_matching_check_matches_reference[1]",),
            "a triangle whose corner 2 would hold a negative count passes "
            "the matching check"),
     Mutant("torus-rung-link-unchecked-b", "surface.py",
@@ -207,9 +207,9 @@ MUTANTS = [
            (DC + "test_search_matches_one_sided_reference",),
            "the targets' side walks past the sources' labels"),
     Mutant("table-filter-off-by-one", "disk_complex.py",
-           "curves = [c for c in self._classes if c.weight <= cap]",
-           "curves = [c for c in self._classes if c.weight < cap]",
-           (DC + "test_shared_table_matches_fresh_calls",),
+           "self._classes[:bisect_right(self._weights, cap)]",
+           "self._classes[:bisect_right(self._weights, cap - 1)]",
+           (DC + "test_stored_list_is_cut_at_each_smaller_cap",),
            "a smaller cap loses the classes of its own weight"),
     Mutant("table-serves-budgets", "disk_complex.py",
            "if budget is None and cap <= self._cap:",
@@ -243,6 +243,22 @@ MUTANTS = [
            "                if False:\n",
            (DC + "test_pair_store_matches_pair_loop",),
            "every pair missing from the store runs the ladder"),
+    Mutant("row-skips-last-class", "disk_complex.py",
+           "return [u.coords for u in curves\n",
+           "return [u.coords for u in curves[:-1]\n",
+           (DC + "test_row_search_matches_full_lambda",),
+           "no Λ row lists the last class of the capped list"),
+    Mutant("row-keeps-i1-only", "disk_complex.py",
+           "if u is not a and table.meets(a, u) is not None]",
+           "if u is not a and table.meets(a, u) == 1]",
+           (DC + "test_row_search_matches_full_lambda",),
+           "a Λ row drops the classes disjoint from its vertex"),
+    Mutant("row-under-wrong-vertex", "disk_complex.py",
+           "listed = {c.coords: c for c in curves}",
+           "listed = dict(zip([c.coords for c in curves], "
+           "curves[1:] + curves[:1]))",
+           (DC + "test_row_search_matches_full_lambda",),
+           "each vertex is served the Λ row of the next listed class"),
     Mutant("summary-edge-test-flipped", "disk_complex.py",
            "        if self.edge_witness is None:\n",
            "        if self.edge_witness is not None:\n",
@@ -264,8 +280,7 @@ MUTANTS = [
            "json.dumps(data, sort_keys=True),",
            "json.dumps({**data, 'blue': None} if isinstance(data, dict) "
            "else data, sort_keys=True),",
-           (CLI + "test_rewritten_diagram_file_is_read_again",
-            CLI + "test_session_outputs_match_fresh_sessions"),
+           (CLI + "test_rewritten_diagram_file_is_read_again",),
            "diagrams that differ only in their blue side share a stored "
            "diagram"),
     Mutant("bijection-last-pair-wins", "serialize.py",
@@ -285,12 +300,12 @@ MUTANTS = [
            "        if reach > budget:\n"
            "            raise _budget_spent(budget)\n",
            "",
-           (SOG + "test_flatten_unjoined_verdicts_match_reference",),
+           (SOG + "test_flatten_unjoined_verdicts_match_reference[closed4]",),
            "unjoined endpoints are called not joined whatever the budget"),
     Mutant("flatten-reach-off-by-one", "sog.py",
            "reach = oracle._reach[",
            "reach = 1 + oracle._reach[",
-           (SOG + "test_flatten_unjoined_verdicts_match_reference",),
+           (SOG + "test_flatten_unjoined_verdicts_match_reference[closed4]",),
            "unjoined endpoints are counted one state more than the search "
            "pops"),
     Mutant("flatten-ranks-reversed", "sog.py",

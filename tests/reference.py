@@ -17,6 +17,7 @@ pass.
   surface._blocks_meet                reference_block_crossings
   surface._intersection, torus rung   reference_torus_intersection
   disk_complex._bfs_distance          reference_bfs_distance
+  disk_complex.splitting_distance     reference_splitting_distance
   handlebody.validate_cut_system      reference_validate_cut_system
   ghs.validate_ghs                    reference_validate_ghs
   sog.SymbolicOracle                  reference_symbolic_states,
@@ -32,7 +33,14 @@ import itertools
 from dataclasses import dataclass
 
 from heegaard_lab import arrangement
-from heegaard_lab.disk_complex import DistanceResult
+from heegaard_lab.disk_complex import (
+    DistanceResult,
+    _component_index,
+    build_gamma,
+    build_lambda,
+    component_distance,
+)
+from heegaard_lab.errors import InputError
 from heegaard_lab.ghs import GHS, _moves_with_reports, collection, ghs_key
 from heegaard_lab.handlebody import CutSystem, InvalidCutSystem
 from heegaard_lab.sog import (
@@ -442,6 +450,27 @@ def reference_bfs_distance(graph, sources, targets):
                 nxt.append(z)
         frontier = nxt
     return DistanceResult(False, None, graph.cap)
+
+
+def reference_splitting_distance(diagram, e1, e2, cap, budget=None,
+                                 table=None):
+    """`disk_complex.splitting_distance` as it searched before it read Λ
+    row by row: Γ, then all of Λ on its own capped list, then
+    `component_distance` between the edges of the two components."""
+    gamma = build_gamma(diagram, cap, budget, table)
+    e1 = tuple(sorted(tuple(map(tuple, e1))))
+    e2 = tuple(sorted(tuple(map(tuple, e2))))
+    for e in (e1, e2):
+        if gamma.edges.get(e) != 1:
+            raise InputError(f"{e} is not an i=1 edge of the capped complex")
+    comp_of = _component_index(gamma)
+    c1, c2 = comp_of[e1[0]], comp_of[e2[0]]
+    if c1 == c2:
+        return DistanceResult(True, 0, cap)
+    lam = build_lambda(diagram, cap, budget, table)
+    edges1 = [e for e in gamma.edge_keys() if comp_of[e[0]] == c1]
+    edges2 = [e for e in gamma.edge_keys() if comp_of[e[0]] == c2]
+    return component_distance(lam, edges1, edges2)
 
 
 # -- handlebody ---------------------------------------------------------------

@@ -873,7 +873,7 @@ def test_rewritten_diagram_file_is_read_again(capsys, tmp_path):
 def test_session_table_stores_stay_within_bounds(capsys, monkeypatch):
     from heegaard_lab import disk_complex
     unbounded = _run_session(capsys)
-    bounds = {"MAX_STORED_CLASSES": (30, "_classes"),
+    bounds = {"MAX_STORED_CLASSES": (30, "_classes", "_weights"),
               "MAX_STORED_PAIRS": (50, "_meets"),
               "MAX_STORED_DISK_TESTS": (10, "_disks")}
     for name, (bound, *_) in bounds.items():

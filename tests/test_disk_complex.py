@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -10,6 +11,9 @@ from heegaard_lab.disk_complex import (
     DistanceResult,
     LambdaGraph,
     build_gamma,
+    _bfs_distance,
+    _lambda_rows,
+    _with_meridians,
     build_lambda,
     classify,
     component_distance,
@@ -20,6 +24,7 @@ from heegaard_lab.disk_complex import (
     find_destab_edge,
     isolated_vertices,
     quotient_by_symmetry,
+    splitting_distance,
     vertex_distance,
 )
 from heegaard_lab.handlebody import (
@@ -40,7 +45,7 @@ from heegaard_lab.surface import (
     geometric_intersection,
 )
 
-from reference import reference_bfs_distance
+from reference import reference_bfs_distance, reference_splitting_distance
 
 K10 = CurveClass.from_slope(1, 0).coords
 K01 = CurveClass.from_slope(0, 1).coords
@@ -402,6 +407,94 @@ def test_search_matches_one_sided_reference():
     assert set(range(8)) <= values
 
 
+def far_meridian_diagram():
+    """A genus-2 diagram whose four meridians each meet both classes of
+    the cap-8 list cut short by budget 5 at least twice, so that Λ on the
+    partial list has three components: those two classes, and each side's
+    meridians.  Found by scanning the cut systems of weight <= 14 for such
+    meridians."""
+    red = validate_cut_system(2, [CurveClass(2, (0, 0, 2, 3, 0, 0, 0, 2, 1)),
+                                  CurveClass(2, (0, 1, 2, 3, 1, 1, 2, 2, 1))])
+    blue = validate_cut_system(2, [CurveClass(2, (0, 0, 3, 2, 0, 0, 0, 3, 1)),
+                                   CurveClass(2, (0, 1, 3, 2, 1, 1, 2, 3, 1))])
+    return HeegaardDiagram(ModelSurface(2), red, blue)
+
+
+def test_row_search_matches_full_lambda():
+    """The search over Λ rows gives the answers of the search over the
+    whole Λ on the same list.  Twisted Λ at cap 10 is connected: the
+    search runs from its first vertex to every vertex, some of them 2
+    away, then between seeded vertex sets.  The far-meridian diagram's
+    budgeted list has three components, and sets drawn from two of them
+    are not connected: one side expands its whole component."""
+    rng = random.Random(43)
+    for diagram, cap, budget in ((critical_witness_diagram(), 10, None),
+                                 (far_meridian_diagram(), 8, 5)):
+        table = CurveTable(2)
+        curves, _ = table.capped_curves(diagram, cap, budget)
+        rows = _lambda_rows(curves, table)
+        lam = build_lambda(diagram, cap, budget)
+        keys = lam.vertex_keys()
+        assert sorted(c.coords for c in curves) == keys
+        pairs = [([keys[0]], [v]) for v in keys]
+        pairs += [(rng.sample(keys, rng.randint(1, 3)),
+                   rng.sample(keys, rng.randint(1, 3))) for _ in range(40)]
+        comps = components(lam)
+        pairs.append((comps[0], comps[-1]))
+        values = collections.Counter()
+        for sources, targets in pairs:
+            got = _bfs_distance(rows, sources, targets, cap)
+            assert got == reference_bfs_distance(lam, sources, targets), \
+                (sources, targets)
+            values[got.value] += 1
+        if budget is None:
+            assert len(comps) == 1 and values[2] >= 1, values
+        else:
+            assert len(comps) == 3 and values[None] >= 1, values
+
+
+def test_splitting_distance_matches_full_build_reference():
+    """The row search gives the full build's distance on every pair of
+    i = 1 edges of the genus-2 classify diagrams at caps 6-12, and on the
+    twisted diagram's two cap-8 i = 1 edges at cap 14."""
+    from test_cli import CLASSIFY_DIAGRAMS
+
+    from heegaard_lab.serialize import diagram_from_jsonable
+    values = collections.Counter()
+    for name in ("standard", "critical"):
+        d = diagram_from_jsonable(json.loads(CLASSIFY_DIAGRAMS[name]))
+        table, ref_table = CurveTable(2), CurveTable(2)
+        for cap in range(6, 13):
+            gamma = build_gamma(d, cap, table=table)
+            ones = sorted(e for e, i in gamma.edges.items() if i == 1)
+            for e1, e2 in itertools.combinations(ones, 2):
+                got = splitting_distance(d, e1, e2, cap, table=table)
+                assert got == reference_splitting_distance(
+                    d, e1, e2, cap, table=ref_table), (name, cap, e1, e2)
+                values[got.value] += 1
+    assert values == {0: 191, 1: 19}, values
+    d = critical_witness_diagram()
+    ones = sorted(e for e, i in build_gamma(d, 8).edges.items() if i == 1)
+    assert splitting_distance(d, *ones, 14) \
+        == reference_splitting_distance(d, *ones, 14) \
+        == DistanceResult(True, 1, 14)
+
+
+def test_splitting_distance_asks_only_the_rows_it_expands():
+    """On a fresh table, twisted `distance` at cap 12 between the two
+    cap-8 i = 1 edges stores Γ's pairs and the pairs of one row: its
+    search expands one vertex, where all of Λ has 5,995 pairs."""
+    d = critical_witness_diagram()
+    ones = sorted(e for e, i in build_gamma(d, 8).edges.items() if i == 1)
+    gamma_table, table = CurveTable(2), CurveTable(2)
+    build_gamma(d, 12, table=gamma_table)
+    assert splitting_distance(d, *ones, 12, table=table) \
+        == DistanceResult(True, 1, 12)
+    n = len(table.capped_curves(d, 12, None)[0])
+    assert n * (n - 1) // 2 == 5_995
+    assert len(table._meets) <= len(gamma_table._meets) + n - 1
+
+
 def test_cap_monotonicity():
     for diagram in (s3_genus1(), lens_space(2, 1), s2_x_s1()):
         small = build_gamma(diagram, 8)
@@ -667,6 +760,21 @@ def test_smaller_caps_are_weight_filters(genus, cap):
     for smaller in range(cap):
         assert enumerate_essential_curves(genus, smaller) \
             == [c for c in big if c.weight <= smaller], smaller
+
+
+@pytest.mark.parametrize("diagram, cap", [(s3_genus1(), 60), (lens_space(7, 2), 40),
+                                          (standard_diagram(2), 12)])
+def test_stored_list_is_cut_at_each_smaller_cap(diagram, cap):
+    # The cut at the last class within the cap serves what filtering the
+    # stored list by weight served, in the same order.
+    table = CurveTable(diagram.genus)
+    table.capped_curves(diagram, cap, None)
+    stored = list(table._classes)
+    for smaller in range(1, cap + 1):
+        want = _with_meridians(diagram,
+                               [c for c in stored if c.weight <= smaller])
+        assert table.capped_curves(diagram, smaller, None) == (want, True), \
+            smaller
 
 
 def test_shared_table_matches_fresh_calls():
