@@ -214,7 +214,7 @@ def cmd_distance(args) -> int:
     payload = {"connected_within_cap": result.connected,
                "distance": result.value, "cap": result.cap}
     _emit(args, payload)
-    return EXIT_OK if result.connected else EXIT_SCOPED
+    return EXIT_OK if result.connected and result.certified else EXIT_SCOPED
 
 
 def cmd_proptest(args) -> int:

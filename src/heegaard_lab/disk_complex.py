@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -325,47 +325,42 @@ def build_lambda(diagram: HeegaardDiagram, cap: int,
     return graph
 
 
-def _bezout(p: int, q: int) -> tuple[int, int]:
-    """(x, y) with p*x + q*y = 1, for coprime p and q (extended Euclid)."""
-    a, b, x0, x1, y0, y1 = p, q, 1, 0, 0, 1
-    while b:
-        quot = a // b
-        a, b = b, a - quot * b
-        x0, x1 = x1, x0 - quot * x1
-        y0, y1 = y1, y0 - quot * y1
-    return x0 * a, y0 * a
-
-
 def _add_farey_edges(graph: LambdaGraph, keys: list[VertexKey]) -> None:
-    """Torus Λ: join the slopes (p, q) and (r, s) with |ps - qr| = 1.
+    """Torus Λ: join the listed slopes (p, q) and (r, s) with |ps - qr| = 1.
 
-    Slopes are taken up to sign, so the neighbours of (p, q) are exactly the
-    slopes (r0 + t*p, s0 + t*q) for one solution of p*s0 - q*r0 = 1 and all
-    integers t.  Along that progression one of the coordinates
-    (|s|, |r|, |r - s|) moves by the vertex's own largest coordinate per
-    step of t, so at most three neighbours have no coordinate above it.
-    Scanning those finds each edge from its heavier end, or from both ends
-    when their largest coordinates agree.  Edges are added in the order of
-    the index pairs (i, j), i < j, so the adjacency lists list neighbours
-    by index.
+    A slope x has the vector (|det(x, e)|) over the edge slopes e = (1, 0),
+    (0, 1), (1, 1), the base triangle T.  The triangles of pairwise adjacent
+    slopes tile the disk as a tree rooted at T; a tile other than T has its
+    third slope s = u + v across its edge uv nearer T.  No edge slope lies
+    strictly between u and v, so no det(u, e) and det(v, e) have opposite
+    signs: s has the sum of their vectors and outweighs both.  Each slope
+    outside T is born in one tile, and each edge outside T joins a slope to
+    an end of the edge uv of its tile.  So replacing each edge uv, from T's
+    three on, by su and sv meets each edge once, 2V - 3 in all, and stopping
+    where u and v outweigh the cap together loses no slope within it.
+    Edges with an unlisted end are dropped; a listed meridian heavier than
+    the cap is joined by the determinant.  Edges are added in index order
+    (i, j), i < j, so the adjacency lists list neighbours by index.
     """
     index = {k: i for i, k in enumerate(keys)}
-    pairs = set()
-    for i, key in enumerate(keys):
-        p, q = _slope_of_vector(key)
-        x, y = _bezout(p, q)
-        r0, s0 = -y, x
-        # The coordinates s, r and r - s move by q, p and p - q per step of
-        # t; the fastest moves by top = max(key).  Its step c is positive:
-        # p >= 0, and q < 0 only when p > 0, and then p - q > |q|.
-        top = max(key)
-        c, o = max(((q, s0), (p, r0), (p - q, r0 - s0)),
-                   key=lambda f: abs(f[0]))
-        for t in range(-((top + o) // c), (top - o) // c + 1):
-            r, s = r0 + t * p, s0 + t * q
-            j = index.get((abs(s), abs(r), abs(r - s)))
-            if j is not None:
-                pairs.add((i, j) if i < j else (j, i))
+    cap, pairs = graph.cap, []
+    base = [(v, 2, index.get(v)) for v in ((0, 1, 1), (1, 0, 1), (1, 1, 0))]
+    todo = list(itertools.combinations(base, 2)) if cap >= 2 else []
+    while todo:
+        (u, wu, i), (v, wv, j) = ends = todo.pop()
+        if i is not None and j is not None:
+            pairs.append((min(i, j), max(i, j)))
+        if wu + wv <= cap:
+            s = (u[0] + v[0], u[1] + v[1], u[2] + v[2])
+            born = (s, wu + wv, index.get(s))
+            todo += [(ends[0], born), (ends[1], born)]
+    for h, key in enumerate(keys):
+        if sum(key) > cap:
+            p, q = _slope_of_vector(key)
+            for j, other in enumerate(keys):
+                r, s = _slope_of_vector(other)
+                if abs(p * s - q * r) == 1 and (sum(other) <= cap or h < j):
+                    pairs.append((min(h, j), max(h, j)))
     for i, j in sorted(pairs):
         graph.add_edge(keys[i], keys[j], 1)
 
@@ -496,13 +491,15 @@ class DistanceResult:
     connected=True carries the exact distance in the graph on the class
     list searched (an upper bound for the uncapped complex).
     connected=False means no chain exists on that list; the uncapped
-    distance is not bounded by capped data.  Under a budget the list may be
-    partial, and then the value describes only the classes found.
+    distance is not bounded by capped data.  certified=False marks a list
+    cut short by its budget: the value covers only the classes found.  The
+    repr omits the flag, since golden outputs pin printed results.
     """
 
     connected: bool
     value: Optional[int]
     cap: int
+    certified: bool = field(default=True, repr=False)
 
     def require(self) -> int:
         if not self.connected:
@@ -646,10 +643,11 @@ def splitting_distance(diagram: HeegaardDiagram, e1, e2, cap: int,
     comp_of = _component_index(gamma)
     c1, c2 = comp_of[e1[0]], comp_of[e2[0]]
     if c1 == c2:
-        return DistanceResult(True, 0, cap)
+        return DistanceResult(True, 0, cap, certified)
     ends1 = [w for e in gamma.edges if comp_of[e[0]] == c1 for w in e]
     ends2 = [w for e in gamma.edges if comp_of[e[0]] == c2 for w in e]
-    return _bfs_distance(_lambda_rows(curves, table), ends1, ends2, cap)
+    return replace(_bfs_distance(_lambda_rows(curves, table), ends1, ends2,
+                                 cap), certified=certified)
 
 
 # ---------------------------------------------------------------------------

@@ -419,7 +419,7 @@ class CurveClass:
     def slope(self) -> Slope:
         if self.genus != 1:
             raise ValueError("slopes only exist on the torus")
-        return coords_to_slope(self.coords)
+        return Slope.of(*_torus_slope(self.coords))
 
     @cached_property
     def _bucket(self) -> tuple[int, ...]:
@@ -517,37 +517,38 @@ def algebraic_intersection(a: CurveClass, b: CurveClass) -> int:
 def _component_counts(tri: Triangulation,
                       coords: Sequence[int]) -> dict[tuple[int, ...], int]:
     """Each distinct component vector of an admissible vector, with its
-    multiplicity: by tracing, except on the torus, where the split of
-    `coords_to_slope` gives them in closed form."""
-    counts: dict[tuple[int, ...], int] = {}
+    multiplicity: by tracing, except on the torus, where the vector is
+    checked and `_torus_split` gives them in closed form."""
     if tri.genus == 1:
         tri.check_matching(coords)
-        k = sum(coords) // 2 - max(coords)
-        rest = [c - 2 * k for c in coords]
-        m = math.gcd(*rest)
-        if k:
-            counts[tri.vertex_link_vector()] = k
-        if m:
-            counts[tuple(c // m for c in rest)] = m
-        return counts
+        k, m, r = _torus_split(coords)
+        return {v: n for v, n in ((tri.vertex_link_vector(), k), (r, m)) if n}
+    counts: dict[tuple[int, ...], int] = {}
     for comp in tri.trace(coords):
         counts[comp.vector] = counts.get(comp.vector, 0) + 1
     return counts
 
 
+def _torus_split(coords: Sequence[int]) -> tuple[int, int, tuple[int, ...]]:
+    """(k, m, r): the admissible torus vector is k vertex links plus m
+    copies of the primitive slope vector r, read in the closed form of
+    `coords_to_slope`; r is () when m is 0.  The vector is not checked."""
+    a, b, d = coords
+    k = (a + b + d) // 2 - max(a, b, d)
+    a, b, d = a - 2 * k, b - 2 * k, d - 2 * k
+    m = math.gcd(a, b, d)
+    return k, m, (a // m, b // m, d // m) if m else ()
+
+
 def _torus_class(coords: Sequence[int]) -> tuple[int, int]:
     """H_1 class (p, q) of a connected torus vector, up to sign: (0, 0) for
-    the vertex link, else the slope whose coords() are the vector."""
-    tri = canonical_triangulation(1)
-    counts = _component_counts(tri, coords)
-    n = sum(counts.values())
-    if n != 1:
-        raise ValueError(f"torus vector {tuple(coords)} has {n} components; "
-                         "a class needs one curve")
-    (vec,) = counts
-    if vec == tri.vertex_link_vector():
-        return (0, 0)
-    return _slope_of_vector(vec)
+    the vertex link, else the slope whose coords() are the vector.  The
+    vector is not checked: a CurveClass checked its own when it was built."""
+    k, m, r = _torus_split(coords)
+    if k + m != 1:
+        raise ValueError(f"torus vector {tuple(coords)} has {k + m} "
+                         "components; a class needs one curve")
+    return (0, 0) if k else _slope_of_vector(r)
 
 
 def _slope_of_vector(vec: Sequence[int]) -> tuple[int, int]:
@@ -573,6 +574,7 @@ def coords_to_slope(coords: Sequence[int]) -> Slope:
     slope (b, -a) when a and b are nonzero and d = a + b, else (b, a).  The
     cost is a few integer operations, whatever the weight.
     """
+    canonical_triangulation(1).check_matching(coords)
     return Slope.of(*_torus_slope(coords))
 
 
@@ -839,17 +841,17 @@ def admissible_vectors(tri: Triangulation, cap: int) -> Iterator[tuple[int, ...]
             yield tuple(vec)
 
 
-def _slope_scan(cap: int) -> Iterator[Slope]:
-    """Torus classes with coordinate sum |p| + |q| + |p-q| <= cap, in
-    order of p, then q."""
+def _slope_scan(cap: int) -> Iterator[tuple[int, int, int]]:
+    """Coordinates (|q|, |p|, |p - q|) of the torus classes (p, q) with
+    coordinate sum <= cap, in order of p, then q."""
     # The weight is 2 * max(p, q) for q >= 0 and 2 * (p - q) for q < 0.
     half = cap // 2
     if cap >= 2:
-        yield Slope(0, 1)
+        yield (1, 0, 1)
     for p in range(1, half + 1):
         for q in range(p - half, half + 1):
             if math.gcd(p, q) == 1:
-                yield Slope(p, q)
+                yield (abs(q), p, abs(p - q))
 
 
 def enumerate_essential_curves(
@@ -869,7 +871,7 @@ def enumerate_essential_curves(
     found: list[CurveClass] = []
     buckets: dict[tuple[int, ...], list[CurveClass]] = {}
     if genus == 1:
-        candidates = (s.coords() for s in _slope_scan(cap))
+        candidates = _slope_scan(cap)
     else:
         tri = canonical_triangulation(genus)
         link = tri.vertex_link_vector()

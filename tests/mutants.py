@@ -166,11 +166,17 @@ MUTANTS = [
            (SURF + "test_block_certificate_matches_exhaustive_minimum",),
            "a corner crossing twice may be dropped as if it crossed once"),
     Mutant("torus-closed-form-multiplicity", "surface.py",
-           "counts[tuple(c // m for c in rest)] = m",
-           "counts[tuple(rest)] = 1",
+           "return k, m, (a // m, b // m, d // m) if m else ()",
+           "return k, min(m, 1), (a, b, d) if m else ()",
            (SURF + "test_torus_closed_form_matches_trace",),
            "parallel torus copies are taken for one curve carrying their "
            "sum"),
+    Mutant("torus-split-link-uncounted", "surface.py",
+           "    if k + m != 1:\n",
+           "    if m != 1:\n",
+           (SURF + "test_torus_classes_are_checked_once",),
+           "the vertex link is not counted as a component of a torus "
+           "vector"),
     Mutant("corner-inequality-dropped", "surface.py",
            "if c0 < 0 or c1 < 0 or c2 < 0:",
            "if c0 < 0 or c1 < 0:",
@@ -191,11 +197,17 @@ MUTANTS = [
            "        return found[:-1] + [tuple(p)]\n",
            (SURF + "test_automorphisms_keep_intersection_numbers",),
            "the last automorphism has two edges' images swapped"),
-    Mutant("farey-scan-short", "disk_complex.py",
-           "(top - o) // c + 1):",
-           "(top - o) // c):",
-           (DC + "test_farey_edges_match_pair_loop",),
-           "the last neighbour in a slope's scan window is never joined"),
+    Mutant("farey-walk-stops-short", "disk_complex.py",
+           "        if wu + wv <= cap:\n",
+           "        if wu + wv < cap:\n",
+           (DC + "test_farey_edges_match_pair_loop[S3]",),
+           "the mediant walk never reaches the slopes of weight equal to "
+           "the cap"),
+    Mutant("farey-heavy-rows-dropped", "disk_complex.py",
+           "        if sum(key) > cap:\n",
+           "        if False:\n",
+           (DC + "test_farey_edges_match_pair_loop_on_partial_lists",),
+           "a meridian heavier than the cap is joined to nothing"),
     Mutant("search-levels-off-by-one", "disk_complex.py",
            "    d = 0\n",
            "    d = 1\n",

@@ -747,6 +747,19 @@ SESSION = [
 ]
 
 
+def test_budgeted_distance_on_a_partial_list_exits_2(capsys):
+    # Budget 5 cuts the cap-12 list short; the distance found on it is
+    # printed, but it covers only the classes found, so the exit is 2.
+    job = (*TWISTED_DISTANCE[:-1], "12")
+    _fresh_session()
+    full = run(capsys, *job)
+    _fresh_session()
+    partial = run(capsys, *job, "--budget", "5")
+    assert full == (0, '{"cap":12,"connected_within_cap":true,'
+                       '"distance":1}\n', "")
+    assert partial == (2, full[1], "")
+
+
 def _fresh_session():
     """Empty the CLI's session stores: curve tables and diagrams."""
     cli._session_table.cache_clear()

@@ -34,6 +34,7 @@ from heegaard_lab.handlebody import (
     s2_x_s1,
     s3_genus1,
     standard_diagram,
+    torus_diagram,
     validate_cut_system,
 )
 from heegaard_lab.surface import (
@@ -645,6 +646,24 @@ def test_farey_edges_match_pair_loop(diagram):
         # everything that walks it are unchanged.
         assert list(graph.edges.items()) == list(ref.edges.items()), cap
         assert list(graph._adj.items()) == list(ref._adj.items()), cap
+
+
+def test_farey_edges_match_pair_loop_on_partial_lists():
+    """Lists cut short by a budget, and meridians heavier than the cap:
+    L(200, 3)'s blue meridian weighs 400, L(200, 1)'s meets (0, 1) once,
+    and the slopes (1, 50) and (1, 51), of weights 100 and 102, meet once."""
+    heavy_pair = torus_diagram((1, 50), (1, 51))
+    runs = [(d, cap, None) for d in (lens_space(200, 3), lens_space(200, 1),
+                                     heavy_pair) for cap in range(1, 41)]
+    runs += [(d, 40, budget) for d in (lens_space(7, 2), heavy_pair)
+             for budget in range(1, 400, 9)]
+    for diagram, cap, budget in runs:
+        graph = build_lambda(diagram, cap, budget)
+        ref = pair_loop_lambda(graph)
+        assert list(graph.edges.items()) == list(ref.edges.items()), \
+            (cap, budget)
+        assert list(graph._adj.items()) == list(ref._adj.items()), \
+            (cap, budget)
 
 
 # sha256 of emit_graph(build(diagram, cap)) for torus diagrams, recorded

@@ -46,7 +46,8 @@ from reference import (
 def enumerate_slopes(cap):
     """Torus classes with coordinate sum |p| + |q| + |p-q| <= cap, sorted
     by (weight, coords)."""
-    return sorted(_slope_scan(cap), key=lambda s: (sum(s.coords()), s.coords()))
+    return sorted(map(coords_to_slope, _slope_scan(cap)),
+                  key=lambda s: (sum(s.coords()), s.coords()))
 
 
 def is_admissible(tri, weights):
@@ -570,6 +571,41 @@ def test_torus_rung_errors_match_reference():
             (a.coords, b.coords)
         kinds.add(got[0] if isinstance(got, tuple) else int)
     assert kinds == {int, InessentialCurve, ValueError}
+
+
+def test_torus_classes_are_checked_once(monkeypatch):
+    """A CurveClass checks its vector when it is built; the torus rung,
+    the bucket and the slope read the split of that vector without
+    checking it again, and raise as before on the vertex link and on
+    parallel copies, a before b."""
+    link, two = CurveClass(1, (2, 2, 2)), CurveClass(1, (2, 0, 2))
+    a, b = CurveClass.from_slope(3, 1), CurveClass.from_slope(1, 2)
+    calls = []
+    monkeypatch.setattr(Triangulation, "check_matching",
+                        lambda self, weights: calls.append(weights))
+    assert geometric_intersection(a, b) == 5
+    assert algebraic_intersection(a, b) == 5
+    assert same_class(a, a) and not same_class(a, b)
+    assert a.slope() == Slope.of(3, 1)
+    assert outcome(lambda: geometric_intersection(link, two)) == (
+        InessentialCurve, "null-homologous torus curve is inessential")
+    assert outcome(lambda: geometric_intersection(two, link)) == (
+        ValueError, "torus vector (2, 0, 2) has 2 components; "
+                    "a class needs one curve")
+    assert calls == []
+
+
+@pytest.mark.parametrize("vec, message", [
+    ((1, 1), "expected 3 weights, got 2"),
+    ((1, 2, 3, 4), "expected 3 weights, got 4"),
+    ((1, 0, 0), "odd weight sum [1, 0, 0] in triangle 0"),
+    ((3, 1, 0), "triangle inequality fails in triangle 0: [3, 1, 0]"),
+])
+def test_raw_torus_vectors_are_still_checked(vec, message):
+    for f in (coords_to_slope, lambda v: normalize(1, v)):
+        with pytest.raises(InvalidCoordinates) as info:
+            f(vec)
+        assert str(info.value) == message
 
 
 def test_torus_never_traces(monkeypatch):
