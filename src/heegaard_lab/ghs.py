@@ -62,6 +62,8 @@ def compare_collections(a: Sequence[int], b: Sequence[int]) -> str:
 # recently used collections instead of keeping them all.
 MEMO_ENTRIES = 4096
 
+_complexity = functools.lru_cache(maxsize=MEMO_ENTRIES)(complexity)
+
 
 @dataclass(frozen=True)
 class GHS:
@@ -96,7 +98,7 @@ class GHS:
     def _key(self) -> tuple[int, ...]:
         """`ghs_key` as a tuple, computed on first use.  It is not a field,
         so it takes no part in ==, hash or repr."""
-        return tuple(sorted((complexity(level) for level in self.levels[1::2]),
+        return tuple(sorted(map(_complexity, self.levels[1::2]),
                             reverse=True))
 
     def __repr__(self) -> str:
@@ -274,9 +276,15 @@ def _finish(old: GHS, levels: list[Collection], case: str,
     errors = validate_ghs(new)
     if errors:
         raise InvalidMove(f"move yields an invalid GHS: {'; '.join(errors)}")
+    return _report(old, new, case, merged)
+
+
+def _report(old: GHS, new: GHS, case: str, merged: bool) -> MoveReport:
+    """The report of a move from old to the valid GHS new, after the two
+    checks every kept move gets: the same boundary and a smaller key."""
     if new.boundary() != old.boundary():
-        # Cannot happen: `_cancel` refuses to cancel into a boundary, and
-        # `_strip_and_merge` touches only interior levels.
+        # Cannot happen: `_cancellation` refuses to cancel into a boundary,
+        # and `_strip_and_merge` touches only interior levels.
         raise AssertionError(f"move changed the boundary: {old} -> {new}")
     if compare_ghs(new, old) != "less":
         # Happens only when the merge rule collapses the result back onto the
@@ -324,14 +332,15 @@ def _one_compression_apart(sc: Collection, out: Collection) -> bool:
     return gained == [g - 1] or (len(gained) == 2 and sum(gained) == g)
 
 
-def _cancel(ghs: GHS, t: int, zigzag: tuple[Collection, ...],
-            remove: str = "right") -> tuple[list[Collection], str]:
+def _cancellation(ghs: GHS, t: int, zigzag: tuple[Collection, ...],
+                  remove: str = "right") -> tuple[slice, slice, str]:
     """Cases 1(a)-2(d) by the module's one rule: thick level t becomes the
     zigzag, (F_D, F_DE, F_E) or, as dual disks give F_E = F_D, (F_D,), and
     an end equal to the thin level beside it cancels with that level; a
     one-level zigzag cancels once, on the `remove` side if both match.
-    Returns the moved levels, not yet normalized, and the case."""
-    levels = list(ghs.levels)
+    Returns the slice of the levels the move replaces, the slice of the
+    zigzag written in their place, and the case."""
+    levels = ghs.levels
     lower = zigzag[0] == levels[t - 1]
     upper = zigzag[-1] == levels[t + 1]
     n = len(zigzag)
@@ -344,7 +353,16 @@ def _cancel(ghs: GHS, t: int, zigzag: tuple[Collection, ...],
         where = ("a boundary collection" if lower and upper
                  else "the lower boundary" if lower else "the upper boundary")
         raise InvalidMove(f"case {case}{choice} would {verb} {where}")
-    levels[t - lower:t + 1 + upper] = zigzag[lower:n - upper]
+    return slice(t - lower, t + 1 + upper), slice(lower, n - upper), case
+
+
+def _cancel(ghs: GHS, t: int, zigzag: tuple[Collection, ...],
+            remove: str = "right") -> tuple[list[Collection], str]:
+    """The moved levels by `_cancellation`, not yet normalized, and the
+    case."""
+    replaced, written, case = _cancellation(ghs, t, zigzag, remove)
+    levels = list(ghs.levels)
+    levels[replaced] = zigzag[written]
     return levels, case
 
 
@@ -423,36 +441,113 @@ def _carrying(move: Move, ghs: GHS, report: MoveReport) -> Move:
     return move
 
 
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
+def _move_table(f_t: Collection) -> tuple[tuple[tuple, ...], ...]:
+    """The candidate moves of a thick level F_t, which depend on F_t alone,
+    in the order `enumerate_moves` lists them: each weak reduction as
+    (d, e, F_D, F_DE, F_E, F_D', F_DE', F_E'), each destabilization as
+    (g, F_D, F_D'), where a primed level is stripped of its 2-spheres.  A
+    level without spheres is its own stripped form, and equal stripped
+    forms are one object, so an entry only refers to collections that the
+    other memos, or the table itself, hold."""
+    stripped: dict[Collection, Collection] = {}
+
+    def strip(level: Collection) -> Collection:
+        if 0 not in level:
+            return level
+        bare = tuple(filter(None, level))
+        return stripped.setdefault(bare, bare)
+
+    weak = []
+    for d in _descriptors(f_t, "down"):
+        f_d = _compress(f_t, d)
+        for e in _descriptors(f_t, "up"):
+            f_e = _compress(f_t, e)
+            for f_de in sorted(_one_step_compressions(f_d)
+                               & _one_step_compressions(f_e)):
+                weak.append((d, e, f_d, f_de, f_e,
+                             strip(f_d), strip(f_de), strip(f_e)))
+    destabilizations = []
+    for g in sorted({g for g in f_t if g >= 1}, reverse=True):
+        f_d = _compress(f_t, CompressionDescriptor("down", g, ("nonsep",)))
+        destabilizations.append((g, f_d, strip(f_d)))
+    return tuple(weak), tuple(destabilizations)
+
+
+def _finished(ghs: GHS, t: int, zigzag: tuple[Collection, ...],
+              stripped: tuple[Collection, ...], remove: str,
+              within: Optional[frozenset]) -> Optional[MoveReport]:
+    """A candidate move on any GHS, checked as `apply_move` checks it."""
+    return _finish(ghs, *_cancel(ghs, t, zigzag, remove), within)
+
+
+def _spliced(ghs: GHS, t: int, zigzag: tuple[Collection, ...],
+             stripped: tuple[Collection, ...], remove: str,
+             within: Optional[frozenset]) -> Optional[MoveReport]:
+    """`_finished` on a valid GHS, from the zigzag's stripped levels; a
+    result that `_finish` would refuse as invalid is None instead.  See
+    `_moves_with_reports` for why the two agree."""
+    replaced, written, case = _cancellation(ghs, t, zigzag, remove)
+    levels = list(ghs.levels)
+    levels[replaced] = stripped[written]
+    merged = len(stripped) == 3 and not stripped[1]
+    if merged:
+        levels, merged = _strip_and_merge(levels)
+    new = GHS(tuple(levels))
+    if within is not None and new not in within:
+        return None
+    if validate_ghs(new) if merged else () in stripped[written]:
+        return None
+    return _report(ghs, new, case, merged)
+
+
 def _moves_with_reports(ghs: GHS, within: Optional[frozenset] = None
                         ) -> Iterator[tuple[Move, MoveReport]]:
     """The moves of `enumerate_moves`, each carrying and paired with its
-    report; given `within`, only those whose result lies in it.  Every
-    descriptor is essential and F_DE one compression from F_D and F_E by
-    construction, so the checks `apply_move` adds to `_finish` pass."""
+    report; given `within`, only those whose result lies in it.
+
+    The candidates of each thick level come from its `_move_table`.  Every
+    descriptor there is essential and F_DE one compression from F_D and
+    F_E by construction, so the checks `apply_move` adds to `_finish`
+    pass.  An input that fails `validate_ghs` has each candidate checked
+    by `_finish`, as `apply_move` checks it.  A valid input has each
+    candidate spliced in place by `_spliced`, with the same outcome:
+
+    * The move replaces part of the window (F_{t-1}, F_t, F_{t+1}) by
+      part of its zigzag, and `_cancellation` refuses to replace F_0 or
+      F_2n.  So the levels outside the window stay valid, keep their
+      parity and stay interior or boundary, and the only levels the move
+      writes are its zigzag's, all of them interior.
+    * Stripping spheres therefore changes only the written levels, which
+      the table holds stripped already.
+    * The only thin level a zigzag writes is F_DE.  So an interior thin
+      level is empty, and `_strip_and_merge` merges, exactly when F_DE
+      strips to empty; only then do the merge and a full `validate_ghs`
+      run.
+    * Otherwise the written levels are sorted collections without spheres
+      and F_DE is not empty, so the only violation `validate_ghs` could
+      find is a written F_D or F_E that stripped to empty.
+
+    The boundary check and the smaller-key check run on every kept move,
+    as in `_finish`."""
+    levels = ghs.levels
+    move = _finished if validate_ghs(ghs) else _spliced
     for t in ghs.thick_indices():
-        f_t = ghs.levels[t]
-        for d in _descriptors(f_t, "down"):
-            f_d = _compress(f_t, d)
-            for e in _descriptors(f_t, "up"):
-                f_e = _compress(f_t, e)
-                for f_de in sorted(_one_step_compressions(f_d)
-                                   & _one_step_compressions(f_e)):
-                    try:
-                        report = _finish(ghs, *_cancel(
-                            ghs, t, (f_d, f_de, f_e)), within)
-                    except InvalidMove:
-                        continue
-                    if report is not None:
-                        yield _carrying(WeakReduction(t, d, e, f_de), ghs,
-                                        report), report
-        for g in sorted({g for g in f_t if g >= 1}, reverse=True):
-            f_d = _compress(f_t, CompressionDescriptor("down", g, ("nonsep",)))
+        weak, destabilizations = _move_table(levels[t])
+        for entry in weak:
+            try:
+                report = move(ghs, t, entry[2:5], entry[5:], "right", within)
+            except InvalidMove:
+                continue
+            if report is not None:
+                yield _carrying(WeakReduction(t, entry[0], entry[1], entry[3]),
+                                ghs, report), report
+        for g, f_d, bare in destabilizations:
             # Only case 2(d), F_D on both flanking thin levels, has a choice.
-            case_2d = f_d == ghs.levels[t - 1] == ghs.levels[t + 1]
+            case_2d = f_d == levels[t - 1] == levels[t + 1]
             for remove in ("right", "left") if case_2d else ("right",):
                 try:
-                    report = _finish(ghs, *_cancel(
-                        ghs, t, (f_d,), remove), within)
+                    report = move(ghs, t, (f_d,), (bare,), remove, within)
                 except InvalidMove:
                     continue
                 if report is not None:

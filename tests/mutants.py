@@ -332,10 +332,40 @@ MUTANTS = [
            "a one-level zigzag matching both sides cancels on the side "
            "not asked for"),
     Mutant("cancel-slice-sides-swapped", "ghs.py",
-           "levels[t - lower:t + 1 + upper]",
-           "levels[t - upper:t + 1 + lower]",
+           "slice(t - lower, t + 1 + upper)",
+           "slice(t - upper, t + 1 + lower)",
            (GHS + "test_every_candidate_move_outcome_is_pinned",),
            "a zigzag end cancels with the thin level on the other side"),
+    Mutant("moves-drop-2d-left", "ghs.py",
+           'for remove in ("right", "left") if case_2d else ("right",):',
+           'for remove in ("right",):',
+           (GHS + "test_move_table_matches_descriptor_pair_loop_on_random_"
+                  "ghss",),
+           "enumeration never lists the left choice of case 2(d)"),
+    Mutant("splice-skips-merge", "ghs.py",
+           "    merged = len(stripped) == 3 and not stripped[1]\n",
+           "    merged = False\n",
+           (GHS + "test_move_table_matches_descriptor_pair_loop_on_random_"
+                  "ghss",),
+           "a weak reduction whose F_DE strips to empty is not merged"),
+    Mutant("splice-keeps-empty-thick", "ghs.py",
+           "if validate_ghs(new) if merged else () in stripped[written]:",
+           "if validate_ghs(new) if merged else False:",
+           (GHS + "test_move_table_matches_descriptor_pair_loop_on_random_"
+                  "ghss",),
+           "a move whose F_D or F_E strips to empty is kept"),
+    Mutant("invalid-input-spliced", "ghs.py",
+           "move = _finished if validate_ghs(ghs) else _spliced",
+           "move = _spliced",
+           (GHS + "test_move_table_matches_descriptor_pair_loop_on_invalid_"
+                  "ghss",),
+           "an invalid input's moves are spliced as if it were valid"),
+    Mutant("key-ascending", "ghs.py",
+           "map(_complexity, self.levels[1::2]),\n"
+           "                            reverse=True))",
+           "map(_complexity, self.levels[1::2])))",
+           (GHS + "test_ghs_key_is_a_fresh_list_and_not_a_field",),
+           "a GHS key lists its complexities in ascending order"),
 ]
 
 

@@ -20,6 +20,7 @@ pass.
   disk_complex.splitting_distance     reference_splitting_distance
   handlebody.validate_cut_system      reference_validate_cut_system
   ghs.validate_ghs                    reference_validate_ghs
+  ghs._moves_with_reports             reference_moves_with_reports
   sog.SymbolicOracle                  reference_symbolic_states,
                                       reference_symbolic_edges
   sog.flatten                         reference_flatten
@@ -41,7 +42,21 @@ from heegaard_lab.disk_complex import (
     component_distance,
 )
 from heegaard_lab.errors import InputError
-from heegaard_lab.ghs import GHS, _moves_with_reports, collection, ghs_key
+from heegaard_lab.ghs import (
+    GHS,
+    CompressionDescriptor,
+    Destabilization,
+    InvalidMove,
+    WeakReduction,
+    _cancel,
+    _carrying,
+    _compress,
+    _descriptors,
+    _finish,
+    _one_step_compressions,
+    collection,
+    ghs_key,
+)
 from heegaard_lab.handlebody import CutSystem, InvalidCutSystem
 from heegaard_lab.sog import (
     _TERMINAL,
@@ -542,6 +557,42 @@ def reference_validate_ghs(ghs):
     return errors
 
 
+def reference_moves_with_reports(ghs, within=None):
+    """`ghs._moves_with_reports` as it listed the moves before the per-
+    collection move table: every descriptor pair of every thick level
+    walked again for each GHS, and each candidate checked in full by
+    `_finish`."""
+    for t in ghs.thick_indices():
+        f_t = ghs.levels[t]
+        for d in _descriptors(f_t, "down"):
+            f_d = _compress(f_t, d)
+            for e in _descriptors(f_t, "up"):
+                f_e = _compress(f_t, e)
+                for f_de in sorted(_one_step_compressions(f_d)
+                                   & _one_step_compressions(f_e)):
+                    try:
+                        report = _finish(ghs, *_cancel(
+                            ghs, t, (f_d, f_de, f_e)), within)
+                    except InvalidMove:
+                        continue
+                    if report is not None:
+                        yield _carrying(WeakReduction(t, d, e, f_de), ghs,
+                                        report), report
+        for g in sorted({g for g in f_t if g >= 1}, reverse=True):
+            f_d = _compress(f_t, CompressionDescriptor("down", g, ("nonsep",)))
+            # Only case 2(d), F_D on both flanking thin levels, has a choice.
+            case_2d = f_d == ghs.levels[t - 1] == ghs.levels[t + 1]
+            for remove in ("right", "left") if case_2d else ("right",):
+                try:
+                    report = _finish(ghs, *_cancel(
+                        ghs, t, (f_d,), remove), within)
+                except InvalidMove:
+                    continue
+                if report is not None:
+                    yield _carrying(Destabilization(t, g, remove), ghs,
+                                    report), report
+
+
 def reference_symbolic_states(budget, boundary):
     """The states of `SymbolicOracle(budget, boundary)` in its node order,
     enumerated independently: the boundary pair around 2k - 1 interior
@@ -571,16 +622,17 @@ def reference_symbolic_states(budget, boundary):
 
 def reference_symbolic_edges(budget, boundary):
     """The oracle's edges as it found them before it tested each result
-    against its states first: every move of `_moves_with_reports(g)`, with
-    no `within`, whose result is a state.  Listed as (parent, child, move),
-    by parent in node order and then by (child label, repr(move)), which is
-    how the oracle lists each node's edges."""
+    against its states first: every move of
+    `reference_moves_with_reports(g)`, with no `within`, whose result is a
+    state.  Listed as (parent, child, move), by parent in node order and
+    then by (child label, repr(move)), which is how the oracle lists each
+    node's edges."""
     states = reference_symbolic_states(budget, boundary)
     inside = set(states)
     edges = []
     for g in states:
         edges += sorted(((g, report.result, move)
-                         for move, report in _moves_with_reports(g)
+                         for move, report in reference_moves_with_reports(g)
                          if report.result in inside),
                         key=lambda e: (repr(e[1]), repr(e[2])))
     return edges

@@ -522,6 +522,26 @@ def test_move_that_changes_the_boundary_is_an_internal_error(
                 "GHS (-) [3] (-) -> GHS (1) [2] (1) [2] (-)\n")
 
 
+def test_enumerated_move_that_changes_the_boundary_is_an_internal_error(
+        capsys, monkeypatch):
+    # Enumeration splices each move into the levels itself, and checks the
+    # boundary of every move it keeps: were the cancellation rule that it
+    # shares with `ghs reduce` to cancel into a boundary, both raise the
+    # same internal error.
+    from heegaard_lab import ghs
+
+    def cancels_into_lower_boundary(g, t, zigzag, remove="right"):
+        return slice(t - 1, t + 1), slice(1, len(zigzag)), "1b"
+    monkeypatch.setattr(ghs, "_cancellation", cancels_into_lower_boundary)
+    message = ("move changed the boundary: "
+               "GHS (-) [3] (-) -> GHS (1) [2] (-)")
+    assert run(capsys, "ghs", "reduce", "--in", G3, "--move", WR1A) == \
+        (3, "", f"internal error: {message}\n")
+    with pytest.raises(AssertionError) as info:
+        ghs.enumerate_moves(ghs.GHS.of([[], [3], []]))
+    assert str(info.value) == message
+
+
 # `diagram classify --cap 8`, byte for byte, in JSON and in text, on the
 # standard genus-2 diagram, the critical-witness diagram, L(5, 2) and
 # S^2 x S^1.

@@ -39,8 +39,9 @@ from heegaard_lab.serialize import (
     move_from_jsonable,
     move_to_jsonable,
 )
+from heegaard_lab.sog import SymbolicBudget, SymbolicOracle
 
-from reference import reference_validate_ghs
+from reference import reference_moves_with_reports, reference_validate_ghs
 
 
 def nonsep(side, g):
@@ -495,3 +496,96 @@ def test_every_candidate_move_outcome_is_pinned():
 
 GOLDEN_CANDIDATES = (
     32198, "5839dd7be1519875a419335935027327861952496863c9ad3dfe1d2f7f1dca4d")
+
+
+# ---------------------------------------------------------------------------
+# The per-collection move table against the descriptor-pair loop
+# ---------------------------------------------------------------------------
+
+
+def move_listing(moves_with_reports, g, within=None):
+    """The ordered (move, report) pairs, in repr too so that the bytes are
+    compared, or the type and message of the error the listing raised: a
+    raw GHS with a negative genus or an even number of levels."""
+    try:
+        return [(m, repr(m), r, repr(r))
+                for m, r in moves_with_reports(g, within)]
+    except (InvalidGHS, IndexError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same_moves(g, withins=()):
+    want = move_listing(reference_moves_with_reports, g)
+    assert move_listing(_moves_with_reports, g) == want, g
+    if isinstance(want, list):
+        # Every other result, so that `within` drops some moves and keeps
+        # others, and the GHS itself, which no move reaches.
+        withins = (frozenset([r for _, _, r, _ in want[::2]] + [g]),
+                   *withins)
+    for within in withins:
+        assert move_listing(_moves_with_reports, g, within) == \
+            move_listing(reference_moves_with_reports, g, within), g
+    return want
+
+
+def raw_invalid_ghss(rng):
+    """Raw GHS(...) values, each a valid random GHS with one fault: a
+    2-sphere in an interior level, an empty interior thin level, an empty
+    thick level or an unsorted level."""
+    while True:
+        g = random_ghs(rng)
+        levels = list(g.levels)
+        fault = rng.choice(["sphere", "thin", "thick", "unsorted"])
+        if fault == "sphere":
+            i = rng.randrange(1, len(levels) - 1)
+            levels[i] = tuple(sorted(levels[i] + (0,), reverse=True))
+        elif fault == "thin" and len(levels) > 3:
+            levels[rng.randrange(2, len(levels) - 2, 2)] = ()
+        elif fault == "thick":
+            levels[rng.randrange(1, len(levels) - 1, 2)] = ()
+        elif fault == "unsorted":
+            i = rng.randrange(1, len(levels) - 1)
+            levels[i] = levels[i] + (max(levels[i]) + 1,)
+        else:
+            continue
+        yield fault, GHS(tuple(levels))
+
+
+def test_move_table_matches_descriptor_pair_loop_on_random_ghss():
+    rng = random.Random(43)
+    moves = 0
+    for _ in range(3000):
+        moves += len(assert_same_moves(random_ghs(rng)))
+    assert moves > 50000, moves
+
+
+def test_move_table_matches_descriptor_pair_loop_on_invalid_ghss():
+    # An invalid input is checked move by move, as `apply_move` checks it;
+    # each fault must leave some inputs with moves and some without.
+    rng = random.Random(47)
+    seen = set()
+    for fault, g in itertools.islice(raw_invalid_ghss(rng), 1200):
+        assert validate_ghs(g)
+        seen.add((fault, bool(assert_same_moves(g))))
+    assert seen == {(fault, has) for fault in
+                    ("sphere", "thin", "thick", "unsorted")
+                    for has in (False, True)}
+    # A negative genus or an even level count raises in both listings, with
+    # the same error; a lone empty thick level has no moves.
+    for levels in [((), (2, -1), ()), ((), (3,)), ((), (3,), (), (2,)),
+                   ((), (), ()), ((1,), (2,), (1,), (2,))]:
+        assert_same_moves(GHS(levels))
+    assert move_listing(_moves_with_reports, GHS(((), (2, -1), ()))) == \
+        ("InvalidGHS", "negative genus")
+
+
+@pytest.mark.parametrize("boundary", [((), ()), ((1,), (1,)), ((2,), ()),
+                                      ((1, 1), (2,))])
+def test_move_table_matches_descriptor_pair_loop_on_oracle_states(boundary):
+    for max_levels in (5, 7):
+        for total in range(1, 8):
+            states = SymbolicOracle(SymbolicBudget(total, max_levels),
+                                    boundary).nodes()
+            inside = frozenset(states)
+            for g in states:
+                assert_same_moves(g, (inside,))
