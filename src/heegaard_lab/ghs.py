@@ -192,7 +192,6 @@ def compress(sc: Sequence[int], d: CompressionDescriptor) -> Collection:
     return _compress(collection(sc), d)
 
 
-@functools.lru_cache(maxsize=MEMO_ENTRIES)
 def _compress(sc: Collection, d: CompressionDescriptor) -> Collection:
     if d.target_genus not in sc:
         raise InvalidMove(f"no component of genus {d.target_genus} in {sc}")
@@ -264,43 +263,12 @@ def _strip_and_merge(levels: list[Collection]) -> tuple[list[Collection], bool]:
     return out, merged
 
 
-def _finish(old: GHS, levels: list[Collection], case: str,
-            within: Optional[frozenset] = None) -> Optional[MoveReport]:
-    """Normalize the moved levels, each already a sorted collection, and
-    check the result.  Given `within`, a result outside it is dropped
-    (None) before any check runs."""
-    levels, merged = _strip_and_merge(levels)
-    new = GHS(tuple(levels))
-    if within is not None and new not in within:
-        return None
-    errors = validate_ghs(new)
-    if errors:
-        raise InvalidMove(f"move yields an invalid GHS: {'; '.join(errors)}")
-    return _report(old, new, case, merged)
-
-
-def _report(old: GHS, new: GHS, case: str, merged: bool) -> MoveReport:
-    """The report of a move from old to the valid GHS new, after the two
-    checks every kept move gets: the same boundary and a smaller key."""
-    if new.boundary() != old.boundary():
-        # Cannot happen: `_cancellation` refuses to cancel into a boundary,
-        # and `_strip_and_merge` touches only interior levels.
-        raise AssertionError(f"move changed the boundary: {old} -> {new}")
-    if compare_ghs(new, old) != "less":
-        # Happens only when the merge rule collapses the result back onto the
-        # input (cross-component disks whose spheres empty a thin level);
-        # such a pair is not a move of a connected manifold's GHS.
-        raise InvalidMove(f"move does not shrink the GHS: {old} -> {new}")
-    return MoveReport(new, case, merged, new.n_levels - old.n_levels)
-
-
 def _thick(ghs: GHS, t: int) -> Collection:
     if t not in ghs.thick_indices():
         raise InvalidMove(f"{t} is not a thick index of {ghs}")
     return ghs.levels[t]
 
 
-@functools.lru_cache(maxsize=MEMO_ENTRIES)
 def _one_step_compressions(sc: Collection) -> frozenset[Collection]:
     """Collections reachable from sc by one essential compression."""
     return frozenset(_compress(sc, d) for d in _descriptors(sc, "down"))
@@ -356,14 +324,40 @@ def _cancellation(ghs: GHS, t: int, zigzag: tuple[Collection, ...],
     return slice(t - lower, t + 1 + upper), slice(lower, n - upper), case
 
 
-def _cancel(ghs: GHS, t: int, zigzag: tuple[Collection, ...],
-            remove: str = "right") -> tuple[list[Collection], str]:
-    """The moved levels by `_cancellation`, not yet normalized, and the
-    case."""
+def _splice(ghs: GHS, t: int, zigzag: tuple[Collection, ...],
+            stripped: tuple[Collection, ...], remove: str, valid: bool,
+            within: Optional[frozenset] = None) -> Optional[MoveReport]:
+    """The report of the move that makes thick level t the zigzag, whose
+    levels, stripped of 2-spheres, are written where `_cancellation` says.
+    A result outside `within` is None before any check; an invalid one
+    raises InvalidMove; any other gets the boundary and smaller-key checks.
+    The sphere rule, the merge and a full `validate_ghs` are skipped only
+    on an input known to be `valid` whose F_DE does not strip to empty
+    (see `_moves_with_reports`)."""
     replaced, written, case = _cancellation(ghs, t, zigzag, remove)
     levels = list(ghs.levels)
-    levels[replaced] = zigzag[written]
-    return levels, case
+    levels[replaced] = stripped[written]
+    merged = full = not valid or (len(stripped) == 3 and not stripped[1])
+    if full:
+        levels, merged = _strip_and_merge(levels)
+    new = GHS(tuple(levels))
+    if within is not None and new not in within:
+        return None
+    if full or () in stripped[written]:
+        errors = validate_ghs(new)
+        if errors:
+            raise InvalidMove(
+                f"move yields an invalid GHS: {'; '.join(errors)}")
+    if new.boundary() != ghs.boundary():
+        # Cannot happen: `_cancellation` refuses to cancel into a boundary,
+        # and `_strip_and_merge` touches only interior levels.
+        raise AssertionError(f"move changed the boundary: {ghs} -> {new}")
+    if compare_ghs(new, ghs) != "less":
+        # Happens only when the merge rule collapses the result back onto the
+        # input (cross-component disks whose spheres empty a thin level);
+        # such a pair is not a move of a connected manifold's GHS.
+        raise InvalidMove(f"move does not shrink the GHS: {ghs} -> {new}")
+    return MoveReport(new, case, merged, new.n_levels - ghs.n_levels)
 
 
 def apply_move(ghs: GHS, m: Move) -> GHS:
@@ -383,16 +377,21 @@ def apply_move_report(ghs: GHS, m: Move) -> MoveReport:
     if isinstance(m, Destabilization):
         f_d = compress(f_t, CompressionDescriptor(
             "down", m.target_genus, ("nonsep",)))
-        return _finish(ghs, *_cancel(ghs, t, (f_d,), m.remove))
-    if not (m.d.essential() and m.e.essential()):
-        raise InvalidMove("compressions along inessential disks are not moves")
-    f_d, f_e, f_de = compress(f_t, m.d), compress(f_t, m.e), collection(m.f_de)
-    if not (_one_compression_apart(f_d, f_de)
-            and _one_compression_apart(f_e, f_de)):
-        raise InvalidMove(
-            f"F_DE={f_de} is not one compression away from both "
-            f"F_D={f_d} and F_E={f_e}")
-    return _finish(ghs, *_cancel(ghs, t, (f_d, f_de, f_e)))
+        zigzag, remove = (f_d,), m.remove
+    else:
+        if not (m.d.essential() and m.e.essential()):
+            raise InvalidMove(
+                "compressions along inessential disks are not moves")
+        f_d, f_e = compress(f_t, m.d), compress(f_t, m.e)
+        f_de = collection(m.f_de)
+        if not (_one_compression_apart(f_d, f_de)
+                and _one_compression_apart(f_e, f_de)):
+            raise InvalidMove(
+                f"F_DE={f_de} is not one compression away from both "
+                f"F_D={f_d} and F_E={f_e}")
+        zigzag, remove = (f_d, f_de, f_e), "right"
+    # A raw zigzag on an input not known to be valid: the full check runs.
+    return _splice(ghs, t, zigzag, zigzag, remove, False)
 
 
 def stabilize(ghs: GHS, thick_index: int, component_genus: int) -> GHS:
@@ -415,7 +414,6 @@ def stabilize(ghs: GHS, thick_index: int, component_genus: int) -> GHS:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=MEMO_ENTRIES)
 def _descriptors(sc: Collection,
                  side: str) -> tuple[CompressionDescriptor, ...]:
     out = []
@@ -447,24 +445,25 @@ def _move_table(f_t: Collection) -> tuple[tuple[tuple, ...], ...]:
     in the order `enumerate_moves` lists them: each weak reduction as
     (d, e, F_D, F_DE, F_E, F_D', F_DE', F_E'), each destabilization as
     (g, F_D, F_D'), where a primed level is stripped of its 2-spheres.  A
-    level without spheres is its own stripped form, and equal stripped
-    forms are one object, so an entry only refers to collections that the
-    other memos, or the table itself, hold."""
-    stripped: dict[Collection, Collection] = {}
+    level without spheres is its own stripped form, and equal F_DE or
+    stripped forms are one object.  Both sides list the same compressions,
+    so each one, and the set one step from it, is computed once a table."""
+    one: dict[Collection, Collection] = {}
 
     def strip(level: Collection) -> Collection:
         if 0 not in level:
             return level
         bare = tuple(filter(None, level))
-        return stripped.setdefault(bare, bare)
+        return one.setdefault(bare, bare)
 
+    downs, ups = _descriptors(f_t, "down"), _descriptors(f_t, "up")
+    outs = [_compress(f_t, d) for d in downs]
+    reach = [_one_step_compressions(out) for out in outs]
     weak = []
-    for d in _descriptors(f_t, "down"):
-        f_d = _compress(f_t, d)
-        for e in _descriptors(f_t, "up"):
-            f_e = _compress(f_t, e)
-            for f_de in sorted(_one_step_compressions(f_d)
-                               & _one_step_compressions(f_e)):
+    for d, f_d, from_d in zip(downs, outs, reach):
+        for e, f_e, from_e in zip(ups, outs, reach):
+            for f_de in sorted(from_d & from_e):
+                f_de = one.setdefault(f_de, f_de)
                 weak.append((d, e, f_d, f_de, f_e,
                              strip(f_d), strip(f_de), strip(f_e)))
     destabilizations = []
@@ -474,33 +473,6 @@ def _move_table(f_t: Collection) -> tuple[tuple[tuple, ...], ...]:
     return tuple(weak), tuple(destabilizations)
 
 
-def _finished(ghs: GHS, t: int, zigzag: tuple[Collection, ...],
-              stripped: tuple[Collection, ...], remove: str,
-              within: Optional[frozenset]) -> Optional[MoveReport]:
-    """A candidate move on any GHS, checked as `apply_move` checks it."""
-    return _finish(ghs, *_cancel(ghs, t, zigzag, remove), within)
-
-
-def _spliced(ghs: GHS, t: int, zigzag: tuple[Collection, ...],
-             stripped: tuple[Collection, ...], remove: str,
-             within: Optional[frozenset]) -> Optional[MoveReport]:
-    """`_finished` on a valid GHS, from the zigzag's stripped levels; a
-    result that `_finish` would refuse as invalid is None instead.  See
-    `_moves_with_reports` for why the two agree."""
-    replaced, written, case = _cancellation(ghs, t, zigzag, remove)
-    levels = list(ghs.levels)
-    levels[replaced] = stripped[written]
-    merged = len(stripped) == 3 and not stripped[1]
-    if merged:
-        levels, merged = _strip_and_merge(levels)
-    new = GHS(tuple(levels))
-    if within is not None and new not in within:
-        return None
-    if validate_ghs(new) if merged else () in stripped[written]:
-        return None
-    return _report(ghs, new, case, merged)
-
-
 def _moves_with_reports(ghs: GHS, within: Optional[frozenset] = None
                         ) -> Iterator[tuple[Move, MoveReport]]:
     """The moves of `enumerate_moves`, each carrying and paired with its
@@ -508,10 +480,11 @@ def _moves_with_reports(ghs: GHS, within: Optional[frozenset] = None
 
     The candidates of each thick level come from its `_move_table`.  Every
     descriptor there is essential and F_DE one compression from F_D and
-    F_E by construction, so the checks `apply_move` adds to `_finish`
-    pass.  An input that fails `validate_ghs` has each candidate checked
-    by `_finish`, as `apply_move` checks it.  A valid input has each
-    candidate spliced in place by `_spliced`, with the same outcome:
+    F_E by construction, so the checks `apply_move` makes before `_splice`
+    pass.  Each candidate is then checked by `_splice`, as `apply_move`
+    checks it, told whether the input passed `validate_ghs`.  On a valid
+    input `_splice` writes the stripped levels and skips what cannot
+    change the outcome:
 
     * The move replaces part of the window (F_{t-1}, F_t, F_{t+1}) by
       part of its zigzag, and `_cancellation` refuses to replace F_0 or
@@ -528,15 +501,15 @@ def _moves_with_reports(ghs: GHS, within: Optional[frozenset] = None
       and F_DE is not empty, so the only violation `validate_ghs` could
       find is a written F_D or F_E that stripped to empty.
 
-    The boundary check and the smaller-key check run on every kept move,
-    as in `_finish`."""
+    The boundary check and the smaller-key check run on every kept move."""
     levels = ghs.levels
-    move = _finished if validate_ghs(ghs) else _spliced
+    valid = not validate_ghs(ghs)
     for t in ghs.thick_indices():
         weak, destabilizations = _move_table(levels[t])
         for entry in weak:
             try:
-                report = move(ghs, t, entry[2:5], entry[5:], "right", within)
+                report = _splice(ghs, t, entry[2:5], entry[5:], "right",
+                                 valid, within)
             except InvalidMove:
                 continue
             if report is not None:
@@ -547,7 +520,8 @@ def _moves_with_reports(ghs: GHS, within: Optional[frozenset] = None
             case_2d = f_d == levels[t - 1] == levels[t + 1]
             for remove in ("right", "left") if case_2d else ("right",):
                 try:
-                    report = move(ghs, t, (f_d,), (bare,), remove, within)
+                    report = _splice(ghs, t, (f_d,), (bare,), remove, valid,
+                                     within)
                 except InvalidMove:
                     continue
                 if report is not None:

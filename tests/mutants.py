@@ -343,23 +343,44 @@ MUTANTS = [
                   "ghss",),
            "enumeration never lists the left choice of case 2(d)"),
     Mutant("splice-skips-merge", "ghs.py",
-           "    merged = len(stripped) == 3 and not stripped[1]\n",
-           "    merged = False\n",
+           "    merged = full = not valid or (len(stripped) == 3 and not "
+           "stripped[1])\n",
+           "    merged = full = not valid\n",
            (GHS + "test_move_table_matches_descriptor_pair_loop_on_random_"
                   "ghss",),
            "a weak reduction whose F_DE strips to empty is not merged"),
     Mutant("splice-keeps-empty-thick", "ghs.py",
-           "if validate_ghs(new) if merged else () in stripped[written]:",
-           "if validate_ghs(new) if merged else False:",
+           "    if full or () in stripped[written]:\n",
+           "    if full:\n",
            (GHS + "test_move_table_matches_descriptor_pair_loop_on_random_"
                   "ghss",),
            "a move whose F_D or F_E strips to empty is kept"),
     Mutant("invalid-input-spliced", "ghs.py",
-           "move = _finished if validate_ghs(ghs) else _spliced",
-           "move = _spliced",
+           "    valid = not validate_ghs(ghs)\n",
+           "    valid = True\n",
            (GHS + "test_move_table_matches_descriptor_pair_loop_on_invalid_"
                   "ghss",),
            "an invalid input's moves are spliced as if it were valid"),
+    Mutant("apply-move-trusts-input", "ghs.py",
+           "    return _splice(ghs, t, zigzag, zigzag, remove, False)\n",
+           "    return _splice(ghs, t, zigzag, zigzag, remove, True)\n",
+           (GHS + "test_apply_move_matches_reference_on_invalid_ghss",),
+           "`apply_move` takes its input as valid, so a move on a raw "
+           "invalid GHS skips the sphere rule, the merge and the check"),
+    Mutant("invalid-result-reported", "ghs.py",
+           "            raise InvalidMove(\n"
+           "                f\"move yields an invalid GHS: "
+           "{'; '.join(errors)}\")\n",
+           "            pass\n",
+           (GHS + "test_apply_move_matches_reference_on_invalid_ghss",),
+           "a move whose result is not a valid GHS is reported, not refused"),
+    Mutant("table-f-d-with-itself", "ghs.py",
+           "sorted(from_d & from_e)",
+           "sorted(from_d & from_d)",
+           (GHS + "test_move_table_matches_descriptor_pair_loop_on_random_"
+                  "ghss",),
+           "the table lists F_DE one compression from F_D alone, not from "
+           "F_D and F_E"),
     Mutant("key-ascending", "ghs.py",
            "map(_complexity, self.levels[1::2]),\n"
            "                            reverse=True))",

@@ -21,6 +21,7 @@ pass.
   handlebody.validate_cut_system      reference_validate_cut_system
   ghs.validate_ghs                    reference_validate_ghs
   ghs._moves_with_reports             reference_moves_with_reports
+  ghs.apply_move_report               reference_apply_move_report
   sog.SymbolicOracle                  reference_symbolic_states,
                                       reference_symbolic_edges
   sog.flatten                         reference_flatten
@@ -47,15 +48,22 @@ from heegaard_lab.ghs import (
     CompressionDescriptor,
     Destabilization,
     InvalidMove,
+    Move,
+    MoveReport,
     WeakReduction,
-    _cancel,
+    _cancellation,
     _carrying,
     _compress,
     _descriptors,
-    _finish,
+    _one_compression_apart,
     _one_step_compressions,
+    _strip_and_merge,
+    _thick,
     collection,
+    compare_ghs,
+    compress,
     ghs_key,
+    validate_ghs,
 )
 from heegaard_lab.handlebody import CutSystem, InvalidCutSystem
 from heegaard_lab.sog import (
@@ -557,11 +565,79 @@ def reference_validate_ghs(ghs):
     return errors
 
 
+# The move check before `ghs._splice` served both `apply_move_report` and
+# enumeration: `_finish`, `_report` and `_cancel`, their bodies as they
+# were, on the cancellation rule `ghs._cancellation` that both still share.
+
+
+def _finish(old, levels, case, within=None):
+    """Normalize the moved levels, each already a sorted collection, and
+    check the result.  Given `within`, a result outside it is dropped
+    (None) before any check runs."""
+    levels, merged = _strip_and_merge(levels)
+    new = GHS(tuple(levels))
+    if within is not None and new not in within:
+        return None
+    errors = validate_ghs(new)
+    if errors:
+        raise InvalidMove(f"move yields an invalid GHS: {'; '.join(errors)}")
+    return _report(old, new, case, merged)
+
+
+def _report(old, new, case, merged):
+    """The report of a move from old to the valid GHS new, after the two
+    checks every kept move gets: the same boundary and a smaller key."""
+    if new.boundary() != old.boundary():
+        # Cannot happen: `_cancellation` refuses to cancel into a boundary,
+        # and `_strip_and_merge` touches only interior levels.
+        raise AssertionError(f"move changed the boundary: {old} -> {new}")
+    if compare_ghs(new, old) != "less":
+        # Happens only when the merge rule collapses the result back onto the
+        # input (cross-component disks whose spheres empty a thin level);
+        # such a pair is not a move of a connected manifold's GHS.
+        raise InvalidMove(f"move does not shrink the GHS: {old} -> {new}")
+    return MoveReport(new, case, merged, new.n_levels - old.n_levels)
+
+
+def _cancel(ghs, t, zigzag, remove="right"):
+    """The moved levels by `_cancellation`, not yet normalized, and the
+    case."""
+    replaced, written, case = _cancellation(ghs, t, zigzag, remove)
+    levels = list(ghs.levels)
+    levels[replaced] = zigzag[written]
+    return levels, case
+
+
+def reference_apply_move_report(ghs, m):
+    """`ghs.apply_move_report` as it checked each move by `_finish` and
+    `_cancel` above."""
+    checked = getattr(m, "_checked", None)
+    if checked is not None and (checked[0] is ghs or checked[0] == ghs):
+        return checked[1]
+    if not isinstance(m, Move):
+        raise InvalidMove(f"unknown move {m!r}")
+    t = m.thick_index
+    f_t = _thick(ghs, t)
+    if isinstance(m, Destabilization):
+        f_d = compress(f_t, CompressionDescriptor(
+            "down", m.target_genus, ("nonsep",)))
+        return _finish(ghs, *_cancel(ghs, t, (f_d,), m.remove))
+    if not (m.d.essential() and m.e.essential()):
+        raise InvalidMove("compressions along inessential disks are not moves")
+    f_d, f_e, f_de = compress(f_t, m.d), compress(f_t, m.e), collection(m.f_de)
+    if not (_one_compression_apart(f_d, f_de)
+            and _one_compression_apart(f_e, f_de)):
+        raise InvalidMove(
+            f"F_DE={f_de} is not one compression away from both "
+            f"F_D={f_d} and F_E={f_e}")
+    return _finish(ghs, *_cancel(ghs, t, (f_d, f_de, f_e)))
+
+
 def reference_moves_with_reports(ghs, within=None):
     """`ghs._moves_with_reports` as it listed the moves before the per-
     collection move table: every descriptor pair of every thick level
     walked again for each GHS, and each candidate checked in full by
-    `_finish`."""
+    `_finish` and `_cancel` above."""
     for t in ghs.thick_indices():
         f_t = ghs.levels[t]
         for d in _descriptors(f_t, "down"):

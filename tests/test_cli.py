@@ -515,11 +515,11 @@ def test_move_that_changes_the_boundary_is_an_internal_error(
     from heegaard_lab import ghs
 
     def rewrites_boundary(g, t, zigzag, remove="right"):
-        return [(1,), *zigzag, *g.levels[t + 1:]], "1a"
-    monkeypatch.setattr(ghs, "_cancel", rewrites_boundary)
+        return slice(t - 1, t + 1), slice(0, 2), "1a"
+    monkeypatch.setattr(ghs, "_cancellation", rewrites_boundary)
     assert run(capsys, "ghs", "reduce", "--in", G3, "--move", WR1A) == \
         (3, "", "internal error: move changed the boundary: "
-                "GHS (-) [3] (-) -> GHS (1) [2] (1) [2] (-)\n")
+                "GHS (-) [3] (-) -> GHS (2) [1] (-)\n")
 
 
 def test_enumerated_move_that_changes_the_boundary_is_an_internal_error(

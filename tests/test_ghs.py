@@ -12,6 +12,7 @@ from heegaard_lab.ghs import (
     Destabilization,
     InvalidGHS,
     InvalidMove,
+    MoveReport,
     WeakReduction,
     _descriptors,
     _moves_with_reports,
@@ -41,7 +42,11 @@ from heegaard_lab.serialize import (
 )
 from heegaard_lab.sog import SymbolicBudget, SymbolicOracle
 
-from reference import reference_moves_with_reports, reference_validate_ghs
+from reference import (
+    reference_apply_move_report,
+    reference_moves_with_reports,
+    reference_validate_ghs,
+)
 
 
 def nonsep(side, g):
@@ -577,6 +582,30 @@ def test_move_table_matches_descriptor_pair_loop_on_invalid_ghss():
         assert_same_moves(GHS(levels))
     assert move_listing(_moves_with_reports, GHS(((), (2, -1), ()))) == \
         ("InvalidGHS", "negative genus")
+
+
+def test_apply_move_matches_reference_on_invalid_ghss():
+    # Every candidate move on raw GHS(...) values with each fault gets the
+    # report, or the refusal message, of `reference_apply_move_report`,
+    # which normalizes and validates every result in full.
+    rng = random.Random(53)
+    faults, outcomes = set(), set()
+    for fault, g in itertools.islice(raw_invalid_ghss(rng), 300):
+        faults.add(fault)
+        for m in candidate_moves(g):
+            if isinstance(m, str):
+                continue
+            got = outcome(g, m)
+            try:
+                want = reference_apply_move_report(g, m)
+            except InvalidMove as exc:
+                want = str(exc)
+            assert got == want, (g, m)
+            if not isinstance(got, str):
+                assert repr(got) == repr(want), (g, m)
+            outcomes.add(type(got))
+    assert faults == {"sphere", "thin", "thick", "unsorted"}
+    assert outcomes == {str, MoveReport}
 
 
 @pytest.mark.parametrize("boundary", [((), ()), ((1,), (1,)), ((2,), ()),
