@@ -35,14 +35,16 @@ would push the crossing count below it.  Minimization therefore stops,
 without looking for bigons, as soon as every B component meets A exactly
 |sum of signs| times.
 
-Regions, for the isotopy test, come from one planar
-map of the whole surface.  Its nodes are the triangulation vertex, the
-tokens and the crossings; its edges are the gap
-arcs between consecutive nodes along each triangulation edge and the
-segments the crossings cut each link into.  Its faces are the pieces the
-links cut the triangles into.  Uniting faces across gap arcs gives the
-complementary regions exactly, with their Euler characteristics and whether
-they contain the triangulation vertex.
+Regions, for the isotopy test, are read off crossing-free arrangements
+only, where the links in each triangle are disjoint chords.  A walk
+counterclockwise round each triangle's boundary keeps a stack of (face
+outside the link, link): a link's first end opens a new face, and its
+second end closes that face and returns to the one below.  An end whose
+link is open but not on top means two links cross.  The gaps between
+consecutive tokens along an edge join the faces of its two triangles, and
+uniting faces across gaps gives the regions.  An open region's Euler
+characteristic is its faces minus its gaps, plus one for the region that
+holds the triangulation vertex, which holds the first gap of every edge.
 
 The same machinery answers, exactly: geometric intersection numbers
 (crossings after minimization), signed crossing words of A against the
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .surface import Triangulation, _partition
 
@@ -85,27 +87,6 @@ class Crossing:
 
     def key(self):
         return (self.a_key, self.b_key)
-
-
-@dataclass
-class Region:
-    """A complementary region of the arrangement.
-
-    chi is the Euler characteristic of the open region (faces minus the gap
-    arcs between them, plus one if the region swallows the triangulation
-    vertex).  Each boundary circle is a list of steps
-    (link key, triangle, direction along the curve, tail, head), where a
-    tail or head is a token id, or a negative number for a crossing."""
-
-    faces: list
-    gaps: set                   # (edge, k): the gap just before token k
-    contains_vertex: bool
-    circles: list
-    crossing_keys: list         # one per corner of the region
-
-    @property
-    def chi(self) -> int:
-        return len(self.faces) - len(self.gaps) + (1 if self.contains_vertex else 0)
 
 
 def _in_open_arc(x, a, b) -> bool:
@@ -220,135 +201,6 @@ class Arrangement:
                     x = Crossing(t, ak, bk, -1, place(s, p), place(p, r))
                 out.append(x)
         return out
-
-    # -- regions ----------------------------------------------------------------
-
-    def analyze(self, crossings: Optional[list] = None) -> list[Region]:
-        """Regions of the arrangement, read off one planar map of the surface.
-
-        Nodes are token ids, then the vertex; crossing i is node ~i, which
-        indexes the node table from its end.  Darts are ints with twin
-        d ^ 1, gap darts first, and an even dart runs along the edge arrow
-        or the link.  Each node lists its outgoing darts counterclockwise: a
-        token has the gap toward the edge's head, its chord into the +1
-        triangle, the gap toward the tail and its chord into the -1
-        triangle; a crossing has A forward then B forward when its sign is
-        +1, B backward when -1; the vertex follows the triangulation.  The
-        face after dart d is the dart before d ^ 1 at d's head.  Uniting
-        faces across gap arcs gives the regions, and walking chord darts
-        while turning past gap darts gives their boundary circles.
-        """
-        if crossings is None:
-            crossings = self.crossings()
-        tri = self.tri
-        vertex = len(self.tok_edge)
-        rot: list[list[int]] = [[] for _ in range(vertex + 1 + len(crossings))]
-        tail: list[int] = []    # tail node of each dart
-        label: list = []        # per edge: gap (e, k) or chord (link key, t)
-
-        def add_edge(u: int, v: int, lab) -> int:
-            tail.append(u)
-            tail.append(v)
-            label.append(lab)
-            return len(tail) - 2
-
-        first_gap = []
-        for e, pts in enumerate(self.edge_pts):
-            first_gap.append(len(tail))
-            nodes = [vertex] + pts + [vertex]
-            for k in range(len(nodes) - 1):
-                add_edge(nodes[k], nodes[k + 1], (e, k))
-            for k, tok in enumerate(pts):
-                rot[tok] = [first_gap[e] + 2 * k + 2, -1,
-                            first_gap[e] + 2 * k + 1, -1]
-        n_gap_darts = len(tail)
-        for e, end in reversed(tri.vertex_rotation):
-            rot[vertex].append(first_gap[e] if end == "tail" else
-                               first_gap[e] + 2 * len(self.edge_pts[e]) + 1)
-
-        def chord_slot(t: int, tok: int) -> int:
-            e = self.tok_edge[tok]
-            return 1 if tri.plus_triangle[e] == t else 3
-
-        node_of = {x: ~i for i, x in enumerate(crossings)}
-        x_darts = [[0, 0, 0, 0] for _ in crossings]  # A, B fore; A, B back
-        on_link: dict = {}      # link key -> its crossing nodes in order
-        for cid, run in _runs(crossings).items():
-            for i, _, x in run:
-                on_link.setdefault((cid, i), []).append(node_of[x])
-        for c in self.curves:
-            side = 0 if c.cid == 0 else 1
-            for i, t in enumerate(c.link_tris):
-                key = (c.cid, i)
-                u, v = c.tokens[i], c.tokens[(i + 1) % len(c)]
-                nodes = [u] + on_link.get(key, []) + [v]
-                segs = [add_edge(nodes[j], nodes[j + 1], (key, t))
-                        for j in range(len(nodes) - 1)]
-                rot[u][chord_slot(t, u)] = segs[0]
-                rot[v][chord_slot(t, v)] = segs[-1] ^ 1
-                for j in range(1, len(nodes) - 1):
-                    darts = x_darts[~nodes[j]]
-                    darts[side] = segs[j]
-                    darts[2 + side] = segs[j - 1] ^ 1
-        for x, (af, bf, ab, bb) in zip(crossings, x_darts):
-            rot[node_of[x]] = [af, bf, ab, bb] if x.sign == 1 else [af, bb, ab, bf]
-
-        where = [0] * len(tail)
-        for r in rot:
-            for i, d in enumerate(r):
-                where[d] = i
-
-        def next_in_face(d: int) -> int:
-            d ^= 1
-            return rot[tail[d]][where[d] - 1]
-
-        face = [-1] * len(tail)
-        n_faces = 0
-        for d0 in range(len(tail)):
-            if face[d0] >= 0:
-                continue
-            d = d0
-            while face[d] < 0:
-                face[d] = n_faces
-                d = next_in_face(d)
-            n_faces += 1
-        n_nodes = 1 + sum(map(len, self.edge_pts)) + len(crossings)
-        chi_surface = tri.surface.euler_characteristic
-        if n_nodes - len(label) + n_faces != chi_surface:
-            raise AssertionError("arrangement map is not a cell decomposition")
-
-        regions = [Region(faces, set(), False, [], []) for faces in _partition(
-            range(n_faces), ((face[d], face[d + 1])
-                             for d in range(0, n_gap_darts, 2)))]
-        region_of = {f: r for r in regions for f in r.faces}
-        for d in range(0, n_gap_darts, 2):
-            region_of[face[d]].gaps.add(label[d >> 1])
-        for d in rot[vertex]:
-            region_of[face[d]].contains_vertex = True
-        for x in crossings:
-            for d in rot[node_of[x]]:
-                region_of[face[d]].crossing_keys.append(x.key())
-
-        seen = bytearray(len(tail))
-        for d0 in range(n_gap_darts, len(tail)):
-            if seen[d0]:
-                continue
-            circle = []
-            d = d0
-            while not seen[d]:
-                seen[d] = 1
-                key, t = label[d >> 1]
-                circle.append((key, t, -1 if d & 1 else 1, tail[d], tail[d ^ 1]))
-                d = next_in_face(d)
-                while d < n_gap_darts:
-                    d = next_in_face(d ^ 1)
-            region_of[face[d0]].circles.append(circle)
-
-        total = sum(r.chi for r in regions)
-        expected = chi_surface + len(crossings)
-        if total != expected:
-            raise AssertionError(f"region chi sum {total} != {expected}")
-        return regions
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +394,52 @@ def minimize(arr: Arrangement) -> list[Crossing]:
 
 
 # ---------------------------------------------------------------------------
+# Regions
+# ---------------------------------------------------------------------------
+
+
+def _region_chis(arr: Arrangement) -> list[int]:
+    """The Euler characteristic of each region of a crossing-free
+    arrangement, by the walk in the module docstring.  Raises
+    AssertionError when two links cross."""
+    link_at = {}                # (triangle, token) -> the link ending there
+    for c in arr.curves:
+        for i, t in enumerate(c.link_tris):
+            link_at[t, c.tokens[i]] = (c.cid, i)
+            link_at[t, c.tokens[(i + 1) % len(c)]] = (c.cid, i)
+    gap_faces: dict = {}        # gap (e, k) -> the faces on its two sides
+    opened = set()
+    n_faces = 0
+    for t, sides in enumerate(arr.tri.triangles):
+        stack = [(n_faces, None)]   # (face outside the link, link)
+        n_faces += 1
+        for e, s in sides:
+            pts = arr.edge_pts[e]
+            for k in sorted(range(len(pts)), reverse=s < 0):
+                gap = (e, k + 1 if s < 0 else k)
+                gap_faces.setdefault(gap, []).append(stack[-1][0])
+                link = link_at[t, pts[k]]
+                if stack[-1][1] == link:
+                    stack.pop()
+                elif link in opened:
+                    raise AssertionError(
+                        f"links {link} and {stack[-1][1]} cross")
+                else:
+                    opened.add(link)
+                    stack.append((n_faces, link))
+                    n_faces += 1
+            gap = (e, 0 if s < 0 else len(pts))
+            gap_faces.setdefault(gap, []).append(stack[-1][0])
+    regions = _partition(range(n_faces), gap_faces.values())
+    region_of = {f: r for r, faces in enumerate(regions) for f in faces}
+    chis = [len(faces) for faces in regions]
+    for f, _ in gap_faces.values():
+        chis[region_of[f]] -= 1
+    chis[region_of[gap_faces[0, 0][0]]] += 1
+    return chis
+
+
+# ---------------------------------------------------------------------------
 # Public entry points
 # ---------------------------------------------------------------------------
 
@@ -567,7 +465,7 @@ def isotopic(tri: Triangulation, a_vec, b_vec) -> bool:
     so B is still in the arrangement."""
     arr = Arrangement(tri, [a_vec, b_vec])
     xs = minimize(arr)
-    return not xs and any(r.chi == 0 for r in arr.analyze(xs))
+    return not xs and 0 in _region_chis(arr)
 
 
 def crossing_word(tri: Triangulation, curve_vec, system_vecs,

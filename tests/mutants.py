@@ -61,11 +61,24 @@ MUTANTS = [
            (ARR + "test_engine_handles_swept_representatives",),
            "places along an edge are read against the triangle's "
            "orientation"),
-    Mutant("chord-slot-orientation", "arrangement.py",
-           "return 1 if tri.plus_triangle[e] == t else 3",
-           "return 1 if tri.plus_triangle[e] != t else 3",
+    Mutant("region-walk-orientation", "arrangement.py",
+           "reverse=s < 0", "reverse=s > 0",
            (ARR + "test_isotopic_on_torus",),
-           "a token's chords swap places in the planar map's rotation"),
+           "the region walk meets each side's tokens against the triangle's "
+           "orientation"),
+    Mutant("region-walk-no-vertex", "arrangement.py",
+           "    chis[region_of[gap_faces[0, 0][0]]] += 1\n", "",
+           (ARR + "test_same_class_matches_isotopic_inside_and_across_"
+                  "buckets",),
+           "the region that holds the vertex loses the vertex's 1 in its "
+           "Euler characteristic"),
+    Mutant("region-walk-nesting-by-curve", "arrangement.py",
+           "                if stack[-1][1] == link:\n",
+           "                if (stack[-1][1] or (None,))[0] == link[0]:\n",
+           (ARR + "test_same_class_matches_isotopic_inside_and_across_"
+                  "buckets",),
+           "a link end closes the top of the stack when only the curve ids "
+           "match"),
     Mutant("slide-orientation", "arrangement.py",
            "left_after = tri.plus_triangle[e] == t",
            "left_after = tri.plus_triangle[e] != t",

@@ -8,6 +8,7 @@ pass.
 
   fast path                           reference
   arrangement.isotopic                reference_isotopic
+  arrangement._region_chis            reference_analyze
   arrangement.minimize                reference_minimize
   Triangulation.trace                 reference_trace
   Triangulation.check_matching        reference_check_matching
@@ -26,8 +27,10 @@ pass.
                                       reference_symbolic_edges
   sog.flatten                         reference_flatten
 
-`complement_regions` reads a multicurve's complement off the planar map;
-the cut-system reference and the arrangement goldens use it.
+`reference_analyze` draws the planar map of an arrangement, crossings and
+all, and reads its regions off it; `complement_regions` reads a
+multicurve's complement off that map, for the cut-system reference and the
+arrangement goldens.
 """
 
 import heapq
@@ -78,6 +81,7 @@ from heegaard_lab.surface import (
     SurfaceMismatch,
     TracedCurve,
     _component_counts,
+    _partition,
     admissible_vectors,
     canonical_triangulation,
     coords_to_slope,
@@ -99,6 +103,157 @@ def connected_essential_vectors(genus, cap):
             if v != link and len(tri.trace(v)) == 1]
 
 
+@dataclass
+class Region:
+    """A complementary region of the arrangement.
+
+    chi is the Euler characteristic of the open region (faces minus the gap
+    arcs between them, plus one if the region swallows the triangulation
+    vertex).  Each boundary circle is a list of steps
+    (link key, triangle, direction along the curve, tail, head), where a
+    tail or head is a token id, or a negative number for a crossing."""
+
+    faces: list
+    gaps: set                   # (edge, k): the gap just before token k
+    contains_vertex: bool
+    circles: list
+    crossing_keys: list         # one per corner of the region
+
+    @property
+    def chi(self) -> int:
+        return len(self.faces) - len(self.gaps) + (1 if self.contains_vertex else 0)
+
+
+def reference_analyze(arr, crossings=None):
+    """Regions of the arrangement, read off one planar map of the surface.
+    This was `Arrangement.analyze` before `arrangement._region_chis`
+    counted the regions of crossing-free arrangements by a walk.
+
+    Nodes are token ids, then the vertex; crossing i is node ~i, which
+    indexes the node table from its end.  Darts are ints with twin
+    d ^ 1, gap darts first, and an even dart runs along the edge arrow
+    or the link.  Each node lists its outgoing darts counterclockwise: a
+    token has the gap toward the edge's head, its chord into the +1
+    triangle, the gap toward the tail and its chord into the -1
+    triangle; a crossing has A forward then B forward when its sign is
+    +1, B backward when -1; the vertex follows the triangulation.  The
+    face after dart d is the dart before d ^ 1 at d's head.  Uniting
+    faces across gap arcs gives the regions, and walking chord darts
+    while turning past gap darts gives their boundary circles.
+    """
+    if crossings is None:
+        crossings = arr.crossings()
+    tri = arr.tri
+    vertex = len(arr.tok_edge)
+    rot: list[list[int]] = [[] for _ in range(vertex + 1 + len(crossings))]
+    tail: list[int] = []    # tail node of each dart
+    label: list = []        # per edge: gap (e, k) or chord (link key, t)
+
+    def add_edge(u: int, v: int, lab) -> int:
+        tail.append(u)
+        tail.append(v)
+        label.append(lab)
+        return len(tail) - 2
+
+    first_gap = []
+    for e, pts in enumerate(arr.edge_pts):
+        first_gap.append(len(tail))
+        nodes = [vertex] + pts + [vertex]
+        for k in range(len(nodes) - 1):
+            add_edge(nodes[k], nodes[k + 1], (e, k))
+        for k, tok in enumerate(pts):
+            rot[tok] = [first_gap[e] + 2 * k + 2, -1,
+                        first_gap[e] + 2 * k + 1, -1]
+    n_gap_darts = len(tail)
+    for e, end in reversed(tri.vertex_rotation):
+        rot[vertex].append(first_gap[e] if end == "tail" else
+                           first_gap[e] + 2 * len(arr.edge_pts[e]) + 1)
+
+    def chord_slot(t: int, tok: int) -> int:
+        e = arr.tok_edge[tok]
+        return 1 if tri.plus_triangle[e] == t else 3
+
+    node_of = {x: ~i for i, x in enumerate(crossings)}
+    x_darts = [[0, 0, 0, 0] for _ in crossings]  # A, B fore; A, B back
+    on_link: dict = {}      # link key -> its crossing nodes in order
+    for cid, run in arrangement._runs(crossings).items():
+        for i, _, x in run:
+            on_link.setdefault((cid, i), []).append(node_of[x])
+    for c in arr.curves:
+        side = 0 if c.cid == 0 else 1
+        for i, t in enumerate(c.link_tris):
+            key = (c.cid, i)
+            u, v = c.tokens[i], c.tokens[(i + 1) % len(c)]
+            nodes = [u] + on_link.get(key, []) + [v]
+            segs = [add_edge(nodes[j], nodes[j + 1], (key, t))
+                    for j in range(len(nodes) - 1)]
+            rot[u][chord_slot(t, u)] = segs[0]
+            rot[v][chord_slot(t, v)] = segs[-1] ^ 1
+            for j in range(1, len(nodes) - 1):
+                darts = x_darts[~nodes[j]]
+                darts[side] = segs[j]
+                darts[2 + side] = segs[j - 1] ^ 1
+    for x, (af, bf, ab, bb) in zip(crossings, x_darts):
+        rot[node_of[x]] = [af, bf, ab, bb] if x.sign == 1 else [af, bb, ab, bf]
+
+    where = [0] * len(tail)
+    for r in rot:
+        for i, d in enumerate(r):
+            where[d] = i
+
+    def next_in_face(d: int) -> int:
+        d ^= 1
+        return rot[tail[d]][where[d] - 1]
+
+    face = [-1] * len(tail)
+    n_faces = 0
+    for d0 in range(len(tail)):
+        if face[d0] >= 0:
+            continue
+        d = d0
+        while face[d] < 0:
+            face[d] = n_faces
+            d = next_in_face(d)
+        n_faces += 1
+    n_nodes = 1 + sum(map(len, arr.edge_pts)) + len(crossings)
+    chi_surface = tri.surface.euler_characteristic
+    if n_nodes - len(label) + n_faces != chi_surface:
+        raise AssertionError("arrangement map is not a cell decomposition")
+
+    regions = [Region(faces, set(), False, [], []) for faces in _partition(
+        range(n_faces), ((face[d], face[d + 1])
+                         for d in range(0, n_gap_darts, 2)))]
+    region_of = {f: r for r in regions for f in r.faces}
+    for d in range(0, n_gap_darts, 2):
+        region_of[face[d]].gaps.add(label[d >> 1])
+    for d in rot[vertex]:
+        region_of[face[d]].contains_vertex = True
+    for x in crossings:
+        for d in rot[node_of[x]]:
+            region_of[face[d]].crossing_keys.append(x.key())
+
+    seen = bytearray(len(tail))
+    for d0 in range(n_gap_darts, len(tail)):
+        if seen[d0]:
+            continue
+        circle = []
+        d = d0
+        while not seen[d]:
+            seen[d] = 1
+            key, t = label[d >> 1]
+            circle.append((key, t, -1 if d & 1 else 1, tail[d], tail[d ^ 1]))
+            d = next_in_face(d)
+            while d < n_gap_darts:
+                d = next_in_face(d ^ 1)
+        region_of[face[d0]].circles.append(circle)
+
+    total = sum(r.chi for r in regions)
+    expected = chi_surface + len(crossings)
+    if total != expected:
+        raise AssertionError(f"region chi sum {total} != {expected}")
+    return regions
+
+
 def complement_regions(tri, union_vec):
     """Regions of the complement of a multicurve (no distinguished curve).
 
@@ -110,7 +265,7 @@ def complement_regions(tri, union_vec):
         raise AssertionError("a single multicurve cannot self-cross")
     comps = [arr.component_vector(c.cid) for c in arr.curves]
     return [(r.chi, len(r.circles), r.contains_vertex)
-            for r in arr.analyze()], comps
+            for r in reference_analyze(arr)], comps
 
 
 # -- arrangement --------------------------------------------------------------
@@ -123,7 +278,7 @@ def reference_isotopic(tri, a_vec, b_vec):
     arr = arrangement.Arrangement(tri, [a_vec, b_vec])
     if arrangement.minimize(arr):
         return False
-    regions = arr.analyze()
+    regions = reference_analyze(arr)
     want = {0: len(arr.curves[0]), 1: len(arr.curves[1])}
     for region in regions:
         if region.chi != 0:
@@ -269,7 +424,7 @@ def reference_minimize(arr):
             return xs
         if arrangement._algebraically_minimal(arrangement._runs(xs)):
             return xs
-        bigons = [r for r in arr.analyze(xs)
+        bigons = [r for r in reference_analyze(arr, xs)
                   if r.chi == 1 and len(r.crossing_keys) == 2]
         if not bigons:
             return xs

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from heegaard_lab.surface import (
 from reference import (
     complement_regions,
     connected_essential_vectors,
+    reference_analyze,
     reference_isotopic,
     reference_minimize,
 )
@@ -241,7 +243,7 @@ def test_minimize_certificate_leaves_no_bigon():
     for x, y in itertools.permutations(vecs, 2):
         arr = arrangement.Arrangement(tri, [x, y])
         xs = arrangement.minimize(arr)
-        bigons = [r for r in arr.analyze()
+        bigons = [r for r in reference_analyze(arr)
                   if r.chi == 1 and len(r.crossing_keys) == 2]
         assert not bigons, (x, y)
         i = len(xs)
@@ -251,6 +253,20 @@ def test_minimize_certificate_leaves_no_bigon():
         for k in (0, 1, 2):
             assert intersection_at_most(a, b, k) == (i if i <= k else None), \
                 (x, y, k)
+
+
+def test_minimize_leaves_no_bigon_on_every_sampled_pair():
+    # The genus2-minimal-position property draws its ordered pairs from
+    # these 110 classes; the planar map checks all 11,990 of them.
+    from heegaard_lab.surface import enumerate_essential_curves
+    tri = canonical_triangulation(2)
+    vecs = [c.coords for c in enumerate_essential_curves(2, 12)]
+    assert len(vecs) == 110
+    for x, y in itertools.permutations(vecs, 2):
+        arr = arrangement.Arrangement(tri, [x, y])
+        xs = arrangement.minimize(arr)
+        assert not [r for r in reference_analyze(arr, xs)
+                    if r.chi == 1 and len(r.crossing_keys) == 2], (x, y)
 
 
 def test_same_class_matches_isotopic_inside_and_across_buckets():
@@ -370,7 +386,7 @@ def test_vertex_link_bigons_reach_minimal_position():
             arr = arrangement.Arrangement(tri, pair)
             xs = arrangement.minimize(arr)
             assert len(xs) == count, pair
-            assert not [r for r in arr.analyze(xs)
+            assert not [r for r in reference_analyze(arr, xs)
                         if r.chi == 1 and len(r.crossing_keys) == 2], pair
 
 
@@ -391,20 +407,43 @@ def test_loop_word_test():
                 assert not arrangement._loop_is_trivial(tri, word), (e, side)
 
 
+def test_region_walk_refuses_crossings():
+    # The walk counts regions only where no links cross, and there it
+    # agrees with the planar map: on single curves, and on pairs as first
+    # drawn.
+    tri = canonical_triangulation(2)
+    vecs = connected_essential_vectors(2, 8)
+    arrangements = [arrangement.Arrangement(tri, [v]) for v in vecs]
+    refused = 0
+    for x, y in itertools.permutations(vecs, 2):
+        arr = arrangement.Arrangement(tri, [x, y])
+        if arr.crossings():
+            with pytest.raises(AssertionError, match="cross"):
+                arrangement._region_chis(arr)
+            refused += 1
+        else:
+            arrangements.append(arr)
+    assert refused and len(arrangements) > len(vecs)
+    for arr in arrangements:
+        assert sorted(arrangement._region_chis(arr)) == sorted(
+            r.chi for r in reference_analyze(arr))
+
+
 def test_minimize_builds_no_planar_map(monkeypatch):
     from heegaard_lab.disk_complex import build_lambda, classify
     from heegaard_lab.handlebody import standard_diagram
     from test_disk_complex import critical_witness_diagram
 
-    # Enumeration's isotopy test still maps crossing-free arrangements, to
-    # look for an annulus; no map of an arrangement with crossings is built.
-    analyze = arrangement.Arrangement.analyze
+    # Enumeration's isotopy test still counts the regions of crossing-free
+    # arrangements, to look for an annulus; it never sees one with
+    # crossings.
+    region_chis = arrangement._region_chis
 
-    def crossing_free_only(self, crossings=None):
-        if crossings != []:
-            raise AssertionError("a planar map with crossings was built")
-        return analyze(self, crossings)
-    monkeypatch.setattr(arrangement.Arrangement, "analyze", crossing_free_only)
+    def crossing_free_only(arr):
+        if arr.crossings():
+            raise AssertionError("regions of a map with crossings were read")
+        return region_chis(arr)
+    monkeypatch.setattr(arrangement, "_region_chis", crossing_free_only)
     build_lambda(critical_witness_diagram(), 8)
     classify(standard_diagram(2), 8)
 
@@ -412,12 +451,13 @@ def test_minimize_builds_no_planar_map(monkeypatch):
 def test_isotopic_matches_annulus_scan():
     # Same-bucket pairs hold every isotopic pair, and at genus 3 also 9
     # disjoint pairs that are not isotopic, where no chi = 0 region may
-    # appear.
+    # appear.  On every pair left without crossings, the walk counts the
+    # regions of the planar map.
     from heegaard_lab.surface import CurveClass
     pairs = {1: list(itertools.product(connected_essential_vectors(1, 10),
                                        repeat=2)),
-             2: [], 3: []}
-    for genus, cap in ((2, 16), (3, 13)):
+             2: [], 3: [], 4: []}
+    for genus, cap in ((2, 16), (3, 13), (4, 8)):
         by_bucket = {}
         for v in connected_essential_vectors(genus, cap):
             key = CurveClass(genus, v)._bucket
@@ -426,15 +466,19 @@ def test_isotopic_matches_annulus_scan():
         for group in by_bucket.values():
             pairs[genus] += itertools.permutations(group, 2)
     assert len(pairs[2]) == 449 + 398 and len(pairs[3]) == 193 + 26
+    assert len(pairs[4]) == 39 + 2
     disjoint_apart = 0
     for genus, todo in pairs.items():
         tri = canonical_triangulation(genus)
         for a, b in todo:
             want = reference_isotopic(tri, a, b)
             assert arrangement.isotopic(tri, a, b) == want, (genus, a, b)
-            if genus == 3 and not want:
-                disjoint_apart += not arrangement.intersection_number(
-                    tri, a, b)
+            arr = arrangement.Arrangement(tri, [a, b])
+            if arrangement.minimize(arr):
+                continue
+            assert sorted(arrangement._region_chis(arr)) == sorted(
+                r.chi for r in reference_analyze(arr)), (genus, a, b)
+            disjoint_apart += genus == 3 and not want
     assert disjoint_apart == 2 * 9
 
 

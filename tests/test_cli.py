@@ -856,18 +856,18 @@ def test_session_table_removes_repeated_work(capsys, monkeypatch):
 
 def test_genus2_session_jobs_build_no_planar_map(monkeypatch):
     # Every job of the benchmark's genus2-session batch at seed 1, replayed
-    # on fresh session stores, passes the benchmark's own check without a
-    # planar map: genus-2 isotopy is decided by disjointness.
+    # on fresh session stores, passes the benchmark's own check without
+    # counting regions: genus-2 isotopy is decided by disjointness.
     from heegaard_lab import arrangement
     monkeypatch.syspath_prepend(
         str(Path(__file__).resolve().parents[1] / "perfbench"))
     import workloads
-    analyze, mapped = arrangement.Arrangement.analyze, []
+    region_chis, mapped = arrangement._region_chis, []
 
-    def counting(self, *args):
-        mapped.append(args)
-        return analyze(self, *args)
-    monkeypatch.setattr(arrangement.Arrangement, "analyze", counting)
+    def counting(arr):
+        mapped.append(arr)
+        return region_chis(arr)
+    monkeypatch.setattr(arrangement, "_region_chis", counting)
     _fresh_session()
     session = workloads.WORKLOADS["genus2-session"](1, 1.0)
     session.setup()

@@ -392,26 +392,26 @@ GOLDEN_ENUMERATION_SHA256 = {
 
 
 def test_enumeration_golden(monkeypatch):
-    # Genus-2 enumeration decides isotopy without a planar map, since
+    # Genus-2 enumeration decides isotopy without counting regions, since
     # same_class there asks the pair ladder only whether two classes of one
-    # bucket are disjoint.
+    # bucket are disjoint.  Genus-3 enumeration does count them, for the
+    # annulus test.
     import hashlib
     from heegaard_lab import arrangement
-    analyze, mapped = arrangement.Arrangement.analyze, []
+    region_chis, mapped = arrangement._region_chis, []
 
-    def counting(self, *args):
-        mapped.append(args)
-        return analyze(self, *args)
-    monkeypatch.setattr(arrangement.Arrangement, "analyze", counting)
+    def counting(arr):
+        mapped.append(genus)
+        return region_chis(arr)
+    monkeypatch.setattr(arrangement, "_region_chis", counting)
     for genus, counts in GOLDEN_ENUMERATION_COUNTS.items():
         for cap, count in enumerate(counts):
-            mapped.clear()
             curves = enumerate_essential_curves(genus, cap)
             text = "\n".join(str(c.coords) for c in curves)
             assert len(curves) == count, (genus, cap)
             assert hashlib.sha256(text.encode()).hexdigest() \
                 == GOLDEN_ENUMERATION_SHA256[genus, cap], (genus, cap)
-            assert genus > 2 or not mapped, cap
+    assert 2 not in mapped and 3 in mapped
 
 
 def test_enumeration_budget():
