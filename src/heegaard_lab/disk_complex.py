@@ -39,6 +39,9 @@ VertexKey = tuple[int, ...]
 EdgeKey = tuple[VertexKey, VertexKey]
 
 
+_NO_COLORS: frozenset = frozenset()
+
+
 def _edge_key(u: VertexKey, v: VertexKey) -> EdgeKey:
     return (u, v) if u <= v else (v, u)
 
@@ -65,7 +68,8 @@ class _GraphCore:
     def add_vertex(self, c: CurveClass, colors: Iterable[str] = ()) -> None:
         key = c.coords
         self.classes[key] = c
-        self.colors[key] = self.colors.get(key, frozenset()) | frozenset(colors)
+        old = self.colors.get(key, _NO_COLORS)
+        self.colors[key] = old | frozenset(colors) if colors else old
 
     def add_edge(self, u: VertexKey, v: VertexKey, i: int) -> None:
         key = _edge_key(u, v)
@@ -336,33 +340,56 @@ def _add_farey_edges(graph: LambdaGraph, keys: list[VertexKey]) -> None:
     signs: s has the sum of their vectors and outweighs both.  Each slope
     outside T is born in one tile, and each edge outside T joins a slope to
     an end of the edge uv of its tile.  So replacing each edge uv, from T's
-    three on, by su and sv meets each edge once, 2V - 3 in all, and stopping
-    where u and v outweigh the cap together loses no slope within it.
+    three on, by su and sv meets each edge once, 2V - 3 in all.
+
+    The walk enters the tile of s only when no coordinate of s exceeds the
+    largest value of that coordinate over the listed slopes within the cap.
+    A slope born below the edge uv is au + bv with a, b >= 1, so each of its
+    coordinates is at least that of s, and each edge below uv has such a
+    slope as an end: a tile the test skips holds no listed edge.  A slope's
+    weight is twice its largest coordinate, and no bound exceeds h = cap //
+    2, so the walk never leaves the cap.  On a full list every bound is h
+    (the slopes (1, h), (h, 1) and (1, 1 - h) reach them), and the test is
+    the weight test: the walk loses no slope within the cap.  On a list cut
+    short by a budget it walks only towards listed slopes.
+
     Edges with an unlisted end are dropped; a listed meridian heavier than
-    the cap is joined by the determinant.  Edges are added in index order
-    (i, j), i < j, so the adjacency lists list neighbours by index.
+    the cap is joined by the determinant.  The walk and the rows of those
+    meridians meet each pair once, so the edges are written directly, in
+    index order (i, j), i < j, and the adjacency lists list neighbours by
+    index.
     """
     index = {k: i for i, k in enumerate(keys)}
     cap, pairs = graph.cap, []
-    base = [(v, 2, index.get(v)) for v in ((0, 1, 1), (1, 0, 1), (1, 1, 0))]
-    todo = list(itertools.combinations(base, 2)) if cap >= 2 else []
+    weights = list(map(sum, keys))
+    light = [k for k, w in zip(keys, weights) if w <= cap]
+    m0, m1, m2 = map(max, zip(*light)) if light else (-1, -1, -1)
+    base = [(v, index.get(v)) for v in ((0, 1, 1), (1, 0, 1), (1, 1, 0))]
+    todo = [(*a, *b) for a, b in itertools.combinations(base, 2) if cap >= 2]
     while todo:
-        (u, wu, i), (v, wv, j) = ends = todo.pop()
+        u, i, v, j = todo.pop()
         if i is not None and j is not None:
-            pairs.append((min(i, j), max(i, j)))
-        if wu + wv <= cap:
-            s = (u[0] + v[0], u[1] + v[1], u[2] + v[2])
-            born = (s, wu + wv, index.get(s))
-            todo += [(ends[0], born), (ends[1], born)]
-    for h, key in enumerate(keys):
-        if sum(key) > cap:
-            p, q = _slope_of_vector(key)
+            pairs.append((i, j) if i < j else (j, i))
+        s0, s1, s2 = u[0] + v[0], u[1] + v[1], u[2] + v[2]
+        if s0 <= m0 and s1 <= m1 and s2 <= m2:
+            s = (s0, s1, s2)
+            k = index.get(s)
+            todo.append((u, i, s, k))
+            todo.append((v, j, s, k))
+    for h, w in enumerate(weights):
+        if w > cap:
+            p, q = _slope_of_vector(keys[h])
             for j, other in enumerate(keys):
                 r, s = _slope_of_vector(other)
-                if abs(p * s - q * r) == 1 and (sum(other) <= cap or h < j):
+                if abs(p * s - q * r) == 1 and (weights[j] <= cap or h < j):
                     pairs.append((min(h, j), max(h, j)))
-    for i, j in sorted(pairs):
-        graph.add_edge(keys[i], keys[j], 1)
+    pairs.sort()
+    edges, adj = graph.edges, graph._adj
+    for i, j in pairs:
+        u, v = keys[i], keys[j]
+        edges[u, v] = 1
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
 
 
 # ---------------------------------------------------------------------------
@@ -662,14 +689,16 @@ def emit_graph(graph: _GraphCore, format: str = "json") -> bytes:
     if format == "json":
         # Compact JSON with sorted keys, written without building the object
         # tree first: a graph has thousands of vertices and edges.
+        # Every vertex has the 6g - 3 coordinates of its genus, so one
+        # format string writes each.
         colors = {c: json.dumps(sorted(c), separators=(",", ":"))
-                  for c in {*graph.colors.values(), frozenset()}}
-        vertices = ",".join(
-            '{"colors":%s,"coords":[%s]}'
-            % (colors[graph.colors.get(k, frozenset())],
-               ",".join(map(str, k))) for k in keys)
-        edges = ",".join('{"i":%d,"u":%d,"v":%d}' % (i, index[u], index[v])
-                         for (u, v), i in sorted(graph.edges.items()))
+                  for c in {*graph.colors.values(), _NO_COLORS}}
+        vertex = ('{"colors":%s,"coords":['
+                  + ",".join(["%d"] * (6 * graph.genus - 3)) + "]}")
+        vertices = ",".join([vertex % (colors[graph.colors.get(k, _NO_COLORS)],
+                                       *k) for k in keys])
+        edges = ",".join(['{"i":%d,"u":%d,"v":%d}' % (i, index[u], index[v])
+                          for (u, v), i in sorted(graph.edges.items())])
         return ('{"cap":%s,"certified":%s,"edges":[%s],"genus":%s,'
                 '"vertices":[%s]}\n'
                 % (json.dumps(graph.cap), json.dumps(graph.certified), edges,

@@ -414,7 +414,9 @@ class CurveClass:
 
     @staticmethod
     def from_slope(p: int, q: int) -> "CurveClass":
-        return CurveClass(1, Slope.of(p, q).coords())
+        """The torus class of the slope (p, q); `Slope.of` refuses a pair
+        that is not coprime, and `_slope_class` proves the rest."""
+        return _slope_class(Slope.of(p, q).coords())
 
     def slope(self) -> Slope:
         if self.genus != 1:
@@ -437,6 +439,29 @@ class CurveClass:
             else:
                 return f"CurveClass(torus ({s.p},{s.q}))"
         return f"CurveClass(g={self.genus}, {self.coords})"
+
+
+_new, _setattr = object.__new__, object.__setattr__
+
+
+def _slope_class(coords: tuple[int, int, int]) -> CurveClass:
+    """CurveClass(1, coords) for the vector (|q|, |p|, |p - q|) of a coprime
+    slope (p, q), built without the check that `__post_init__` would make.
+
+    The check would pass.  The torus has two triangles, each with the edges
+    (a, b, d), so it asks for an even sum and the triangle inequality once
+    over.  The three numbers satisfy the triangle inequality as |q|, |p| and
+    |p - q| do on the line, and the largest is the sum of the other two
+    (p - q = p + |q| when q < 0, and max(|p|, q) = min(|p|, q) + |p - q|
+    otherwise), so the sum is 2 max, which is even.  The vector is also
+    one essential curve: k = sum/2 - max = 0 vertex links, and m =
+    gcd(|q|, |p|, |p - q|) = gcd(p, q) = 1 copy, so `_torus_split` gives
+    (0, 1, coords).  The fields are set as the dataclass's own `__init__`
+    sets them, so the class is equal to, and hashes as, a checked one."""
+    c = _new(CurveClass)
+    _setattr(c, "genus", 1)
+    _setattr(c, "coords", coords)
+    return c
 
 
 def _up_to_sign(cls: tuple[int, ...]) -> tuple[int, ...]:
@@ -864,26 +889,31 @@ def enumerate_essential_curves(
 
     A `budget` bounds the candidates visited, slopes on the torus and
     admissible vectors at higher genus; overruns raise BudgetExhausted
-    carrying the classes found so far.  At genus >= 2 one trace per vector
-    decides connectivity and gives the homology bucket the candidate keeps;
-    the exact isotopy test deduplicates candidates within a bucket.
+    carrying the classes found so far.  On the torus each scanned slope is
+    one class, built by `_slope_class` without a second check.  At genus
+    >= 2 one trace per vector decides connectivity and gives the homology
+    bucket the candidate keeps; the exact isotopy test deduplicates
+    candidates within a bucket.
     """
+    if genus == 1:
+        scan = _slope_scan(cap)
+        kept = None if budget is None else max(budget, 0)
+        vectors = sorted(itertools.islice(scan, kept),
+                         key=lambda v: (sum(v), v))
+        found = [_slope_class(v) for v in vectors]
+        if next(scan, None) is not None:
+            raise BudgetExhausted(
+                f"visited more than {budget} candidate vectors", found)
+        return found
     found: list[CurveClass] = []
     buckets: dict[tuple[int, ...], list[CurveClass]] = {}
-    if genus == 1:
-        candidates = _slope_scan(cap)
-    else:
-        tri = canonical_triangulation(genus)
-        link = tri.vertex_link_vector()
-        candidates = admissible_vectors(tri, cap)
-    for visited, vec in enumerate(candidates, 1):
+    tri = canonical_triangulation(genus)
+    link = tri.vertex_link_vector()
+    for visited, vec in enumerate(admissible_vectors(tri, cap), 1):
         if budget is not None and visited > budget:
             found.sort(key=CurveClass.sort_key)
             raise BudgetExhausted(
                 f"visited more than {budget} candidate vectors", found)
-        if genus == 1:
-            found.append(CurveClass(1, vec))
-            continue
         comps = tri.trace(vec)
         if len(comps) != 1 or comps[0].vector == link:
             continue

@@ -202,6 +202,12 @@ MUTANTS = [
            (SURF + "test_torus_rung_errors_match_reference",),
            "the torus rung meets the vertex link as its second curve "
            "0 times instead of refusing it"),
+    Mutant("slope-class-wrong-order", "surface.py",
+           '_setattr(c, "coords", coords)',
+           '_setattr(c, "coords", (coords[1], coords[0], coords[2]))',
+           (SURF + "test_unchecked_slope_classes_equal_checked_ones",),
+           "an unchecked torus class stores (|p|, |q|, |p - q|), the "
+           "vector of the slope (q, p)"),
     Mutant("automorphism-entries-swapped", "surface.py",
            "        return sorted(filter(None, map(spread, flags)))\n",
            "        found = sorted(filter(None, map(spread, flags)))\n"
@@ -211,16 +217,27 @@ MUTANTS = [
            (SURF + "test_automorphisms_keep_intersection_numbers",),
            "the last automorphism has two edges' images swapped"),
     Mutant("farey-walk-stops-short", "disk_complex.py",
-           "        if wu + wv <= cap:\n",
-           "        if wu + wv < cap:\n",
+           "if w <= cap]",
+           "if w < cap]",
            (DC + "test_farey_edges_match_pair_loop[S3]",),
            "the mediant walk never reaches the slopes of weight equal to "
            "the cap"),
+    Mutant("farey-prune-eager", "disk_complex.py",
+           "if s0 <= m0 and s1 <= m1 and s2 <= m2:",
+           "if s0 < m0 and s1 < m1 and s2 < m2:",
+           (DC + "test_farey_edges_match_pair_loop[S3]",),
+           "the walk skips a tile whose slope reaches a bound"),
     Mutant("farey-heavy-rows-dropped", "disk_complex.py",
-           "        if sum(key) > cap:\n",
+           "        if w > cap:\n",
            "        if False:\n",
            (DC + "test_farey_edges_match_pair_loop_on_partial_lists",),
            "a meridian heavier than the cap is joined to nothing"),
+    Mutant("farey-adjacency-one-end", "disk_complex.py",
+           "        adj.setdefault(v, []).append(u)\n",
+           "",
+           (DC + "test_farey_edges_match_pair_loop[S3]",),
+           "a torus Λ edge is listed among the neighbours of its first end "
+           "only"),
     Mutant("search-levels-off-by-one", "disk_complex.py",
            "    d = 0\n",
            "    d = 1\n",

@@ -657,6 +657,7 @@ def test_farey_edges_match_pair_loop_on_partial_lists():
                                      heavy_pair) for cap in range(1, 41)]
     runs += [(d, 40, budget) for d in (lens_space(7, 2), heavy_pair)
              for budget in range(1, 400, 9)]
+    runs += [(lens_space(7, 2), cap, 5) for cap in (1000, 3000)]
     for diagram, cap, budget in runs:
         graph = build_lambda(diagram, cap, budget)
         ref = pair_loop_lambda(graph)

@@ -19,6 +19,7 @@ from heegaard_lab.surface import (
     Slope,
     Triangulation,
     _slope_scan,
+    _torus_split,
     _z2_rank,
     admissible_vectors,
     algebraic_intersection,
@@ -605,6 +606,39 @@ def test_raw_torus_vectors_are_still_checked(vec, message):
     for f in (coords_to_slope, lambda v: normalize(1, v)):
         with pytest.raises(InvalidCoordinates) as info:
             f(vec)
+        assert str(info.value) == message
+
+
+def test_unchecked_slope_classes_equal_checked_ones():
+    """Enumeration and `from_slope` build torus classes without checking
+    their vectors.  Each vector must pass the check, split as one essential
+    curve, and give the class a checked build gives: every slope scanned at
+    cap 300, which holds those of every smaller cap, and a grid of coprime
+    (p, q) with p = 0 and q < 0 on it."""
+    tri = canonical_triangulation(1)
+    built = enumerate_essential_curves(1, 300)
+    assert sorted(c.coords for c in built) == sorted(_slope_scan(300))
+    grid = [(p, q) for p in range(-13, 14) for q in range(-13, 14)
+            if math.gcd(p, q) == 1]
+    assert (0, 1) in grid and (0, -1) in grid and (3, -7) in grid
+    from_slope = [CurveClass.from_slope(p, q) for p, q in grid]
+    assert [c.slope() for c in from_slope] == [Slope.of(*s) for s in grid]
+    for c in built + from_slope:
+        v = c.coords
+        tri.check_matching(v)
+        assert _torus_split(v) == (0, 1, v)
+        checked = CurveClass(1, v)
+        assert c == checked and hash(c) == hash(checked)
+        assert c.slope() == checked.slope()
+    # A raw vector is still checked, with the messages it always had.
+    for vec, message in [((1, 1), "expected 3 weights, got 2"),
+                         ((1, 0, 0), "odd weight sum [1, 0, 0] in "
+                                     "triangle 0"),
+                         ((3, 1, 0), "triangle inequality fails in "
+                                     "triangle 0: [3, 1, 0]"),
+                         ((1, -1, 0), "negative edge weight")]:
+        with pytest.raises(InvalidCoordinates) as info:
+            CurveClass(1, vec)
         assert str(info.value) == message
 
 
