@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InputError
 
@@ -94,19 +94,26 @@ class GHS:
     def boundary(self) -> tuple[Collection, Collection]:
         return (self.levels[0], self.levels[-1])
 
-    @functools.cached_property
-    def _key(self) -> tuple[int, ...]:
-        """`ghs_key` as a tuple, computed on first use.  It is not a field,
-        so it takes no part in ==, hash or repr."""
-        return tuple(sorted(map(_complexity, self.levels[1::2]),
-                            reverse=True))
+    def __getattr__(self, name: str):
+        """`_key`, `ghs_key` as a tuple, is a plain attribute that is not a
+        field, so it takes no part in ==, hash or repr.  It is filled here
+        on first use, unless `_splice` wrote it when it built the GHS."""
+        if name != "_key":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        key = self.__dict__["_key"] = _key_of(self.levels)
+        return key
 
     def __repr__(self) -> str:
         parts = []
         for i, level in enumerate(self.levels):
-            inner = ",".join(str(g) for g in level) if level else "-"
+            inner = ",".join(map(str, level)) if level else "-"
             parts.append(f"[{inner}]" if i % 2 else f"({inner})")
         return "GHS " + " ".join(parts)
+
+
+def _key_of(levels: tuple[Collection, ...]) -> tuple[int, ...]:
+    return tuple(sorted(map(_complexity, levels[1::2]), reverse=True))
 
 
 def validate_ghs(ghs: GHS) -> list[str]:
@@ -247,7 +254,17 @@ class MoveReport:
     level_delta: int
 
 
-def _strip_and_merge(levels: list[Collection]) -> tuple[list[Collection], bool]:
+class _Refusal(NamedTuple):
+    """Why a candidate is not a move: a message template and its
+    arguments.  Only `apply_move_report` formats one, into the text of the
+    `InvalidMove` it raises; enumeration drops a refusal unformatted."""
+
+    template: str
+    args: tuple
+
+
+def _strip_and_merge(levels: Sequence[Collection]
+                     ) -> tuple[tuple[Collection, ...], bool]:
     """Sphere rule, then collapse interior thin levels that became empty."""
     out = [tuple(filter(None, level)) if 0 < i < len(levels) - 1 and 0 in level
            else level for i, level in enumerate(levels)]
@@ -260,7 +277,7 @@ def _strip_and_merge(levels: list[Collection]) -> tuple[list[Collection], bool]:
         joined = collection(out[empty_thin - 1] + out[empty_thin + 1])
         out = out[:empty_thin - 1] + [joined] + out[empty_thin + 2:]
         merged = True
-    return out, merged
+    return tuple(out), merged
 
 
 def _thick(ghs: GHS, t: int) -> Collection:
@@ -301,13 +318,15 @@ def _one_compression_apart(sc: Collection, out: Collection) -> bool:
 
 
 def _cancellation(ghs: GHS, t: int, zigzag: tuple[Collection, ...],
-                  remove: str = "right") -> tuple[slice, slice, str]:
+                  remove: str = "right"
+                  ) -> tuple[slice, slice, str] | _Refusal:
     """Cases 1(a)-2(d) by the module's one rule: thick level t becomes the
     zigzag, (F_D, F_DE, F_E) or, as dual disks give F_E = F_D, (F_D,), and
     an end equal to the thin level beside it cancels with that level; a
     one-level zigzag cancels once, on the `remove` side if both match.
     Returns the slice of the levels the move replaces, the slice of the
-    zigzag written in their place, and the case."""
+    zigzag written in their place, and the case; or the refusal of a move
+    that would cancel into a boundary collection."""
     levels = ghs.levels
     lower = zigzag[0] == levels[t - 1]
     upper = zigzag[-1] == levels[t + 1]
@@ -320,44 +339,54 @@ def _cancellation(ghs: GHS, t: int, zigzag: tuple[Collection, ...],
         verb = "rewrite" if n == 3 else "delete"
         where = ("a boundary collection" if lower and upper
                  else "the lower boundary" if lower else "the upper boundary")
-        raise InvalidMove(f"case {case}{choice} would {verb} {where}")
+        return _Refusal("case {}{} would {} {}", (case, choice, verb, where))
     return slice(t - lower, t + 1 + upper), slice(lower, n - upper), case
 
 
 def _splice(ghs: GHS, t: int, zigzag: tuple[Collection, ...],
             stripped: tuple[Collection, ...], remove: str, valid: bool,
-            within: Optional[frozenset] = None) -> Optional[MoveReport]:
+            within: Optional[dict] = None) -> MoveReport | _Refusal | None:
     """The report of the move that makes thick level t the zigzag, whose
-    levels, stripped of 2-spheres, are written where `_cancellation` says.
-    A result outside `within` is None before any check; an invalid one
-    raises InvalidMove; any other gets the boundary and smaller-key checks.
-    The sphere rule, the merge and a full `validate_ghs` are skipped only
-    on an input known to be `valid` whose F_DE does not strip to empty
-    (see `_moves_with_reports`)."""
-    replaced, written, case = _cancellation(ghs, t, zigzag, remove)
-    levels = list(ghs.levels)
-    levels[replaced] = stripped[written]
+    levels, stripped of 2-spheres, are written where `_cancellation` says,
+    or the refusal that says why the candidate is no move.  Given `within`,
+    which maps level tuples to GHSs with those levels, the result is the
+    GHS it maps the levels to, and None when it has none, before any GHS
+    is built; otherwise the result is built here, its key with it.  An
+    invalid result is refused; any other gets the boundary and smaller-key
+    checks.  The sphere rule, the merge and a full `validate_ghs` are
+    skipped only on an input known to be `valid` whose F_DE does not strip
+    to empty (see `_moves_with_reports`)."""
+    cancelled = _cancellation(ghs, t, zigzag, remove)
+    if isinstance(cancelled, _Refusal):
+        return cancelled
+    replaced, written, case = cancelled
+    old = ghs.levels
+    levels = old[:replaced.start] + stripped[written] + old[replaced.stop:]
     merged = full = not valid or (len(stripped) == 3 and not stripped[1])
     if full:
         levels, merged = _strip_and_merge(levels)
-    new = GHS(tuple(levels))
-    if within is not None and new not in within:
-        return None
+    if within is None:
+        new = GHS(levels)
+        new.__dict__["_key"] = _key_of(levels)
+    else:
+        new = within.get(levels)
+        if new is None:
+            return None
     if full or () in stripped[written]:
         errors = validate_ghs(new)
         if errors:
-            raise InvalidMove(
-                f"move yields an invalid GHS: {'; '.join(errors)}")
-    if new.boundary() != ghs.boundary():
+            return _Refusal("move yields an invalid GHS: {}",
+                            ("; ".join(errors),))
+    if levels[0] != old[0] or levels[-1] != old[-1]:
         # Cannot happen: `_cancellation` refuses to cancel into a boundary,
         # and `_strip_and_merge` touches only interior levels.
         raise AssertionError(f"move changed the boundary: {ghs} -> {new}")
-    if compare_ghs(new, ghs) != "less":
+    if not new._key < ghs._key:
         # Happens only when the merge rule collapses the result back onto the
         # input (cross-component disks whose spheres empty a thin level);
         # such a pair is not a move of a connected manifold's GHS.
-        raise InvalidMove(f"move does not shrink the GHS: {ghs} -> {new}")
-    return MoveReport(new, case, merged, new.n_levels - ghs.n_levels)
+        return _Refusal("move does not shrink the GHS: {} -> {}", (ghs, new))
+    return MoveReport(new, case, merged, len(levels) - len(old))
 
 
 def apply_move(ghs: GHS, m: Move) -> GHS:
@@ -391,7 +420,10 @@ def apply_move_report(ghs: GHS, m: Move) -> MoveReport:
                 f"F_D={f_d} and F_E={f_e}")
         zigzag, remove = (f_d, f_de, f_e), "right"
     # A raw zigzag on an input not known to be valid: the full check runs.
-    return _splice(ghs, t, zigzag, zigzag, remove, False)
+    report = _splice(ghs, t, zigzag, zigzag, remove, False)
+    if isinstance(report, _Refusal):
+        raise InvalidMove(report.template.format(*report.args))
+    return report
 
 
 def stabilize(ghs: GHS, thick_index: int, component_genus: int) -> GHS:
@@ -473,16 +505,19 @@ def _move_table(f_t: Collection) -> tuple[tuple[tuple, ...], ...]:
     return tuple(weak), tuple(destabilizations)
 
 
-def _moves_with_reports(ghs: GHS, within: Optional[frozenset] = None
+def _moves_with_reports(ghs: GHS, within: Optional[dict] = None
                         ) -> Iterator[tuple[Move, MoveReport]]:
     """The moves of `enumerate_moves`, each carrying and paired with its
-    report; given `within`, only those whose result lies in it.
+    report; given `within`, a dict from level tuples to GHSs with those
+    levels, only those whose result's levels are a key of it, each with
+    that GHS as its result.
 
     The candidates of each thick level come from its `_move_table`.  Every
     descriptor there is essential and F_DE one compression from F_D and
     F_E by construction, so the checks `apply_move` makes before `_splice`
     pass.  Each candidate is then checked by `_splice`, as `apply_move`
-    checks it, told whether the input passed `validate_ghs`.  On a valid
+    checks it, told whether the input passed `validate_ghs`; a candidate
+    it refuses, or drops as outside `within`, is skipped.  On a valid
     input `_splice` writes the stripped levels and skips what cannot
     change the outcome:
 
@@ -507,23 +542,17 @@ def _moves_with_reports(ghs: GHS, within: Optional[frozenset] = None
     for t in ghs.thick_indices():
         weak, destabilizations = _move_table(levels[t])
         for entry in weak:
-            try:
-                report = _splice(ghs, t, entry[2:5], entry[5:], "right",
-                                 valid, within)
-            except InvalidMove:
-                continue
-            if report is not None:
+            report = _splice(ghs, t, entry[2:5], entry[5:], "right", valid,
+                             within)
+            if isinstance(report, MoveReport):
                 yield _carrying(WeakReduction(t, entry[0], entry[1], entry[3]),
                                 ghs, report), report
         for g, f_d, bare in destabilizations:
             # Only case 2(d), F_D on both flanking thin levels, has a choice.
             case_2d = f_d == levels[t - 1] == levels[t + 1]
             for remove in ("right", "left") if case_2d else ("right",):
-                try:
-                    report = _splice(ghs, t, (f_d,), (bare,), remove, valid,
-                                     within)
-                except InvalidMove:
-                    continue
-                if report is not None:
+                report = _splice(ghs, t, (f_d,), (bare,), remove, valid,
+                                 within)
+                if isinstance(report, MoveReport):
                     yield _carrying(Destabilization(t, g, remove), ghs,
                                     report), report

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -147,7 +148,8 @@ class MoveGraph:
     `nodes` are distinct hashable values in the order `nodes()` lists them,
     `ghss` and `labels` their GHSs and labels, and each edge joins two
     nodes.  Each node's edges are sorted by (parent label, child label,
-    repr(move)), so flattening reads every oracle alike.  Each key's rank
+    repr(move)), so flattening reads every oracle alike; only edges whose
+    labels another edge shares need, or compute, the repr.  Each key's rank
     among the distinct keys, each node's component, and how many search
     states each component offers are numbered here too, once per graph.  A
     subclass builds the nodes and edges and supplies `resolve`, which names
@@ -159,11 +161,17 @@ class MoveGraph:
         self._nodes = list(nodes)
         self._number = {node: i for i, node in enumerate(self._nodes)}
         self._ghss = list(ghss)
-        self._labels = list(labels)
+        self._labels = labels = list(labels)
+        ends = [(self._number[edge.parent], self._number[edge.child], edge)
+                for edge in edges]
+        # repr(move) breaks ties only between edges whose ends have the same
+        # labels, so it is computed for those alone.
+        shared = Counter((labels[p], labels[c]) for p, c, _ in ends)
         arcs: list[list] = [[] for _ in self._nodes]
-        for edge in edges:
-            p, c = self._number[edge.parent], self._number[edge.child]
-            order = (self._labels[p], self._labels[c], repr(edge.move))
+        for p, c, edge in ends:
+            order = (labels[p], labels[c])
+            if shared[order] > 1:
+                order += (repr(edge.move),)
             arcs[p].append((order, c, True, edge))
             arcs[c].append((order, p, False, edge))
         # Each node's edges as (the other end's number, whether the edge
@@ -290,11 +298,11 @@ class SymbolicOracle(MoveGraph):
         self.budget = budget
         self.boundary = (collection(boundary[0]), collection(boundary[1]))
         states = self._enumerate_states()
-        inside = frozenset(states)
+        by_levels = {g.levels: g for g in states}
         super().__init__(
             states, states, [repr(g) for g in states],
             (OracleEdge(g, report.result, move) for g in states
-             for move, report in _moves_with_reports(g, inside)))
+             for move, report in _moves_with_reports(g, by_levels)))
 
     @staticmethod
     def _nonempty_collections(total: int) -> list[tuple]:
@@ -313,7 +321,16 @@ class SymbolicOracle(MoveGraph):
     def _enumerate_states(self) -> list[GHS]:
         """Every GHS with at most max(1, (max_levels - 1) // 2) thick
         levels whose interior collections are nonempty with total genus
-        within the budget.  Each is valid and is built once."""
+        within the budget, each built once by `GHS(...)`, unchecked.  Each
+        is valid, as `GHS.of` would find it:
+
+        * n >= 1 thick levels and the boundary pair make 2n + 1 levels, an
+          odd number >= 3;
+        * each boundary collection went through `collection`, so it is
+          sorted non-increasing with no negative genus;
+        * each interior level is a tuple of `_nonempty_collections`: not
+          empty, non-increasing, and every genus >= 1, so no interior level
+          (thick or thin) is empty and none has a 2-sphere."""
         budget = self.budget
         colls = [(coll, sum(coll)) for coll in
                  self._nonempty_collections(budget.max_total_genus)]
@@ -324,8 +341,8 @@ class SymbolicOracle(MoveGraph):
 
             def rec(i, remaining, acc):
                 if i == n_interior:
-                    states.append(GHS.of(
-                        [self.boundary[0], *acc, self.boundary[1]]))
+                    states.append(GHS(
+                        (self.boundary[0], *acc, self.boundary[1])))
                     return
                 for coll, genus in colls:
                     if genus <= remaining:

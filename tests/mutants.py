@@ -30,9 +30,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-# CI runs the whole harness as one step limited to 3 minutes.  On 2 cores
-# the unmutated selections take about 50 s and each mutant 1-4 s, so a hung
-# run, cut at its timeout, still leaves the step time to name it.
+# CI runs the whole harness as one step limited to 3 minutes.  On 2 shared
+# cores the unmutated selections take about 35 s and each mutant 0.7-1.3 s,
+# so a hung run, cut at its timeout, still leaves the step time to name it.
 BASELINE_TIMEOUT_S = 100
 TIMEOUT_S = 30
 
@@ -392,15 +392,14 @@ MUTANTS = [
                   "ghss",),
            "an invalid input's moves are spliced as if it were valid"),
     Mutant("apply-move-trusts-input", "ghs.py",
-           "    return _splice(ghs, t, zigzag, zigzag, remove, False)\n",
-           "    return _splice(ghs, t, zigzag, zigzag, remove, True)\n",
+           "    report = _splice(ghs, t, zigzag, zigzag, remove, False)\n",
+           "    report = _splice(ghs, t, zigzag, zigzag, remove, True)\n",
            (GHS + "test_apply_move_matches_reference_on_invalid_ghss",),
            "`apply_move` takes its input as valid, so a move on a raw "
            "invalid GHS skips the sphere rule, the merge and the check"),
     Mutant("invalid-result-reported", "ghs.py",
-           "            raise InvalidMove(\n"
-           "                f\"move yields an invalid GHS: "
-           "{'; '.join(errors)}\")\n",
+           "            return _Refusal(\"move yields an invalid GHS: {}\",\n"
+           "                            (\"; \".join(errors),))\n",
            "            pass\n",
            (GHS + "test_apply_move_matches_reference_on_invalid_ghss",),
            "a move whose result is not a valid GHS is reported, not refused"),
@@ -412,11 +411,30 @@ MUTANTS = [
            "the table lists F_DE one compression from F_D alone, not from "
            "F_D and F_E"),
     Mutant("key-ascending", "ghs.py",
-           "map(_complexity, self.levels[1::2]),\n"
-           "                            reverse=True))",
-           "map(_complexity, self.levels[1::2])))",
+           "sorted(map(_complexity, levels[1::2]), reverse=True)",
+           "sorted(map(_complexity, levels[1::2]))",
            (GHS + "test_ghs_key_is_a_fresh_list_and_not_a_field",),
            "a GHS key lists its complexities in ascending order"),
+    Mutant("splice-keeps-no-shrink", "ghs.py",
+           "    if not new._key < ghs._key:\n",
+           "    if not (valid or new._key < ghs._key):\n",
+           (GHS + "test_move_table_matches_descriptor_pair_loop_on_random_"
+                  "ghss",),
+           "enumeration on a valid GHS keeps a move that does not shrink "
+           "it, which `apply_move` refuses"),
+    Mutant("states-admit-genus-0", "sog.py",
+           "out.append(cand)",
+           "out.append(cand + (0,))",
+           (SOG + "test_state_first_oracle_states_pass_the_checks_they_"
+                  "skip[boundary0]",),
+           "the oracle's unchecked states include interior levels with a "
+           "2-sphere"),
+    Mutant("arcs-no-parallel-tiebreak", "sog.py",
+           "            if shared[order] > 1:\n",
+           "            if False:\n",
+           (SOG + "test_state_first_oracle_matches_reference[boundary0]",),
+           "parallel edges between two nodes keep the order in which they "
+           "were found, not the order of their moves' reprs"),
 ]
 
 

@@ -54,6 +54,7 @@ from heegaard_lab.ghs import (
     Move,
     MoveReport,
     WeakReduction,
+    _Refusal,
     _cancellation,
     _carrying,
     _compress,
@@ -727,11 +728,12 @@ def reference_validate_ghs(ghs):
 
 def _finish(old, levels, case, within=None):
     """Normalize the moved levels, each already a sorted collection, and
-    check the result.  Given `within`, a result outside it is dropped
-    (None) before any check runs."""
+    check the result.  Given `within`, a dict keyed by level tuples, a
+    result whose levels are not a key is dropped (None) before any check
+    runs."""
     levels, merged = _strip_and_merge(levels)
     new = GHS(tuple(levels))
-    if within is not None and new not in within:
+    if within is not None and new.levels not in within:
         return None
     errors = validate_ghs(new)
     if errors:
@@ -756,8 +758,11 @@ def _report(old, new, case, merged):
 
 def _cancel(ghs, t, zigzag, remove="right"):
     """The moved levels by `_cancellation`, not yet normalized, and the
-    case."""
-    replaced, written, case = _cancellation(ghs, t, zigzag, remove)
+    case; a move that would cancel into a boundary collection raises."""
+    cancelled = _cancellation(ghs, t, zigzag, remove)
+    if isinstance(cancelled, _Refusal):
+        raise InvalidMove(cancelled.template.format(*cancelled.args))
+    replaced, written, case = cancelled
     levels = list(ghs.levels)
     levels[replaced] = zigzag[written]
     return levels, case

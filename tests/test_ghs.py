@@ -525,8 +525,8 @@ def assert_same_moves(g, withins=()):
     if isinstance(want, list):
         # Every other result, so that `within` drops some moves and keeps
         # others, and the GHS itself, which no move reaches.
-        withins = (frozenset([r for _, _, r, _ in want[::2]] + [g]),
-                   *withins)
+        kept = [r.result for _, _, r, _ in want[::2]] + [g]
+        withins = ({h.levels: h for h in kept}, *withins)
     for within in withins:
         assert move_listing(_moves_with_reports, g, within) == \
             move_listing(reference_moves_with_reports, g, within), g
@@ -615,6 +615,6 @@ def test_move_table_matches_descriptor_pair_loop_on_oracle_states(boundary):
         for total in range(1, 8):
             states = SymbolicOracle(SymbolicBudget(total, max_levels),
                                     boundary).nodes()
-            inside = frozenset(states)
+            by_levels = {g.levels: g for g in states}
             for g in states:
-                assert_same_moves(g, (inside,))
+                assert_same_moves(g, (by_levels,))

@@ -20,6 +20,7 @@ from heegaard_lab.ghs import (
     collection,
     enumerate_moves,
     ghs_key,
+    validate_ghs,
 )
 from heegaard_lab.handlebody import s3_genus1, standard_diagram
 from heegaard_lab.proptools import random_ghs
@@ -657,6 +658,21 @@ def test_symbolic_states_distinct_and_moves_sorted(oracle):
         for _, report in _moves_with_reports(g):
             assert all(level == collection(level)
                        for level in report.result.levels)
+
+
+@pytest.mark.parametrize("boundary", [((), ()), ((1,), (1,)), ((2,), ()),
+                                      ((1, 1), (2,))])
+def test_state_first_oracle_states_pass_the_checks_they_skip(boundary):
+    # The oracle builds its states by `GHS(...)`, unchecked; the proof in
+    # `_enumerate_states` says each is what `GHS.of` would build.
+    for max_levels in (3, 5, 7):
+        for total in range(8):
+            budget = SymbolicBudget(total, max_levels)
+            states = SymbolicOracle(budget, boundary).nodes()
+            for g in states:
+                assert validate_ghs(g) == [] and g == GHS.of(g.levels), g
+            assert states == reference_symbolic_states(budget, boundary), \
+                (budget, boundary)
 
 
 @pytest.mark.parametrize("boundary", [((), ()), ((1,), (1,)), ((2,), ()),
