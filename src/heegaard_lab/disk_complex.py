@@ -30,6 +30,7 @@ from .surface import (
     _intersection,
     _partition,
     _slope_of_vector,
+    algebraic_intersection,
     canonical_triangulation,
     enumerate_essential_curves,
     same_class,
@@ -40,6 +41,7 @@ EdgeKey = tuple[VertexKey, VertexKey]
 
 
 _NO_COLORS: frozenset = frozenset()
+_MISSING = object()     # a pair the store does not hold; None is an answer
 
 
 def _edge_key(u: VertexKey, v: VertexKey) -> EdgeKey:
@@ -72,14 +74,26 @@ class _GraphCore:
         self.colors[key] = old | frozenset(colors) if colors else old
 
     def add_edge(self, u: VertexKey, v: VertexKey, i: int) -> None:
+        """Join u and v with number i, keeping the least number of an edge
+        added twice."""
         key = _edge_key(u, v)
         if key in self.edges:
             self.edges[key] = min(self.edges[key], i)
             return
-        self.edges[key] = i
-        self._adj.setdefault(u, []).append(v)
-        if u != v:
-            self._adj.setdefault(v, []).append(u)
+        self._write_edges(((key, i),))
+
+    def _write_edges(self, found: Iterable[tuple[EdgeKey, int]]) -> None:
+        """Write each (key, i) as a new edge, in the given order: each key
+        is (u, v) with u <= v, distinct from the others and from the
+        edges already written.  Each adjacency list then lists its vertex's
+        neighbours in that order."""
+        edges, adj = self.edges, self._adj
+        for key, i in found:
+            u, v = key
+            edges[key] = i
+            adj.setdefault(u, []).append(v)
+            if u != v:
+                adj.setdefault(v, []).append(u)
 
     def degree(self, u: VertexKey) -> int:
         return len(self._adj.get(u, ()))
@@ -162,10 +176,13 @@ class CurveTable:
     own `__eq__` and `__hash__` would run in Python on every lookup).  The
     meridians are placed afresh on each list served; most of the
     `same_class` tests that place them compare cached homology buckets.
-    A pair not yet stored reads a stored image's answer (see `meets`), so
-    the pair ladder runs once per orbit of the pairs asked.  Every stored
-    answer is exact, so an output never depends on what the table held
-    beforehand.
+    `meets` alone fills the pair store.  Γ's and Λ's pairs come sorted and
+    distinct, so `add_meeting_pairs` and `_lambda_rows` read a stored
+    answer in place under the pair's key and call `meets` only on a miss.
+    A pair not yet stored is answered by homology, or reads a stored
+    image's answer, so the pair ladder runs at most once per orbit of the
+    pairs asked.  Every stored answer is exact, so an output never depends
+    on what the table held beforehand.
 
     A smaller cap is served by cutting the stored list after its last class
     of weight at most c, found by bisecting the stored weights.  A class's
@@ -208,12 +225,17 @@ class CurveTable:
     def meets(self, a: CurveClass, b: CurveClass) -> Optional[int]:
         """i(a, b) when the curves meet in at most one point, else None.
 
-        A pair missing from the store reads the answer stored for an image
-        (σa, σb) under an automorphism σ of the triangulation: σ is a
-        homeomorphism, so i(σa, σb) = i(a, b).  Only a pair with no stored
-        image runs the ladder.  Either way the answer is stored under the
-        pair's own key."""
+        A pair missing from the store whose homology classes pair to more
+        than 1 is answered None, since |a . b| <= i(a, b).  Any other
+        reads the answer stored for an image (σa, σb) under an automorphism
+        σ of the triangulation: σ is a homeomorphism, so i(σa, σb) =
+        i(a, b).  Only a pair with no stored image runs the ladder.  Either
+        way the answer is stored under the pair's own key.  Homology first
+        stores the same answers, since |σa . σb| = |a . b|, and skips the
+        image lookups of the pairs it settles."""
         def afresh() -> Optional[int]:
+            if algebraic_intersection(a, b) > 1:
+                return None
             for perm in canonical_triangulation(self.genus).automorphisms[1:]:
                 sigma = itemgetter(*perm)
                 image = _edge_key(sigma(a.coords), sigma(b.coords))
@@ -231,11 +253,18 @@ class CurveTable:
 
     def add_meeting_pairs(self, graph: _GraphCore,
                           pairs: Iterable[EdgeKey]) -> None:
-        """Join each pair of classes that meet in at most one point."""
-        for u, v in pairs:
-            n = self.meets(graph.classes[u], graph.classes[v])
+        """Join each pair of classes that meet in at most one point.  The
+        pairs come sorted and distinct, each (u, v) with u <= v, so each is
+        its own store key and its own edge key, and the edges are written
+        in pair order."""
+        stored, classes, found = self._meets.get, graph.classes, []
+        for key in pairs:
+            n = stored(key, _MISSING)
+            if n is _MISSING:
+                n = self.meets(classes[key[0]], classes[key[1]])
             if n is not None:
-                graph.add_edge(u, v, n)
+                found.append((key, n))
+        graph._write_edges(found)
 
 
 def _with_meridians(diagram: HeegaardDiagram,
@@ -355,9 +384,9 @@ def _add_farey_edges(graph: LambdaGraph, keys: list[VertexKey]) -> None:
 
     Edges with an unlisted end are dropped; a listed meridian heavier than
     the cap is joined by the determinant.  The walk and the rows of those
-    meridians meet each pair once, so the edges are written directly, in
-    index order (i, j), i < j, and the adjacency lists list neighbours by
-    index.
+    meridians meet each pair once, so the edges are written without a
+    merge, in index order (i, j), i < j, and the adjacency lists list
+    neighbours by index.
     """
     index = {k: i for i, k in enumerate(keys)}
     cap, pairs = graph.cap, []
@@ -384,12 +413,8 @@ def _add_farey_edges(graph: LambdaGraph, keys: list[VertexKey]) -> None:
                 if abs(p * s - q * r) == 1 and (weights[j] <= cap or h < j):
                     pairs.append((min(h, j), max(h, j)))
     pairs.sort()
-    edges, adj = graph.edges, graph._adj
-    for i, j in pairs:
-        u, v = keys[i], keys[j]
-        edges[u, v] = 1
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+    graph._write_edges(zip(((keys[i], keys[j]) for i, j in pairs),
+                           itertools.repeat(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -634,13 +659,24 @@ def _lambda_rows(curves: list[CurveClass], table: CurveTable
     asked: the row of w is every listed class u != w with
     `table.meets(w, u)` not None, in list order, which are w's edges in
     `build_lambda` on the same list.  (At genus 1 `build_lambda` joins the
-    slopes with |ps - qr| = 1, and distinct slopes meet |ps - qr| times.)"""
+    slopes with |ps - qr| = 1, and distinct slopes meet |ps - qr| times.)
+    A row reads each stored answer in place, under the pair's key with
+    the lesser vector first, and calls `meets` only on a miss."""
     listed = {c.coords: c for c in curves}
+    stored = table._meets.get
 
     def row(w: VertexKey) -> list[VertexKey]:
-        a = listed[w]
-        return [u.coords for u in curves
-                if u is not a and table.meets(a, u) is not None]
+        a, out = listed[w], []
+        for u in curves:
+            if u is a:
+                continue
+            v = u.coords
+            n = stored((w, v) if w <= v else (v, w), _MISSING)
+            if n is _MISSING:
+                n = table.meets(a, u)
+            if n is not None:
+                out.append(v)
+        return out
     return row
 
 

@@ -31,8 +31,9 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 # CI runs the whole harness as one step limited to 3 minutes.  On 2 shared
-# cores the unmutated selections take about 35 s and each mutant 0.7-1.3 s,
-# so a hung run, cut at its timeout, still leaves the step time to name it.
+# cores (Python 3.11.7) the unmutated selections take about 35 s and each
+# mutant 1.1-5.3 s, 2 min 6 s to 2 min 25 s for all 68, so a hung run,
+# cut at its timeout, still leaves the step time to name it.
 BASELINE_TIMEOUT_S = 100
 TIMEOUT_S = 30
 
@@ -232,12 +233,14 @@ MUTANTS = [
            "        if False:\n",
            (DC + "test_farey_edges_match_pair_loop_on_partial_lists",),
            "a meridian heavier than the cap is joined to nothing"),
+    # The edge writer serves Γ, Λ and torus Λ alike.
     Mutant("farey-adjacency-one-end", "disk_complex.py",
-           "        adj.setdefault(v, []).append(u)\n",
+           "            if u != v:\n"
+           "                adj.setdefault(v, []).append(u)\n",
            "",
            (DC + "test_farey_edges_match_pair_loop[S3]",),
-           "a torus Λ edge is listed among the neighbours of its first end "
-           "only"),
+           "a written edge, torus Λ's among them, is listed among the "
+           "neighbours of its first end only"),
     Mutant("search-levels-off-by-one", "disk_complex.py",
            "    d = 0\n",
            "    d = 1\n",
@@ -286,13 +289,13 @@ MUTANTS = [
            (DC + "test_pair_store_matches_pair_loop",),
            "every pair missing from the store runs the ladder"),
     Mutant("row-skips-last-class", "disk_complex.py",
-           "return [u.coords for u in curves\n",
-           "return [u.coords for u in curves[:-1]\n",
+           "for u in curves:",
+           "for u in curves[:-1]:",
            (DC + "test_row_search_matches_full_lambda",),
            "no Λ row lists the last class of the capped list"),
     Mutant("row-keeps-i1-only", "disk_complex.py",
-           "if u is not a and table.meets(a, u) is not None]",
-           "if u is not a and table.meets(a, u) == 1]",
+           "            if n is not None:\n                out.append(v)\n",
+           "            if n == 1:\n                out.append(v)\n",
            (DC + "test_row_search_matches_full_lambda",),
            "a Λ row drops the classes disjoint from its vertex"),
     Mutant("row-under-wrong-vertex", "disk_complex.py",
@@ -301,6 +304,26 @@ MUTANTS = [
            "curves[1:] + curves[:1]))",
            (DC + "test_row_search_matches_full_lambda",),
            "each vertex is served the Λ row of the next listed class"),
+    # Only a warm row shows it: `meets` still answers every miss, from the
+    # store, so the outputs do not change.
+    Mutant("row-key-unordered", "disk_complex.py",
+           "n = stored((w, v) if w <= v else (v, w), _MISSING)",
+           "n = stored((w, v), _MISSING)",
+           (DC + "test_warm_table_reads_stored_answers",),
+           "a row reads its pairs under the key (w, u), so every pair with "
+           "u < w misses the store and goes through `meets`"),
+    Mutant("miss-sentinel-none", "disk_complex.py",
+           "n = stored(key, _MISSING)",
+           "n = stored(key, None)",
+           (DC + "test_pair_store_matches_pair_loop",),
+           "a pair the store does not hold reads as meeting more than once, "
+           "so a cold table joins nothing"),
+    Mutant("homology-first-at-zero", "disk_complex.py",
+           "if algebraic_intersection(a, b) > 1:",
+           "if algebraic_intersection(a, b) > 0:",
+           (DC + "test_pair_store_matches_pair_loop",),
+           "a pair missing from the store that meets once in homology is "
+           "answered as meeting more than once"),
     Mutant("summary-edge-test-flipped", "disk_complex.py",
            "        if self.edge_witness is None:\n",
            "        if self.edge_witness is not None:\n",

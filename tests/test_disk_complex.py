@@ -42,8 +42,10 @@ from heegaard_lab.surface import (
     CurveClass,
     ModelSurface,
     SurfaceMismatch,
+    algebraic_intersection,
     enumerate_essential_curves,
     geometric_intersection,
+    intersection_at_most,
 )
 
 from reference import reference_bfs_distance, reference_splitting_distance
@@ -621,7 +623,9 @@ def test_genus2_graph_bytes_golden():
 
 def pair_loop_lambda(graph):
     """Reference torus Λ edges: the determinant |ps - qr| <= 1 tested on
-    every pair of vertices, in index order."""
+    every pair of vertices, in index order.  The edges and adjacency lists
+    are written here, not by the graph's own edge writer, which they
+    check."""
     keys = graph.vertex_keys()
     ref = LambdaGraph(graph.genus, graph.cap, graph.certified)
     for k in keys:
@@ -632,7 +636,10 @@ def pair_loop_lambda(graph):
         for j in range(i + 1, len(keys)):
             det = p * slopes[j].q - q * slopes[j].p
             if -1 <= det <= 1:
-                ref.add_edge(keys[i], keys[j], abs(det))
+                u, v = keys[i], keys[j]
+                ref.edges[u, v] = abs(det)
+                ref._adj.setdefault(u, []).append(v)
+                ref._adj.setdefault(v, []).append(u)
     return ref
 
 
@@ -838,8 +845,10 @@ def pair_loop_graph(graph, known):
 
 def test_pair_store_matches_pair_loop(monkeypatch):
     # One table serves the rising caps, so later caps read answers stored
-    # by earlier ones, under the pair's own key or an image's.  The ladder
-    # runs for fewer pairs than the store holds, so images answered some.
+    # by earlier ones, under the pair's own key or an image's.  Homology
+    # answers the pairs with |a . b| > 1 before any image is read, so the
+    # ladder runs only for pairs with |a . b| <= 1, and for fewer of them
+    # than the store holds: images answered some.
     from heegaard_lab import disk_complex
     laddered = []
     ladder = disk_complex._intersection
@@ -853,7 +862,11 @@ def test_pair_store_matches_pair_loop(monkeypatch):
         graph = build_lambda(critical_witness_diagram(), cap, table=table)
         want = emit_graph(pair_loop_graph(graph, known))
         assert emit_graph(graph) == want, cap
-    assert len(laddered) < len(table._meets)
+    assert all(algebraic_intersection(a, b) <= 1 for a, b, _ in laddered)
+    classes = graph.classes
+    light = [(u, v) for u, v in table._meets
+             if algebraic_intersection(classes[u], classes[v]) <= 1]
+    assert len(laddered) < len(light) < len(table._meets)
     graph = build_lambda(standard_diagram(3), 8, table=CurveTable(3))
     assert emit_graph(graph) == emit_graph(pair_loop_graph(graph, {}))
 
@@ -891,3 +904,64 @@ def test_pair_store_stays_within_bound(monkeypatch):
     table = CurveTable(2)
     assert emit_graph(build_lambda(d, 10, table=table)) == want
     assert len(table._meets) == 40
+
+
+def cut_system_diagrams(n, seed):
+    """n genus-2 diagrams whose sides are seeded cut systems of two disjoint
+    classes within cap 8."""
+    curves = enumerate_essential_curves(2, 8)
+    systems = []
+    for a, b in itertools.combinations(curves, 2):
+        if intersection_at_most(a, b, 0) is None:
+            continue
+        try:
+            systems.append(validate_cut_system(2, [a, b]))
+        except InvalidCutSystem:
+            continue
+    rng = random.Random(seed)
+    return [HeegaardDiagram(ModelSurface(2), *rng.sample(systems, 2))
+            for _ in range(n)]
+
+
+def test_warm_table_reads_stored_answers(monkeypatch):
+    """A table warmed by other diagrams at a higher cap, then at cap 8,
+    serves Γ, Λ and distance what fresh tables and the pair loop give.  A
+    repeated call reads every answer in place and calls `meets` for none,
+    and every stored answer is `intersection_at_most(a, b, 1)`."""
+    diagrams = [critical_witness_diagram(), *cut_system_diagrams(2, 52)]
+    table, classes = CurveTable(2), {}
+
+    def distances(d, cap, **kw):
+        gamma = build_gamma(d, cap, **kw)
+        ones = sorted(e for e, i in gamma.edges.items() if i == 1)
+        return gamma, [(e1, e2, splitting_distance(d, e1, e2, cap, **kw))
+                       for e1, e2 in itertools.combinations(ones, 2)]
+
+    for cap in (10, 8):
+        for d in diagrams:
+            distances(d, cap, table=table)
+            classes.update(build_lambda(d, cap, table=table).classes)
+    for (u, v), n in table._meets.items():
+        assert n == intersection_at_most(classes[u], classes[v], 1), (u, v)
+
+    calls = []
+    meets = CurveTable.meets
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return meets(self, a, b)
+    monkeypatch.setattr(CurveTable, "meets", counting)
+    known, values = {}, collections.Counter()
+    for d in diagrams:
+        calls.clear()
+        lam = build_lambda(d, 8, table=table)
+        gamma, found = distances(d, 8, table=table)
+        assert calls == []
+        assert emit_graph(lam) == emit_graph(build_lambda(d, 8)) \
+            == emit_graph(pair_loop_graph(lam, known))
+        assert emit_graph(gamma) == emit_graph(build_gamma(d, 8))
+        for e1, e2, got in found:
+            assert got == splitting_distance(d, e1, e2, 8) \
+                == reference_splitting_distance(d, e1, e2, 8), (e1, e2)
+            values[got.value] += 1
+    assert values[1] >= 1, values
