@@ -468,32 +468,34 @@ def isotopic(tri: Triangulation, a_vec, b_vec) -> bool:
     return not xs and 0 in _region_chis(arr)
 
 
-def crossing_word(tri: Triangulation, curve_vec, system_vecs,
-                  minimal: bool = True):
-    """Signed crossing sequence of a curve against a disjoint curve system.
-
-    Returns (letters, counts): letters is the cyclic list of
-    (system index, sign) met along the curve, and counts[i] the number of
-    letters of system curve i.  In minimal position, the default, counts[i]
-    is the exact geometric intersection number with system curve i.  With
-    `minimal=False` the letters are read off the curve as first drawn: a
-    bigon slide deletes an inverse pair x, x^-1 of adjacent letters, so the
-    word is the minimal one up to free and cyclic reduction.
-    """
-    union = tuple(sum(v[e] for v in system_vecs) for e in range(tri.n_edges))
-    arr = Arrangement(tri, [curve_vec, union])
-    index_of = {}
-    for c in arr.curves[1:]:
-        vec = arr.component_vector(c.cid)
+def _system_index(component_vecs, system_vecs) -> list[int]:
+    """The index in system_vecs of each traced component's vector.  Raises
+    ValueError unless each matches exactly one."""
+    out = []
+    for vec in component_vecs:
         matches = [i for i, v in enumerate(system_vecs) if tuple(v) == vec]
         if len(matches) != 1:
             raise ValueError(
                 "system components do not match the given curve vectors; "
                 "the system is not realizable disjointly as given")
-        index_of[c.cid] = matches[0]
-    letters = [(index_of[x.b_key[0]], x.sign)
-               for _, _, x in _runs(minimize(arr) if minimal
-                                    else arr.crossings())[0]]
+        out.append(matches[0])
+    return out
+
+
+def crossing_word(tri: Triangulation, curve_vec, system_vecs):
+    """Signed crossing sequence of a curve against a disjoint curve system,
+    in minimal position.
+
+    Returns (letters, counts): letters is the cyclic list of
+    (system index, sign) met along the curve, and counts[i] the number of
+    letters of system curve i, the exact geometric intersection number with
+    system curve i.
+    """
+    union = tuple(sum(v[e] for v in system_vecs) for e in range(tri.n_edges))
+    arr = Arrangement(tri, [curve_vec, union])
+    index = _system_index(
+        [arr.component_vector(c.cid) for c in arr.curves[1:]], system_vecs)
+    letters = [(index[x.b_key[0] - 1], x.sign)
+               for _, _, x in _runs(minimize(arr))[0]]
     return letters, [sum(j == i for j, _ in letters)
                      for i in range(len(system_vecs))]
-

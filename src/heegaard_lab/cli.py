@@ -307,15 +307,15 @@ _parser = functools.cache(build_parser)
 
 # One curve table per genus for the life of the process, so that the jobs
 # of a session enumerate, intersect and disk-test each class once.  Each
-# table bounds its own stores (34-37 MB when full, see disk_complex);
+# table bounds its own stores (34-41 MB when full, see disk_complex);
 # this bounds the number of tables.
 MAX_SESSION_TABLES = 4
 _session_table = functools.lru_cache(maxsize=MAX_SESSION_TABLES)(CurveTable)
 
 # The validated diagrams of the session, keyed by their JSON in canonical
 # form; a full store keeps what it holds and validates new diagrams afresh.
-# Measured with tracemalloc, a stored diagram takes about 5.5 kB at genus 2
-# and 77 kB at genus 10.
+# Measured with tracemalloc, a stored diagram with its cut systems' word
+# tables takes about 14 kB at genus 2 and 99 kB at genus 10.
 MAX_SESSION_DIAGRAMS = 64
 _session_diagrams: dict = {}
 

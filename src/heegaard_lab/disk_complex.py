@@ -142,11 +142,12 @@ def isolated_vertices(graph: _GraphCore) -> list[VertexKey]:
 # Entry bounds of a CurveTable's stores.  A store that holds its bound
 # stops growing; what it does not hold is computed again, so answers are the
 # same either way.  Measured with tracemalloc on 64-bit CPython 3.11, a
-# class with its cached corners and bucket takes 0.8 kB at genus 2 and 1.4
-# kB at genus 6 (it has 6g - 3 coordinates), and the full stores take 24 MB
-# of pairs and 5.4 MB of disk tests at genus 2-6 (their keys refer to the
-# classes' own vectors and to the cut vectors the diagrams keep).  So a full
-# table holds 34-37 MB, and a CLI process, which keeps up to
+# class with its cached corners and bucket takes 0.9 kB at genus 2 and 2.3
+# kB at genus 6 (it has 6g - 3 coordinates and 4g - 2 corner triples), and
+# the full stores take 24 MB of pairs and 5.3-5.4 MB of disk tests at genus
+# 2-6 (their keys refer to the classes' own vectors and to the cut vectors
+# the diagrams keep; the cut systems' word tables live on the diagrams).
+# So a full table holds 34-41 MB, and a CLI process, which keeps up to
 # `cli.MAX_SESSION_TABLES` tables, at most four times that.  The pair bound
 # covers genus-2 Λ at cap 18: 657 classes, 215,496 pairs.
 MAX_STORED_CLASSES = 5_000

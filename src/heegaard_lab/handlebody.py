@@ -6,9 +6,34 @@ meridians spells its free homotopy class in pi_1(H), the free group on the
 meridians' dual loops.  By Dehn's lemma the curve bounds a disk in H iff that
 class is trivial, that is iff the word reduces (freely and cyclically) to
 the empty word.  Any representative transverse to the meridians gives the
-word up to that reduction, so the disk test reads it off the curve as first
-drawn.  `boundary_word` reads it from a minimal-position arrangement, so its
-length equals the total geometric intersection with the system.
+word up to that reduction, since a bigon slide deletes an inverse pair of
+adjacent letters, so the disk test reads it off the curve as first drawn.
+`boundary_word` reads it from a minimal-position arrangement, so its length
+equals the total geometric intersection with the system.
+
+The first-drawn word needs no arrangement.  Draw the curve c beside the
+system Z with c's points first along every edge's arrow, as the
+arrangement does.  An arc of c at corner m of triangle t joins side m-1 to
+side m and cuts off a piece D of t round corner m.  Side m-1 runs
+counterclockwise from corner m-1 to corner m, so when its occurrence is +1
+every Z point on it follows c's block towards corner m and lies in D, and
+when it is -1 none does; side m runs from corner m, so its Z points lie in
+D exactly when its occurrence is -1.  So every c-arc at one corner cuts
+off the same Z points, and `CutSystem._words` lists, once per (triangle,
+corner, direction), the letters that any such arc crosses:
+  * a Z arc, a chord of t, crosses the c-arc exactly when one of its ends
+    lies in D; one with both ends in D is skipped;
+  * the Z arcs are disjoint, so the c-arc, run counterclockwise round D
+    from side m-1 to side m, meets them in the order of their ends along
+    D's boundary, and each letter is (system index, +1) when its Z arc
+    starts in D and -1 when it ends there, the arrangement's sign;
+  * run from side m to side m-1, the c-arc meets the same arcs in reverse
+    order, and every sign flips, since the counterclockwise arc from its
+    start to its end is now the one outside D.
+One trace of the union vector gives each Z token the link it ends in
+each of its two triangles.  Joined along c's links from its trace's first
+token, the entries give the word the arrangement reads off c as first
+drawn, letter for letter.
 """
 
 from __future__ import annotations
@@ -97,6 +122,39 @@ class CutSystem:
         n = canonical_triangulation(self.genus).n_edges
         return tuple(sum(c.coords[e] for c in self.curves) for e in range(n))
 
+    @cached_property
+    def _words(self) -> dict[tuple[int, int, int],
+                             tuple[tuple[int, int], ...]]:
+        """(triangle, entry edge, exit edge) -> the letters (generator
+        1..g, sign) that a curve arc crossing the triangle that way crosses,
+        by the rule in the module docstring.  Raises ValueError when the
+        union's components do not match the curves' vectors."""
+        tri = canonical_triangulation(self.genus)
+        union = self.union_vector()
+        ends = {}       # (triangle, token) -> (letter, the link's other end)
+        comps = tri.trace(union)
+        index = arrangement._system_index([c.vector for c in comps],
+                                          self.vectors)
+        for comp, i in zip(comps, index):
+            toks = comp.cycle
+            for j, t in enumerate(comp.triangles):
+                u, v = toks[j], toks[(j + 1) % len(toks)]
+                ends[t, u] = ((i + 1, 1), v)
+                ends[t, v] = ((i + 1, -1), u)
+        words = {}
+        for t, sides in enumerate(tri.triangles):
+            for m in range(3):
+                (e, s), (f, r) = sides[m - 1], sides[m]
+                cut = [(e, p) for p in range(union[e] if s == 1 else 0)]
+                cut += [(f, p) for p in
+                        reversed(range(union[f] if r == -1 else 0))]
+                inside = set(cut)
+                word = tuple(ends[t, x][0] for x in cut
+                             if ends[t, x][1] not in inside)
+                words[t, e, f] = word
+                words[t, f, e] = tuple((g, -sign) for g, sign in word[::-1])
+        return words
+
 
 def validate_cut_system(surface: ModelSurface | int,
                         curves: Sequence[CurveClass]) -> CutSystem:
@@ -171,24 +229,33 @@ def boundary_word(c: CurveClass, cut: CutSystem,
     """Cyclic signed crossing sequence of the curve with the cut system, read
     from a minimal-position representative.  Its length is the sum of the
     geometric intersection numbers with the cut curves.  `minimal=False`
-    reads it off the curve as first drawn (see the module docstring)."""
+    reads it off the curve as first drawn: the table entries of its links,
+    in order from its trace's first token (see the module docstring)."""
     if c.genus != cut.genus:
         raise SurfaceMismatch("curve and cut system on different surfaces")
     tri = canonical_triangulation(c.genus)
-    letters, _counts = arrangement.crossing_word(
-        tri, c.coords, cut.vectors, minimal)
-    return SignedWord.of((g + 1, s) for g, s in letters)
+    comps = tri.trace(c.coords)
+    if len(comps) != 1:
+        raise ValueError("signed crossings need a connected curve")
+    if minimal:
+        letters, _counts = arrangement.crossing_word(tri, c.coords,
+                                                     cut.vectors)
+        return SignedWord.of((g + 1, s) for g, s in letters)
+    edges, words = [e for e, _ in comps[0].cycle], cut._words
+    links = zip(comps[0].triangles, edges, edges[1:] + edges[:1])
+    return SignedWord(tuple(x for link in links for x in words[link]))
 
 
 def bounds_disk(c: CurveClass, side: str, diagram: HeegaardDiagram) -> bool:
     """Does the curve bound a disk in the named handlebody?  By Dehn's
     lemma, iff its boundary word freely and cyclically reduces to the empty
     word.  Any representative transverse to the meridians spells that word
-    up to reduction, so it is read off the curve as first drawn.
+    up to reduction, so it is read off the curve as first drawn, from the
+    cut system's word table, and no arrangement is built.
 
     The exponent sum of generator j in that word is the algebraic
     intersection with meridian j, and reduction preserves exponent sums, so
-    a nonzero one rules the disk out before any arrangement is built.  A
+    a nonzero one rules the disk out before any word is read.  A
     solid torus has one disk boundary, its meridian, and that is the only
     torus class pairing to 0 with it, so at genus 1 this test decides."""
     cut = diagram.side(side)

@@ -6,13 +6,21 @@ Run from anywhere, with pytest and hypothesis installed:
     python tests/mutants.py NAME ...   # only the named ones
 
 Each mutant replaces one text, which must occur exactly once, in one file of
-a fresh copy of `src/`, and runs its test selection against that copy.  The
+a copy of `src/`, and runs its test selection against that copy.  The
 run fails when a selection fails on the unmutated copy, or passes on its
 mutant: a surviving mutant is a blind spot of the tests.  Answer one with a
 new test, never by changing a test's data or bounds.  A mutant's name is
 printed before its selection runs, and a selection that outlives its
 timeout is stopped and reported as timed out, so a mutant that hangs is
 named.
+
+The harness imports pytest and hypothesis once, never the program, and
+runs every selection in a child forked from itself: the child imports the
+program from the copy, checks that it did, and calls `pytest.main`.  The
+copy is made once; each mutant rewrites its file before the fork and the
+file is restored after the child exits.  So a mutant costs one pytest
+collection, not a fresh interpreter.  The harness needs `os.fork` (CI runs
+it on Linux) and refuses to run without it.
 
 Pytest does not collect this file, since its name does not start with
 `test_`.
@@ -22,20 +30,24 @@ from __future__ import annotations
 
 import os
 import shutil
-import subprocess
+import signal
 import sys
 import tempfile
 import time
 from pathlib import Path
 from typing import NamedTuple
 
+import hypothesis  # noqa: F401  (imported once here, for every child)
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 # CI runs the whole harness as one step limited to 3 minutes.  On 2 shared
-# cores (Python 3.11.7) the unmutated selections take about 35 s and each
-# mutant 1.1-5.3 s, 2 min 6 s to 2 min 25 s for all 68, so a hung run,
-# cut at its timeout, still leaves the step time to name it.
+# cores (Python 3.11.7) the unmutated selections take 30-40 s and each
+# mutant 0.3-3.2 s, 1 min 6 s to 1 min 25 s for all 71, so a hung run, cut
+# at its timeout, still leaves the step time to name it.
 BASELINE_TIMEOUT_S = 100
 TIMEOUT_S = 30
+PROBE_FAILED = 97
 
 
 class Mutant(NamedTuple):
@@ -335,6 +347,23 @@ MUTANTS = [
            (HB + "test_bounds_disk_without_minimal_position_matches_"
                  "minimal_word",),
            "a disk whose first-drawn word is not yet reduced is missed"),
+    Mutant("word-table-side-m-flipped", "handlebody.py",
+           "union[f] if r == -1 else 0", "union[f] if r == 1 else 0",
+           (HB + "test_word_table_matches_token_arrangement",),
+           "a corner arc cuts off the system tokens of side m when its "
+           "occurrence is +1, not -1"),
+    Mutant("word-table-reverse-keeps-signs", "handlebody.py",
+           "tuple((g, -sign) for g, sign in word[::-1])",
+           "word[::-1]",
+           (HB + "test_word_table_matches_token_arrangement",),
+           "a curve arc run backward meets its letters in reverse order "
+           "with their signs unflipped"),
+    Mutant("word-table-keeps-enclosed-arcs", "handlebody.py",
+           "\n                             if ends[t, x][1] not in inside)",
+           ")",
+           (HB + "test_word_table_matches_token_arrangement",),
+           "system arcs with both ends in the cut-off corner are listed as "
+           "crossings"),
     Mutant("exponent-sum-rule-inverted", "handlebody.py",
            "    if any(algebraic_intersection(c, z) for z in cut.curves):\n",
            "    if not any(algebraic_intersection(c, z) "
@@ -461,68 +490,91 @@ MUTANTS = [
 ]
 
 
-def _pytest(src: Path, selection, timeout: float, *flags) -> int:
-    """Exit status of pytest on the selection, importing the program from
-    src; a run past the timeout counts as a failure."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    try:
-        return subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             *flags, *selection],
-            cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL, timeout=timeout).returncode
-    except subprocess.TimeoutExpired:
-        return -1
-
-
-def _copy_src(into: Path, mutant: Mutant | None = None) -> Path:
-    src = into / "src"
-    shutil.copytree(ROOT / "src", src,
-                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-    if mutant is not None:
-        path = src / "heegaard_lab" / mutant.file
-        text = path.read_text()
-        if text.count(mutant.old) != 1:
-            raise SystemExit(f"{mutant.name}: the text to replace occurs "
-                             f"{text.count(mutant.old)} times in "
-                             f"{mutant.file}")
-        path.write_text(text.replace(mutant.old, mutant.new))
-    return src
+def _run(src: Path, selection, timeout: float, *flags) -> int:
+    """Exit status of pytest on the selection in a forked child that
+    imports the program from src; -1 when the child outlives the timeout
+    and is killed.  The child exits with PROBE_FAILED when heegaard_lab
+    imports from anywhere but src."""
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            sys.path.insert(0, str(src))
+            import heegaard_lab
+            if not Path(heegaard_lab.__file__).resolve().is_relative_to(
+                    src.resolve()):
+                print(f"heegaard_lab imports from {heegaard_lab.__file__}",
+                      file=sys.stderr, flush=True)
+                status = PROBE_FAILED
+            else:
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, 1)
+                os.dup2(null, 2)
+                status = pytest.main(["-q", "-p", "no:cacheprovider",
+                                      *flags, *selection])
+        finally:
+            # A mutant that breaks the import fails here, as its selection
+            # would fail to collect.  The child never returns into the
+            # parent's loop.
+            os._exit(status)
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.01)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    return -1
 
 
 def main(names: list[str]) -> int:
+    if not hasattr(os, "fork"):
+        raise SystemExit("the mutation harness forks, and this platform "
+                         "has no os.fork")
     chosen = [m for m in MUTANTS if not names or m.name in names]
     unknown = set(names) - {m.name for m in chosen}
     if unknown:
         raise SystemExit(f"unknown mutants: {sorted(unknown)}")
+    os.chdir(ROOT)
+    # A rewritten file can keep its size and mtime second, so no child
+    # may read or leave bytecode of the copy.
+    sys.dont_write_bytecode = True
+    survivors = []
     with tempfile.TemporaryDirectory() as tmp:
-        src = _copy_src(Path(tmp))
-        probe = subprocess.run(
-            [sys.executable, "-c", "import heegaard_lab; "
-             "print(heegaard_lab.__file__)"],
-            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
-            text=True, check=True)
-        if not Path(probe.stdout.strip()).resolve().is_relative_to(
-                src.resolve()):
-            raise SystemExit(f"heegaard_lab imports from {probe.stdout}")
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns(
+            "__pycache__", "*.egg-info"))
         every = sorted({t for m in chosen for t in m.selection})
         print("the selections on the unmutated program ...", flush=True)
-        if _pytest(src, every, BASELINE_TIMEOUT_S) != 0:
+        status = _run(src, every, BASELINE_TIMEOUT_S)
+        if status == PROBE_FAILED:
+            return status
+        if status != 0:
             print("the selections fail on the unmutated program")
             return 1
-    survivors = []
-    for m in chosen:
-        # The name goes out first, so a run cut short still names itself.
-        print(f"{m.name:34}", end=" ", flush=True)
-        t0 = time.perf_counter()
-        with tempfile.TemporaryDirectory() as tmp:
-            status = _pytest(_copy_src(Path(tmp), m), m.selection, TIMEOUT_S,
-                             "-x")
-        verdict = {0: "SURVIVED", -1: "timed out"}.get(status, "killed")
-        if status == 0:
-            survivors.append(m.name)
-        print(f"{verdict:9} {time.perf_counter() - t0:6.1f} s  {m.breaks}",
-              flush=True)
+        for m in chosen:
+            # The name goes out first, so a run cut short still names
+            # itself.
+            print(f"{m.name:34}", end=" ", flush=True)
+            t0 = time.perf_counter()
+            path = src / "heegaard_lab" / m.file
+            original = path.read_text()
+            if original.count(m.old) != 1:
+                raise SystemExit(f"{m.name}: the text to replace occurs "
+                                 f"{original.count(m.old)} times in {m.file}")
+            path.write_text(original.replace(m.old, m.new))
+            try:
+                status = _run(src, m.selection, TIMEOUT_S, "-x")
+            finally:
+                path.write_text(original)
+            if status == PROBE_FAILED:
+                return status
+            verdict = {0: "SURVIVED", -1: "timed out"}.get(status, "killed")
+            if status == 0:
+                survivors.append(m.name)
+            print(f"{verdict:9} {time.perf_counter() - t0:6.1f} s  "
+                  f"{m.breaks}", flush=True)
     print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed")
     return 1 if survivors else 0
 

@@ -20,6 +20,7 @@ pass.
   disk_complex._bfs_distance          reference_bfs_distance
   disk_complex.splitting_distance     reference_splitting_distance
   handlebody.validate_cut_system      reference_validate_cut_system
+  handlebody.CutSystem._words         reference_first_drawn_word
   ghs.validate_ghs                    reference_validate_ghs
   ghs._moves_with_reports             reference_moves_with_reports
   ghs.apply_move_report               reference_apply_move_report
@@ -695,6 +696,25 @@ def reference_validate_cut_system(genus, curves):
         raise InvalidCutSystem(
             f"cut complement is not planar: chi={chi}, boundaries={circles}")
     return system
+
+
+def reference_first_drawn_word(tri, curve_vec, system_vecs):
+    """The curve's signed crossing word with a disjoint curve system, as
+    (system index, sign) letters read off the curve as first drawn: the
+    token arrangement's crossings, in order along the curve."""
+    union = tuple(sum(v[e] for v in system_vecs) for e in range(tri.n_edges))
+    arr = arrangement.Arrangement(tri, [curve_vec, union])
+    index_of = {}
+    for c in arr.curves[1:]:
+        vec = arr.component_vector(c.cid)
+        matches = [i for i, v in enumerate(system_vecs) if tuple(v) == vec]
+        if len(matches) != 1:
+            raise ValueError(
+                "system components do not match the given curve vectors; "
+                "the system is not realizable disjointly as given")
+        index_of[c.cid] = matches[0]
+    return [(index_of[x.b_key[0]], x.sign)
+            for _, _, x in arrangement._runs(arr.crossings())[0]]
 
 
 # -- ghs and sog --------------------------------------------------------------

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from heegaard_lab import arrangement
 from heegaard_lab.disk_complex import enumerate_disk_boundaries
 from heegaard_lab.handlebody import (
     CutSystem,
@@ -31,7 +32,11 @@ from heegaard_lab.surface import (
     same_class,
 )
 
-from reference import NOT_DISJOINT, reference_validate_cut_system
+from reference import (
+    NOT_DISJOINT,
+    reference_first_drawn_word,
+    reference_validate_cut_system,
+)
 
 COMMUTATOR_CURVE = CurveClass(2, (2, 2, 2, 0, 2, 2, 4, 2, 2))
 
@@ -331,6 +336,88 @@ def test_bounds_disk_without_minimal_position_matches_minimal_word(
     assert (len(verdicts), sum(verdicts)) == (checks, disks)
 
 
+@pytest.mark.parametrize("family, genus, cap, checks", [
+    ("torus", 1, 16, 402),
+    ("genus2", 2, 14, 820),
+    ("genus3", 3, 9, 106),
+    ("twisted", 2, 14, 410),
+])
+def test_word_table_matches_token_arrangement(family, genus, cap, checks):
+    # The first-drawn word joined from the cut system's word table is the
+    # word the token arrangement reads off the curve, letter for letter.
+    from test_disk_complex import critical_witness_diagram
+    diagrams = {
+        "torus": lambda: [s3_genus1(), lens_space(7, 2), s2_x_s1()],
+        "genus2": lambda: [standard_diagram(2), critical_witness_diagram()],
+        "genus3": lambda: [standard_diagram(3)],
+        "twisted": lambda: [twisted_diagram()],
+    }[family]()
+    tri = canonical_triangulation(genus)
+    curves = enumerate_essential_curves(genus, cap)
+    n = 0
+    for d in diagrams:
+        for side in ("red", "blue"):
+            cut = d.side(side)
+            for c in curves + list(cut.curves):
+                want = tuple((i + 1, s) for i, s in reference_first_drawn_word(
+                    tri, c.coords, cut.vectors))
+                got = boundary_word(c, cut, minimal=False).letters
+                assert got == want, (c.coords, side)
+                n += 1
+    assert n == checks
+
+
+@pytest.mark.parametrize("genus, vectors", [
+    (1, [(2, 0, 2)]),
+    (1, [(3, 3, 2)]),
+    (2, [(0, 1, 0, 0, 1, 1, 0, 0, 0), (1, 0, 0, 0, 1, 0, 0, 0, 0)]),
+])
+def test_boundary_word_refuses_a_system_not_disjoint_as_given(genus,
+                                                              vectors):
+    # The cut systems are built unchecked: two parallel torus slopes in one
+    # vector, a slope plus a vertex link, and two genus-2 meridians that
+    # meet.
+    cut = CutSystem(ModelSurface(genus),
+                    tuple(CurveClass(genus, v) for v in vectors))
+    c = enumerate_essential_curves(genus, 4)[1]
+    message = ("system components do not match the given curve vectors; "
+               "the system is not realizable disjointly as given")
+    for minimal in (True, False):
+        with pytest.raises(ValueError) as info:
+            boundary_word(c, cut, minimal=minimal)
+        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        reference_first_drawn_word(canonical_triangulation(genus), c.coords,
+                                   cut.vectors)
+    assert str(info.value) == message
+
+
+def test_boundary_word_refuses_a_multicurve():
+    # Two parallel copies of a red meridian, and a two-component vector
+    # whose minimal-position word would blame the cut system.
+    d = standard_diagram(2)
+    for coords in [(0, 0, 0, 2, 0, 0, 0, 0, 2), (0, 0, 2, 0, 0, 0, 0, 2, 2)]:
+        for minimal in (True, False):
+            with pytest.raises(ValueError) as info:
+                boundary_word(CurveClass(2, coords), d.red, minimal=minimal)
+            assert str(info.value) == "signed crossings need a connected curve"
+
+
+def test_bounds_disk_builds_no_arrangement(monkeypatch):
+    diagrams = [standard_diagram(2), twisted_diagram()]
+    curves = enumerate_essential_curves(2, 10)
+    built = []
+    init = arrangement.Arrangement.__init__
+    monkeypatch.setattr(arrangement.Arrangement, "__init__",
+                        lambda self, *args: built.append(args) or init(
+                            self, *args))
+    disks = sum(bounds_disk(c, side, d) for d in diagrams
+                for side in ("red", "blue") for c in curves)
+    assert (built, disks) == ([], 16)
+    boundary_word(curves[0], diagrams[0].red)
+    assert len(built) == 1
+
+
 def test_torus_bounds_disk_matches_word_reduction():
     # At genus 1 a zero exponent sum decides the disk test outright; the
     # boundary word is the reference.
@@ -354,11 +441,8 @@ GOLDEN_BOUNDARY_WORDS_SHA256 = (
     "fd0d6c02e7c397451fcb92e592c5b3f75a6bb82395e8369a83bfa343a234d9e5")
 
 
-def test_boundary_words_golden():
-    import hashlib
-    from heegaard_lab.handlebody import HeegaardDiagram
-    from heegaard_lab.surface import (canonical_triangulation,
-                                      enumerate_essential_curves)
+def twisted_diagram():
+    """The twisted genus-2 diagram of demos/05."""
     tri = canonical_triangulation(2)
 
     def small(name):
@@ -366,14 +450,18 @@ def test_boundary_words_golden():
         return CurveClass(2, min((tri.edge_loop_pushoff(e, s) for s in (0, 1)),
                                  key=lambda v: (sum(v), v)))
 
-    twisted = HeegaardDiagram(
+    return HeegaardDiagram(
         ModelSurface(2),
         validate_cut_system(2, [small("a1"), small("a2")]),
         validate_cut_system(2, [CurveClass(2, (1, 0, 2, 1, 1, 2, 2, 2, 1)),
                                 CurveClass(2, (2, 1, 1, 1, 1, 1, 2, 1, 0))]))
+
+
+def test_boundary_words_golden():
+    import hashlib
     curves = enumerate_essential_curves(2, 10)
     lines = [f"{c.coords} {boundary_word(c, d.side(side)).letters}"
-             for d in (standard_diagram(2), twisted)
+             for d in (standard_diagram(2), twisted_diagram())
              for side in ("red", "blue")
              for c in curves]
     assert len(lines) == 208
